@@ -29,7 +29,6 @@ from .maskops import (
 from .sizing import FittedCircle, FruitMeasurement, fill_ratio, fit_circle, measure_fruit
 from .fusion import WorldFruit, deduplicate, estimate_metric_radius, localize, select_best
 from .evaluation import (
-    EvalMeasurement,
     EvalReport,
     GroundTruthRecord,
     accuracy,
@@ -37,6 +36,7 @@ from .evaluation import (
     relative_error,
     rmse,
 )
+from .fileio import Record
 from .simulate import (
     CaptureBundle,
     FruitSpec,

@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="dedup records across views, pick best view")
     p.add_argument("--records", required=True, type=Path)
     p.add_argument("--rig", required=True, type=Path)
-    p.add_argument("--config", type=Path, default=None)
     p.add_argument("-o", "--out", required=True, type=Path, help="output fused JSON")
 
     p = sub.add_parser("evaluate", help="compare against ground truth")
@@ -73,21 +72,17 @@ def main(argv=None) -> int:
             config = PipelineConfig.load(args.config)
             cmd_measure(args.bundle, config, args.out, rig_path=args.rig)
         elif args.command == "fuse":
-            config = PipelineConfig.load(args.config)
-            cmd_fuse(args.records, args.rig, args.out, config)
+            cmd_fuse(args.records, args.rig, args.out)
         elif args.command == "evaluate":
             cmd_evaluate(args.fused, args.records, args.truth, args.out, args.matching)
         elif args.command == "simulate":
             cmd_simulate(args.scene, args.out)
-    except BundleIOError as e:
+    except (BundleIOError, OSError) as e:
         print(f"fruitgauge: i/o error: {e}", file=sys.stderr)
         return 2
     except FruitGaugeError as e:
         print(f"fruitgauge: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"fruitgauge: i/o error: {e}", file=sys.stderr)
-        return 2
     return 0
 
 

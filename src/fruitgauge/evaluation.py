@@ -7,8 +7,8 @@ alongside as ``relative_error``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .errors import (
 )
 from .geometry import Point3
 
+if TYPE_CHECKING:
+    from .fileio import Record
+
 
 @dataclass(frozen=True)
 class GroundTruthRecord:
@@ -32,18 +35,6 @@ class GroundTruthRecord:
     def __post_init__(self):
         if self.height_mm <= 0 or self.width_mm <= 0:
             raise ValueError("ground-truth sizes must be positive")
-
-
-@dataclass(frozen=True)
-class EvalMeasurement:
-    """The slice of a measurement record the evaluator needs."""
-
-    camera_id: str
-    height_mm: float
-    width_mm: float
-    fill_ratio: float
-    fruit_id: Optional[str] = None
-    center_world: Optional[Point3] = None
 
 
 def rmse(measured: Sequence[float], truth: Sequence[float],
@@ -78,11 +69,14 @@ def relative_error(rmse_mm: float, mean_truth_mm: float) -> float:
 
 
 def match_measurements(
-    measurements: Sequence[EvalMeasurement],
+    measurements: Sequence[Record],
     truth: Sequence[GroundTruthRecord],
     matching: str = "auto",
-) -> List[Tuple[EvalMeasurement, GroundTruthRecord]]:
+) -> List[Tuple[Record, GroundTruthRecord]]:
     """Pair each measurement with exactly one truth record.
+
+    Measurements are read by attribute: ``camera_id``, ``fruit_id`` and
+    ``center_world_m`` (a Point3, or None when unknown).
 
     ``fruit_id`` matching is used when every measurement carries an id
     (matching="auto"); otherwise each measurement is matched to the nearest
@@ -112,18 +106,18 @@ def match_measurements(
     centers = np.array([t.center_world.to_array() for t in with_centers])
     pairs = []
     for m in measurements:
-        if m.center_world is None:
+        if m.center_world_m is None:
             raise UnmatchedMeasurement(
                 f"measurement from camera {m.camera_id} has no world center"
             )
-        d = np.linalg.norm(centers - m.center_world.to_array(), axis=1)
+        d = np.linalg.norm(centers - m.center_world_m.to_array(), axis=1)
         order = np.argsort(d, kind="stable")
         nearest = float(d[order[0]])
         if len(d) > 1:
             second = float(d[order[1]])
             if second <= 2.0 * nearest:
                 raise AmbiguousMatch(
-                    f"measurement at {m.center_world} is {nearest:.4f} m from "
+                    f"measurement at {m.center_world_m} is {nearest:.4f} m from "
                     f"{with_centers[order[0]].fruit_id} but {second:.4f} m from "
                     f"{with_centers[order[1]].fruit_id}"
                 )
@@ -171,7 +165,7 @@ def _dimension_stats(measured: List[float], truths: List[float]) -> DimensionSta
 
 
 def _make_row(camera_id: str,
-              pairs: List[Tuple[EvalMeasurement, GroundTruthRecord]]) -> CameraRow:
+              pairs: List[Tuple[Record, GroundTruthRecord]]) -> CameraRow:
     if not pairs:
         return CameraRow(camera_id, 0, None, None, None)
     return CameraRow(
@@ -186,8 +180,8 @@ def _make_row(camera_id: str,
 
 
 def evaluate_run(
-    chosen: Sequence[EvalMeasurement],
-    per_camera: Mapping[str, Sequence[EvalMeasurement]],
+    chosen: Sequence[Record],
+    per_camera: Mapping[str, Sequence[Record]],
     truth: Sequence[GroundTruthRecord],
     matching: str = "auto",
 ) -> EvalReport:
@@ -206,28 +200,8 @@ def evaluate_run(
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    def dim(d: Optional[DimensionStats]):
-        if d is None:
-            return None
-        return {
-            "rmse_mm": d.rmse_mm,
-            "accuracy": d.accuracy,
-            "relative_error": d.relative_error,
-            "mean_truth_mm": d.mean_truth_mm,
-        }
-
-    return {
-        "rows": [
-            {
-                "camera_id": r.camera_id,
-                "n": r.n,
-                "mean_fill_ratio": r.mean_fill_ratio,
-                "height": dim(r.height),
-                "width": dim(r.width),
-            }
-            for r in report.rows
-        ]
-    }
+    """``{"rows": [...]}``, each row's keys in ``CameraRow`` field order."""
+    return asdict(report)
 
 
 def format_report_text(report: EvalReport) -> str:

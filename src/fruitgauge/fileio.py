@@ -9,6 +9,29 @@ A capture bundle directory looks like::
       detections/<camera_id>_<frame_id>.json
       ground_truth.csv                     (optional)
 
+``fruitgauge measure`` writes ``records.json``: ``{"records": [...],
+"warnings": [...]}``. A record is one accepted detection, sized and localized
+in its own view (``Record``); its keys, in written order:
+
+    frame_id, camera_id       str
+    detection_index           int, position in the detections file
+    class                     str, detector class name
+    fruit_id                  str or null (simulator provenance)
+    height_mm, width_mm       float, metric size at the shared depth
+    median_depth_m            float, lower median depth of the mask edge
+    fill_ratio                float in [0, 1], mask cover of the fitted circle
+    circle                    {"cu", "cv", "r_px"}: fitted circle, pixels
+    bbox                      [x, y, w, h], int pixels
+    center_depth_m            float, depth at the bbox center (0: no sample)
+    edge_margin_px            int, bbox distance to the image border
+    radius_m                  float, metric fruit radius
+    center_world_m            [x, y, z] float, fruit center in the world frame
+
+A warning is ``{frame_id, camera_id, detection_index, reason, message}``.
+``fruitgauge fuse`` writes ``fused.json``: ``{"fruits": [...]}``, each fruit
+``{center_world_m, radius_m, n_views, chosen, members}``: member-mean center
+and radius (m), view count, the selected record and all member records.
+
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
 """
@@ -23,10 +46,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BundleIOError
+from .errors import BundleIOError, DegenerateCircle
 from .evaluation import GroundTruthRecord
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
+from .sizing import FittedCircle
 
 
 def dump_json(obj, path: Path) -> None:
@@ -165,6 +189,8 @@ def transform_from_dict(d: dict, source: str = "<inline>") -> RigidTransform:
         return RigidTransform(np.array(d["rotation"]), np.array(d["translation"]))
     except KeyError as e:
         raise BundleIOError(f"transform {source} missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise BundleIOError(f"malformed transform {source}: {e}") from e
 
 
 def write_rig(path: Path, cameras: List[RigCamera],
@@ -196,7 +222,7 @@ def read_rig(path: Path) -> List[RigCamera]:
     for entry in doc.get("cameras", []):
         try:
             cam_id = entry["id"]
-            pose = transform_from_dict(entry["cam_to_world"], f"{path}:{entry.get('id')}")
+            pose = transform_from_dict(entry["cam_to_world"], f"{path}:{cam_id}").validate()
         except KeyError as e:
             raise BundleIOError(f"rig {path} camera entry missing {e}") from e
         intr = None
@@ -207,7 +233,7 @@ def read_rig(path: Path) -> List[RigCamera]:
             depth_intr = read_intrinsics(path.parent / entry["depth_intrinsics_file"])
         depth_to_color = None
         if entry.get("depth_to_color"):
-            depth_to_color = transform_from_dict(entry["depth_to_color"], str(path))
+            depth_to_color = transform_from_dict(entry["depth_to_color"], str(path)).validate()
         cameras.append(RigCamera(cam_id, intr, pose, depth_intr, depth_to_color))
     if not cameras:
         raise BundleIOError(f"rig {path} lists no cameras")
@@ -268,6 +294,126 @@ def read_detections(path: Path) -> DetectionFile:
         return DetectionFile(doc["frame_id"], doc["camera_id"], dets)
     except KeyError as e:
         raise BundleIOError(f"detections {path} missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise BundleIOError(f"malformed detection in {path}: {e}") from e
+
+
+# -- measurement records -----------------------------------------------------
+
+_NUMBER = (int, float)  # exact JSON value types, so a bool is not a number
+# records.json keys in written order, each with the JSON types its value may take.
+_RECORD_TYPES = {
+    "frame_id": (str,), "camera_id": (str,), "detection_index": (int,), "class": (str,),
+    "fruit_id": (str, type(None)), "height_mm": _NUMBER, "width_mm": _NUMBER,
+    "median_depth_m": _NUMBER, "fill_ratio": _NUMBER, "circle": (dict,), "bbox": (list,),
+    "center_depth_m": _NUMBER, "edge_margin_px": (int,), "radius_m": _NUMBER,
+    "center_world_m": (list,),
+}
+_CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
+
+
+def _check_types(d: dict, types: dict) -> None:
+    wrong = [key for key, allowed in types.items() if type(d[key]) not in allowed]
+    if wrong:
+        raise TypeError(f"wrong value type for {', '.join(wrong)}")
+
+
+@dataclass(frozen=True, slots=True)
+class Record:
+    """One ``records.json`` record (see the module docstring); ``class_name`` is ``class``."""
+
+    frame_id: str
+    camera_id: str
+    detection_index: int
+    class_name: str
+    fruit_id: Optional[str]
+    height_mm: float
+    width_mm: float
+    median_depth_m: float
+    fill_ratio: float
+    circle: FittedCircle
+    bbox: Tuple[int, int, int, int]
+    center_depth_m: float
+    edge_margin_px: int
+    radius_m: float
+    center_world_m: Point3
+
+    def to_dict(self) -> dict:
+        return {
+            "frame_id": self.frame_id,
+            "camera_id": self.camera_id,
+            "detection_index": self.detection_index,
+            "class": self.class_name,
+            "fruit_id": self.fruit_id,
+            "height_mm": self.height_mm,
+            "width_mm": self.width_mm,
+            "median_depth_m": self.median_depth_m,
+            "fill_ratio": self.fill_ratio,
+            "circle": {"cu": self.circle.cu, "cv": self.circle.cv, "r_px": self.circle.r_px},
+            "bbox": list(self.bbox),
+            "center_depth_m": self.center_depth_m,
+            "edge_margin_px": self.edge_margin_px,
+            "radius_m": self.radius_m,
+            "center_world_m": list(self.center_world_m),
+        }
+
+    @staticmethod
+    def from_dict(d: dict, source: str = "<inline>") -> "Record":
+        """Parse one record; a missing or mistyped field raises BundleIOError."""
+        try:
+            _check_types(d, _RECORD_TYPES)
+            circle, bbox, center = d["circle"], d["bbox"], d["center_world_m"]
+            _check_types(circle, _CIRCLE_TYPES)
+            if len(bbox) != 4 or any(type(v) is not int for v in bbox):
+                raise TypeError(f"bbox needs 4 ints, got {bbox!r}")
+            if len(center) != 3 or any(type(v) not in _NUMBER for v in center):
+                raise TypeError(f"center_world_m needs 3 numbers, got {center!r}")
+            return Record(
+                frame_id=d["frame_id"],
+                camera_id=d["camera_id"],
+                detection_index=d["detection_index"],
+                class_name=d["class"],
+                fruit_id=d["fruit_id"],
+                height_mm=float(d["height_mm"]),
+                width_mm=float(d["width_mm"]),
+                median_depth_m=float(d["median_depth_m"]),
+                fill_ratio=float(d["fill_ratio"]),
+                circle=FittedCircle(float(circle["cu"]), float(circle["cv"]),
+                                    float(circle["r_px"])),
+                bbox=tuple(bbox),
+                center_depth_m=float(d["center_depth_m"]),
+                edge_margin_px=d["edge_margin_px"],
+                radius_m=float(d["radius_m"]),
+                center_world_m=Point3(*map(float, center)),
+            )
+        except KeyError as e:
+            raise BundleIOError(f"record {source} missing field {e}") from e
+        except (TypeError, OverflowError, DegenerateCircle) as e:
+            raise BundleIOError(f"malformed record {source}: {e}") from e
+
+
+def _entries(path: Path, key: str) -> list:
+    doc = load_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+        raise BundleIOError(f"{path} has no {key!r} list")
+    return doc[key]
+
+
+def read_records(path: Path) -> List[Record]:
+    """The records of a ``records.json``; its warnings are not read."""
+    return [Record.from_dict(d, f"{path}#records[{i}]")
+            for i, d in enumerate(_entries(path, "records"))]
+
+
+def read_fused_choices(path: Path) -> List[Record]:
+    """The chosen record of each fruit in a ``fused.json``, placed at the
+    fruit's fused center, which is where the evaluator matches it."""
+    try:
+        placed = [{**f["chosen"], "center_world_m": f["center_world_m"]}
+                  for f in _entries(path, "fruits")]
+    except (KeyError, TypeError) as e:
+        raise BundleIOError(f"malformed fused fruit in {path}: {e}") from e
+    return [Record.from_dict(d, f"{path}#fruits[{i}]") for i, d in enumerate(placed)]
 
 
 # -- ground truth ------------------------------------------------------------
@@ -284,10 +430,8 @@ def write_ground_truth_csv(path: Path, records: List[GroundTruthRecord]) -> None
         for r in records:
             c = r.center_world
             writer.writerow([
-                r.fruit_id, repr(r.height_mm), repr(r.width_mm),
-                "" if c is None else repr(c.x),
-                "" if c is None else repr(c.y),
-                "" if c is None else repr(c.z),
+                r.fruit_id, repr(float(r.height_mm)), repr(float(r.width_mm)),
+                *(("", "", "") if c is None else (repr(float(v)) for v in c)),
             ])
 
 

@@ -1,21 +1,25 @@
 """Cross-view fusion: localization, radius-based dedup, best-view choice.
 
-A fruit seen by several cameras yields several world-frame detections; two
-detections are the same fruit when their centers fall within the (larger)
-estimated fruit radius. Clusters are connected components, so the result is
-independent of input order.
+A fruit seen by several cameras yields several records, each already
+localized in the world frame at measure time; two records are the same fruit
+when their centers fall within the larger of their estimated fruit radii.
+Clusters are connected components, so the result is independent of input
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InvalidDepth
 from .geometry import CameraIntrinsics, Pixel, Point3, RigidTransform, apply, deproject
 from .sizing import FittedCircle
+
+if TYPE_CHECKING:
+    from .fileio import Record
 
 DEFAULT_CAMERA_ORDER = ("top", "middle", "bottom")
 
@@ -67,15 +71,15 @@ class _UnionFind:
 
 @dataclass
 class WorldFruit:
-    """One physical fruit: clustered detections plus the selected view."""
+    """One physical fruit: clustered records plus the selected view."""
 
     center_world: Point3
     radius_m: float
-    members: List[Any]
+    members: List[Record]
     chosen: int = 0
 
     @property
-    def chosen_member(self) -> Any:
+    def chosen_member(self) -> Record:
         return self.members[self.chosen]
 
 
@@ -87,9 +91,8 @@ def _camera_rank(camera_id: str, camera_order: Sequence[str]) -> Tuple[int, str]
 
 
 def select_best(
-    members: Sequence[Any],
+    members: Sequence[Record],
     camera_order: Sequence[str] = DEFAULT_CAMERA_ORDER,
-    by_fill_ratio: bool = True,
 ) -> int:
     """Index of the member to report for a cluster.
 
@@ -99,40 +102,34 @@ def select_best(
     """
     def key(i: int):
         m = members[i]
-        fill = -m.fill_ratio if by_fill_ratio else 0.0
-        return (fill, _camera_rank(m.camera_id, camera_order),
+        return (-m.fill_ratio, _camera_rank(m.camera_id, camera_order),
                 m.frame_id, m.detection_index)
 
     return min(range(len(members)), key=key)
 
 
 def deduplicate(
-    detections: Sequence[Tuple[Point3, float, Any]],
-    radius_mode: str = "max",
+    records: Sequence[Record],
     camera_order: Sequence[str] = DEFAULT_CAMERA_ORDER,
-    by_fill_ratio: bool = True,
 ) -> List[WorldFruit]:
-    """Cluster world-frame detections of the same physical fruit.
+    """Cluster world-frame records of the same physical fruit.
 
-    ``detections`` holds (center_world, radius_m, measurement) triples.
-    Two detections match when their center distance does not exceed the
-    max (or min, per ``radius_mode``) of the two radii; clusters are the
-    connected components of the match graph. Cluster center and radius are
-    member means.
+    Records need ``center_world_m`` and ``radius_m`` attributes, plus those
+    ``select_best`` reads. Two records match when their center distance does
+    not exceed the larger of the two radii; clusters are the connected
+    components of the match graph. Cluster center and radius are member
+    means.
     """
-    if radius_mode not in ("max", "min"):
-        raise ValueError(f"radius_mode must be 'max' or 'min', got {radius_mode!r}")
-    n = len(detections)
+    n = len(records)
     if n == 0:
         return []
-    centers = np.array([c.to_array() for c, _, _ in detections])
-    radii = np.array([r for _, r, _ in detections], dtype=float)
+    centers = np.array([r.center_world_m for r in records], dtype=float)
+    radii = np.array([r.radius_m for r in records], dtype=float)
 
     uf = _UnionFind(n)
-    combine = np.maximum if radius_mode == "max" else np.minimum
     for i in range(n):
         dist = np.linalg.norm(centers[i + 1:] - centers[i], axis=1)
-        threshold = combine(radii[i + 1:], radii[i])
+        threshold = np.maximum(radii[i + 1:], radii[i])
         for j in np.nonzero(dist <= threshold)[0]:
             uf.union(i, int(i + 1 + j))
 
@@ -143,13 +140,13 @@ def deduplicate(
     fruits = []
     for root in sorted(clusters):
         idx = clusters[root]
-        members = [detections[i][2] for i in idx]
+        members = [records[i] for i in idx]
         fruits.append(
             WorldFruit(
                 center_world=Point3.from_array(centers[idx].mean(axis=0)),
                 radius_m=float(radii[idx].mean()),
                 members=members,
-                chosen=select_best(members, camera_order, by_fill_ratio),
+                chosen=select_best(members, camera_order),
             )
         )
     return fruits

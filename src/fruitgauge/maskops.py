@@ -19,6 +19,9 @@ from .geometry import DepthImage, Pixel
 # least one background 8-neighbor (image border counts as background).
 EDGE_KERNEL = np.array([[-1, -1, -1], [-1, 8, -1], [-1, -1, -1]], dtype=np.int32)
 
+# Share of a mask's edge pixels allowed to lack a depth sample.
+MAX_INVALID_EDGE_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class BinaryMask:
@@ -161,13 +164,11 @@ def bbox_extreme_points(bbox: Tuple[int, int, int, int]) -> ExtremePoints:
     )
 
 
-def median_edge_depth(
-    edges: EdgeSet, depth: DepthImage, max_invalid_fraction: float = 0.5
-) -> float:
+def median_edge_depth(edges: EdgeSet, depth: DepthImage) -> float:
     """Lower median of the metric depths sampled at edge pixels.
 
     Zero samples carry no depth and are excluded; if they exceed
-    ``max_invalid_fraction`` of the edge set the measurement is unusable.
+    ``MAX_INVALID_EDGE_FRACTION`` of the edge set the measurement is unusable.
     The lower median keeps the result an actually-observed value and
     tolerates up to half the samples being outliers.
     """
@@ -176,7 +177,7 @@ def median_edge_depth(
     us, vs = edges.pixels[:, 0], edges.pixels[:, 1]
     samples = depth.data[vs, us]
     valid = samples[samples > 0]
-    if len(samples) - len(valid) > max_invalid_fraction * len(samples):
+    if len(samples) - len(valid) > MAX_INVALID_EDGE_FRACTION * len(samples):
         raise NoValidDepth(
             f"{len(samples) - len(valid)}/{len(samples)} edge pixels have no depth"
         )

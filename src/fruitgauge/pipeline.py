@@ -3,6 +3,10 @@
 Every command reads and writes the plain-file formats from ``fileio``; all
 canonical outputs (records, fused fruits, reports, bundles) are byte-stable
 for identical inputs and configuration. Timing lives only in the manifest.
+
+Each view is sized and localized once, at measure time: a record carries its
+world-frame center and metric radius, and fusion clusters on those stored
+values.
 """
 
 from __future__ import annotations
@@ -10,11 +14,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from . import fileio
 from .calibrate import BoardObservation, solve_rig
@@ -24,83 +26,47 @@ from .errors import (
     EmptyMask,
     FruitGaugeError,
     InvalidDepth,
+    LengthMismatch,
     NoValidDepth,
+    OutOfBounds,
     UnknownCamera,
     ZeroArea,
 )
-from .evaluation import (
-    EvalMeasurement,
-    evaluate_run,
-    format_report_text,
-    report_to_dict,
-)
+from .evaluation import evaluate_run, format_report_text, report_to_dict
+from .fileio import Record
 from .fusion import deduplicate, estimate_metric_radius, localize
-from .geometry import (
-    Pixel,
-    Point3,
-    RigCamera,
-    align_depth_to_color,
-)
-from .maskops import BinaryMask
-from .simulate import CaptureBundle, SceneSpec, render_scene, scene_from_dict
-from .sizing import FittedCircle, measure_fruit
+from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
+from .simulate import CaptureBundle, render_scene, scene_from_dict
+from .sizing import measure_fruit
 
 logger = logging.getLogger(__name__)
 
-REJECTION_REASONS = (EmptyMask, NoValidDepth, DegenerateCircle, ZeroArea, InvalidDepth)
+REJECTION_REASONS = (EmptyMask, NoValidDepth, DegenerateCircle, ZeroArea, InvalidDepth,
+                     LengthMismatch, OutOfBounds)
 
 
 @dataclass
 class PipelineConfig:
-    """Every paper-gap decision of the measurement path, as configuration."""
+    """Measurement options that move a measured result."""
 
-    dedup_radius_mode: str = "max"           # or "min"
-    select_by_fill_ratio: bool = True
-    invalid_depth_tolerance: float = 0.5     # edge pixels allowed to lack depth
     extreme_point_source: str = "mask"       # or "bbox"
     per_point_depth: bool = False            # ablation: drop shared-depth assumption
-    refine_circle: bool = False
-    fuse_depth_source: str = "center_pixel"  # or "median_edge"
-    rig: Optional[str] = None                # default rig path (CLI overrides)
-    output_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.dedup_radius_mode not in ("max", "min"):
-            raise FruitGaugeError(f"dedup_radius_mode must be max|min, got {self.dedup_radius_mode!r}")
         if self.extreme_point_source not in ("mask", "bbox"):
             raise FruitGaugeError(f"extreme_point_source must be mask|bbox, got {self.extreme_point_source!r}")
-        if self.fuse_depth_source not in ("center_pixel", "median_edge"):
-            raise FruitGaugeError(f"fuse_depth_source must be center_pixel|median_edge")
-        if not 0 < self.invalid_depth_tolerance <= 1:
-            raise FruitGaugeError("invalid_depth_tolerance must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "PipelineConfig":
-        known = {f for f in PipelineConfig.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise FruitGaugeError(f"unknown config fields: {sorted(unknown)}")
-        return PipelineConfig(**d)
+        if not isinstance(self.per_point_depth, bool):
+            raise FruitGaugeError(f"per_point_depth must be true|false, got {self.per_point_depth!r}")
 
     @staticmethod
     def load(path: Optional[Path]) -> "PipelineConfig":
-        if path is None:
-            return PipelineConfig()
-        return PipelineConfig.from_dict(fileio.load_json(path))
-
-
-class RecordView:
-    """Attribute access over a record dict, as the fusion helpers expect."""
-
-    def __init__(self, record: dict):
-        self.record = record
-        self.fill_ratio = record["fill_ratio"]
-        self.camera_id = record["camera_id"]
-        self.frame_id = record["frame_id"]
-        self.detection_index = record["detection_index"]
+        d = {} if path is None else fileio.load_json(path)
+        if not isinstance(d, dict):
+            raise BundleIOError(f"config {path} is not a JSON object")
+        unknown = set(d) - set(PipelineConfig.__dataclass_fields__)
+        if unknown:
+            raise FruitGaugeError(f"unknown config fields: {sorted(unknown)}")
+        return PipelineConfig(**d)
 
 
 def _bundle_signature(bundle_dir: Path) -> str:
@@ -146,23 +112,43 @@ def _bbox_center(bbox: Sequence[int]) -> Pixel:
     return Pixel(x + (w - 1) / 2.0, y + (h - 1) / 2.0)
 
 
-def _localization_depth(record: dict, config: PipelineConfig) -> float:
-    if config.fuse_depth_source == "center_pixel":
-        center = record.get("center_depth_m")
-        if center:
-            return float(center)
-    return float(record["median_depth_m"])
-
-
-def _localize_record(record: dict, cam: RigCamera, config: PipelineConfig) -> Tuple[Point3, float]:
-    depth = _localization_depth(record, config)
-    circle = record["circle"]
-    radius = estimate_metric_radius(
-        FittedCircle(circle["cu"], circle["cv"], circle["r_px"]), depth, cam.intrinsics
+def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: DepthImage,
+                       cam: RigCamera, config: PipelineConfig) -> Record:
+    """Size and localize one detection; raises one of REJECTION_REASONS."""
+    k = cam.intrinsics
+    if det.mask.data.shape != (k.height, k.width) or depth.data.shape != (k.height, k.width):
+        raise LengthMismatch(f"mask {det.mask.data.shape} or depth {depth.data.shape} "
+                             f"differs from the {k.height}x{k.width} image")
+    m = measure_fruit(
+        det.mask, depth, k,
+        extreme_source=config.extreme_point_source,
+        bbox=det.bbox,
+        per_point_depth=config.per_point_depth,
     )
-    center = localize(_bbox_center(record["bbox"]), depth, radius,
-                      cam.intrinsics, cam.cam_to_world)
-    return center, radius
+    center_px = _bbox_center(det.bbox)
+    center_depth = depth.depth_m_at(center_px)
+    # A view with no depth sample at its bbox center falls back to the edge median.
+    localization_depth = center_depth or float(m.median_depth_m)
+    radius_m = estimate_metric_radius(m.circle, localization_depth, k)
+    center_world = localize(center_px, localization_depth, radius_m, k, cam.cam_to_world)
+    x, y, w, h = det.bbox
+    return Record(
+        frame_id=frame_id,
+        camera_id=cam.camera_id,
+        detection_index=index,
+        class_name=det.class_name,
+        fruit_id=det.fruit_id,
+        height_mm=float(m.height_mm),
+        width_mm=float(m.width_mm),
+        median_depth_m=float(m.median_depth_m),
+        fill_ratio=float(m.fill_ratio),
+        circle=m.circle,
+        bbox=tuple(int(v) for v in det.bbox),
+        center_depth_m=float(center_depth),
+        edge_margin_px=int(min(x, y, k.width - x - w, k.height - y - h)),
+        radius_m=float(radius_m),
+        center_world_m=center_world,
+    )
 
 
 def cmd_measure(
@@ -187,16 +173,15 @@ def cmd_measure(
         raise BundleIOError(f"bundle has no detections directory: {det_dir}")
     det_files = [fileio.read_detections(p) for p in sorted(det_dir.glob("*.json"))]
 
-    records: List[dict] = []
+    records: List[Record] = []
     warnings: List[dict] = []
     n_detections = 0
+    unknown = sorted({f.camera_id for f in det_files} - set(cameras))
+    if unknown:
+        raise UnknownCamera(f"detections reference cameras {unknown} absent from rig")
     camera_order = list(cameras)
-    for det_file in sorted(det_files, key=lambda f: (camera_order.index(f.camera_id)
-                                                     if f.camera_id in cameras else len(camera_order),
-                                                     f.frame_id)):
-        cam = cameras.get(det_file.camera_id)
-        if cam is None:
-            raise UnknownCamera(f"detections reference camera {det_file.camera_id!r} absent from rig")
+    for det_file in sorted(det_files, key=lambda f: (camera_order.index(f.camera_id), f.frame_id)):
+        cam = cameras[det_file.camera_id]
         if cam.intrinsics is None:
             raise BundleIOError(f"rig entry {cam.camera_id!r} has no intrinsics file")
         depth_path = bundle_dir / "depth" / f"{det_file.camera_id}_{det_file.frame_id}.pgm"
@@ -208,17 +193,8 @@ def cmd_measure(
         for index, det in enumerate(det_file.detections):
             n_detections += 1
             try:
-                m = measure_fruit(
-                    det.mask, depth, cam.intrinsics,
-                    camera_id=det_file.camera_id,
-                    frame_id=det_file.frame_id,
-                    detection_index=index,
-                    extreme_source=config.extreme_point_source,
-                    bbox=det.bbox,
-                    per_point_depth=config.per_point_depth,
-                    refine_circle=config.refine_circle,
-                    max_invalid_fraction=config.invalid_depth_tolerance,
-                )
+                records.append(_measure_detection(det, index, det_file.frame_id,
+                                                  depth, cam, config))
             except REJECTION_REASONS as e:
                 warnings.append({
                     "frame_id": det_file.frame_id,
@@ -227,40 +203,14 @@ def cmd_measure(
                     "reason": type(e).__name__,
                     "message": str(e),
                 })
-                continue
 
-            center_px = _bbox_center(det.bbox)
-            center_depth = depth.depth_m_at(center_px)
-            x, y, w, h = det.bbox
-            record = {
-                "frame_id": det_file.frame_id,
-                "camera_id": det_file.camera_id,
-                "detection_index": index,
-                "class": det.class_name,
-                "fruit_id": det.fruit_id,
-                "height_mm": float(m.height_mm),
-                "width_mm": float(m.width_mm),
-                "median_depth_m": float(m.median_depth_m),
-                "fill_ratio": float(m.fill_ratio),
-                "circle": {"cu": float(m.circle.cu), "cv": float(m.circle.cv),
-                           "r_px": float(m.circle.r_px)},
-                "bbox": [int(v) for v in det.bbox],
-                "center_depth_m": float(center_depth),
-                "edge_margin_px": int(min(x, y, cam.intrinsics.width - x - w,
-                                          cam.intrinsics.height - y - h)),
-            }
-            center_world, radius_m = _localize_record(record, cam, config)
-            record["radius_m"] = float(radius_m)
-            record["center_world_m"] = [center_world.x, center_world.y, center_world.z]
-            records.append(record)
-
-    payload = {"records": records, "warnings": warnings}
+    payload = {"records": [r.to_dict() for r in records], "warnings": warnings}
     if out_dir is not None:
         out_dir = Path(out_dir)
         fileio.dump_json(payload, out_dir / "records.json")
         manifest = {
             "bundle": {"path": str(bundle_dir), "signature": _bundle_signature(bundle_dir)},
-            "config": config.to_dict(),
+            "config": asdict(config),
             "counts": {
                 "frames": len(det_files),
                 "detections": n_detections,
@@ -276,61 +226,29 @@ def cmd_measure(
     return payload
 
 
-def cmd_fuse(
-    records_path: Path,
-    rig_path: Path,
-    out_path: Optional[Path] = None,
-    config: Optional[PipelineConfig] = None,
-) -> dict:
-    """Localize records into the world frame, dedup, pick the best view."""
-    config = config or PipelineConfig()
-    cameras = {c.camera_id: c for c in fileio.read_rig(Path(rig_path))}
-    payload = fileio.load_json(Path(records_path))
-    detections = []
-    for record in payload.get("records", []):
-        cam = cameras.get(record["camera_id"])
-        if cam is None:
-            raise UnknownCamera(
-                f"record references camera {record['camera_id']!r} absent from rig"
-            )
-        center, radius = _localize_record(record, cam, config)
-        detections.append((center, radius, RecordView(record)))
+def cmd_fuse(records_path: Path, rig_path: Path, out_path: Optional[Path] = None) -> dict:
+    """Dedup records across views by their stored world centers; pick the best view."""
+    camera_order = tuple(c.camera_id for c in fileio.read_rig(Path(rig_path)))
+    records = fileio.read_records(Path(records_path))
+    unknown = sorted({r.camera_id for r in records} - set(camera_order))
+    if unknown:
+        raise UnknownCamera(f"records reference cameras {unknown} absent from rig")
 
-    fruits = deduplicate(
-        detections,
-        radius_mode=config.dedup_radius_mode,
-        camera_order=tuple(cameras),
-        by_fill_ratio=config.select_by_fill_ratio,
-    )
-    result = {
-        "fruits": [
-            {
-                "center_world_m": [f.center_world.x, f.center_world.y, f.center_world.z],
-                "radius_m": f.radius_m,
-                "n_views": len(f.members),
-                "chosen": f.chosen_member.record,
-                "members": [m.record for m in f.members],
-            }
-            for f in fruits
-        ]
-    }
+    fruits = []
+    for f in deduplicate(records, camera_order=camera_order):
+        members = [m.to_dict() for m in f.members]
+        fruits.append({
+            "center_world_m": list(f.center_world),
+            "radius_m": f.radius_m,
+            "n_views": len(members),
+            "chosen": members[f.chosen],
+            "members": members,
+        })
+    result = {"fruits": fruits}
     if out_path is not None:
         fileio.dump_json(result, Path(out_path))
-    logger.info("fused %d records into %d fruits", len(detections), len(result["fruits"]))
+    logger.info("fused %d records into %d fruits", len(records), len(result["fruits"]))
     return result
-
-
-def _eval_measurement(record: dict, center: Optional[Sequence[float]] = None) -> EvalMeasurement:
-    if center is None:
-        center = record.get("center_world_m")
-    return EvalMeasurement(
-        camera_id=record["camera_id"],
-        height_mm=record["height_mm"],
-        width_mm=record["width_mm"],
-        fill_ratio=record["fill_ratio"],
-        fruit_id=record.get("fruit_id"),
-        center_world=None if center is None else Point3(*center),
-    )
 
 
 def cmd_evaluate(
@@ -342,20 +260,16 @@ def cmd_evaluate(
 ) -> dict:
     """Per-camera and fused accuracy report against ground truth."""
     truth = fileio.read_ground_truth_csv(Path(truth_path))
-    records = fileio.load_json(Path(records_path)).get("records", [])
-    fused = fileio.load_json(Path(fused_path)).get("fruits", [])
-
-    per_camera: Dict[str, List[EvalMeasurement]] = {}
-    for record in records:
-        per_camera.setdefault(record["camera_id"], []).append(_eval_measurement(record))
-    chosen = [_eval_measurement(f["chosen"], center=f["center_world_m"]) for f in fused]
+    per_camera: Dict[str, List[Record]] = {}
+    for record in fileio.read_records(Path(records_path)):
+        per_camera.setdefault(record.camera_id, []).append(record)
+    chosen = fileio.read_fused_choices(Path(fused_path))
 
     report = evaluate_run(chosen, per_camera, truth, matching)
     payload = report_to_dict(report)
     if out_prefix is not None:
         out_prefix = Path(out_prefix)
         fileio.dump_json(payload, out_prefix.with_suffix(".json"))
-        out_prefix.with_suffix(".txt").parent.mkdir(parents=True, exist_ok=True)
         out_prefix.with_suffix(".txt").write_text(format_report_text(report))
     return payload
 

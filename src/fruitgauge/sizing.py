@@ -7,6 +7,7 @@ the (lower) median depth over the mask's edge pixels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -34,7 +35,7 @@ class FittedCircle:
     r_px: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.cu) and np.isfinite(self.cv) and self.r_px > 0):
+        if not (math.isfinite(self.cu) and math.isfinite(self.cv) and self.r_px > 0):
             raise DegenerateCircle(
                 f"invalid circle (cu={self.cu}, cv={self.cv}, r={self.r_px})"
             )
@@ -48,18 +49,13 @@ class FruitMeasurement:
     median_depth_m: float
     circle: FittedCircle
     fill_ratio: float
-    camera_id: str = ""
-    frame_id: str = ""
-    detection_index: int = 0
 
 
-def fit_circle(points: Union[EdgeSet, np.ndarray], refine: bool = False) -> FittedCircle:
+def fit_circle(points: Union[EdgeSet, np.ndarray]) -> FittedCircle:
     """Least-squares circle through 2D points (Kasa algebraic fit).
 
     Solves the linearized circle equation u^2 + v^2 + A*u + B*v + C = 0 in
-    closed form; exact on noiseless circular data. With ``refine`` a
-    Gauss-Newton pass on the radial residuals follows (at most 20 steps),
-    which can help when the edge set is heavily contaminated.
+    closed form; exact on noiseless circular data.
     """
     pts = points.pixels if isinstance(points, EdgeSet) else np.asarray(points)
     pts = pts.reshape(-1, 2).astype(float)
@@ -77,22 +73,6 @@ def fit_circle(points: Union[EdgeSet, np.ndarray], refine: bool = False) -> Fitt
     (ca, cb, cc), *_ = np.linalg.lstsq(a, b, rcond=None)
     cu, cv = -ca / 2.0, -cb / 2.0
     r = float(np.sqrt(max(cu * cu + cv * cv - cc, 0.0)))
-
-    if refine:
-        c = np.array([cu, cv])
-        for _ in range(20):
-            d = q - c
-            rho = np.linalg.norm(d, axis=1)
-            if np.any(rho == 0):
-                break
-            res = rho - r
-            jac = np.column_stack([-d[:, 0] / rho, -d[:, 1] / rho, -np.ones(len(q))])
-            step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-            c = c + step[:2]
-            r = float(r + step[2])
-            if np.linalg.norm(step) < 1e-12:
-                break
-        cu, cv = c
 
     return FittedCircle(float(cu + centroid[0]), float(cv + centroid[1]), r)
 
@@ -123,14 +103,9 @@ def measure_fruit(
     depth: DepthImage,
     k: CameraIntrinsics,
     *,
-    camera_id: str = "",
-    frame_id: str = "",
-    detection_index: int = 0,
     extreme_source: str = "mask",
     bbox: Optional[Tuple[int, int, int, int]] = None,
     per_point_depth: bool = False,
-    refine_circle: bool = False,
-    max_invalid_fraction: float = 0.5,
 ) -> FruitMeasurement:
     """Measure one detection: metric height/width plus occlusion metrics.
 
@@ -142,7 +117,7 @@ def measure_fruit(
     if mask.is_empty():
         raise EmptyMask("cannot measure an empty mask")
     edges = extract_edges(mask)
-    d = median_edge_depth(edges, depth, max_invalid_fraction)
+    d = median_edge_depth(edges, depth)
 
     if extreme_source == "bbox":
         ext = bbox_extreme_points(bbox if bbox is not None else mask.bbox())
@@ -162,7 +137,7 @@ def measure_fruit(
     p_left = deproject(k, ext.left, point_depth(ext.left))
     p_right = deproject(k, ext.right, point_depth(ext.right))
 
-    circle = fit_circle(edges, refine=refine_circle)
+    circle = fit_circle(edges)
     return FruitMeasurement(
         height_mm=1000.0 * distance(p_top, p_bot),
         width_mm=1000.0 * distance(p_left, p_right),
@@ -170,7 +145,4 @@ def measure_fruit(
         median_depth_m=d,
         circle=circle,
         fill_ratio=fill_ratio(mask, circle),
-        camera_id=camera_id,
-        frame_id=frame_id,
-        detection_index=detection_index,
     )

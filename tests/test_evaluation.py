@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from fruitgauge.errors import (
     ZeroMean,
 )
 from fruitgauge.evaluation import (
-    EvalMeasurement,
     GroundTruthRecord,
     accuracy,
     evaluate_run,
@@ -93,8 +95,20 @@ class TestAccuracy:
             assert accuracy(rmse(x, x), mean) == 1.0
 
 
+@dataclass(frozen=True)
+class Meas:
+    """The record attributes the evaluator reads."""
+
+    camera_id: str
+    height_mm: float
+    width_mm: float
+    fill_ratio: float
+    fruit_id: Optional[str]
+    center_world_m: Optional[Point3]
+
+
 def meas(cam, h, w, fill=0.9, fruit_id=None, center=None):
-    return EvalMeasurement(cam, h, w, fill, fruit_id, center)
+    return Meas(cam, h, w, fill, fruit_id, center)
 
 
 def truth_12(mean_h=39.4, mean_w=46.7):

@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
-from fruitgauge.errors import BundleIOError
+from fruitgauge.errors import BundleIOError, InvalidPose
 from fruitgauge.evaluation import GroundTruthRecord
 from fruitgauge.fileio import (
     Detection,
     DetectionFile,
+    Record,
+    dump_json,
     read_depth,
     read_detections,
     read_ground_truth_csv,
     read_intrinsics,
     read_pgm16,
+    read_records,
     read_rig,
     write_depth,
     write_detections,
@@ -109,6 +114,24 @@ class TestIntrinsicsAndRig:
         assert back.depth_intrinsics.width == 32
         assert back.depth_to_color.translation[0] == 0.01
 
+    def test_non_orthonormal_rotation_rejected(self, tmp_path):
+        write_rig(tmp_path / "rig.json", [RigCamera("middle", None, RigidTransform.identity())])
+        doc = json.loads((tmp_path / "rig.json").read_text())
+        doc["cameras"][0]["cam_to_world"]["rotation"][0][0] = 3.0
+        dump_json(doc, tmp_path / "rig.json")
+        with pytest.raises(InvalidPose):
+            read_rig(tmp_path / "rig.json")
+
+    def test_non_orthonormal_depth_to_color_rejected(self, tmp_path):
+        cams = [RigCamera("middle", None, RigidTransform.identity(),
+                          depth_to_color=translation_transform(0.01, 0, 0))]
+        write_rig(tmp_path / "rig.json", cams)
+        doc = json.loads((tmp_path / "rig.json").read_text())
+        doc["cameras"][0]["depth_to_color"]["rotation"][1][1] = 3.0
+        dump_json(doc, tmp_path / "rig.json")
+        with pytest.raises(InvalidPose):
+            read_rig(tmp_path / "rig.json")
+
     def test_empty_rig_rejected(self, tmp_path):
         (tmp_path / "rig.json").write_text('{"cameras": []}')
         with pytest.raises(BundleIOError):
@@ -135,6 +158,61 @@ class TestDetections:
         with pytest.raises(BundleIOError, match="d.json"):
             read_detections(tmp_path / "d.json")
 
+    @pytest.mark.parametrize("field,value", [("score", "high"), ("bbox", ["a", 0, 2, 2])])
+    def test_non_numeric_field_rejected(self, tmp_path, field, value):
+        mask = BinaryMask(np.ones((4, 4), bool))
+        write_detections(tmp_path / "d.json", DetectionFile("000", "top", [
+            Detection("fully_ripened", 1.0, (0, 0, 4, 4), mask)]))
+        doc = json.loads((tmp_path / "d.json").read_text())
+        doc["detections"][0][field] = value
+        dump_json(doc, tmp_path / "d.json")
+        with pytest.raises(BundleIOError, match="d.json"):
+            read_detections(tmp_path / "d.json")
+
+
+RECORD = {
+    "frame_id": "000", "camera_id": "top", "detection_index": 2,
+    "class": "fully_ripened", "fruit_id": None,
+    "height_mm": 39.5, "width_mm": 46.25, "median_depth_m": 0.61, "fill_ratio": 0.97,
+    "circle": {"cu": 320.5, "cv": 240.0, "r_px": 30.0},
+    "bbox": [290, 210, 61, 61], "center_depth_m": 0.6, "edge_margin_px": 210,
+    "radius_m": 0.0215, "center_world_m": [0.01, -0.02, 0.62],
+}
+
+
+class TestRecords:
+    def test_dict_roundtrip_keeps_keys_order_and_types(self):
+        back = Record.from_dict(RECORD).to_dict()
+        assert json.dumps(back) == json.dumps(RECORD)
+
+    def test_read_records(self, tmp_path):
+        dump_json({"records": [RECORD], "warnings": []}, tmp_path / "records.json")
+        (record,) = read_records(tmp_path / "records.json")
+        assert record.class_name == "fully_ripened" and record.bbox == (290, 210, 61, 61)
+        assert record.center_world_m == Point3(0.01, -0.02, 0.62)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("circle", "x", "circle"), ("circle", {"cu": 1.0, "cv": 1.0}, "r_px"),
+        ("height_mm", "39", "height_mm"), ("detection_index", 2.0, "detection_index"),
+        ("bbox", [1, 2, 3], "bbox"), ("center_world_m", [0, 0, None], "center_world_m"),
+        ("fruit_id", 7, "fruit_id"), ("fill_ratio", True, "fill_ratio"),
+    ])
+    def test_mistyped_field_rejected(self, field, value, named):
+        with pytest.raises(BundleIOError, match=named):
+            Record.from_dict({**RECORD, field: value}, "r.json")
+
+    @pytest.mark.parametrize("field", sorted(RECORD))
+    def test_missing_field_rejected(self, field):
+        d = dict(RECORD)
+        del d[field]
+        with pytest.raises(BundleIOError, match=field):
+            Record.from_dict(d)
+
+    def test_file_without_records_list_rejected(self, tmp_path):
+        dump_json([RECORD], tmp_path / "records.json")
+        with pytest.raises(BundleIOError, match="records"):
+            read_records(tmp_path / "records.json")
+
 
 class TestGroundTruthCsv:
     def test_roundtrip(self, tmp_path):
@@ -147,6 +225,20 @@ class TestGroundTruthCsv:
         assert back[0].center_world == Point3(0.1, -0.2, 0.6)
         assert back[1].center_world is None
         assert back[1].height_mm == 41.0
+
+    def test_roundtrip_numpy_scalars(self, tmp_path):
+        records = [GroundTruthRecord("f00", np.float64(40.0), np.float32(46.5),
+                                     Point3(*np.array([0.1, -0.2, 0.6])))]
+        write_ground_truth_csv(tmp_path / "gt.csv", records)
+        assert "np." not in (tmp_path / "gt.csv").read_text()
+        (back,) = read_ground_truth_csv(tmp_path / "gt.csv")
+        assert (back.height_mm, back.width_mm) == (40.0, 46.5)
+        assert back.center_world == Point3(0.1, -0.2, 0.6)
+
+    def test_plain_floats_written_as_repr(self, tmp_path):
+        write_ground_truth_csv(tmp_path / "gt.csv",
+                               [GroundTruthRecord("f00", 39.4, 46.7, Point3(0.1, -0.2, 0.6))])
+        assert (tmp_path / "gt.csv").read_text().splitlines()[1] == "f00,39.4,46.7,0.1,-0.2,0.6"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(BundleIOError):

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,16 +22,20 @@ from fruitgauge.sizing import FittedCircle
 K500 = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FakeMeas:
+    """The record attributes fusion reads."""
+
     fill_ratio: float
     camera_id: str = "middle"
     frame_id: str = "000"
     detection_index: int = 0
+    center_world_m: Point3 = Point3(0.0, 0.0, 0.6)
+    radius_m: float = 0.023
 
 
 def det(x, y, z, r=0.023, fill=0.9, cam="middle", frame="000", index=0):
-    return (Point3(x, y, z), r, FakeMeas(fill, cam, frame, index))
+    return FakeMeas(fill, cam, frame, index, Point3(x, y, z), r)
 
 
 class TestEstimateMetricRadius:
@@ -110,14 +114,13 @@ class TestDeduplicate:
                for i in range(15)]
         counts = []
         for scale in (1, 5, 20, 60, 200):
-            scaled = [(c, r * scale, m) for c, r, m in pts]
+            scaled = [replace(p, radius_m=p.radius_m * scale) for p in pts]
             counts.append(len(deduplicate(scaled)))
         assert counts == sorted(counts, reverse=True)
 
-    def test_min_radius_mode_is_stricter(self):
+    def test_larger_radius_decides_a_match(self):
         pair = [det(0, 0, 0.6, r=0.005), det(0.010, 0, 0.6, r=0.030)]
-        assert len(deduplicate(pair, radius_mode="max")) == 1
-        assert len(deduplicate(pair, radius_mode="min")) == 2
+        assert len(deduplicate(pair)) == 1
 
 
 class TestSelectBest:
@@ -136,10 +139,6 @@ class TestSelectBest:
         members = [FakeMeas(0.9, "top", "002", 0), FakeMeas(0.9, "top", "001", 3),
                    FakeMeas(0.9, "top", "001", 1)]
         assert select_best(members) == 2
-
-    def test_fill_selection_disabled_falls_back_to_camera_order(self):
-        members = [FakeMeas(0.99, "bottom"), FakeMeas(0.10, "middle")]
-        assert select_best(members, by_fill_ratio=False) == 1
 
     def test_chosen_attribute_on_clusters(self):
         fruits = deduplicate([det(0, 0, 0.6, fill=0.73, cam="top"),

@@ -55,11 +55,6 @@ class TestFitCircle:
             assert abs(moved.cv - base.cv - dv) <= 1e-9
             assert abs(moved.r_px - base.r_px) <= 1e-9
 
-    def test_refine_matches_on_clean_circle(self):
-        pts = circle_samples(5, 5, 12, 60)
-        a, b = fit_circle(pts), fit_circle(pts, refine=True)
-        assert abs(a.cu - b.cu) <= 1e-9 and abs(a.r_px - b.r_px) <= 1e-9
-
     def test_accepts_edge_set(self):
         edges = extract_edges(disc_mask(64, 64, 32, 32, 10))
         c = fit_circle(edges)
