@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", required=True, type=Path)
     p.add_argument("--records", required=True, type=Path)
     p.add_argument("--truth", required=True, type=Path, help="ground truth CSV")
-    p.add_argument("--matching", default="auto", choices=["auto", "fruit_id", "center"])
     p.add_argument("-o", "--out", required=True, type=Path,
                    help="report prefix (writes <out>.json and <out>.txt)")
 
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
         elif args.command == "fuse":
             cmd_fuse(args.records, args.rig, args.out)
         elif args.command == "evaluate":
-            cmd_evaluate(args.fused, args.records, args.truth, args.out, args.matching)
+            cmd_evaluate(args.fused, args.records, args.truth, args.out)
         elif args.command == "simulate":
             cmd_simulate(args.scene, args.out)
     except (BundleIOError, OSError) as e:

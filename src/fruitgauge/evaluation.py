@@ -7,7 +7,7 @@ alongside as ``relative_error``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,21 +37,15 @@ class GroundTruthRecord:
             raise ValueError("ground-truth sizes must be positive")
 
 
-def rmse(measured: Sequence[float], truth: Sequence[float],
-         weights: Optional[Sequence[float]] = None) -> float:
-    """Root-mean-square error; optional per-item scale weights (default 1)."""
+def rmse(measured: Sequence[float], truth: Sequence[float]) -> float:
+    """Root-mean-square error."""
     if len(measured) == 0:
         raise EmptyInput("rmse over empty input")
     if len(measured) != len(truth):
         raise LengthMismatch(f"{len(measured)} measurements vs {len(truth)} truths")
     m = np.asarray(measured, dtype=float)
     t = np.asarray(truth, dtype=float)
-    err = t - m
-    if weights is not None:
-        if len(weights) != len(measured):
-            raise LengthMismatch("weights length mismatch")
-        err = err / np.asarray(weights, dtype=float)
-    return float(np.sqrt(np.mean(err ** 2)))
+    return float(np.sqrt(np.mean((t - m) ** 2)))
 
 
 def accuracy(rmse_mm: float, mean_truth_mm: float) -> float:
@@ -71,24 +65,18 @@ def relative_error(rmse_mm: float, mean_truth_mm: float) -> float:
 def match_measurements(
     measurements: Sequence[Record],
     truth: Sequence[GroundTruthRecord],
-    matching: str = "auto",
 ) -> List[Tuple[Record, GroundTruthRecord]]:
     """Pair each measurement with exactly one truth record.
 
     Measurements are read by attribute: ``camera_id``, ``fruit_id`` and
     ``center_world_m`` (a Point3, or None when unknown).
 
-    ``fruit_id`` matching is used when every measurement carries an id
-    (matching="auto"); otherwise each measurement is matched to the nearest
-    truth center, rejected as ambiguous unless the second-nearest center is
-    more than twice as far.
+    ``fruit_id`` matching is used when every measurement carries an id;
+    otherwise each measurement is matched to the nearest truth center,
+    rejected as ambiguous unless the second-nearest center is more than twice
+    as far.
     """
-    if matching not in ("auto", "fruit_id", "center"):
-        raise ValueError(f"unknown matching mode {matching!r}")
-    if matching == "auto":
-        matching = "fruit_id" if all(m.fruit_id for m in measurements) else "center"
-
-    if matching == "fruit_id":
+    if all(m.fruit_id for m in measurements):
         by_id = {t.fruit_id: t for t in truth}
         pairs = []
         for m in measurements:
@@ -183,7 +171,6 @@ def evaluate_run(
     chosen: Sequence[Record],
     per_camera: Mapping[str, Sequence[Record]],
     truth: Sequence[GroundTruthRecord],
-    matching: str = "auto",
 ) -> EvalReport:
     """Per-camera rows plus one fused row from the selected measurements.
 
@@ -192,16 +179,11 @@ def evaluate_run(
     coverage explicit.
     """
     rows = [
-        _make_row(camera_id, match_measurements(measurements, truth, matching))
+        _make_row(camera_id, match_measurements(measurements, truth))
         for camera_id, measurements in per_camera.items()
     ]
-    rows.append(_make_row("fused", match_measurements(chosen, truth, matching)))
+    rows.append(_make_row("fused", match_measurements(chosen, truth)))
     return EvalReport(rows)
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    """``{"rows": [...]}``, each row's keys in ``CameraRow`` field order."""
-    return asdict(report)
 
 
 def format_report_text(report: EvalReport) -> str:

@@ -1,4 +1,7 @@
-"""On-disk formats: 16-bit PGM depth, rig/intrinsics/detections JSON, truth CSV.
+"""On-disk formats: every document the package reads or writes.
+
+Depth is a 16-bit PGM; rig, intrinsics, detections, records, fused fruits,
+simulator scenes and calibration board poses are JSON; ground truth is CSV.
 
 A capture bundle directory looks like::
 
@@ -32,6 +35,16 @@ A warning is ``{frame_id, camera_id, detection_index, reason, message}``.
 ``{center_world_m, radius_m, n_views, chosen, members}``: member-mean center
 and radius (m), view count, the selected record and all member records.
 
+A scene (``simulate --scene``) is ``{rig: [{camera_id, intrinsics,
+cam_to_world}], fruits: [{id, center_world, semi_axes}], occluders: [{corners}],
+noise: {sigma_at_1m, model}, seed, depth_scale}``; a board-pose file (``calibrate
+--poses``) is ``{anchor, observations: [{poses: {camera_id: transform}}],
+intrinsics_files: {camera_id: path}}``; a transform is ``{rotation, translation}``.
+
+One rule covers malformed input: only this module reads a document, and it
+indexes one only inside ``parsing(source)``, so a missing key or a value of the
+wrong type or shape is a ``BundleIOError`` that names the file (CLI exit 2).
+
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
 """
@@ -39,18 +52,73 @@ trailing newline so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BundleIOError, DegenerateCircle
+from .calibrate import BoardObservation
+from .errors import BundleIOError, DegenerateCircle, LengthMismatch
 from .evaluation import GroundTruthRecord
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
+from .simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
 from .sizing import FittedCircle
+
+# Raised by a value of the wrong type or shape, also in the circle and mask constructors,
+# and by JSON nested too deeply or a CSV field too long to decode.
+_MALFORMED = (TypeError, ValueError, IndexError, AttributeError, OverflowError,
+              RecursionError, csv.Error, DegenerateCircle, LengthMismatch)
+
+
+class parsing:
+    """Turns a ``KeyError`` or ``_MALFORMED`` error inside it into a
+    ``BundleIOError`` naming ``source``. A class, not a generator context
+    manager, because ``Record.from_dict`` enters one per record."""
+
+    def __init__(self, source: str):
+        self.source = source
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if isinstance(error, KeyError):
+            raise BundleIOError(f"{self.source} missing field {error}") from error
+        if isinstance(error, _MALFORMED):
+            raise BundleIOError(f"malformed {self.source}: {error}") from error
+
+
+_NUMBER = (int, float)  # exact JSON value types, so a bool is not a number
+
+
+def _check_types(d: dict, types: dict) -> None:
+    wrong = [key for key, allowed in types.items() if type(d[key]) not in allowed]
+    if wrong:
+        raise TypeError(f"wrong value type for {', '.join(wrong)}")
+
+
+def _string(d: dict, key: str, optional: bool = False) -> Optional[str]:
+    """``d[key]`` as a string; with ``optional``, a missing key or null is None."""
+    value = d.get(key) if optional else d[key]
+    if type(value) is str or (optional and value is None):
+        return value
+    raise TypeError(f"{key} must be a string, got {value!r}")
+
+
+def _check_list(key: str, values: list, n: int, types: tuple) -> None:
+    if type(values) is not list or len(values) != n or any(type(v) not in types for v in values):
+        raise TypeError(f"{key} needs {n} values of types {types}, got {values!r}")
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise BundleIOError(f"cannot read {path}: {e.strerror or e}") from e
 
 
 def dump_json(obj, path: Path) -> None:
@@ -61,12 +129,8 @@ def dump_json(obj, path: Path) -> None:
 
 def load_json(path: Path):
     path = Path(path)
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError as e:
-        raise BundleIOError(f"missing file: {path}") from e
-    except json.JSONDecodeError as e:
-        raise BundleIOError(f"malformed JSON in {path}: {e}") from e
+    with parsing(f"JSON in {path}"):
+        return json.loads(_read_bytes(path).decode())
 
 
 # -- PGM depth ---------------------------------------------------------------
@@ -82,11 +146,7 @@ def write_pgm16(path: Path, data: np.ndarray) -> None:
 
 def read_pgm16(path: Path) -> np.ndarray:
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError as e:
-        raise BundleIOError(f"missing file: {path}") from e
-
+    raw = _read_bytes(path)
     pos = 0
 
     def next_token() -> bytes:
@@ -109,10 +169,10 @@ def read_pgm16(path: Path) -> np.ndarray:
     magic = next_token()
     if magic != b"P5":
         raise BundleIOError(f"not a binary PGM (P5) file: {path}")
-    try:
+    with parsing(f"PGM header in {path}"):
         width, height, maxval = int(next_token()), int(next_token()), int(next_token())
-    except ValueError as e:
-        raise BundleIOError(f"bad PGM header in {path}") from e
+    if width < 0 or height < 0:
+        raise BundleIOError(f"negative PGM size {width}x{height} in {path}")
     if not (256 <= maxval <= 65535):
         raise BundleIOError(f"expected 16-bit PGM (maxval 256..65535) in {path}")
     pos += 1  # single whitespace byte separates header from raster
@@ -131,31 +191,20 @@ def write_depth(path_pgm: Path, depth: DepthImage) -> None:
 
 def read_depth(path_pgm: Path) -> DepthImage:
     path_pgm = Path(path_pgm)
-    data = read_pgm16(path_pgm)
-    sidecar = load_json(path_pgm.with_suffix(".json"))
-    try:
-        scale = float(sidecar["depth_scale"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise BundleIOError(f"bad depth sidecar for {path_pgm}") from e
-    return DepthImage(data, scale)
+    data, sidecar = read_pgm16(path_pgm), path_pgm.with_suffix(".json")
+    with parsing(f"depth sidecar {sidecar}"):
+        return DepthImage(data, float(load_json(sidecar)["depth_scale"]))
 
 
 # -- intrinsics / rig --------------------------------------------------------
 
 def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
-    return {
-        "width": k.width,
-        "height": k.height,
-        "fx": k.fx,
-        "fy": k.fy,
-        "ppx": k.ppx,
-        "ppy": k.ppy,
-        "distortion": None if k.distortion is None else [float(c) for c in k.distortion],
-    }
+    distortion = None if k.distortion is None else [float(c) for c in k.distortion]
+    return {**asdict(k), "distortion": distortion}
 
 
 def intrinsics_from_dict(d: dict, source: str = "<inline>") -> CameraIntrinsics:
-    try:
+    with parsing(f"intrinsics {source}"):
         return CameraIntrinsics(
             width=int(d["width"]),
             height=int(d["height"]),
@@ -165,8 +214,6 @@ def intrinsics_from_dict(d: dict, source: str = "<inline>") -> CameraIntrinsics:
             ppy=float(d["ppy"]),
             distortion=d.get("distortion"),
         )
-    except KeyError as e:
-        raise BundleIOError(f"intrinsics {source} missing key {e}") from e
 
 
 def write_intrinsics(path: Path, k: CameraIntrinsics) -> None:
@@ -185,30 +232,22 @@ def transform_to_dict(t: RigidTransform) -> dict:
 
 
 def transform_from_dict(d: dict, source: str = "<inline>") -> RigidTransform:
-    try:
+    with parsing(f"transform {source}"):
         return RigidTransform(np.array(d["rotation"]), np.array(d["translation"]))
-    except KeyError as e:
-        raise BundleIOError(f"transform {source} missing key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise BundleIOError(f"malformed transform {source}: {e}") from e
 
 
-def write_rig(path: Path, cameras: List[RigCamera],
-              intrinsics_dir: Optional[str] = "intrinsics") -> None:
+def write_rig(path: Path, cameras: List[RigCamera]) -> None:
     """Write rig JSON; camera intrinsics go to sibling per-camera files."""
     path = Path(path)
     entries = []
     for cam in cameras:
         entry = {"id": cam.camera_id, "intrinsics_file": None,
                  "cam_to_world": transform_to_dict(cam.cam_to_world)}
-        if cam.intrinsics is not None:
-            rel = f"{intrinsics_dir}/{cam.camera_id}.json"
-            write_intrinsics(path.parent / rel, cam.intrinsics)
-            entry["intrinsics_file"] = rel
-        if cam.depth_intrinsics is not None:
-            rel = f"{intrinsics_dir}/{cam.camera_id}_depth.json"
-            write_intrinsics(path.parent / rel, cam.depth_intrinsics)
-            entry["depth_intrinsics_file"] = rel
+        for key, suffix, k in (("intrinsics_file", "", cam.intrinsics),
+                               ("depth_intrinsics_file", "_depth", cam.depth_intrinsics)):
+            if k is not None:
+                entry[key] = f"intrinsics/{cam.camera_id}{suffix}.json"
+                write_intrinsics(path.parent / entry[key], k)
         if cam.depth_to_color is not None:
             entry["depth_to_color"] = transform_to_dict(cam.depth_to_color)
         entries.append(entry)
@@ -219,25 +258,39 @@ def read_rig(path: Path) -> List[RigCamera]:
     path = Path(path)
     doc = load_json(path)
     cameras = []
-    for entry in doc.get("cameras", []):
-        try:
-            cam_id = entry["id"]
+    with parsing(f"rig {path}"):
+        for entry in doc["cameras"]:
+            cam_id = _string(entry, "id")
             pose = transform_from_dict(entry["cam_to_world"], f"{path}:{cam_id}").validate()
-        except KeyError as e:
-            raise BundleIOError(f"rig {path} camera entry missing {e}") from e
-        intr = None
-        if entry.get("intrinsics_file"):
-            intr = read_intrinsics(path.parent / entry["intrinsics_file"])
-        depth_intr = None
-        if entry.get("depth_intrinsics_file"):
-            depth_intr = read_intrinsics(path.parent / entry["depth_intrinsics_file"])
-        depth_to_color = None
-        if entry.get("depth_to_color"):
-            depth_to_color = transform_from_dict(entry["depth_to_color"], str(path)).validate()
-        cameras.append(RigCamera(cam_id, intr, pose, depth_intr, depth_to_color))
+            intr, depth_intr = (
+                read_intrinsics(path.parent / entry[key]) if entry.get(key) else None
+                for key in ("intrinsics_file", "depth_intrinsics_file"))
+            depth_to_color = None
+            if entry.get("depth_to_color"):
+                depth_to_color = transform_from_dict(entry["depth_to_color"], str(path)).validate()
+            cameras.append(RigCamera(cam_id, intr, pose, depth_intr, depth_to_color))
     if not cameras:
         raise BundleIOError(f"rig {path} lists no cameras")
     return cameras
+
+
+# -- calibration board poses ---------------------------------------------------
+
+def read_board_poses(path: Path) -> Tuple[Optional[str], List[BoardObservation], Dict[str, str]]:
+    """A board-pose file as ``(anchor or None, observations, intrinsics_files)``."""
+    path = Path(path)
+    doc = load_json(path)
+    with parsing(f"board poses {path}"):
+        observations = [
+            BoardObservation({
+                cam_id: transform_from_dict(pose, f"{path}#obs{i}/{cam_id}")
+                for cam_id, pose in obs.get("poses", {}).items()
+            })
+            for i, obs in enumerate(doc.get("observations", []))
+        ]
+        files = doc.get("intrinsics_files", {})
+        return (_string(doc, "anchor", optional=True), observations,
+                {cam_id: _string(files, cam_id) for cam_id in files})
 
 
 # -- detections --------------------------------------------------------------
@@ -278,29 +331,25 @@ def write_detections(path: Path, det_file: DetectionFile) -> None:
 
 def read_detections(path: Path) -> DetectionFile:
     doc = load_json(path)
-    try:
+    with parsing(f"detections {path}"):
         dets = []
         for d in doc["detections"]:
+            _check_list("bbox", d["bbox"], 4, (int,))
             rle = d["mask_rle"]
             dets.append(
                 Detection(
-                    class_name=d["class"],
+                    class_name=_string(d, "class"),
                     score=float(d["score"]),
-                    bbox=tuple(int(x) for x in d["bbox"]),
-                    mask=decode_rle(rle["counts"], tuple(rle["size"])),
-                    fruit_id=d.get("fruit_id"),
+                    bbox=tuple(d["bbox"]),
+                    mask=decode_rle(rle["counts"], rle["size"]),
+                    fruit_id=_string(d, "fruit_id", optional=True),
                 )
             )
-        return DetectionFile(doc["frame_id"], doc["camera_id"], dets)
-    except KeyError as e:
-        raise BundleIOError(f"detections {path} missing key {e}") from e
-    except (TypeError, ValueError) as e:
-        raise BundleIOError(f"malformed detection in {path}: {e}") from e
+        return DetectionFile(_string(doc, "frame_id"), _string(doc, "camera_id"), dets)
 
 
 # -- measurement records -----------------------------------------------------
 
-_NUMBER = (int, float)  # exact JSON value types, so a bool is not a number
 # records.json keys in written order, each with the JSON types its value may take.
 _RECORD_TYPES = {
     "frame_id": (str,), "camera_id": (str,), "detection_index": (int,), "class": (str,),
@@ -310,12 +359,6 @@ _RECORD_TYPES = {
     "center_world_m": (list,),
 }
 _CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
-
-
-def _check_types(d: dict, types: dict) -> None:
-    wrong = [key for key, allowed in types.items() if type(d[key]) not in allowed]
-    if wrong:
-        raise TypeError(f"wrong value type for {', '.join(wrong)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,14 +403,12 @@ class Record:
     @staticmethod
     def from_dict(d: dict, source: str = "<inline>") -> "Record":
         """Parse one record; a missing or mistyped field raises BundleIOError."""
-        try:
+        with parsing(f"record {source}"):
             _check_types(d, _RECORD_TYPES)
             circle, bbox, center = d["circle"], d["bbox"], d["center_world_m"]
             _check_types(circle, _CIRCLE_TYPES)
-            if len(bbox) != 4 or any(type(v) is not int for v in bbox):
-                raise TypeError(f"bbox needs 4 ints, got {bbox!r}")
-            if len(center) != 3 or any(type(v) not in _NUMBER for v in center):
-                raise TypeError(f"center_world_m needs 3 numbers, got {center!r}")
+            _check_list("bbox", bbox, 4, (int,))
+            _check_list("center_world_m", center, 3, _NUMBER)
             return Record(
                 frame_id=d["frame_id"],
                 camera_id=d["camera_id"],
@@ -386,10 +427,6 @@ class Record:
                 radius_m=float(d["radius_m"]),
                 center_world_m=Point3(*map(float, center)),
             )
-        except KeyError as e:
-            raise BundleIOError(f"record {source} missing field {e}") from e
-        except (TypeError, OverflowError, DegenerateCircle) as e:
-            raise BundleIOError(f"malformed record {source}: {e}") from e
 
 
 def _entries(path: Path, key: str) -> list:
@@ -408,11 +445,9 @@ def read_records(path: Path) -> List[Record]:
 def read_fused_choices(path: Path) -> List[Record]:
     """The chosen record of each fruit in a ``fused.json``, placed at the
     fruit's fused center, which is where the evaluator matches it."""
-    try:
+    with parsing(f"fused fruit in {path}"):
         placed = [{**f["chosen"], "center_world_m": f["center_world_m"]}
                   for f in _entries(path, "fruits")]
-    except (KeyError, TypeError) as e:
-        raise BundleIOError(f"malformed fused fruit in {path}: {e}") from e
     return [Record.from_dict(d, f"{path}#fruits[{i}]") for i, d in enumerate(placed)]
 
 
@@ -437,25 +472,73 @@ def write_ground_truth_csv(path: Path, records: List[GroundTruthRecord]) -> None
 
 def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
     path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except FileNotFoundError as e:
-        raise BundleIOError(f"missing file: {path}") from e
+    with parsing(f"ground truth {path}"):
+        rows = list(csv.DictReader(io.StringIO(_read_bytes(path).decode(), newline="")))
     records = []
     for i, row in enumerate(rows):
-        try:
+        with parsing(f"ground-truth row {i + 1} in {path}"):
             center = None
             if row.get("x_m") not in (None, ""):
                 center = Point3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"]))
-            records.append(
-                GroundTruthRecord(
-                    fruit_id=row["fruit_id"],
-                    height_mm=float(row["height_mm"]),
-                    width_mm=float(row["width_mm"]),
-                    center_world=center,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise BundleIOError(f"bad ground-truth row {i + 1} in {path}: {e}") from e
+            records.append(GroundTruthRecord(row["fruit_id"], float(row["height_mm"]),
+                                             float(row["width_mm"]), center))
     return records
+
+
+# -- simulator scenes ----------------------------------------------------------
+
+def scene_to_dict(spec: SceneSpec) -> dict:
+    return {
+        "seed": spec.seed,
+        "depth_scale": spec.depth_scale,
+        "noise": {"sigma_at_1m": spec.noise.sigma_at_1m, "model": spec.noise.model},
+        "rig": [
+            {
+                "camera_id": cam.camera_id,
+                "intrinsics": intrinsics_to_dict(cam.intrinsics),
+                "cam_to_world": transform_to_dict(cam.cam_to_world),
+            }
+            for cam in spec.rig
+        ],
+        "fruits": [
+            {
+                "id": f.fruit_id,
+                "center_world": [f.center_world.x, f.center_world.y, f.center_world.z],
+                "semi_axes": [float(s) for s in f.semi_axes],
+            }
+            for f in spec.fruits
+        ],
+        "occluders": [
+            {"corners": [[float(x) for x in corner] for corner in occ.corners]}
+            for occ in spec.occluders
+        ],
+    }
+
+
+def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
+    with parsing(f"scene {source}"):
+        rig = []
+        for c in doc["rig"]:
+            cam_id = _string(c, "camera_id")
+            rig.append(RigCamera(cam_id,
+                                 intrinsics_from_dict(c["intrinsics"], f"{source}:{cam_id}"),
+                                 transform_from_dict(c["cam_to_world"], f"{source}:{cam_id}")))
+        fruits = [
+            FruitSpec(_string(f, "id"), Point3.from_array(f["center_world"]),
+                      np.array(f["semi_axes"]))
+            for f in doc["fruits"]
+        ]
+        occluders = [QuadOccluder(np.array(o["corners"])) for o in doc.get("occluders", [])]
+        noise = doc.get("noise", {})
+        return SceneSpec(
+            fruits=fruits,
+            occluders=occluders,
+            rig=rig,
+            noise=NoiseSpec(float(noise.get("sigma_at_1m", 0.0)), noise.get("model", "z2")),
+            seed=int(doc.get("seed", 0)),
+            depth_scale=float(doc.get("depth_scale", 0.001)),
+        )
+
+
+def read_scene(path: Path) -> SceneSpec:
+    return scene_from_dict(load_json(path), str(path))

@@ -177,8 +177,8 @@ class CameraIntrinsics:
     distortion: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InvalidPose("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise InvalidPose("focal lengths must be positive and finite")
         if not (0 <= self.ppx < self.width and 0 <= self.ppy < self.height):
             raise InvalidPose("principal point must lie inside the image")
         if self.distortion is not None:
@@ -208,7 +208,7 @@ class DepthImage:
                 raise InvalidDepth("depth samples out of uint16 range")
             d = d.astype(np.uint16)
         object.__setattr__(self, "data", d)
-        if self.depth_scale <= 0:
+        if not self.depth_scale > 0:
             raise InvalidDepth("depth_scale must be positive")
 
     @property

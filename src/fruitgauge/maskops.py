@@ -85,13 +85,16 @@ class ExtremePoints(NamedTuple):
 
 
 def decode_rle(counts: Sequence[int], size: Tuple[int, int]) -> BinaryMask:
-    """Decode alternating run-length counts (background first) into a mask."""
-    h, w = int(size[0]), int(size[1])
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts < 0):
-        raise LengthMismatch("run counts must be non-negative")
-    if counts.sum() != h * w:
-        raise LengthMismatch(f"counts sum to {counts.sum()}, expected {h * w}")
+    """Decode alternating run-length counts (background first) into a mask
+    of ``size`` (height, width); both hold ints, not floats, strings or bools."""
+    if not (isinstance(size, (list, tuple)) and len(size) == 2
+            and all(type(v) is int and v >= 0 for v in size)):
+        raise LengthMismatch(f"mask size must be two non-negative integers, got {size!r}")
+    if not isinstance(counts, (list, tuple)) or any(type(c) is not int or c < 0 for c in counts):
+        raise LengthMismatch("run counts must be non-negative integers")
+    h, w = size
+    if sum(counts) != h * w:
+        raise LengthMismatch(f"counts sum to {sum(counts)}, expected {h * w}")
     values = np.arange(len(counts)) % 2 == 1
     flat = np.repeat(values, counts)
     return BinaryMask(flat.reshape(h, w))

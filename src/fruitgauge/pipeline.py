@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from . import fileio
-from .calibrate import BoardObservation, solve_rig
+from .calibrate import solve_rig
 from .errors import (
     BundleIOError,
     DegenerateCircle,
@@ -32,11 +32,11 @@ from .errors import (
     UnknownCamera,
     ZeroArea,
 )
-from .evaluation import evaluate_run, format_report_text, report_to_dict
+from .evaluation import evaluate_run, format_report_text
 from .fileio import Record
 from .fusion import deduplicate, estimate_metric_radius, localize
 from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
-from .simulate import CaptureBundle, render_scene, scene_from_dict
+from .simulate import CaptureBundle, render_scene
 from .sizing import measure_fruit
 
 logger = logging.getLogger(__name__)
@@ -103,8 +103,7 @@ def write_bundle(bundle: CaptureBundle, out_dir: Path) -> Path:
 
 
 def cmd_simulate(scene_path: Path, out_dir: Path) -> Path:
-    spec = scene_from_dict(fileio.load_json(scene_path))
-    return write_bundle(render_scene(spec), out_dir)
+    return write_bundle(render_scene(fileio.read_scene(Path(scene_path))), out_dir)
 
 
 def _bbox_center(bbox: Sequence[int]) -> Pixel:
@@ -256,7 +255,6 @@ def cmd_evaluate(
     records_path: Path,
     truth_path: Path,
     out_prefix: Optional[Path] = None,
-    matching: str = "auto",
 ) -> dict:
     """Per-camera and fused accuracy report against ground truth."""
     truth = fileio.read_ground_truth_csv(Path(truth_path))
@@ -265,8 +263,8 @@ def cmd_evaluate(
         per_camera.setdefault(record.camera_id, []).append(record)
     chosen = fileio.read_fused_choices(Path(fused_path))
 
-    report = evaluate_run(chosen, per_camera, truth, matching)
-    payload = report_to_dict(report)
+    report = evaluate_run(chosen, per_camera, truth)
+    payload = asdict(report)
     if out_prefix is not None:
         out_prefix = Path(out_prefix)
         fileio.dump_json(payload, out_prefix.with_suffix(".json"))
@@ -280,18 +278,9 @@ def cmd_calibrate(
     out_path: Optional[Path] = None,
 ) -> dict:
     """Solve the rig from a board-pose observations file, write rig JSON."""
-    doc = fileio.load_json(Path(poses_path))
-    anchor = anchor or doc.get("anchor") or "middle"
-    observations = []
-    for i, obs in enumerate(doc.get("observations", [])):
-        poses = {
-            cam_id: fileio.transform_from_dict(pose, f"{poses_path}#obs{i}/{cam_id}")
-            for cam_id, pose in obs.get("poses", {}).items()
-        }
-        observations.append(BoardObservation(poses))
-
+    file_anchor, observations, intrinsics_files = fileio.read_board_poses(Path(poses_path))
+    anchor = anchor or file_anchor or "middle"
     cam_to_world = solve_rig(observations, anchor)
-    intrinsics_files = doc.get("intrinsics_files", {})
     ordered = [anchor] + [c for c in cam_to_world if c != anchor]
     rig = {
         "cameras": [

@@ -45,8 +45,10 @@ class FruitSpec:
 
     def __post_init__(self):
         s = np.asarray(self.semi_axes, dtype=float).reshape(-1)
-        if s.shape != (3,) or np.any(s <= 0):
-            raise InvalidSpec(f"fruit {self.fruit_id!r}: semi-axes must be 3 positive values")
+        if s.shape != (3,) or not (np.all((s > 0) & np.isfinite(s))
+                                   and np.all(np.isfinite(self.center_world))):
+            raise InvalidSpec(f"fruit {self.fruit_id!r}: needs a finite center and "
+                              "3 positive finite semi-axes")
         object.__setattr__(self, "semi_axes", s)
 
     @property
@@ -75,7 +77,7 @@ class NoiseSpec:
     model: str = "z2"
 
     def __post_init__(self):
-        if self.sigma_at_1m < 0:
+        if not self.sigma_at_1m >= 0:
             raise InvalidSpec("noise sigma must be >= 0")
         if self.model != "z2":
             raise InvalidSpec(f"unknown noise model {self.model!r}")
@@ -98,8 +100,10 @@ class SceneSpec:
                 raise InvalidSpec(f"camera {cam.camera_id!r} has no intrinsics")
             if cam.intrinsics.has_distortion:
                 raise InvalidSpec("the renderer models an ideal pinhole (no distortion)")
-        if self.depth_scale <= 0:
+        if not self.depth_scale > 0:
             raise InvalidSpec("depth_scale must be positive")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
 
     def ground_truth(self) -> List[GroundTruthRecord]:
         return [
@@ -466,66 +470,3 @@ def lab_scene(
         seed=seed,
     )
 
-
-# -- scene (de)serialization ---------------------------------------------------
-
-def scene_to_dict(spec: SceneSpec) -> dict:
-    from .fileio import intrinsics_to_dict, transform_to_dict
-
-    return {
-        "seed": spec.seed,
-        "depth_scale": spec.depth_scale,
-        "noise": {"sigma_at_1m": spec.noise.sigma_at_1m, "model": spec.noise.model},
-        "rig": [
-            {
-                "camera_id": cam.camera_id,
-                "intrinsics": intrinsics_to_dict(cam.intrinsics),
-                "cam_to_world": transform_to_dict(cam.cam_to_world),
-            }
-            for cam in spec.rig
-        ],
-        "fruits": [
-            {
-                "id": f.fruit_id,
-                "center_world": [f.center_world.x, f.center_world.y, f.center_world.z],
-                "semi_axes": [float(s) for s in f.semi_axes],
-            }
-            for f in spec.fruits
-        ],
-        "occluders": [
-            {"corners": [[float(x) for x in corner] for corner in occ.corners]}
-            for occ in spec.occluders
-        ],
-    }
-
-
-def scene_from_dict(doc: dict) -> SceneSpec:
-    from .fileio import intrinsics_from_dict, transform_from_dict
-
-    try:
-        rig = [
-            RigCamera(
-                camera_id=c["camera_id"],
-                intrinsics=intrinsics_from_dict(c["intrinsics"], c.get("camera_id", "?")),
-                cam_to_world=transform_from_dict(c["cam_to_world"]),
-            )
-            for c in doc["rig"]
-        ]
-        fruits = [
-            FruitSpec(f["id"], Point3(*f["center_world"]), np.array(f["semi_axes"]))
-            for f in doc["fruits"]
-        ]
-        occluders = [QuadOccluder(np.array(o["corners"])) for o in doc.get("occluders", [])]
-        noise = doc.get("noise", {})
-        return SceneSpec(
-            fruits=fruits,
-            occluders=occluders,
-            rig=rig,
-            noise=NoiseSpec(float(noise.get("sigma_at_1m", 0.0)), noise.get("model", "z2")),
-            seed=int(doc.get("seed", 0)),
-            depth_scale=float(doc.get("depth_scale", 0.001)),
-        )
-    except KeyError as e:
-        raise InvalidSpec(f"scene spec missing key {e}") from e
-    except TypeError as e:
-        raise InvalidSpec(f"malformed scene spec: {e}") from e

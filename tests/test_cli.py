@@ -8,10 +8,10 @@ import pytest
 
 from fruitgauge import fusion, pipeline
 from fruitgauge.cli import main
-from fruitgauge.fileio import dump_json, read_rig, transform_to_dict
+from fruitgauge.fileio import dump_json, read_rig, scene_to_dict, transform_to_dict
 from fruitgauge.geometry import compose, invert, rotation_about
 from fruitgauge.maskops import BinaryMask, encode_rle
-from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig, scene_to_dict
+from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
 
 OUTPUTS = ("records.json", "fused.json", "report.json")
 
@@ -111,6 +111,14 @@ class TestChain:
             main(["fuse", "--records", str(runs[0] / "out" / "records.json"),
                   "--rig", str(runs[0] / "bundle" / "rig.json"),
                   "--config", str(tmp_path / "c.json"), "-o", str(tmp_path / "f.json")])
+
+    def test_evaluate_has_no_matching_option(self, runs, tmp_path):
+        out = runs[0] / "out"
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--fused", str(out / "fused.json"),
+                  "--records", str(out / "records.json"),
+                  "--truth", str(runs[0] / "bundle" / "ground_truth.csv"),
+                  "--matching", "center", "-o", str(tmp_path / "report")])
 
 
 class TestMalformedRecords:
@@ -230,3 +238,70 @@ class TestMeasureConfig:
         assert manifest["config"] == {"extreme_point_source": "bbox", "per_point_depth": False}
         assert (tmp_path / "out" / "records.json").read_bytes() \
             != (runs[0] / "out" / "records.json").read_bytes()
+
+
+def damage_copy(source, target, damage):
+    """Write ``damage(doc)`` (or ``doc`` edited in place) of a JSON file to ``target``."""
+    doc = load(source)
+    replaced = damage(doc)
+    dump_json(doc if replaced is None else replaced, target)
+    return target
+
+
+def first_detection(update):
+    return lambda doc: doc["detections"][0].update(update)
+
+
+class TestDamagedDocuments:
+    """A damaged document of any kind exits 2 with one i/o error line naming it."""
+
+    def assert_io_error(self, code, capsys, path, named=""):
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1, err
+        assert err[0].startswith("fruitgauge: i/o error:") and str(path) in err[0]
+        assert named in err[0]
+
+    @pytest.mark.parametrize("rel,damage,named", [
+        pytest.param("intrinsics/top.json", lambda d: d.update(fx="abc"), "abc", id="fx"),
+        pytest.param("intrinsics/top.json", lambda d: d.update(distortion="abc"), "abc",
+                     id="distortion"),
+        pytest.param("rig.json", lambda d: d.update(cameras=[1]), "", id="rig-camera-int"),
+        pytest.param("rig.json", lambda d: [], "", id="rig-list"),
+        pytest.param("depth/top_000.json", lambda d: [], "", id="depth-sidecar-list"),
+        pytest.param("detections/top_000.json",
+                     lambda d: d["detections"][0]["mask_rle"].update(size=[480]), "size",
+                     id="rle-size-1"),
+        pytest.param("detections/top_000.json", first_detection({"bbox": [1, 2, 3]}), "bbox",
+                     id="bbox-3-ints"),
+        pytest.param("detections/top_000.json", first_detection({"class": 5}), "class",
+                     id="class-int"),
+        pytest.param("detections/top_000.json", first_detection({"fruit_id": 5}), "fruit_id",
+                     id="fruit-id-int"),
+        pytest.param("detections/top_000.json", lambda d: d.update(frame_id=5), "frame_id",
+                     id="frame-id-int"),
+    ])
+    def test_measure(self, runs, tmp_path, capsys, rel, damage, named):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        damage_copy(bundle / rel, bundle / rel, damage)
+        code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
+        self.assert_io_error(code, capsys, bundle / rel, named)
+
+    @pytest.mark.parametrize("doc", [[], {"observations": [1]}, {"anchor": 5}],
+                             ids=["list", "observation-int", "anchor-int"])
+    def test_calibrate(self, tmp_path, capsys, doc):
+        dump_json(doc, tmp_path / "poses.json")
+        code = main(["calibrate", "--poses", str(tmp_path / "poses.json"),
+                     "-o", str(tmp_path / "rig.json")])
+        self.assert_io_error(code, capsys, tmp_path / "poses.json")
+
+    @pytest.mark.parametrize("damage,named", [
+        (lambda d: d["fruits"][0].update(semi_axes="abc"), "abc"),
+        (lambda d: d["noise"].update(sigma_at_1m="abc"), "abc"),
+        (lambda d: d["fruits"][0].update(id=7), "id"),
+        (lambda d: d.pop("fruits") and None, "missing field 'fruits'"),
+    ], ids=["semi-axes-string", "sigma-string", "fruit-id-int", "missing-key"])
+    def test_simulate(self, scene_path, tmp_path, capsys, damage, named):
+        scene = damage_copy(scene_path, tmp_path / "scene.json", damage)
+        code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
+        self.assert_io_error(code, capsys, scene, named)

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +18,6 @@ from fruitgauge.evaluation import (
     format_report_text,
     match_measurements,
     relative_error,
-    report_to_dict,
     rmse,
 )
 from fruitgauge.geometry import Point3
@@ -68,9 +67,6 @@ class TestRmse:
         order = rng.permutation(10)
         assert rmse([measured[i] for i in order], [truth[i] for i in order]) \
             == pytest.approx(base, rel=1e-12)
-
-    def test_optional_weights(self):
-        assert rmse([0.0], [4.0], weights=[2.0]) == pytest.approx(2.0)
 
 
 class TestAccuracy:
@@ -131,7 +127,7 @@ class TestMatchMeasurements:
             GroundTruthRecord("b", 40, 47, Point3(0.2, 0, 0.6)),
         ]
         pairs = match_measurements(
-            [meas("top", 40, 47, center=Point3(0.01, 0, 0.6))], truth, "center")
+            [meas("top", 40, 47, center=Point3(0.01, 0, 0.6))], truth)
         assert pairs[0][1].fruit_id == "a"
 
     def test_equidistant_is_ambiguous(self):
@@ -140,8 +136,7 @@ class TestMatchMeasurements:
             GroundTruthRecord("b", 40, 47, Point3(0.1, 0, 0.6)),
         ]
         with pytest.raises(AmbiguousMatch):
-            match_measurements([meas("top", 40, 47, center=Point3(0, 0, 0.6))],
-                               truth, "center")
+            match_measurements([meas("top", 40, 47, center=Point3(0, 0, 0.6))], truth)
 
     def test_second_nearest_within_double_is_ambiguous(self):
         truth = [
@@ -149,13 +144,12 @@ class TestMatchMeasurements:
             GroundTruthRecord("b", 40, 47, Point3(0.015, 0, 0.6)),
         ]
         with pytest.raises(AmbiguousMatch):
-            match_measurements([meas("top", 40, 47, center=Point3(0.006, 0, 0.6))],
-                               truth, "center")
+            match_measurements([meas("top", 40, 47, center=Point3(0.006, 0, 0.6))], truth)
 
     def test_measurement_without_center(self):
         truth = [GroundTruthRecord("a", 40, 47, Point3(0, 0, 0.6))]
         with pytest.raises(UnmatchedMeasurement):
-            match_measurements([meas("top", 40, 47)], truth, "center")
+            match_measurements([meas("top", 40, 47)], truth)
 
 
 class TestEvaluateRun:
@@ -206,7 +200,7 @@ class TestEvaluateRun:
         report = evaluate_run(per_cam["top"], per_cam, truth)
         text = format_report_text(report)
         assert "Top Camera" in text and "RMSE (mm)" in text and "Height" in text
-        payload = report_to_dict(report)
+        payload = asdict(report)
         assert [r["camera_id"] for r in payload["rows"]] == ["top", "fused"]
 
     def test_empty_camera_row(self):

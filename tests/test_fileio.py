@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from fruitgauge.errors import BundleIOError, InvalidPose
+from fruitgauge.errors import BundleIOError, DegenerateCircle, InvalidPose, LengthMismatch
 from fruitgauge.evaluation import GroundTruthRecord
 from fruitgauge.fileio import (
     Detection,
     DetectionFile,
     Record,
     dump_json,
+    load_json,
+    parsing,
     read_depth,
     read_detections,
     read_ground_truth_csv,
@@ -33,6 +35,33 @@ from fruitgauge.geometry import (
     translation_transform,
 )
 from fruitgauge.maskops import BinaryMask
+
+
+class TestParsing:
+    def test_missing_key_names_source(self):
+        with pytest.raises(BundleIOError, match=r"^doc\.json missing field 'x'$"):
+            with parsing("doc.json"):
+                {}["x"]
+
+    @pytest.mark.parametrize("error", [TypeError("t"), ValueError("v"), IndexError("i"),
+                                       AttributeError("a"), OverflowError("o"),
+                                       RecursionError("r"), DegenerateCircle("d"),
+                                       LengthMismatch("l")])
+    def test_malformed_value_names_source(self, error):
+        with pytest.raises(BundleIOError, match=f"^malformed doc.json: {error}$"):
+            with parsing("doc.json"):
+                raise error
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(InvalidPose):
+            with parsing("doc.json"):
+                raise InvalidPose("not a rotation")
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000], ids=["utf16-cut", "deep"])
+    def test_undecodable_json_names_file(self, tmp_path, raw):
+        (tmp_path / "bad.json").write_bytes(raw)
+        with pytest.raises(BundleIOError, match="bad.json"):
+            load_json(tmp_path / "bad.json")
 
 
 class TestPgm:
@@ -61,6 +90,12 @@ class TestPgm:
         p = tmp_path / "short.pgm"
         p.write_bytes(b"P5\n4 4\n65535\n\x00\x00")
         with pytest.raises(BundleIOError, match="short.pgm"):
+            read_pgm16(p)
+
+    def test_negative_size_rejected(self, tmp_path):
+        p = tmp_path / "neg.pgm"
+        p.write_bytes(b"P5\n-1 -1\n65535\n\x00\x00")
+        with pytest.raises(BundleIOError, match="neg.pgm"):
             read_pgm16(p)
 
     def test_8bit_maxval_rejected(self, tmp_path):
@@ -243,6 +278,12 @@ class TestGroundTruthCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(BundleIOError):
             read_ground_truth_csv(tmp_path / "absent.csv")
+
+    def test_overlong_field_names_file(self, tmp_path):
+        (tmp_path / "gt.csv").write_text(
+            "fruit_id,height_mm,width_mm,x_m,y_m,z_m\n" + "f" * 200_000 + ",40,47,,,\n")
+        with pytest.raises(BundleIOError, match="gt.csv"):
+            read_ground_truth_csv(tmp_path / "gt.csv")
 
     def test_bad_row_reports_location(self, tmp_path):
         (tmp_path / "gt.csv").write_text(

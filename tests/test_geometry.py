@@ -131,6 +131,18 @@ class TestSolveCameraChain:
 K_NODIST = CameraIntrinsics(1280, 720, 600.0, 600.0, 640.0, 360.0)
 
 
+@pytest.mark.parametrize("fx", [0.0, -1.0, np.nan, np.inf])
+def test_bad_focal_length_rejected(fx):
+    with pytest.raises(InvalidPose):
+        CameraIntrinsics(1280, 720, fx, 600.0, 640.0, 360.0)
+
+
+@pytest.mark.parametrize("scale", [0.0, -0.001, np.nan])
+def test_bad_depth_scale_rejected(scale):
+    with pytest.raises(InvalidDepth):
+        DepthImage(np.zeros((2, 2), np.uint16), scale)
+
+
 class TestDeprojectProject:
     def test_principal_point_on_axis(self):
         p = deproject(K_NODIST, Pixel(640, 360), 0.5)

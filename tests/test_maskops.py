@@ -60,6 +60,14 @@ class TestRLE:
         with pytest.raises(LengthMismatch):
             decode_rle([-1, 5], (2, 2))
 
+    @pytest.mark.parametrize("counts,size", [
+        ([6], (2, 3.5)), ([6], ("2", "3")), ([6], (2, 3, 1)), ([6], (2,)), ([5], (-1, -5)),
+        ([6], None), ([6.0], (2, 3)), (["6"], (2, 3)), ([True, 5], (2, 3)), (6, (2, 3)),
+    ])
+    def test_malformed_input_rejected(self, counts, size):
+        with pytest.raises(LengthMismatch):
+            decode_rle(counts, size)
+
     def test_roundtrip_random_masks(self, rng):
         for _ in range(200):
             h, w = rng.integers(1, 24, size=2)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fruitgauge.errors import InvalidSpec
+from fruitgauge.fileio import scene_from_dict, scene_to_dict
 from fruitgauge.geometry import (
     CameraIntrinsics,
     Point3,
@@ -26,8 +27,6 @@ from fruitgauge.simulate import (
     lab_scene,
     paper_rig,
     render_scene,
-    scene_from_dict,
-    scene_to_dict,
 )
 from fruitgauge.sizing import measure_fruit
 
@@ -292,6 +291,21 @@ class TestSceneValidation:
         with pytest.raises(InvalidSpec):
             FruitSpec("f", Point3(0, 0, 0.6), np.array([0.0, 0.01, 0.01]))
 
+    @pytest.mark.parametrize("center,semi", [
+        (Point3(math.nan, 0, 0.6), [0.02, 0.02, 0.02]),
+        (Point3(0, 0, math.inf), [0.02, 0.02, 0.02]),
+        (Point3(0, 0, 0.6), [math.inf, 0.02, 0.02]),
+        (Point3(0, 0, 0.6), [math.nan, 0.02, 0.02]),
+    ])
+    def test_non_finite_fruit_rejected(self, center, semi):
+        with pytest.raises(InvalidSpec):
+            FruitSpec("f", center, np.array(semi))
+
+    @pytest.mark.parametrize("field,value", [("seed", -1), ("depth_scale", math.nan)])
+    def test_bad_seed_or_depth_scale_rejected(self, field, value):
+        with pytest.raises(InvalidSpec):
+            SceneSpec(fruits=[], occluders=[], rig=[single_camera()], **{field: value})
+
     def test_empty_rig_rejected(self):
         with pytest.raises(InvalidSpec):
             SceneSpec(fruits=[], occluders=[], rig=[], noise=NoiseSpec(0.0), seed=0)
@@ -306,6 +320,10 @@ class TestSceneValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidSpec):
             NoiseSpec(-0.001)
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(InvalidSpec):
+            NoiseSpec(math.nan)
 
     def test_bad_occluder_shape_rejected(self):
         with pytest.raises(InvalidSpec):
