@@ -7,6 +7,9 @@ Conventions used throughout the package:
   ray passes through its integer coordinate (u, v).
 * A ``RigidTransform`` named ``a_to_b`` maps coordinates of frame ``a`` into
   frame ``b``; ``compose(a, b)`` applies ``b`` first, then ``a``.
+* ``pixel_to_ray``/``ray_to_pixel`` are the package's one camera model and
+  ``depth_units`` its one metric-to-sample rounding; being plain arithmetic,
+  they take Python floats as well as numpy arrays of any shape.
 """
 
 from __future__ import annotations
@@ -255,7 +258,7 @@ def _distort_normalized(xn, yn, d):
 def _undistort_normalized(xd, yd, d, fx, fy, max_iter=10, tol_px=1e-9):
     # Fixed-point iteration; converges quickly for sensor-typical coefficients.
     k1, k2, p1, p2, k3 = d
-    xn, yn = np.array(xd, dtype=float, copy=True), np.array(yd, dtype=float, copy=True)
+    xn, yn = xd, yd
     for _ in range(max_iter):
         r2 = xn * xn + yn * yn
         radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
@@ -270,28 +273,42 @@ def _undistort_normalized(xd, yd, d, fx, fy, max_iter=10, tol_px=1e-9):
     return xn, yn
 
 
+def pixel_to_ray(k: CameraIntrinsics, u, v):
+    """Pixel (u, v) -> normalized ray (x/z, y/z) in the camera frame, undistorted."""
+    xn = (u - k.ppx) / k.fx
+    yn = (v - k.ppy) / k.fy
+    if k.has_distortion:
+        return _undistort_normalized(xn, yn, k.distortion, k.fx, k.fy)
+    return xn, yn
+
+
+def ray_to_pixel(k: CameraIntrinsics, xn, yn):
+    """Normalized ray (x/z, y/z) in the camera frame -> pixel (u, v), distorted."""
+    if k.has_distortion:
+        xn, yn = _distort_normalized(xn, yn, k.distortion)
+    return k.fx * xn + k.ppx, k.fy * yn + k.ppy
+
+
+def depth_units(z_m, depth_scale: float):
+    """Metric depth -> uint16 depth samples: round half up, clip to 0..65535."""
+    return np.clip(np.floor(z_m / depth_scale + 0.5), 0, 65535).astype(np.uint16)
+
+
 def deproject(k: CameraIntrinsics, px: Pixel, depth_m: float) -> Point3:
     """Pixel + metric depth -> camera-frame 3D point."""
     if depth_m <= 0:
         raise InvalidDepth(f"depth must be positive, got {depth_m}")
     if not (0 <= px.u <= k.width - 1 and 0 <= px.v <= k.height - 1):
         raise OutOfBounds(f"pixel ({px.u},{px.v}) outside {k.width}x{k.height}")
-    xn = (px.u - k.ppx) / k.fx
-    yn = (px.v - k.ppy) / k.fy
-    if k.has_distortion:
-        xn, yn = _undistort_normalized(xn, yn, k.distortion, k.fx, k.fy)
-        xn, yn = float(xn), float(yn)
-    return Point3(xn * depth_m, yn * depth_m, depth_m)
+    xn, yn = pixel_to_ray(k, px.u, px.v)
+    return Point3(float(xn) * depth_m, float(yn) * depth_m, depth_m)
 
 
 def project(k: CameraIntrinsics, p: Point3) -> Pixel:
     """Camera-frame 3D point -> pixel (not necessarily inside the image)."""
     if p.z <= 0:
         raise BehindCamera(f"cannot project point with z={p.z}")
-    xn, yn = p.x / p.z, p.y / p.z
-    if k.has_distortion:
-        xn, yn = _distort_normalized(xn, yn, k.distortion)
-    return Pixel(k.fx * xn + k.ppx, k.fy * yn + k.ppy)
+    return Pixel(*ray_to_pixel(k, p.x / p.z, p.y / p.z))
 
 
 def align_depth_to_color(
@@ -312,26 +329,19 @@ def align_depth_to_color(
         return DepthImage(out, depth.depth_scale)
 
     z = depth.data[vv, uu].astype(float) * depth.depth_scale
-    xn = (uu - depth_k.ppx) / depth_k.fx
-    yn = (vv - depth_k.ppy) / depth_k.fy
-    if depth_k.has_distortion:
-        xn, yn = _undistort_normalized(xn, yn, depth_k.distortion, depth_k.fx, depth_k.fy)
-    pts = np.column_stack([xn * z, yn * z, z])
-    pts = apply_points(depth_to_color, pts)
+    xn, yn = pixel_to_ray(depth_k, uu, vv)
+    pts = apply_points(depth_to_color, np.column_stack([xn * z, yn * z, z]))
 
     front = pts[:, 2] > 0
     pts = pts[front]
     if len(pts) == 0:
         return DepthImage(out, depth.depth_scale)
-    xn, yn = pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2]
-    if color_k.has_distortion:
-        xn, yn = _distort_normalized(xn, yn, color_k.distortion)
-    uo = np.floor(color_k.fx * xn + color_k.ppx + 0.5).astype(int)
-    vo = np.floor(color_k.fy * yn + color_k.ppy + 0.5).astype(int)
+    u, v = ray_to_pixel(color_k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
+    uo = np.floor(u + 0.5).astype(int)
+    vo = np.floor(v + 0.5).astype(int)
     inside = (uo >= 0) & (uo < color_k.width) & (vo >= 0) & (vo < color_k.height)
     uo, vo = uo[inside], vo[inside]
-    samples = np.floor(pts[inside, 2] / depth.depth_scale + 0.5)
-    samples = np.clip(samples, 0, 65535).astype(np.uint16)
+    samples = depth_units(pts[inside, 2], depth.depth_scale)
 
     # z-buffer: keep the nearest nonzero sample per output pixel
     order = np.argsort(samples, kind="stable")[::-1]  # write nearest last

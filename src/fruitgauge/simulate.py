@@ -29,7 +29,10 @@ from .geometry import (
     RigidTransform,
     apply,
     apply_points,
+    depth_units,
     invert,
+    pixel_to_ray,
+    ray_to_pixel,
 )
 from .maskops import BinaryMask
 
@@ -177,8 +180,7 @@ def _object_window(corners_world: np.ndarray, world_to_cam: RigidTransform,
     pts = apply_points(world_to_cam, corners_world)
     if np.any(pts[:, 2] <= 1e-6):
         return (0, k.width - 1, 0, k.height - 1)
-    u = k.fx * pts[:, 0] / pts[:, 2] + k.ppx
-    v = k.fy * pts[:, 1] / pts[:, 2] + k.ppy
+    u, v = ray_to_pixel(k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
     u0 = max(int(np.floor(u.min())) - margin, 0)
     u1 = min(int(np.ceil(u.max())) + margin, k.width - 1)
     v0 = max(int(np.floor(v.min())) - margin, 0)
@@ -216,11 +218,7 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
             continue
         u0, u1, v0, v1 = window
         uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-        dirs_cam = np.column_stack([
-            ((uu.ravel() - k.ppx) / k.fx),
-            ((vv.ravel() - k.ppy) / k.fy),
-            np.ones(uu.size),
-        ])
+        dirs_cam = np.column_stack([*pixel_to_ray(k, uu.ravel(), vv.ravel()), np.ones(uu.size)])
         dirs_world = dirs_cam @ rot.T
         if isinstance(obj, FruitSpec):
             t = _ellipsoid_ts(origin, dirs_world, obj.center_world.to_array(), obj.semi_axes)
@@ -235,8 +233,7 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
 
     hit = np.isfinite(best_t)
     samples = np.zeros(best_t.shape, dtype=np.uint16)
-    q = np.floor(best_t[hit] / spec.depth_scale + 0.5)
-    samples[hit] = np.clip(q, 0, 65535).astype(np.uint16)
+    samples[hit] = depth_units(best_t[hit], spec.depth_scale)
 
     masks: Dict[str, BinaryMask] = {}
     for idx, fruit in enumerate(spec.fruits):
@@ -260,7 +257,7 @@ def add_depth_noise(depth: DepthImage, sigma_at_1m: float, seed: int) -> DepthIm
     noise = rng.standard_normal(depth.data.shape)
     z = depth.data.astype(float) * depth.depth_scale
     z_noisy = z + noise * sigma_at_1m * z * z
-    q = np.clip(np.floor(z_noisy / depth.depth_scale + 0.5), 0, 65535).astype(np.uint16)
+    q = depth_units(z_noisy, depth.depth_scale)
     q[depth.data == 0] = 0
     return DepthImage(q, depth.depth_scale)
 
@@ -343,18 +340,11 @@ def _chord_coordinate(fraction: float) -> float:
 def _window_quad(cam: RigCamera, u_range: Tuple[float, float],
                  v_range: Tuple[float, float], leaf_depth_m: float) -> QuadOccluder:
     """Quad perpendicular to the camera axis covering a pixel window exactly."""
-    k = cam.intrinsics
-    corners_px = [
-        (u_range[0], v_range[0]), (u_range[1], v_range[0]),
-        (u_range[1], v_range[1]), (u_range[0], v_range[1]),
-    ]
-    corners_world = []
-    for u, v in corners_px:
-        p_cam = np.array([(u - k.ppx) / k.fx * leaf_depth_m,
-                          (v - k.ppy) / k.fy * leaf_depth_m,
-                          leaf_depth_m])
-        corners_world.append(apply(cam.cam_to_world, Point3.from_array(p_cam)).to_array())
-    return QuadOccluder(np.array(corners_world))
+    us = np.array([u_range[0], u_range[1], u_range[1], u_range[0]])
+    vs = np.array([v_range[0], v_range[0], v_range[1], v_range[1]])
+    xn, yn = pixel_to_ray(cam.intrinsics, us, vs)
+    corners_cam = np.column_stack([xn, yn, np.ones(4)]) * leaf_depth_m
+    return QuadOccluder(apply_points(cam.cam_to_world, corners_cam))
 
 
 def _leaves_for_fruit(fruit: FruitSpec, cam: RigCamera, cut: str, fraction: float,
@@ -371,8 +361,7 @@ def _leaves_for_fruit(fruit: FruitSpec, cam: RigCamera, cut: str, fraction: floa
     c_cam = apply(invert(cam.cam_to_world), fruit.center_world).to_array()
     if c_cam[2] <= 0:
         raise InvalidSpec("occluded fruit is behind the occluded camera")
-    u0 = k.fx * c_cam[0] / c_cam[2] + k.ppx
-    v0 = k.fy * c_cam[1] / c_cam[2] + k.ppy
+    u0, v0 = ray_to_pixel(k, c_cam[0] / c_cam[2], c_cam[1] / c_cam[2])
     ax, ay, az = fruit.semi_axes
     view_world = cam.cam_to_world.rotation @ (c_cam / np.linalg.norm(c_cam))
     sin_elev = abs(float(view_world[1]))

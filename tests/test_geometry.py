@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import fruitgauge
 
 from fruitgauge.errors import BehindCamera, InvalidDepth, InvalidPose, OutOfBounds
 from fruitgauge.geometry import (
@@ -12,9 +17,12 @@ from fruitgauge.geometry import (
     apply,
     compose,
     deproject,
+    depth_units,
     distance,
     invert,
+    pixel_to_ray,
     project,
+    ray_to_pixel,
     rotation_about,
     solve_camera_chain,
     translation_transform,
@@ -181,12 +189,59 @@ class TestDeprojectProject:
     )
     def test_roundtrip_10k_random_pixels(self, k):
         rng = np.random.default_rng(14)
-        for _ in range(10000):
-            u = rng.uniform(0, k.width - 1)
-            v = rng.uniform(0, k.height - 1)
-            d = rng.uniform(0.2, 3.0)
-            px = project(k, deproject(k, Pixel(u, v), d))
+        us = rng.uniform(0, k.width - 1, 10000)
+        vs = rng.uniform(0, k.height - 1, 10000)
+        ds = rng.uniform(0.2, 3.0, 10000)
+        points, pixels = [], []
+        for u, v, d in zip(us.tolist(), vs.tolist(), ds.tolist()):
+            p = deproject(k, Pixel(u, v), d)
+            px = project(k, p)
             assert abs(px.u - u) <= 1e-6 and abs(px.v - v) <= 1e-6
+            points.append(p)
+            pixels.append(px)
+
+        # the camera model takes whole arrays and agrees with the scalar calls
+        xn, yn = pixel_to_ray(k, us, vs)
+        assert np.allclose(np.column_stack([xn * ds, yn * ds, ds]), points, rtol=0, atol=1e-12)
+        pts = np.array(points)
+        u, v = ray_to_pixel(k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
+        assert np.array_equal(np.column_stack([u, v]), pixels)
+
+
+@pytest.mark.parametrize(
+    "z_m, scale, expected",
+    [
+        (0.0, 0.001, 0),
+        (0.6, 0.001, 600),
+        (0.0004999, 0.001, 0),
+        (0.0005, 0.001, 1),        # half rounds up
+        (0.0015, 0.001, 2),
+        (0.6235, 0.001, 624),
+        (0.125, 0.25, 1),          # exactly half a unit
+        (-0.2, 0.001, 0),          # negative clips to "no depth"
+        (65.535, 0.001, 65535),
+        (65.5354, 0.001, 65535),
+        (70.0, 0.001, 65535),      # beyond the 16-bit range clips
+        (1e9, 0.001, 65535),
+    ],
+)
+def test_depth_units(z_m, scale, expected):
+    got = depth_units(np.array([z_m]), scale)
+    assert got.dtype == np.uint16 and got.tolist() == [expected]
+    assert int(depth_units(z_m, scale)) == expected
+
+
+def test_only_geometry_and_fileio_read_the_camera_model():
+    # Principal point and distortion are read by the camera model in
+    # geometry (and serialized by fileio); every other module goes through
+    # pixel_to_ray/ray_to_pixel.
+    readers = set()
+    for path in sorted(Path(fruitgauge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("ppx", "ppy", "distortion"):
+                readers.add(f"{path.name}:{node.lineno}")
+    assert readers and {r.split(":")[0] for r in readers} <= {"geometry.py", "fileio.py"}, \
+        sorted(r for r in readers if not r.startswith(("geometry.py", "fileio.py")))
 
 
 class TestAlignDepthToColor:
