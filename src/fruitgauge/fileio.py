@@ -122,9 +122,14 @@ def _read_bytes(path: Path) -> bytes:
 
 
 def dump_json(obj, path: Path) -> None:
+    """One line of JSON plus a newline, keys in insertion order.
+
+    No ``indent``: it makes CPython's ``json`` fall back from its C encoder
+    to the pure-Python one, several times slower on large documents.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json.dumps(obj) + "\n")
 
 
 def load_json(path: Path):

@@ -10,7 +10,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .sizing import FittedCircle
 
 if TYPE_CHECKING:
     from .fileio import Record
-
-DEFAULT_CAMERA_ORDER = ("top", "middle", "bottom")
 
 
 def estimate_metric_radius(circle: FittedCircle, depth_m: float, k: CameraIntrinsics) -> float:
@@ -83,35 +81,22 @@ class WorldFruit:
         return self.members[self.chosen]
 
 
-def _camera_rank(camera_id: str, camera_order: Sequence[str]) -> Tuple[int, str]:
-    try:
-        return (camera_order.index(camera_id), camera_id)
-    except ValueError:
-        return (len(camera_order), camera_id)
-
-
-def select_best(
-    members: Sequence[Record],
-    camera_order: Sequence[str] = DEFAULT_CAMERA_ORDER,
-) -> int:
+def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:
     """Index of the member to report for a cluster.
 
-    Highest fill ratio wins; exact ties fall back to camera order, then to
-    the lowest frame id and detection index. Members need ``fill_ratio``,
-    ``camera_id``, ``frame_id`` and ``detection_index`` attributes.
+    Highest fill ratio wins; exact ties fall back to the rig's camera order,
+    then to the lowest frame id and detection index. Members need
+    ``fill_ratio``, ``camera_id``, ``frame_id`` and ``detection_index``
+    attributes, and every ``camera_id`` must be in ``camera_order``.
     """
     def key(i: int):
         m = members[i]
-        return (-m.fill_ratio, _camera_rank(m.camera_id, camera_order),
-                m.frame_id, m.detection_index)
+        return (-m.fill_ratio, camera_order.index(m.camera_id), m.frame_id, m.detection_index)
 
     return min(range(len(members)), key=key)
 
 
-def deduplicate(
-    records: Sequence[Record],
-    camera_order: Sequence[str] = DEFAULT_CAMERA_ORDER,
-) -> List[WorldFruit]:
+def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[WorldFruit]:
     """Cluster world-frame records of the same physical fruit.
 
     Records need ``center_world_m`` and ``radius_m`` attributes, plus those

@@ -188,3 +188,19 @@ def median_edge_depth(edges: EdgeSet, depth: DepthImage) -> float:
         raise NoValidDepth("no edge pixel has a depth sample")
     ordered = np.sort(valid)
     return float(ordered[(len(ordered) - 1) // 2]) * depth.depth_scale
+
+
+def nearest_mask_depth(mask: BinaryMask, depth: DepthImage,
+                       bbox: Tuple[int, int, int, int], px: Pixel) -> float:
+    """Metric depth at the mask pixel nearest ``px`` that has a depth sample.
+
+    Reads only the bbox window (x, y, w, h), which must lie inside the image.
+    Exact distance ties go to the first such pixel in row-major order.
+    """
+    x, y, w, h = bbox
+    samples = depth.data[y:y + h, x:x + w]
+    vs, us = np.nonzero(mask.data[y:y + h, x:x + w] & (samples > 0))
+    if len(us) == 0:
+        raise NoValidDepth("no mask pixel in the bbox has a depth sample")
+    i = int(np.argmin((us + x - px.u) ** 2 + (vs + y - px.v) ** 2))
+    return float(samples[vs[i], us[i]]) * depth.depth_scale

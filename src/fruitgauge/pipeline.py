@@ -18,6 +18,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from . import fileio
 from .calibrate import solve_rig
 from .errors import (
@@ -36,6 +38,7 @@ from .evaluation import evaluate_run, format_report_text
 from .fileio import Record
 from .fusion import deduplicate, estimate_metric_radius, localize
 from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
+from .maskops import nearest_mask_depth
 from .simulate import CaptureBundle, render_scene
 from .sizing import measure_fruit
 
@@ -118,6 +121,13 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
     if det.mask.data.shape != (k.height, k.width) or depth.data.shape != (k.height, k.width):
         raise LengthMismatch(f"mask {det.mask.data.shape} or depth {depth.data.shape} "
                              f"differs from the {k.height}x{k.width} image")
+    x, y, w, h = det.bbox
+    # the bbox clipped to the image, so that a negative x or y cannot wrap around a slice
+    x0, x1 = np.clip([x, x + w], 0, k.width)
+    y0, y1 = np.clip([y, y + h], 0, k.height)
+    if np.count_nonzero(det.mask.data[y0:y1, x0:x1]) != np.count_nonzero(det.mask.data):
+        raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
+    window = (x0, y0, x1 - x0, y1 - y0)
     m = measure_fruit(
         det.mask, depth, k,
         extreme_source=config.extreme_point_source,
@@ -126,11 +136,11 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
     )
     center_px = _bbox_center(det.bbox)
     center_depth = depth.depth_m_at(center_px)
-    # A view with no depth sample at its bbox center falls back to the edge median.
-    localization_depth = center_depth or float(m.median_depth_m)
-    radius_m = estimate_metric_radius(m.circle, localization_depth, k)
-    center_world = localize(center_px, localization_depth, radius_m, k, cam.cam_to_world)
-    x, y, w, h = det.bbox
+    # A view with no depth sample at its bbox center takes its front surface
+    # from the nearest sampled mask pixel and its radius from the edge median.
+    radius_m = estimate_metric_radius(m.circle, center_depth or float(m.median_depth_m), k)
+    front_depth = center_depth or nearest_mask_depth(det.mask, depth, window, center_px)
+    center_world = localize(center_px, front_depth, radius_m, k, cam.cam_to_world)
     return Record(
         frame_id=frame_id,
         camera_id=cam.camera_id,

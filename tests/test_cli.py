@@ -8,8 +8,15 @@ import pytest
 
 from fruitgauge import fusion, pipeline
 from fruitgauge.cli import main
-from fruitgauge.fileio import dump_json, read_rig, scene_to_dict, transform_to_dict
-from fruitgauge.geometry import compose, invert, rotation_about
+from fruitgauge.fileio import (
+    dump_json,
+    read_depth,
+    read_rig,
+    scene_to_dict,
+    transform_to_dict,
+    write_depth,
+)
+from fruitgauge.geometry import DepthImage, compose, invert, rotation_about
 from fruitgauge.maskops import BinaryMask, encode_rle
 from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
 
@@ -167,13 +174,21 @@ class TestMalformedRecords:
 class TestMeasureIngest:
     """A bad detection becomes a warning; the rest of the run completes."""
 
-    def measure_damaged(self, runs, tmp_path, damage):
+    def measure_damaged(self, runs, tmp_path, damage, blank_center=False):
+        """Measure a bundle copy with ``damage`` applied to detection 4 of the
+        middle camera; ``blank_center`` also zeroes the depth at its bbox center."""
         bundle = tmp_path / "bundle"
         shutil.copytree(runs[0] / "bundle", bundle)
         det_path = bundle / "detections" / "middle_000.json"
         doc = load(det_path)
         damage(doc["detections"][4])
         dump_json(doc, det_path)
+        if blank_center:
+            x, y, w, h = doc["detections"][4]["bbox"]
+            depth = read_depth(bundle / "depth" / "middle_000.pgm")
+            data = depth.data.copy()
+            data[round(y + (h - 1) / 2), round(x + (w - 1) / 2)] = 0
+            write_depth(bundle / "depth" / "middle_000.pgm", DepthImage(data, depth.depth_scale))
         code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
         return code, tmp_path / "out" / "records.json"
 
@@ -196,6 +211,37 @@ class TestMeasureIngest:
             runs, tmp_path, lambda d: d.update(bbox=[5000, 5000, 10, 10]))
         assert code == 0
         self.assert_one_warning(records, "OutOfBounds")
+
+    def test_bbox_shifted_off_its_mask(self, runs, tmp_path):
+        def shift(d):
+            x, y, w, h = d["bbox"]
+            d["bbox"] = [x + w // 2, y, w, h]
+        code, records = self.measure_damaged(runs, tmp_path, shift)
+        assert code == 0
+        self.assert_one_warning(records, "OutOfBounds")
+
+    def test_bbox_with_negative_x(self, runs, tmp_path):
+        # clipped to the image, a bbox from x = -5 holds the whole mask, and
+        # the nearest mask pixel with depth stands in for its blank center ...
+        def widen(d):
+            x, y, w, h = d["bbox"]
+            d["bbox"] = [-5, y, x + w + 5, h]
+        code, records = self.measure_damaged(runs, tmp_path / "a", widen, blank_center=True)
+        assert code == 0 and load(records)["warnings"] == []
+        # ... and one whose center is in the image but which ends before the mask does not
+        code, records = self.measure_damaged(
+            runs, tmp_path / "b", lambda d: d.update(bbox=[-5, d["bbox"][1], 20, d["bbox"][3]]))
+        assert code == 0
+        self.assert_one_warning(records, "OutOfBounds")
+
+    def test_view_without_center_depth_lands_on_its_fruit(self, runs, tmp_path):
+        code, records = self.measure_damaged(runs, tmp_path, lambda d: None, blank_center=True)
+        assert code == 0
+        record, = [r for r in load(records)["records"]
+                   if (r["camera_id"], r["detection_index"]) == ("middle", 4)]
+        fruit, = [f for f in lab_scene(0).fruits if f.fruit_id == record["fruit_id"]]
+        assert record["center_depth_m"] == 0
+        assert np.linalg.norm(np.subtract(record["center_world_m"], fruit.center_world)) < 0.004
 
     def test_rig_without_a_detected_camera_exits_1(self, runs, tmp_path, capsys):
         bundle = tmp_path / "bundle"

@@ -20,6 +20,7 @@ from fruitgauge.geometry import (
 from fruitgauge.sizing import FittedCircle
 
 K500 = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
+ORDER = ("top", "middle", "bottom")  # the rig's camera order
 
 
 @dataclass(frozen=True)
@@ -76,23 +77,24 @@ class TestLocalize:
 
 class TestDeduplicate:
     def test_close_pair_merges(self):
-        fruits = deduplicate([det(0, 0, 0.6), det(0.010, 0, 0.6)])
+        fruits = deduplicate([det(0, 0, 0.6), det(0.010, 0, 0.6)], ORDER)
         assert len(fruits) == 1 and len(fruits[0].members) == 2
 
     def test_far_pair_stays_apart(self):
-        fruits = deduplicate([det(0, 0, 0.6), det(0.100, 0, 0.6)])
+        fruits = deduplicate([det(0, 0, 0.6), det(0.100, 0, 0.6)], ORDER)
         assert len(fruits) == 2
 
     def test_chain_merges_transitively(self):
         # a-b and b-c within radius, a-c not: one cluster of three
-        fruits = deduplicate([det(0, 0, 0.6), det(0.020, 0, 0.6), det(0.040, 0, 0.6)])
+        fruits = deduplicate([det(0, 0, 0.6), det(0.020, 0, 0.6), det(0.040, 0, 0.6)],
+                             ORDER)
         assert len(fruits) == 1 and len(fruits[0].members) == 3
 
     def test_empty_input(self):
-        assert deduplicate([]) == []
+        assert deduplicate([], ORDER) == []
 
     def test_cluster_center_and_radius_are_means(self):
-        fruits = deduplicate([det(0, 0, 0.6, r=0.020), det(0.01, 0, 0.6, r=0.030)])
+        fruits = deduplicate([det(0, 0, 0.6, r=0.020), det(0.01, 0, 0.6, r=0.030)], ORDER)
         f = fruits[0]
         assert f.center_world.x == pytest.approx(0.005)
         assert f.radius_m == pytest.approx(0.025)
@@ -101,12 +103,12 @@ class TestDeduplicate:
         base = [det(*rng.uniform(-0.3, 0.3, size=2), 0.6 + rng.uniform(-0.05, 0.05),
                     r=rng.uniform(0.015, 0.03), index=i) for i in range(20)]
         reference = {frozenset(m.detection_index for m in f.members)
-                     for f in deduplicate(base)}
+                     for f in deduplicate(base, ORDER)}
         for _ in range(10):
             perm = list(base)
             rng.shuffle(perm)
             got = {frozenset(m.detection_index for m in f.members)
-                   for f in deduplicate(perm)}
+                   for f in deduplicate(perm, ORDER)}
             assert got == reference
 
     def test_cluster_count_monotone_in_radius(self, rng):
@@ -115,34 +117,35 @@ class TestDeduplicate:
         counts = []
         for scale in (1, 5, 20, 60, 200):
             scaled = [replace(p, radius_m=p.radius_m * scale) for p in pts]
-            counts.append(len(deduplicate(scaled)))
+            counts.append(len(deduplicate(scaled, ORDER)))
         assert counts == sorted(counts, reverse=True)
 
     def test_larger_radius_decides_a_match(self):
         pair = [det(0, 0, 0.6, r=0.005), det(0.010, 0, 0.6, r=0.030)]
-        assert len(deduplicate(pair)) == 1
+        assert len(deduplicate(pair, ORDER)) == 1
 
 
 class TestSelectBest:
     def test_highest_fill_ratio_wins(self):
         members = [FakeMeas(0.73, "top"), FakeMeas(0.94, "bottom")]
-        assert select_best(members) == 1
+        assert select_best(members, ORDER) == 1
 
     def test_single_member(self):
-        assert select_best([FakeMeas(0.5)]) == 0
+        assert select_best([FakeMeas(0.5)], ORDER) == 0
 
     def test_tie_broken_by_camera_order(self):
         members = [FakeMeas(0.90, "bottom"), FakeMeas(0.90, "top")]
-        assert select_best(members) == 1  # top precedes bottom
+        assert select_best(members, ORDER) == 1  # top precedes bottom
+        assert select_best(members, ("bottom", "middle", "top")) == 0
 
     def test_tie_broken_by_frame_then_index(self):
         members = [FakeMeas(0.9, "top", "002", 0), FakeMeas(0.9, "top", "001", 3),
                    FakeMeas(0.9, "top", "001", 1)]
-        assert select_best(members) == 2
+        assert select_best(members, ORDER) == 2
 
     def test_chosen_attribute_on_clusters(self):
         fruits = deduplicate([det(0, 0, 0.6, fill=0.73, cam="top"),
-                              det(0.005, 0, 0.6, fill=0.94, cam="bottom", index=1)])
+                              det(0.005, 0, 0.6, fill=0.94, cam="bottom", index=1)], ORDER)
         assert fruits[0].chosen_member.fill_ratio == 0.94
         assert all(fruits[0].chosen_member.fill_ratio >= m.fill_ratio
                    for m in fruits[0].members)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fruitgauge.errors import EmptyMask, LengthMismatch, NoValidDepth
-from fruitgauge.geometry import DepthImage
+from fruitgauge.geometry import DepthImage, Pixel
 from fruitgauge.maskops import (
     EDGE_KERNEL,
     BinaryMask,
@@ -13,6 +13,7 @@ from fruitgauge.maskops import (
     extract_edges,
     extreme_points,
     median_edge_depth,
+    nearest_mask_depth,
 )
 
 
@@ -230,3 +231,24 @@ class TestMedianEdgeDepth:
             edges = self.edges_at([(i, 0) for i in range(n)])
             got = median_edge_depth(edges, DepthImage(data))
             assert abs(got - clean * 0.001) <= 0.001 + 1e-12
+
+
+class TestNearestMaskDepth:
+    def test_nearest_sampled_mask_pixel(self):
+        mask = disc_mask(64, 64, 32, 32, 10)
+        # the center has no sample; (34, 32) is nearer than (32, 29)
+        depth = depth_from_map({(34, 32): 601, (32, 29): 602, (31, 32): 0, (1, 1): 5})
+        assert nearest_mask_depth(mask, depth, mask.bbox(), Pixel(32, 32)) == pytest.approx(0.601)
+
+    def test_tie_goes_to_first_in_row_major_order(self):
+        mask = disc_mask(64, 64, 32, 32, 10)
+        depth = depth_from_map({(32, 34): 610, (34, 32): 620, (30, 32): 630})
+        assert nearest_mask_depth(mask, depth, mask.bbox(), Pixel(32, 32)) == pytest.approx(0.630)
+
+    def test_reads_only_mask_pixels_inside_the_window(self):
+        mask = disc_mask(64, 64, 32, 32, 10)
+        depth = depth_from_map({(32, 32): 100, (40, 32): 640, (2, 2): 1})
+        # (2, 2) is outside the mask, (32, 32) outside the window
+        assert nearest_mask_depth(mask, depth, (36, 22, 7, 21), Pixel(32, 32)) == pytest.approx(0.640)
+        with pytest.raises(NoValidDepth):
+            nearest_mask_depth(mask, depth, (0, 0, 20, 20), Pixel(32, 32))
