@@ -249,6 +249,7 @@ class TestNearestMaskDepth:
         mask = disc_mask(64, 64, 32, 32, 10)
         depth = depth_from_map({(32, 32): 100, (40, 32): 640, (2, 2): 1})
         # (2, 2) is outside the mask, (32, 32) outside the window
-        assert nearest_mask_depth(mask, depth, (36, 22, 7, 21), Pixel(32, 32)) == pytest.approx(0.640)
+        got = nearest_mask_depth(mask, depth, (36, 22, 7, 21), Pixel(32, 32))
+        assert got == pytest.approx(0.640)
         with pytest.raises(NoValidDepth):
             nearest_mask_depth(mask, depth, (0, 0, 20, 20), Pixel(32, 32))
