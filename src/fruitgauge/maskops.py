@@ -1,14 +1,21 @@
 """Binary instance-mask utilities.
 
-Masks are stored as boolean (height, width) arrays. The RLE interchange
-format is row-major with alternating run counts, the first count giving the
-number of leading background pixels (possibly 0).
+A mask stores only its tight bounding-box crop: ``data[r, c]`` is pixel
+(x0 + c, y0 + r) of a ``height`` x ``width`` frame, and every pixel outside
+the crop is background. An empty mask holds a 0x0 crop at (0, 0). A fruit
+covers well under 1% of a frame, so every operation here reads the crop (or
+a window clipped to it), never the whole frame.
+
+The RLE interchange format (COCO-style) is row-major over the whole frame,
+with alternating run counts, the first count giving the number of leading
+background pixels (possibly 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from itertools import accumulate
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,36 +32,70 @@ MAX_INVALID_EDGE_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class BinaryMask:
-    data: np.ndarray  # bool, shape (height, width)
+    """Instance mask of a (height, width) ``frame``, held as its tight bbox crop.
+
+    ``data`` with offset (``x0``, ``y0``) may be any 2D window of the frame,
+    or with ``frame`` None the whole frame; construction trims it to the
+    tight crop of its nonzero pixels and copies it as bool.
+    """
+
+    data: np.ndarray
+    x0: int = 0
+    y0: int = 0
+    frame: Optional[Tuple[int, int]] = None   # (height, width); None: ``data`` is the frame
 
     def __post_init__(self):
         d = np.asarray(self.data)
         if d.ndim != 2:
             raise LengthMismatch(f"mask must be 2D, got shape {d.shape}")
-        object.__setattr__(self, "data", d.astype(bool))
+        h, w = d.shape if self.frame is None else self.frame
+        x0, y0 = self.x0, self.y0
+        if not (0 <= x0 and 0 <= y0 and x0 + d.shape[1] <= w and y0 + d.shape[0] <= h):
+            raise LengthMismatch(f"{d.shape} mask window at ({x0}, {y0}) "
+                                 f"exceeds the {h}x{w} frame")
+        rows = np.flatnonzero(d.any(axis=1))
+        if len(rows) == 0:
+            d, x0, y0 = np.zeros((0, 0), dtype=bool), 0, 0
+        else:
+            cols = np.flatnonzero(d.any(axis=0))
+            d = d[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1].astype(bool)
+            x0, y0 = x0 + int(cols[0]), y0 + int(rows[0])
+        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "x0", int(x0))
+        object.__setattr__(self, "y0", int(y0))
+        object.__setattr__(self, "frame", (int(h), int(w)))
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.frame[1]
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.frame[0]
 
     @property
     def count(self) -> int:
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
     def is_empty(self) -> bool:
-        return not self.data.any()
+        return self.data.size == 0
 
     def bbox(self) -> Tuple[int, int, int, int]:
         """Tight bounding box as (x, y, w, h)."""
         if self.is_empty():
             raise EmptyMask("empty mask has no bounding box")
-        vs, us = np.nonzero(self.data)
-        return (int(us.min()), int(vs.min()),
-                int(us.max() - us.min() + 1), int(vs.max() - vs.min() + 1))
+        return (self.x0, self.y0, self.data.shape[1], self.data.shape[0])
+
+    def window(self, x: int, y: int, w: int, h: int) -> np.ndarray:
+        """The mask over frame pixels x..x+w-1, y..y+h-1 as a (h, w) bool array."""
+        out = np.zeros((h, w), dtype=bool)
+        ch, cw = self.data.shape
+        u0, u1 = max(x, self.x0), min(x + w, self.x0 + cw)
+        v0, v1 = max(y, self.y0), min(y + h, self.y0 + ch)
+        if u0 < u1 and v0 < v1:
+            crop = self.data[v0 - self.y0:v1 - self.y0, u0 - self.x0:u1 - self.x0]
+            out[v0 - y:v1 - y, u0 - x:u1 - x] = crop
+        return out
 
 
 @dataclass(frozen=True)
@@ -86,32 +127,47 @@ class ExtremePoints(NamedTuple):
 
 def decode_rle(counts: Sequence[int], size: Tuple[int, int]) -> BinaryMask:
     """Decode alternating run-length counts (background first) into a mask
-    of ``size`` (height, width); both hold ints, not floats, strings or bools."""
+    of ``size`` (height, width); both hold ints, not floats, strings or bools.
+
+    Only the rows from the first to the last foreground run are expanded.
+    """
     if not (isinstance(size, (list, tuple)) and len(size) == 2
             and all(type(v) is int and v >= 0 for v in size)):
         raise LengthMismatch(f"mask size must be two non-negative integers, got {size!r}")
     if not isinstance(counts, (list, tuple)) or any(type(c) is not int or c < 0 for c in counts):
         raise LengthMismatch("run counts must be non-negative integers")
     h, w = size
-    if sum(counts) != h * w:
-        raise LengthMismatch(f"counts sum to {sum(counts)}, expected {h * w}")
-    values = np.arange(len(counts)) % 2 == 1
-    flat = np.repeat(values, counts)
-    return BinaryMask(flat.reshape(h, w))
+    ends = list(accumulate(counts))
+    if (ends[-1] if ends else 0) != h * w:
+        raise LengthMismatch(f"counts sum to {ends[-1] if ends else 0}, expected {h * w}")
+    runs = [i for i in range(1, len(counts), 2) if counts[i]]
+    if not runs:
+        return BinaryMask(np.zeros((0, 0), dtype=bool), frame=(h, w))
+    first, last = ends[runs[0]] - counts[runs[0]], ends[runs[-1]]
+    lo, hi = first // w * w, -(-last // w) * w  # whole rows holding foreground
+    window = [first - lo, *counts[runs[0]:runs[-1] + 1], hi - last]
+    flat = np.repeat(np.arange(len(window)) % 2 == 1, window)
+    return BinaryMask(flat.reshape(-1, w), 0, lo // w, (h, w))
 
 
 def encode_rle(mask: BinaryMask) -> dict:
     """Inverse of decode_rle; canonical form (only the first count may be 0)."""
-    flat = mask.data.reshape(-1)
-    if len(flat) == 0:
-        return {"size": [mask.height, mask.width], "counts": []}
-    change = np.nonzero(flat[1:] != flat[:-1])[0] + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(flat)]])
-    counts = (ends - starts).tolist()
-    if flat[0]:  # canonical form starts with a (possibly zero) background run
-        counts = [0] + counts
-    return {"size": [mask.height, mask.width], "counts": counts}
+    h, w = mask.frame
+    if mask.is_empty():
+        return {"size": [h, w], "counts": [h * w] if h * w else []}
+    # +1 where a row's foreground run starts, -1 one past where it ends
+    steps = np.diff(np.pad(mask.data.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, cols = np.nonzero(steps)
+    flat = (rows + mask.y0) * w + cols + mask.x0
+    starts, ends = flat[0::2], flat[1::2]
+    # a run that reaches the right border continues on the next row
+    joined = starts[1:] == ends[:-1]
+    starts = np.concatenate([starts[:1], starts[1:][~joined]])
+    ends = np.concatenate([ends[:-1][~joined], ends[-1:]])
+    background = starts - np.concatenate([[0], ends[:-1]])
+    counts = np.column_stack([background, ends - starts]).ravel().tolist()
+    tail = h * w - int(ends[-1])
+    return {"size": [h, w], "counts": counts + [tail] if tail else counts}
 
 
 def extract_edges(mask: BinaryMask) -> EdgeSet:
@@ -122,9 +178,8 @@ def extract_edges(mask: BinaryMask) -> EdgeSet:
     """
     if mask.is_empty():
         return EdgeSet(np.empty((0, 2), dtype=np.int64))
-    # Work on the bounding box only; everything outside is background.
-    x, y, w, h = mask.bbox()
-    win = mask.data[y:y + h, x:x + w]
+    win = mask.data
+    h, w = win.shape
     padded = np.pad(win, 1, mode="constant", constant_values=False)
     neighbors = np.zeros(win.shape, dtype=np.uint8)
     for dv in (-1, 0, 1):
@@ -134,7 +189,7 @@ def extract_edges(mask: BinaryMask) -> EdgeSet:
             neighbors += padded[1 + dv:1 + dv + h, 1 + du:1 + du + w]
     edge = win & (neighbors < 8)
     vs, us = np.nonzero(edge)
-    return EdgeSet(np.column_stack([us + x, vs + y]))
+    return EdgeSet(np.column_stack([us + mask.x0, vs + mask.y0]))
 
 
 def extreme_points(mask: BinaryMask) -> ExtremePoints:
@@ -145,13 +200,15 @@ def extreme_points(mask: BinaryMask) -> ExtremePoints:
     """
     if mask.is_empty():
         raise EmptyMask("cannot locate extreme points of an empty mask")
-    vs, us = np.nonzero(mask.data)  # sorted by (v, u) already
-    top = Pixel(int(us[0]), int(vs[0]))
-    bottom = Pixel(int(us[-1]), int(vs[-1]))
-    by_u = np.lexsort((vs, us))
-    left = Pixel(int(us[by_u[0]]), int(vs[by_u[0]]))
-    right = Pixel(int(us[by_u[-1]]), int(vs[by_u[-1]]))
-    return ExtremePoints(top=top, bottom=bottom, left=left, right=right)
+    # the crop is tight, so each of its four border lines holds a mask pixel
+    d, x0, y0 = mask.data, mask.x0, mask.y0
+    h, w = d.shape
+    return ExtremePoints(
+        top=Pixel(x0 + int(np.argmax(d[0])), y0),
+        bottom=Pixel(x0 + w - 1 - int(np.argmax(d[-1, ::-1])), y0 + h - 1),
+        left=Pixel(x0, y0 + int(np.argmax(d[:, 0]))),
+        right=Pixel(x0 + w - 1, y0 + h - 1 - int(np.argmax(d[::-1, -1]))),
+    )
 
 
 def bbox_extreme_points(bbox: Tuple[int, int, int, int]) -> ExtremePoints:
@@ -199,7 +256,7 @@ def nearest_mask_depth(mask: BinaryMask, depth: DepthImage,
     """
     x, y, w, h = bbox
     samples = depth.data[y:y + h, x:x + w]
-    vs, us = np.nonzero(mask.data[y:y + h, x:x + w] & (samples > 0))
+    vs, us = np.nonzero(mask.window(x, y, w, h) & (samples > 0))
     if len(us) == 0:
         raise NoValidDepth("no mask pixel in the bbox has a depth sample")
     i = int(np.argmin((us + x - px.u) ** 2 + (vs + y - px.v) ** 2))

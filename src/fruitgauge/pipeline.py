@@ -118,15 +118,17 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
                        cam: RigCamera, config: PipelineConfig) -> Record:
     """Size and localize one detection; raises one of REJECTION_REASONS."""
     k = cam.intrinsics
-    if det.mask.data.shape != (k.height, k.width) or depth.data.shape != (k.height, k.width):
-        raise LengthMismatch(f"mask {det.mask.data.shape} or depth {depth.data.shape} "
+    if det.mask.frame != (k.height, k.width) or depth.data.shape != (k.height, k.width):
+        raise LengthMismatch(f"mask {det.mask.frame} or depth {depth.data.shape} "
                              f"differs from the {k.height}x{k.width} image")
     x, y, w, h = det.bbox
     # the bbox clipped to the image, so that a negative x or y cannot wrap around a slice
     x0, x1 = np.clip([x, x + w], 0, k.width)
     y0, y1 = np.clip([y, y + h], 0, k.height)
-    if np.count_nonzero(det.mask.data[y0:y1, x0:x1]) != np.count_nonzero(det.mask.data):
-        raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
+    if not det.mask.is_empty():
+        mx, my, mw, mh = det.mask.bbox()
+        if not (x0 <= mx and y0 <= my and mx + mw <= x1 and my + mh <= y1):
+            raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
     window = (x0, y0, x1 - x0, y1 - y0)
     m = measure_fruit(
         det.mask, depth, k,

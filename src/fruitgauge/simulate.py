@@ -212,8 +212,8 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
     for occ in spec.occluders:
         objects.append((occ.corners, occ))
 
-    for idx, (corners, obj) in enumerate(objects):
-        window = _object_window(corners, world_to_cam, k)
+    windows = [_object_window(corners, world_to_cam, k) for corners, _ in objects]
+    for idx, ((_, obj), window) in enumerate(zip(objects, windows)):
         if window is None:
             continue
         u0, u1, v0, v1 = window
@@ -235,11 +235,15 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
     samples = np.zeros(best_t.shape, dtype=np.uint16)
     samples[hit] = depth_units(best_t[hit], spec.depth_scale)
 
+    # a fruit can only win pixels inside its own window
     masks: Dict[str, BinaryMask] = {}
-    for idx, fruit in enumerate(spec.fruits):
-        m = winner == idx
-        if m.any():
-            masks[fruit.fruit_id] = BinaryMask(m)
+    for idx, (fruit, window) in enumerate(zip(spec.fruits, windows)):
+        if window is None:
+            continue
+        u0, u1, v0, v1 = window
+        m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
+        if not m.is_empty():
+            masks[fruit.fruit_id] = m
     return DepthImage(samples, spec.depth_scale), masks
 
 

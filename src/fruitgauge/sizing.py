@@ -94,7 +94,7 @@ def fill_ratio(mask: BinaryMask, circle: FittedCircle) -> float:
     total = int(inside.sum())
     if total == 0:
         raise ZeroArea("fitted circle covers no image pixels")
-    covered = int((inside & mask.data[v0:v1 + 1, u0:u1 + 1]).sum())
+    covered = int((inside & mask.window(u0, v0, u1 - u0 + 1, v1 - v0 + 1)).sum())
     return min(max(covered / total, 0.0), 1.0)
 
 

@@ -199,8 +199,9 @@ class TestMeasureIngest:
         assert [(w["camera_id"], w["detection_index"]) for w in flagged] == [("middle", 4)]
 
     def test_mask_size_differs_from_image(self, runs, tmp_path):
-        big = BinaryMask(np.zeros((960, 1280), dtype=bool))
-        big.data[100:140, 100:140] = True
+        data = np.zeros((960, 1280), dtype=bool)
+        data[100:140, 100:140] = True
+        big = BinaryMask(data)
         code, records = self.measure_damaged(
             runs, tmp_path, lambda d: d.update(mask_rle=encode_rle(big)))
         assert code == 0

@@ -187,6 +187,18 @@ class TestDetections:
         assert back.detections[1].fruit_id is None
         assert back.detections[1].class_name == "green"
         assert np.array_equal(back.detections[0].mask.data, mask.data)
+        assert back.detections[0].mask.bbox() == mask.bbox()
+
+    def test_hd_mask_is_held_as_its_bbox_crop(self, tmp_path):
+        uu, vv = np.meshgrid(np.arange(1280), np.arange(720))
+        disc = (uu - 900.3) ** 2 + (vv - 140.6) ** 2 <= 23.5 ** 2
+        write_detections(tmp_path / "d.json", DetectionFile("000", "top", [
+            Detection("fully_ripened", 1.0, (877, 118, 47, 47), BinaryMask(disc))]))
+        mask = read_detections(tmp_path / "d.json").detections[0].mask
+        x, y, w, h = mask.bbox()
+        assert (mask.width, mask.height) == (1280, 720)
+        assert mask.data.size == w * h == 47 * 47 and (x, y) == (877, 118)
+        assert mask.count == int(disc.sum())
 
     def test_missing_key(self, tmp_path):
         (tmp_path / "d.json").write_text('{"frame_id": "0"}')

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fruitgauge.errors import EmptyMask, LengthMismatch, NoValidDepth
+from fruitgauge.errors import EmptyMask, LengthMismatch, NoValidDepth, ZeroArea
 from fruitgauge.geometry import DepthImage, Pixel
 from fruitgauge.maskops import (
     EDGE_KERNEL,
@@ -15,6 +18,15 @@ from fruitgauge.maskops import (
     median_edge_depth,
     nearest_mask_depth,
 )
+from fruitgauge.sizing import FittedCircle, fill_ratio
+
+
+def full(mask: BinaryMask) -> np.ndarray:
+    """The mask as a full-frame (height, width) bool array."""
+    out = np.zeros((mask.height, mask.width), dtype=bool)
+    h, w = mask.data.shape
+    out[mask.y0:mask.y0 + h, mask.x0:mask.x0 + w] = mask.data
+    return out
 
 
 def disc_mask(w, h, cu, cv, r):
@@ -24,7 +36,7 @@ def disc_mask(w, h, cu, cv, r):
 
 def edge_oracle(mask: BinaryMask) -> set:
     """Direct convolution with the 3x3 kernel over the zero-padded mask."""
-    m = mask.data.astype(np.int32)
+    m = full(mask).astype(np.int32)
     padded = np.pad(m, 1)
     out = set()
     for v in range(mask.height):
@@ -42,6 +54,149 @@ def depth_from_map(values: dict, w=64, h=64, scale=0.001) -> DepthImage:
     return DepthImage(data, scale)
 
 
+# Full-frame reference implementations: every mask operation must give the
+# same result on the crop layout as these give on the whole frame.
+
+def ref_encode(m: np.ndarray) -> dict:
+    flat = m.reshape(-1)
+    if len(flat) == 0:
+        return {"size": list(m.shape), "counts": []}
+    change = np.nonzero(flat[1:] != flat[:-1])[0] + 1
+    counts = (np.concatenate([change, [len(flat)]]) - np.concatenate([[0], change])).tolist()
+    return {"size": list(m.shape), "counts": [0] + counts if flat[0] else counts}
+
+
+def ref_decode(counts, size) -> np.ndarray:
+    return np.repeat(np.arange(len(counts)) % 2 == 1, counts).reshape(size)
+
+
+def ref_bbox(m: np.ndarray):
+    vs, us = np.nonzero(m)
+    return (int(us.min()), int(vs.min()),
+            int(us.max() - us.min() + 1), int(vs.max() - vs.min() + 1))
+
+
+def ref_extreme_points(m: np.ndarray):
+    vs, us = np.nonzero(m)  # sorted by (v, u)
+    by_u = np.lexsort((vs, us))
+    return ((us[0], vs[0]), (us[-1], vs[-1]),
+            (us[by_u[0]], vs[by_u[0]]), (us[by_u[-1]], vs[by_u[-1]]))
+
+
+def ref_fill_ratio(m: np.ndarray, c: FittedCircle) -> float:
+    h, w = m.shape
+    u0, u1 = max(int(np.floor(c.cu - c.r_px)), 0), min(int(np.ceil(c.cu + c.r_px)), w - 1)
+    v0, v1 = max(int(np.floor(c.cv - c.r_px)), 0), min(int(np.ceil(c.cv + c.r_px)), h - 1)
+    if u0 > u1 or v0 > v1:
+        raise ZeroArea("no pixels")
+    uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+    inside = (uu - c.cu) ** 2 + (vv - c.cv) ** 2 <= c.r_px ** 2
+    if not inside.any():
+        raise ZeroArea("no pixels")
+    return int((inside & m[v0:v1 + 1, u0:u1 + 1]).sum()) / int(inside.sum())
+
+
+def ref_nearest_mask_depth(m: np.ndarray, depth: DepthImage, bbox, px: Pixel) -> float:
+    x, y, w, h = bbox
+    samples = depth.data[y:y + h, x:x + w]
+    vs, us = np.nonzero(m[y:y + h, x:x + w] & (samples > 0))
+    if len(us) == 0:
+        raise NoValidDepth("none")
+    i = int(np.argmin((us + x - px.u) ** 2 + (vs + y - px.v) ** 2))
+    return float(samples[vs[i], us[i]]) * depth.depth_scale
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyMask, NoValidDepth, ZeroArea) as e:
+        return type(e)
+
+
+@st.composite
+def frames(draw):
+    """A random frame and mask: empty, single pixels, border-touching blobs."""
+    h, w = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    return draw(arrays(bool, (h, w)))
+
+
+def pixel(h, w, v, u):
+    m = np.zeros((h, w), dtype=bool)
+    m[v, u] = True
+    return m
+
+
+class TestCropLayoutMatchesFullFrame:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(frames(), st.data())
+    @example(np.zeros((0, 0), dtype=bool), None)
+    @example(np.zeros((0, 7), dtype=bool), None)
+    @example(np.zeros((5, 4), dtype=bool), None)
+    @example(np.ones((5, 4), dtype=bool), None)
+    @example(pixel(1, 1, 0, 0), None)
+    @example(pixel(6, 9, 0, 0), None)
+    @example(pixel(6, 9, 5, 8), None)
+    @example(pixel(6, 9, 0, 8), None)
+    @example(pixel(6, 9, 5, 0), None)
+    @example(pixel(6, 9, 3, 4), None)
+    @example(np.eye(6, 9, dtype=bool), None)
+    @example(np.eye(6, 9, 3, dtype=bool)[::-1], None)
+    def test_every_operation(self, m, data):
+        h, w = m.shape
+        mask = BinaryMask(m)
+        assert mask.frame == (h, w) and np.array_equal(full(mask), m)
+        assert mask.count == int(m.sum()) and mask.is_empty() == (not m.any())
+
+        rle = encode_rle(mask)
+        assert rle == ref_encode(m)
+        decoded = decode_rle(rle["counts"], rle["size"])
+        assert decoded.frame == (h, w) and np.array_equal(full(decoded), m)
+        assert (decoded.x0, decoded.y0) == (mask.x0, mask.y0)
+        assert np.array_equal(ref_decode(rle["counts"], (h, w)), m)
+
+        assert outcome(BinaryMask.bbox, mask) == (ref_bbox(m) if m.any() else EmptyMask)
+        if m.any():
+            x, y, bw, bh = mask.bbox()
+            assert mask.data.size == bw * bh
+            assert (mask.x0, mask.y0) == (x, y)
+            ext = extreme_points(mask)
+            assert [tuple(p) for p in ext] == [tuple(int(c) for c in p)
+                                              for p in ref_extreme_points(m)]
+        else:
+            assert outcome(extreme_points, mask) is EmptyMask
+        assert extract_edges(mask).as_set() == edge_oracle(mask)
+
+        if h == 0 or w == 0 or data is None:
+            return
+        circle = FittedCircle(data.draw(st.floats(-3, w + 3)), data.draw(st.floats(-3, h + 3)),
+                              data.draw(st.floats(0.3, 8)))
+        assert outcome(fill_ratio, mask, circle) == outcome(ref_fill_ratio, m, circle)
+
+        depth = DepthImage(data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 3))))
+        bx, by = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+        bbox = (bx, by, data.draw(st.integers(0, w - bx)), data.draw(st.integers(0, h - by)))
+        px = Pixel(data.draw(st.floats(0, w - 1)), data.draw(st.floats(0, h - 1)))
+        assert (outcome(nearest_mask_depth, mask, depth, bbox, px)
+                == outcome(ref_nearest_mask_depth, m, depth, bbox, px))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(frames(), st.data())
+    def test_window_construction_matches(self, m, data):
+        """A mask built from any window of its frame equals the full-frame one."""
+        h, w = m.shape
+        x0, y0 = data.draw(st.integers(0, w)), data.draw(st.integers(0, h))
+        x1, y1 = data.draw(st.integers(x0, w)), data.draw(st.integers(y0, h))
+        inside = np.zeros_like(m)
+        inside[y0:y1, x0:x1] = m[y0:y1, x0:x1]
+        mask = BinaryMask(m[y0:y1, x0:x1], x0, y0, (h, w))
+        assert mask.frame == (h, w) and np.array_equal(full(mask), inside)
+        assert encode_rle(mask) == ref_encode(inside)
+
+    def test_window_outside_its_frame_rejected(self):
+        with pytest.raises(LengthMismatch):
+            BinaryMask(np.ones((3, 3), bool), 2, 0, (3, 4))
+
+
 class TestRLE:
     def test_all_background(self):
         m = decode_rle([4], (2, 2))
@@ -49,9 +204,9 @@ class TestRLE:
 
     def test_hand_unrolled_runs(self):
         # [1,2,1]: one zero, two ones, one zero in row-major order
-        m = decode_rle([1, 2, 1], (2, 2))
-        assert m.data[0, 1] and m.data[1, 0]
-        assert not m.data[0, 0] and not m.data[1, 1]
+        m = full(decode_rle([1, 2, 1], (2, 2)))
+        assert m[0, 1] and m[1, 0]
+        assert not m[0, 0] and not m[1, 1]
 
     def test_sum_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -74,7 +229,7 @@ class TestRLE:
             h, w = rng.integers(1, 24, size=2)
             m = BinaryMask(rng.random((h, w)) < rng.uniform(0, 1))
             rle = encode_rle(m)
-            assert np.array_equal(decode_rle(rle["counts"], rle["size"]).data, m.data)
+            assert np.array_equal(full(decode_rle(rle["counts"], rle["size"])), full(m))
             # canonical form survives a decode/encode cycle
             assert encode_rle(decode_rle(rle["counts"], rle["size"])) == rle
 
@@ -85,13 +240,14 @@ class TestRLE:
 
 class TestExtractEdges:
     def test_single_pixel_is_edge(self):
-        m = BinaryMask(np.zeros((5, 5), dtype=bool))
-        m.data[2, 3] = True
-        assert extract_edges(m).as_set() == {(3, 2)}
+        data = np.zeros((5, 5), dtype=bool)
+        data[2, 3] = True
+        assert extract_edges(BinaryMask(data)).as_set() == {(3, 2)}
 
     def test_solid_3x3_block(self):
-        m = BinaryMask(np.zeros((7, 7), dtype=bool))
-        m.data[2:5, 2:5] = True
+        data = np.zeros((7, 7), dtype=bool)
+        data[2:5, 2:5] = True
+        m = BinaryMask(data)
         edges = extract_edges(m).as_set()
         assert edges == edge_oracle(m)
         assert (3, 3) not in edges  # center has response 8 - 8 = 0
@@ -117,8 +273,8 @@ class TestExtractEdges:
         m = disc_mask(40, 40, 20, 20, 8)
         edges = extract_edges(m)
         us, vs = edges.pixels[:, 0], edges.pixels[:, 1]
-        assert m.data[vs, us].all()
-        remaining = m.data.copy()
+        assert full(m)[vs, us].all()
+        remaining = full(m)
         remaining[vs, us] = False
         assert remaining.any()  # interior pixels stay
 
@@ -133,9 +289,9 @@ class TestExtremePoints:
         assert ext.right == (60, 50)
 
     def test_single_pixel(self):
-        m = BinaryMask(np.zeros((10, 10), dtype=bool))
-        m.data[3, 7] = True
-        ext = extreme_points(m)
+        data = np.zeros((10, 10), dtype=bool)
+        data[3, 7] = True
+        ext = extreme_points(BinaryMask(data))
         assert ext.top == ext.bottom == ext.left == ext.right == (7, 3)
 
     def test_empty_mask(self):
@@ -143,9 +299,9 @@ class TestExtremePoints:
             extreme_points(BinaryMask(np.zeros((4, 4), dtype=bool)))
 
     def test_tie_breaking_on_a_block(self):
-        m = BinaryMask(np.zeros((5, 5), dtype=bool))
-        m.data[1:3, 1:3] = True
-        ext = extreme_points(m)
+        data = np.zeros((5, 5), dtype=bool)
+        data[1:3, 1:3] = True
+        ext = extreme_points(BinaryMask(data))
         assert ext.top == (1, 1)      # min v, then min u
         assert ext.bottom == (2, 2)   # max v, then max u
         assert ext.left == (1, 1)     # min u, then min v
@@ -157,7 +313,7 @@ class TestExtremePoints:
             if m.is_empty():
                 continue
             ext = extreme_points(m)
-            vs, us = np.nonzero(m.data)
+            vs, us = np.nonzero(full(m))
             assert ext.top.v == vs.min() and ext.bottom.v == vs.max()
             assert ext.left.u == us.min() and ext.right.u == us.max()
 

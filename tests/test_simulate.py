@@ -30,6 +30,8 @@ from fruitgauge.simulate import (
 )
 from fruitgauge.sizing import measure_fruit
 
+from test_maskops import full
+
 
 def single_camera(k=None):
     k = k or CameraIntrinsics(640, 480, 600.0, 600.0, 319.5, 239.5)
@@ -67,7 +69,7 @@ class TestRenderScene:
             assert np.array_equal(ca.depth.data, cb.depth.data)
             assert ca.masks.keys() == cb.masks.keys()
             for fid in ca.masks:
-                assert np.array_equal(ca.masks[fid].data, cb.masks[fid].data)
+                assert np.array_equal(full(ca.masks[fid]), full(cb.masks[fid]))
 
     def test_on_axis_sphere_mask_is_centered_disc(self):
         bundle = render_scene(sphere_scene())
@@ -95,7 +97,7 @@ class TestRenderScene:
         k = cap.camera.intrinsics
         center = spec.fruits[0].center_world.to_array()
         radius = float(spec.fruits[0].semi_axes[0])
-        vs, us = np.nonzero(cap.masks["s0"].data)
+        vs, us = np.nonzero(full(cap.masks["s0"]))
         pick = rng.choice(len(us), size=min(200, len(us)), replace=False)
         for i in pick:
             z_true = ray_sphere_depth(k, us[i], vs[i], center, radius)
@@ -109,7 +111,7 @@ class TestRenderScene:
     def test_masks_are_pairwise_disjoint(self):
         bundle = render_scene(lab_scene(seed=2))
         for cap in bundle.captures:
-            stack = np.stack([m.data for m in cap.masks.values()])
+            stack = np.stack([full(m) for m in cap.masks.values()])
             assert stack.sum(axis=0).max() <= 1
 
     def test_occluder_never_adds_mask_pixels(self):
@@ -119,8 +121,8 @@ class TestRenderScene:
         for cap_c, cap_o in zip(render_scene(clean).captures, render_scene(occluded).captures):
             for fid, mask_c in cap_c.masks.items():
                 mask_o = cap_o.masks.get(fid)
-                occ = mask_o.data if mask_o is not None else np.zeros_like(mask_c.data)
-                assert not (occ & ~mask_c.data).any()
+                occ = full(mask_o) if mask_o is not None else np.zeros_like(full(mask_c))
+                assert not (occ & ~full(mask_c)).any()
 
     def test_empty_scene(self):
         spec = SceneSpec(fruits=[], occluders=[], rig=[single_camera()],
@@ -163,7 +165,7 @@ class TestRenderScene:
         bundle = render_scene(lab_scene(seed=0, noise_sigma_at_1m=0.0))
         for cap in bundle.captures:
             for mask in cap.masks.values():
-                assert (cap.depth.data[mask.data] > 0).all()
+                assert (cap.depth.data[full(mask)] > 0).all()
 
 
 class TestAddDepthNoise:

@@ -6,7 +6,7 @@ from fruitgauge.geometry import CameraIntrinsics, DepthImage, Point3, distance
 from fruitgauge.maskops import BinaryMask, extract_edges
 from fruitgauge.sizing import FittedCircle, fill_ratio, fit_circle, measure_fruit
 
-from test_maskops import disc_mask
+from test_maskops import disc_mask, full
 
 
 def circle_samples(cu, cv, r, n, phase=0.0):
@@ -68,9 +68,9 @@ class TestFillRatio:
         assert fill_ratio(m, FittedCircle(50, 50, 20)) >= 0.98
 
     def test_half_disc_against_full_outline(self):
-        m = disc_mask(100, 100, 50, 50, 20)
-        m.data[50:, :] = False  # keep the upper half
-        got = fill_ratio(m, FittedCircle(50, 50, 20))
+        data = full(disc_mask(100, 100, 50, 50, 20))
+        data[50:, :] = False  # keep the upper half
+        got = fill_ratio(BinaryMask(data), FittedCircle(50, 50, 20))
         assert got == pytest.approx(0.5, abs=0.03)
 
     def test_disjoint_is_zero(self):
@@ -86,7 +86,7 @@ class TestFillRatio:
         m = disc_mask(64, 64, 32, 32, 12)
         circle = FittedCircle(32, 32, 12)
         previous = fill_ratio(m, circle)
-        data = m.data.copy()
+        data = full(m)
         inside = list(zip(*np.nonzero(data)))
         rng.shuffle(inside)
         for v, u in inside[:80]:
