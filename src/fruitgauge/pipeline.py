@@ -73,11 +73,14 @@ class PipelineConfig:
 
 
 def _bundle_signature(bundle_dir: Path) -> str:
-    entries = sorted(
-        f"{p.relative_to(bundle_dir)}:{p.stat().st_size}"
-        for p in bundle_dir.rglob("*") if p.is_file()
-    )
-    return hashlib.sha256("\n".join(entries).encode()).hexdigest()[:16]
+    """sha256 over every file's relative path and bytes, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in bundle_dir.rglob("*") if p.is_file()):
+        name = path.relative_to(bundle_dir).as_posix().encode()
+        data = path.read_bytes()
+        digest.update(b"%d:%s%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()[:16]
 
 
 def write_bundle(bundle: CaptureBundle, out_dir: Path) -> Path:

@@ -287,6 +287,28 @@ class TestMeasureConfig:
             != (runs[0] / "out" / "records.json").read_bytes()
 
 
+class TestManifest:
+    def test_bundle_signature_hashes_file_contents(self, runs, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        shutil.copytree(runs[0] / "bundle", a)
+        shutil.copytree(runs[1] / "bundle", b)
+        signature = pipeline._bundle_signature
+        assert signature(a) == signature(b)
+        depth = b / "depth" / "middle_000.pgm"
+        data = bytearray(depth.read_bytes())
+        data[-1] ^= 1  # one depth byte flipped, same size
+        depth.write_bytes(bytes(data))
+        assert signature(a) != signature(b)
+        depth.write_bytes((a / "depth" / "middle_000.pgm").read_bytes())
+        assert signature(a) == signature(b)
+        depth.rename(b / "depth" / "middle_001.pgm")  # same bytes under another name
+        assert signature(a) != signature(b)
+
+    def test_measure_manifest_records_the_signature(self, runs):
+        manifest = load(runs[0] / "out" / "manifest.json")
+        assert manifest["bundle"]["signature"] == pipeline._bundle_signature(runs[0] / "bundle")
+
+
 def damage_copy(source, target, damage):
     """Write ``damage(doc)`` (or ``doc`` edited in place) of a JSON file to ``target``."""
     doc = load(source)

@@ -200,9 +200,9 @@ class TestDeprojectProject:
             points.append(p)
             pixels.append(px)
 
-        # the camera model takes whole arrays and agrees with the scalar calls
+        # the camera model takes whole arrays and gives the scalar calls' results exactly
         xn, yn = pixel_to_ray(k, us, vs)
-        assert np.allclose(np.column_stack([xn * ds, yn * ds, ds]), points, rtol=0, atol=1e-12)
+        assert np.array_equal(np.column_stack([xn * ds, yn * ds, ds]), points)
         pts = np.array(points)
         u, v = ray_to_pixel(k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
         assert np.array_equal(np.column_stack([u, v]), pixels)
@@ -229,6 +229,18 @@ def test_depth_units(z_m, scale, expected):
     got = depth_units(np.array([z_m]), scale)
     assert got.dtype == np.uint16 and got.tolist() == [expected]
     assert int(depth_units(z_m, scale)) == expected
+
+
+def test_depth_m_at_rounds_half_up():
+    # a bbox center at k + 0.5 reads pixel k + 1, as depth_units and alignment round
+    ramp = np.arange(1, 21, dtype=np.uint16)[None, :]  # column u holds u + 1
+    for depth, at in ((DepthImage(ramp, 1.0), lambda t: Pixel(t, 0)),
+                      (DepthImage(ramp.T, 1.0), lambda t: Pixel(0, t))):
+        assert [depth.depth_m_at(at(u + 0.5)) - 1 for u in range(6)] == [1, 2, 3, 4, 5, 6]
+        assert [depth.depth_m_at(at(u + 0.49)) - 1 for u in range(6)] == [0, 1, 2, 3, 4, 5]
+        assert depth.depth_m_at(at(-0.5)) == 1.0
+        with pytest.raises(OutOfBounds):
+            depth.depth_m_at(at(19.5))
 
 
 def test_only_geometry_and_fileio_read_the_camera_model():
