@@ -137,13 +137,13 @@ def decode_rle(counts: Sequence[int], size: Tuple[int, int]) -> BinaryMask:
     if not isinstance(counts, (list, tuple)) or any(type(c) is not int or c < 0 for c in counts):
         raise LengthMismatch("run counts must be non-negative integers")
     h, w = size
-    ends = list(accumulate(counts))
-    if (ends[-1] if ends else 0) != h * w:
-        raise LengthMismatch(f"counts sum to {ends[-1] if ends else 0}, expected {h * w}")
+    bounds = list(accumulate(counts, initial=0))  # run i covers bounds[i]..bounds[i + 1] - 1
+    if bounds[-1] != h * w:
+        raise LengthMismatch(f"counts sum to {bounds[-1]}, expected {h * w}")
     runs = [i for i in range(1, len(counts), 2) if counts[i]]
     if not runs:
         return BinaryMask(np.zeros((0, 0), dtype=bool), frame=(h, w))
-    first, last = ends[runs[0]] - counts[runs[0]], ends[runs[-1]]
+    first, last = bounds[runs[0]], bounds[runs[-1] + 1]
     lo, hi = first // w * w, -(-last // w) * w  # whole rows holding foreground
     window = [first - lo, *counts[runs[0]:runs[-1] + 1], hi - last]
     flat = np.repeat(np.arange(len(window)) % 2 == 1, window)
