@@ -187,7 +187,8 @@ class TestMeasureIngest:
             x, y, w, h = doc["detections"][4]["bbox"]
             depth = read_depth(bundle / "depth" / "middle_000.pgm")
             data = depth.data.copy()
-            data[round(y + (h - 1) / 2), round(x + (w - 1) / 2)] = 0
+            # the pixel DepthImage.depth_m_at reads: halves round up
+            data[int(np.floor(y + h / 2)), int(np.floor(x + w / 2))] = 0
             write_depth(bundle / "depth" / "middle_000.pgm", DepthImage(data, depth.depth_scale))
         code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
         return code, tmp_path / "out" / "records.json"

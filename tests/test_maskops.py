@@ -149,6 +149,7 @@ class TestCropLayoutMatchesFullFrame:
 
         rle = encode_rle(mask)
         assert rle == ref_encode(m)
+        assert (rle["counts"] == []) == (h * w == 0)
         decoded = decode_rle(rle["counts"], rle["size"])
         assert decoded.frame == (h, w) and np.array_equal(full(decoded), m)
         assert (decoded.x0, decoded.y0) == (mask.x0, mask.y0)
