@@ -54,6 +54,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -407,13 +408,19 @@ class Record:
 
     @staticmethod
     def from_dict(d: dict, source: str = "<inline>") -> "Record":
-        """Parse one record; a missing or mistyped field raises BundleIOError."""
+        """Parse one record; a missing or mistyped field, a non-finite center or a
+        radius that is not finite and positive raises BundleIOError."""
         with parsing(f"record {source}"):
             _check_types(d, _RECORD_TYPES)
             circle, bbox, center = d["circle"], d["bbox"], d["center_world_m"]
             _check_types(circle, _CIRCLE_TYPES)
             _check_list("bbox", bbox, 4, (int,))
             _check_list("center_world_m", center, 3, _NUMBER)
+            if not all(map(math.isfinite, center)):
+                raise ValueError(f"center_world_m must be finite, got {center!r}")
+            radius = float(d["radius_m"])
+            if not 0 < radius < math.inf:
+                raise ValueError(f"radius_m must be finite and positive, got {radius!r}")
             return Record(
                 frame_id=d["frame_id"],
                 camera_id=d["camera_id"],
@@ -429,7 +436,7 @@ class Record:
                 bbox=tuple(bbox),
                 center_depth_m=float(d["center_depth_m"]),
                 edge_margin_px=d["edge_margin_px"],
-                radius_m=float(d["radius_m"]),
+                radius_m=radius,
                 center_world_m=Point3(*map(float, center)),
             )
 

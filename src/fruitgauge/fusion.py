@@ -127,11 +127,7 @@ class WorldFruit:
     center_world: Point3
     radius_m: float
     members: List[Record]
-    chosen: int = 0
-
-    @property
-    def chosen_member(self) -> Record:
-        return self.members[self.chosen]
+    chosen: int = 0                     # index into ``members``
 
 
 def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:

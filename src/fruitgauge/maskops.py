@@ -65,6 +65,16 @@ class BinaryMask:
         object.__setattr__(self, "y0", int(y0))
         object.__setattr__(self, "frame", (int(h), int(w)))
 
+    # The crop is always tight, so equal masks have equal frame, offset and crop.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinaryMask):
+            return NotImplemented
+        return ((self.frame, self.x0, self.y0) == (other.frame, other.x0, other.y0)
+                and np.array_equal(self.data, other.data))
+
+    def __hash__(self) -> int:
+        return hash((self.frame, self.x0, self.y0, self.data.shape, self.data.tobytes()))
+
     @property
     def width(self) -> int:
         return self.frame[1]

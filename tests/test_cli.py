@@ -151,6 +151,12 @@ class TestMalformedRecords:
         records = self.damaged(runs, tmp_path, lambda r: r.update(circle="x"))
         assert self.fuse(runs, records, tmp_path) == 2
 
+    def test_fuse_record_with_nan_radius(self, runs, tmp_path, capsys):
+        records = self.damaged(runs, tmp_path, lambda r: r.update(radius_m=float("nan")))
+        assert self.fuse(runs, records, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(records) in err and "radius_m" in err
+
     def test_evaluate_record_without_height(self, runs, tmp_path, capsys):
         records = self.damaged(runs, tmp_path, lambda r: r.pop("height_mm"))
         out = runs[0] / "out"

@@ -200,6 +200,14 @@ class TestDetections:
         assert mask.data.size == w * h == 47 * 47 and (x, y) == (877, 118)
         assert mask.count == int(disc.sum())
 
+    def test_detections_compare_by_value(self):
+        def detection(x0=0):
+            return Detection("green", 0.75, (x0, 0, 3, 3),
+                             BinaryMask(np.eye(3, dtype=bool), x0, 0, (4, 4)))
+
+        assert detection() == detection()
+        assert detection() != detection(x0=1)  # masks differ only in their offset
+
     def test_missing_key(self, tmp_path):
         (tmp_path / "d.json").write_text('{"frame_id": "0"}')
         with pytest.raises(BundleIOError, match="d.json"):
@@ -246,6 +254,17 @@ class TestRecords:
     ])
     def test_mistyped_field_rejected(self, field, value, named):
         with pytest.raises(BundleIOError, match=named):
+            Record.from_dict({**RECORD, field: value}, "r.json")
+
+    @pytest.mark.parametrize("field,value", [
+        ("radius_m", float("nan")), ("radius_m", float("inf")), ("radius_m", -float("inf")),
+        ("radius_m", 0.0), ("radius_m", 0), ("radius_m", -0.02),
+        ("center_world_m", [0.01, float("nan"), 0.62]),
+        ("center_world_m", [float("inf"), -0.02, 0.62]),
+        ("center_world_m", [0.01, -0.02, -float("inf")]),
+    ])
+    def test_non_finite_geometry_rejected(self, field, value):
+        with pytest.raises(BundleIOError, match=f"r.json.*{field}"):
             Record.from_dict({**RECORD, field: value}, "r.json")
 
     @pytest.mark.parametrize("field", sorted(RECORD))

@@ -2,6 +2,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fruitgauge.errors import InvalidDepth
 from fruitgauge.fusion import (
@@ -146,6 +148,95 @@ class TestSelectBest:
     def test_chosen_attribute_on_clusters(self):
         fruits = deduplicate([det(0, 0, 0.6, fill=0.73, cam="top"),
                               det(0.005, 0, 0.6, fill=0.94, cam="bottom", index=1)], ORDER)
-        assert fruits[0].chosen_member.fill_ratio == 0.94
-        assert all(fruits[0].chosen_member.fill_ratio >= m.fill_ratio
-                   for m in fruits[0].members)
+        chosen = fruits[0].members[fruits[0].chosen]
+        assert chosen.fill_ratio == 0.94
+        assert all(chosen.fill_ratio >= m.fill_ratio for m in fruits[0].members)
+
+
+def all_pairs_dedup(records):
+    """The O(n^2) dedup the grid hash replaced: (member indices, chosen, center,
+    radius) per cluster, in ``deduplicate``'s order."""
+    n = len(records)
+    centers = np.array([r.center_world_m for r in records], dtype=float)
+    radii = np.array([r.radius_m for r in records], dtype=float)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        dist = np.linalg.norm(centers[i + 1:] - centers[i], axis=1)
+        threshold = np.maximum(radii[i + 1:], radii[i])
+        for j in np.nonzero(dist <= threshold)[0]:
+            ri, rj = find(i), find(int(i + 1 + j))
+            parent[max(ri, rj)] = min(ri, rj)
+    clusters = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(i)
+    return [(idx, select_best([records[i] for i in idx], ORDER),
+             Point3.from_array(centers[idx].mean(axis=0)), float(radii[idx].mean()))
+            for idx in (clusters[root] for root in sorted(clusters))]
+
+
+EDGE = 2.0 ** -5  # a dyadic radius, so a pair at exactly that distance is exact in floats
+RADII = st.sampled_from([0.004, 0.015, 0.023, 0.03, EDGE])
+NEAR = st.floats(-0.4, 0.4)
+JITTER = st.floats(-0.02, 0.02)
+
+
+@st.composite
+def record_rows(draw):
+    """(x, y, z, r) rows: views of a few fruits, one large radius among small
+    ones, repeated centers, a sparse cloud metres wide, and pairs exactly
+    ``EDGE`` apart across a cell boundary; all coordinates may be negative."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        center = draw(st.tuples(NEAR, NEAR, NEAR))
+        for _ in range(draw(st.integers(1, 3))):
+            rows.append(tuple(c + draw(JITTER) for c in center) + (draw(RADII),))
+    if draw(st.booleans()):
+        rows.append(draw(st.tuples(NEAR, NEAR, NEAR, st.sampled_from([0.12, 0.4]))))
+    rows += draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3, RADII), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    for axis in draw(st.lists(st.integers(0, 2), max_size=4)):
+        start = [draw(st.integers(-40, 40)) * EDGE for _ in range(3)]
+        start[axis] -= draw(st.sampled_from([0.0, 2.0 ** -30, EDGE / 2, EDGE - 2.0 ** -30]))
+        end = list(start)
+        end[axis] += EDGE
+        rows += [(*start, EDGE), (*end, draw(RADII))]
+    return draw(st.permutations(rows))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(record_rows())
+@example([(0.1, -0.2, 0.5, 0.02)])
+@example([(-0.3, 0.0, 0.7, 0.02)] * 3)
+def test_grid_dedup_matches_all_pairs_reference(rows):
+    records = [det(x, y, z, r=r, fill=0.5 + (i % 7) / 20, cam=ORDER[i % 3], index=i)
+               for i, (x, y, z, r) in enumerate(rows)]
+    got = [([m.detection_index for m in f.members], f.chosen, f.center_world, f.radius_m)
+           for f in deduplicate(records, ORDER)]
+    assert got == all_pairs_dedup(records)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("start", [-3 * EDGE, -EDGE / 2, 0.0, 5 * EDGE - 2.0 ** -30])
+def test_pair_exactly_one_radius_apart_across_a_cell_boundary_merges(axis, start):
+    a, b = [0.25, -0.5, 0.75], [0.25, -0.5, 0.75]
+    a[axis], b[axis] = start, start + EDGE
+    fruits = deduplicate([det(*a, r=EDGE), det(*b, r=EDGE / 4, index=1)], ORDER)
+    assert [len(f.members) for f in fruits] == [2]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_pair_rounded_to_one_radius_apart_merges(axis):
+    # 0.03 + 1e-18 rounds to 0.03, so the distance test matches this pair,
+    # while -1e-18 / 0.03 and 0.03 / 0.03 floor two cells apart.
+    a, b = [0.25, -0.5, 0.75], [0.25, -0.5, 0.75]
+    a[axis], b[axis] = -1e-18, 0.03
+    assert np.linalg.norm(np.subtract([b], [a]), axis=1)[0] == 0.03
+    fruits = deduplicate([det(*a, r=0.03), det(*b, r=0.03, index=1)], ORDER)
+    assert [len(f.members) for f in fruits] == [2]

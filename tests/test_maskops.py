@@ -198,6 +198,29 @@ class TestCropLayoutMatchesFullFrame:
             BinaryMask(np.ones((3, 3), bool), 2, 0, (3, 4))
 
 
+class TestMaskEquality:
+    def test_equal_masks_compare_and_hash_equal(self):
+        a, b = BinaryMask(np.eye(3, dtype=bool)), BinaryMask(np.eye(3, dtype=bool))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+    def test_window_and_full_frame_construction_are_equal(self):
+        m = np.zeros((6, 9), dtype=bool)
+        m[2:4, 3:7] = True
+        window = BinaryMask(m[1:5, 2:8], 2, 1, (6, 9))
+        assert window == BinaryMask(m) and hash(window) == hash(BinaryMask(m))
+
+    @pytest.mark.parametrize("other", [
+        BinaryMask(np.eye(3, dtype=bool), 1, 0, (4, 4)),   # same crop, other offset
+        BinaryMask(np.eye(3, dtype=bool), 0, 0, (4, 4)),   # same crop, other frame
+        BinaryMask(np.eye(3, dtype=bool)[::-1]),            # same box, other pixels
+        BinaryMask(np.ones((3, 3), dtype=bool)),
+        BinaryMask(np.zeros((3, 3), dtype=bool)),
+        None,
+    ])
+    def test_differing_masks_are_unequal(self, other):
+        assert BinaryMask(np.eye(3, dtype=bool)) != other
+
+
 class TestRLE:
     def test_all_background(self):
         m = decode_rle([4], (2, 2))
