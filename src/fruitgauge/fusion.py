@@ -90,10 +90,11 @@ def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     """
     edge = float(radii.max()) * (1 + 1e-9)
     cells = np.floor(centers / edge).astype(np.int64)
-    # A cell's key packs the ranks of its coordinates among each axis's
-    # occupied values, so it fits in int64 for up to two million records; a
-    # neighbour cell with an unoccupied coordinate gets key -1.
-    axes = [np.unique(cells[:, a]) for a in range(3)]
+    # A cell's key packs the first positions of its coordinates in each
+    # axis's sorted cell coordinates, so it fits in int64 for up to two
+    # million records; a neighbour cell with an unoccupied coordinate gets
+    # key -1.
+    axes = [np.sort(cells[:, a]) for a in range(3)]
 
     def keys(c: np.ndarray) -> np.ndarray:
         key = np.zeros(len(c), dtype=np.int64)
