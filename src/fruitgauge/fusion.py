@@ -106,7 +106,7 @@ def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
         return np.where(occupied, key, -1)
 
     own = keys(cells)
-    order = np.argsort(own, kind="stable")
+    order = np.argsort(own)
     sorted_keys = own[order]
     # Query every record's 27 cells at once; record i's candidates in a cell
     # are the sorted run order[lo:lo + count].

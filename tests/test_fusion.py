@@ -223,20 +223,15 @@ def test_grid_dedup_matches_all_pairs_reference(rows):
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
-@pytest.mark.parametrize("start", [-3 * EDGE, -EDGE / 2, 0.0, 5 * EDGE - 2.0 ** -30])
-def test_pair_exactly_one_radius_apart_across_a_cell_boundary_merges(axis, start):
+@pytest.mark.parametrize("start,r", [
+    (-3 * EDGE, EDGE), (-EDGE / 2, EDGE), (0.0, EDGE), (5 * EDGE - 2.0 ** -30, EDGE),
+    # -1e-18 + 0.03 rounds to 0.03, so the distance test matches this pair,
+    # while -1e-18 / 0.03 and 0.03 / 0.03 floor two cells apart
+    (-1e-18, 0.03),
+])
+def test_pair_one_radius_apart_across_a_cell_boundary_merges(axis, start, r):
     a, b = [0.25, -0.5, 0.75], [0.25, -0.5, 0.75]
-    a[axis], b[axis] = start, start + EDGE
-    fruits = deduplicate([det(*a, r=EDGE), det(*b, r=EDGE / 4, index=1)], ORDER)
-    assert [len(f.members) for f in fruits] == [2]
-
-
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_pair_rounded_to_one_radius_apart_merges(axis):
-    # 0.03 + 1e-18 rounds to 0.03, so the distance test matches this pair,
-    # while -1e-18 / 0.03 and 0.03 / 0.03 floor two cells apart.
-    a, b = [0.25, -0.5, 0.75], [0.25, -0.5, 0.75]
-    a[axis], b[axis] = -1e-18, 0.03
-    assert np.linalg.norm(np.subtract([b], [a]), axis=1)[0] == 0.03
-    fruits = deduplicate([det(*a, r=0.03), det(*b, r=0.03, index=1)], ORDER)
+    a[axis], b[axis] = start, start + r
+    assert np.linalg.norm(np.subtract([b], [a]), axis=1)[0] == r
+    fruits = deduplicate([det(*a, r=r), det(*b, r=r / 4, index=1)], ORDER)
     assert [len(f.members) for f in fruits] == [2]
