@@ -327,28 +327,51 @@ def align_depth_to_color(
     re-projected; collisions keep the nearest sample and uncovered output
     pixels stay 0.
     """
-    vv, uu = np.nonzero(depth.data)
-    out = np.zeros((color_k.height, color_k.width), dtype=np.uint16)
-    if len(uu) == 0:
-        return DepthImage(out, depth.depth_scale)
+    height, width = color_k.height, color_k.width
+    out = np.zeros(height * width, dtype=np.uint16)
+    valid = np.flatnonzero(depth.data != 0)
+    if len(valid) == 0:
+        return DepthImage(out.reshape(height, width), depth.depth_scale)
 
-    z = depth.data[vv, uu].astype(float) * depth.depth_scale
+    # One flat array per coordinate: numpy runs much slower over the short
+    # rows of an (n, 3) array. Large arrays are freed as soon as they are used.
+    z = depth.data.ravel()[valid].astype(float) * depth.depth_scale
+    vv, uu = np.divmod(valid, depth.width)
+    del valid
     xn, yn = pixel_to_ray(depth_k, uu, vv)
-    pts = apply_points(depth_to_color, np.column_stack([xn * z, yn * z, z]))
+    del uu, vv
+    x, y = xn * z, yn * z
+    del xn, yn
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = depth_to_color.rotation.tolist()
+    t0, t1, t2 = depth_to_color.translation.tolist()
+    pz = x * r20 + y * r21 + z * r22 + t2
+    px = x * r00 + y * r01 + z * r02 + t0
+    py = x * r10 + y * r11 + z * r12 + t1
+    del x, y, z
 
-    front = pts[:, 2] > 0
-    pts = pts[front]
-    if len(pts) == 0:
-        return DepthImage(out, depth.depth_scale)
-    u, v = ray_to_pixel(color_k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
-    uo = np.floor(u + 0.5).astype(int)
-    vo = np.floor(v + 0.5).astype(int)
-    inside = (uo >= 0) & (uo < color_k.width) & (vo >= 0) & (vo < color_k.height)
-    uo, vo = uo[inside], vo[inside]
-    samples = depth_units(pts[inside, 2], depth.depth_scale)
+    front = pz > 0
+    if not front.all():
+        px, py, pz = px[front], py[front], pz[front]
+        if len(pz) == 0:
+            return DepthImage(out.reshape(height, width), depth.depth_scale)
+    del front
+    u, v = ray_to_pixel(color_k, px / pz, py / pz)
+    del px, py
+    uo = np.floor(u + 0.5).astype(np.int64)
+    del u
+    vo = np.floor(v + 0.5).astype(np.int64)
+    del v
+    inside = (uo >= 0) & (uo < width) & (vo >= 0) & (vo < height)
+    flat = (vo * width + uo)[inside]
+    del uo, vo
+    samples = depth_units(pz[inside], depth.depth_scale)
+    del pz, inside
 
     # z-buffer: keep the nearest nonzero sample per output pixel
     order = np.argsort(samples, kind="stable")[::-1]  # write nearest last
-    keep = samples[order] > 0
-    out[vo[order][keep], uo[order][keep]] = samples[order][keep]
-    return DepthImage(out, depth.depth_scale)
+    samples = samples[order]
+    flat = flat[order]
+    del order
+    keep = samples > 0
+    out[flat[keep]] = samples[keep]
+    return DepthImage(out.reshape(height, width), depth.depth_scale)

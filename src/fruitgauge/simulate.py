@@ -129,107 +129,180 @@ class CaptureBundle:
     frame_id: str = DEFAULT_FRAME_ID
 
 
-def _ellipsoid_ts(origin: np.ndarray, dirs: np.ndarray,
-                  center: np.ndarray, semi: np.ndarray) -> np.ndarray:
-    """Smallest positive ray parameter per dir, inf when the ray misses."""
-    o = (origin - center) / semi
-    d = dirs / semi
-    a = np.einsum("ij,ij->i", d, d)
-    b = 2.0 * d @ o
-    c = float(o @ o) - 1.0
+Vec3 = Sequence[float]
+
+
+def _sub(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b):
+    """Dot product of two 3-sequences, each of floats or of arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: Vec3, b: Vec3) -> Vec3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _ellipsoid_ts(origin: Vec3, dirs: Sequence[np.ndarray], center: Vec3,
+                  semi: Vec3) -> np.ndarray:
+    """Smallest ray parameter above ``_EPS_T`` per ray, inf when the ray misses.
+
+    ``dirs`` are the x, y and z components of the ray directions, arrays of
+    one shape; ``origin``, ``center`` and ``semi`` are three floats each.
+    """
+    o = [(oi - ci) / si for oi, ci, si in zip(origin, center, semi)]
+    d = [di / si for di, si in zip(dirs, semi)]
+    a = _dot(d, d)
+    b = 2.0 * _dot(d, o)
+    c = _dot(o, o) - 1.0
     disc = b * b - 4.0 * a * c
     hit = disc >= 0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t1 = (-b - sq) / (2.0 * a)
-    t2 = (-b + sq) / (2.0 * a)
-    t = np.where(t1 > _EPS_T, t1, np.where(t2 > _EPS_T, t2, np.inf))
-    return np.where(hit, t, np.inf)
+    t = np.full(disc.shape, np.inf)
+    sq = np.sqrt(disc[hit])
+    b, a2 = b[hit], 2.0 * a[hit]
+    t1 = (-b - sq) / a2
+    t2 = (-b + sq) / a2
+    t[hit] = np.where(t1 > _EPS_T, t1, np.where(t2 > _EPS_T, t2, np.inf))
+    return t
 
 
-def _triangle_ts(origin: np.ndarray, dirs: np.ndarray,
-                 v0: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Moeller-Trumbore, vectorized over rays."""
-    e1, e2 = v1 - v0, v2 - v0
-    h = np.cross(dirs, e2)
-    a = h @ e1
+def _triangle_ts(origin: Vec3, dirs: Sequence[np.ndarray],
+                 v0: Vec3, v1: Vec3, v2: Vec3) -> np.ndarray:
+    """Moeller-Trumbore, vectorized over rays given as x, y, z component arrays.
+
+    Each term that is linear in the ray direction d is a dot product with
+    one constant vector: the determinant (d x e2) . e1 = d . (e2 x e1) and
+    the first barycentric (d x e2) . s = d . (e2 x s).
+    """
+    e1, e2, s = _sub(v1, v0), _sub(v2, v0), _sub(origin, v0)
+    q = _cross(s, e1)
+    a = _dot(dirs, _cross(e2, e1))
     ok = np.abs(a) > 1e-14
     inv = np.where(ok, 1.0 / np.where(ok, a, 1.0), 0.0)
-    s = origin - v0
-    u = inv * (h @ s)
-    q = np.cross(s, e1)
-    v = inv * (dirs @ q)
-    t = inv * float(e2 @ q)
+    u = inv * _dot(dirs, _cross(e2, s))
+    v = inv * _dot(dirs, q)
+    t = inv * _dot(e2, q)
     tol = 1e-12
     hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS_T)
     return np.where(hit, t, np.inf)
 
 
-def _quad_ts(origin: np.ndarray, dirs: np.ndarray, corners: np.ndarray) -> np.ndarray:
+def _quad_ts(origin: Vec3, dirs: Sequence[np.ndarray], corners: Sequence[Vec3]) -> np.ndarray:
     t1 = _triangle_ts(origin, dirs, corners[0], corners[1], corners[2])
     t2 = _triangle_ts(origin, dirs, corners[0], corners[2], corners[3])
     return np.minimum(t1, t2)
 
 
-def _object_window(corners_world: np.ndarray, world_to_cam: RigidTransform,
-                   k: CameraIntrinsics, margin: int = 2) -> Optional[Tuple[int, int, int, int]]:
-    """Conservative pixel bbox of a convex object given its corner points.
+Window = Tuple[int, int, int, int]   # (u0, u1, v0, v1), inclusive pixel bounds
 
-    Returns None when fully outside the image; the whole image when any
-    corner is at or behind the camera plane.
-    """
-    pts = apply_points(world_to_cam, corners_world)
-    if np.any(pts[:, 2] <= 1e-6):
-        return (0, k.width - 1, 0, k.height - 1)
-    u, v = ray_to_pixel(k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
-    u0 = max(int(np.floor(u.min())) - margin, 0)
-    u1 = min(int(np.ceil(u.max())) + margin, k.width - 1)
-    v0 = max(int(np.floor(v.min())) - margin, 0)
-    v1 = min(int(np.ceil(v.max())) + margin, k.height - 1)
+
+def _clip_window(k: CameraIntrinsics, u_lo: float, u_hi: float, v_lo: float, v_hi: float,
+                 margin: int = 2) -> Optional[Window]:
+    """Pixel bounds covering [u_lo, u_hi] x [v_lo, v_hi] plus ``margin``,
+    clipped to the image; None when nothing is left."""
+    u0 = max(math.floor(u_lo) - margin, 0)
+    u1 = min(math.ceil(u_hi) + margin, k.width - 1)
+    v0 = max(math.floor(v_lo) - margin, 0)
+    v1 = min(math.ceil(v_hi) + margin, k.height - 1)
     if u0 > u1 or v0 > v1:
         return None
     return (u0, u1, v0, v1)
 
 
-_CUBE_SIGNS = np.array(
-    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
-)
+def _whole_image(k: CameraIntrinsics) -> Window:
+    return (0, k.width - 1, 0, k.height - 1)
+
+
+def _camera_points(world_to_cam: RigidTransform, points: Sequence[Vec3]) -> List[Vec3]:
+    rows, t = world_to_cam.rotation.tolist(), world_to_cam.translation.tolist()
+    return [(_dot(rows[0], p) + t[0], _dot(rows[1], p) + t[1], _dot(rows[2], p) + t[2])
+            for p in points]
+
+
+def _quad_window(corners_world: np.ndarray, world_to_cam: RigidTransform,
+                 k: CameraIntrinsics) -> Optional[Window]:
+    """Pixel bbox of a quad's corners (it is convex): None when fully outside
+    the image, the whole image when any corner is at or behind the camera plane."""
+    pts = _camera_points(world_to_cam, corners_world.tolist())
+    if any(z <= 1e-6 for _, _, z in pts):
+        return _whole_image(k)
+    us, vs = zip(*(ray_to_pixel(k, x / z, y / z) for x, y, z in pts))
+    return _clip_window(k, min(us), max(us), min(vs), max(vs))
+
+
+def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
+                  k: CameraIntrinsics) -> Optional[Window]:
+    """Pixel bbox of a fruit's exact silhouette: None when it lies outside
+    the image, the whole image unless the fruit is wholly in front of the
+    camera plane.
+
+    With the fruit's center c and shape matrix R diag(s^2) R^T in the camera
+    frame, a plane l . X = 0 through the camera center meets the ellipsoid
+    iff l^T n l <= 0, n = c c^T - R diag(s^2) R^T: n is the dual conic of the
+    silhouette in normalized coordinates (Hartley & Zisserman 2004, ch. 8).
+    The planes x = x0 z with l = (1, 0, -x0) give the outline's x extent as
+    the roots of n00 - 2 x0 n02 + x0^2 n22, and likewise for y. n22 > 0 says
+    the ellipsoid does not reach the plane z = 0.
+    """
+    (c,) = _camera_points(world_to_cam, [fruit.center_world])
+    r = world_to_cam.rotation.tolist()
+    s2 = [s * s for s in fruit.semi_axes.tolist()]
+
+    def n(i: int, j: int) -> float:
+        return c[i] * c[j] - (r[i][0] * r[j][0] * s2[0] + r[i][1] * r[j][1] * s2[1]
+                              + r[i][2] * r[j][2] * s2[2])
+
+    n22 = n(2, 2)
+    if c[2] <= 0 or n22 <= 0:
+        return _whole_image(k)
+
+    def extent(i: int) -> Tuple[float, float]:
+        n_ii, n_i2 = n(i, i), n(i, 2)
+        half = math.sqrt(max(n_i2 * n_i2 - n_ii * n22, 0.0))
+        return (n_i2 - half) / n22, (n_i2 + half) / n22
+
+    (x_lo, x_hi), (y_lo, y_hi) = extent(0), extent(1)
+    u_lo, v_lo = ray_to_pixel(k, x_lo, y_lo)
+    u_hi, v_hi = ray_to_pixel(k, x_hi, y_hi)
+    return _clip_window(k, u_lo, u_hi, v_lo, v_hi)
 
 
 def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[str, BinaryMask]]:
     k = cam.intrinsics
     world_to_cam = invert(cam.cam_to_world)
-    origin = cam.cam_to_world.translation
-    rot = cam.cam_to_world.rotation
+    origin = cam.cam_to_world.translation.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = cam.cam_to_world.rotation.tolist()
+    # SceneSpec refuses distortion, so a pixel's normalized ray is separable:
+    # its x depends on the column only and its y on the row only. A window's
+    # world ray directions (x, y, 1) @ rot.T are then broadcast from a row of
+    # xs and a column of ys.
+    xs, ys = pixel_to_ray(k, np.arange(k.width), np.arange(k.height)[:, None])
 
     # ray parameter t equals camera-frame z because dirs have z component 1
     best_t = np.full((k.height, k.width), np.inf)
     winner = np.full((k.height, k.width), -1, dtype=np.int32)
 
-    objects: List[Tuple[np.ndarray, object]] = []
-    for fruit in spec.fruits:
-        corners = fruit.center_world.to_array() + _CUBE_SIGNS * fruit.semi_axes
-        objects.append((corners, fruit))
-    for occ in spec.occluders:
-        objects.append((occ.corners, occ))
-
-    windows = [_object_window(corners, world_to_cam, k) for corners, _ in objects]
-    for idx, ((_, obj), window) in enumerate(zip(objects, windows)):
+    objects: List[object] = [*spec.fruits, *spec.occluders]
+    windows = [_fruit_window(obj, world_to_cam, k) if isinstance(obj, FruitSpec)
+               else _quad_window(obj.corners, world_to_cam, k) for obj in objects]
+    for idx, (obj, window) in enumerate(zip(objects, windows)):
         if window is None:
             continue
         u0, u1, v0, v1 = window
-        uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-        dirs_cam = np.column_stack([*pixel_to_ray(k, uu.ravel(), vv.ravel()), np.ones(uu.size)])
-        dirs_world = dirs_cam @ rot.T
+        x, y = xs[u0:u1 + 1], ys[v0:v1 + 1]
+        dirs = (x * r00 + (y * r01 + r02),
+                x * r10 + (y * r11 + r12),
+                x * r20 + (y * r21 + r22))
         if isinstance(obj, FruitSpec):
-            t = _ellipsoid_ts(origin, dirs_world, obj.center_world.to_array(), obj.semi_axes)
+            t = _ellipsoid_ts(origin, dirs, obj.center_world, obj.semi_axes.tolist())
         else:
-            t = _quad_ts(origin, dirs_world, obj.corners)
-        t = t.reshape(uu.shape)
+            t = _quad_ts(origin, dirs, obj.corners.tolist())
         region_t = best_t[v0:v1 + 1, u0:u1 + 1]
-        region_w = winner[v0:v1 + 1, u0:u1 + 1]
         better = t < region_t
-        region_t[better] = t[better]
-        region_w[better] = idx
+        np.copyto(region_t, t, where=better)
+        np.copyto(winner[v0:v1 + 1, u0:u1 + 1], idx, where=better)
 
     hit = np.isfinite(best_t)
     samples = np.zeros(best_t.shape, dtype=np.uint16)
@@ -258,11 +331,13 @@ def add_depth_noise(depth: DepthImage, sigma_at_1m: float, seed: int) -> DepthIm
     if sigma_at_1m == 0:
         return DepthImage(depth.data.copy(), depth.depth_scale)
     rng = np.random.default_rng(seed)
+    # one draw per pixel of the frame, so each pixel's draw does not depend on
+    # which samples are valid; only valid samples are perturbed
     noise = rng.standard_normal(depth.data.shape)
-    z = depth.data.astype(float) * depth.depth_scale
-    z_noisy = z + noise * sigma_at_1m * z * z
-    q = depth_units(z_noisy, depth.depth_scale)
-    q[depth.data == 0] = 0
+    valid = depth.data != 0
+    z = depth.data[valid].astype(float) * depth.depth_scale
+    q = np.zeros_like(depth.data)
+    q[valid] = depth_units(z + noise[valid] * sigma_at_1m * z * z, depth.depth_scale)
     return DepthImage(q, depth.depth_scale)
 
 
