@@ -64,7 +64,9 @@ def _project_to_so3(r: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-@dataclass(frozen=True)
+# eq=False: compare and hash by identity; the generated == would compare
+# numpy arrays and raise.
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
     """3D rigid motion stored as a 3x3 rotation and a 3-vector translation.
 
@@ -87,13 +89,6 @@ class RigidTransform:
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_matrix(m) -> "RigidTransform":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4) or not np.allclose(m[3], [0, 0, 0, 1], atol=0):
-            raise InvalidPose("expected a 4x4 matrix with bottom row (0,0,0,1)")
-        return RigidTransform(m[:3, :3], m[:3, 3])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -196,7 +191,9 @@ class CameraIntrinsics:
         return self.distortion is not None and any(self.distortion.tolist())
 
 
-@dataclass(frozen=True)
+# eq=False: compare and hash by identity; the generated == would compare
+# numpy arrays and raise.
+@dataclass(frozen=True, eq=False)
 class DepthImage:
     """16-bit depth buffer; a zero sample means "no depth"."""
 

@@ -108,7 +108,9 @@ class BinaryMask:
         return out
 
 
-@dataclass(frozen=True)
+# eq=False: compare and hash by identity; the generated == would compare
+# numpy arrays and raise.
+@dataclass(frozen=True, eq=False)
 class EdgeSet:
     """Edge pixels as an (n, 2) int array of (u, v), sorted by (v, u)."""
 
@@ -123,9 +125,6 @@ class EdgeSet:
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    def as_set(self) -> set:
-        return {(int(u), int(v)) for u, v in self.pixels}
 
 
 class ExtremePoints(NamedTuple):

@@ -6,6 +6,15 @@ ray through its center; the nearest hit wins, which makes per-fruit masks a
 partition, exactly like instance segmentation behaves under occlusion. Depth
 is the camera-frame z of the hit, quantized by the depth scale.
 
+Rays are cast only inside each object's window: the pixel bbox, plus 2 px,
+of a fruit's exact silhouette (from the ellipsoid's dual conic) or of a
+leaf's corners. The renderer models no lens distortion, so a pixel's
+normalized ray is separable (x depends on the column only, y on the row
+only), and a window's rays are broadcast from one row of xs and one column
+of ys as x, y and z component arrays. Depth noise draws one normal per pixel
+of the whole frame, so each pixel's draw does not depend on which pixels were
+hit, but it is applied to hit pixels only.
+
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
 its width the x axis.
@@ -40,7 +49,9 @@ _EPS_T = 1e-9
 DEFAULT_FRAME_ID = "000"
 
 
-@dataclass(frozen=True)
+# eq=False: compare and hash by identity; the generated == would compare
+# numpy arrays and raise.
+@dataclass(frozen=True, eq=False)
 class FruitSpec:
     fruit_id: str
     center_world: Point3
@@ -63,7 +74,9 @@ class FruitSpec:
         return 2000.0 * float(self.semi_axes[0])
 
 
-@dataclass(frozen=True)
+# eq=False: compare and hash by identity; the generated == would compare
+# numpy arrays and raise.
+@dataclass(frozen=True, eq=False)
 class QuadOccluder:
     corners: np.ndarray  # (4, 3) world meters, rendered as two triangles
 

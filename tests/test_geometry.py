@@ -27,6 +27,8 @@ from fruitgauge.geometry import (
     solve_camera_chain,
     translation_transform,
 )
+from fruitgauge.maskops import EdgeSet
+from fruitgauge.simulate import FruitSpec, QuadOccluder
 
 from conftest import random_rigid
 
@@ -78,7 +80,8 @@ class TestTransformBasics:
 
     def test_matrix_roundtrip(self, rng):
         t = random_rigid(rng)
-        assert_transforms_close(RigidTransform.from_matrix(t.matrix), t, 0.0)
+        m = t.matrix
+        assert_transforms_close(RigidTransform(m[:3, :3], m[:3, 3]), t, 0.0)
         assert np.array_equal(t.matrix[3], [0, 0, 0, 1])
 
     def test_bad_rotation_rejected_by_validate(self):
@@ -256,6 +259,32 @@ def test_only_geometry_and_fileio_read_the_camera_model():
         sorted(r for r in readers if not r.startswith(("geometry.py", "fileio.py")))
 
 
+def reference_align(depth, depth_k, color_k, depth_to_color):
+    """Alignment on an (n, 3) point array, as the package did it before it
+    moved to one array per coordinate; kept as the reference."""
+    vv, uu = np.nonzero(depth.data)
+    out = np.zeros((color_k.height, color_k.width), dtype=np.uint16)
+    if len(uu) == 0:
+        return out
+    z = depth.data[vv, uu].astype(float) * depth.depth_scale
+    xn, yn = pixel_to_ray(depth_k, uu, vv)
+    pts = (np.column_stack([xn * z, yn * z, z]) @ depth_to_color.rotation.T
+           + depth_to_color.translation)
+    pts = pts[pts[:, 2] > 0]
+    if len(pts) == 0:
+        return out
+    u, v = ray_to_pixel(color_k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
+    uo = np.floor(u + 0.5).astype(int)
+    vo = np.floor(v + 0.5).astype(int)
+    inside = (uo >= 0) & (uo < color_k.width) & (vo >= 0) & (vo < color_k.height)
+    uo, vo = uo[inside], vo[inside]
+    samples = depth_units(pts[inside, 2], depth.depth_scale)
+    order = np.argsort(samples, kind="stable")[::-1]  # write nearest last
+    keep = samples[order] > 0
+    out[vo[order][keep], uo[order][keep]] = samples[order][keep]
+    return out
+
+
 class TestAlignDepthToColor:
     def test_identity_alignment_is_identity(self, rng):
         k = CameraIntrinsics(64, 48, 60.0, 60.0, 32.0, 24.0)
@@ -299,3 +328,38 @@ class TestAlignDepthToColor:
         out_k = CameraIntrinsics(16, 16, 4.0, 4.0, 8.0, 8.0)
         out = align_depth_to_color(DepthImage(data), k, out_k, RigidTransform.identity())
         assert out.data[8, 8] == 1000
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("distortion", [None, (0.05, -0.01, 0.001, -0.002, 0.0)])
+    def test_rotated_extrinsic_matches_point_array_reference(self, seed, distortion):
+        # a coarser, smaller color frame: samples collide, the right part of
+        # the depth frame projects outside it, and the planted 0.1 m sample
+        # lands behind the color camera
+        rng = np.random.default_rng(seed)
+        depth_k = CameraIntrinsics(96, 72, 80.0, 82.0, 47.3, 35.8, distortion=distortion)
+        color_k = CameraIntrinsics(60, 40, 45.0, 44.0, 28.0, 21.5)
+        to_color = rotation_about((0.3, 1.0, -0.2), 0.3, (0.04, -0.03, -0.2))
+        data = np.where(rng.random((72, 96)) < 0.6,
+                        rng.integers(500, 3000, size=(72, 96)), 0).astype(np.uint16)
+        data[0, 95], data[30, 40] = 1500, 100
+        assert project(color_k, apply(to_color, deproject(depth_k, Pixel(95, 0), 1.5))).u > 60
+        assert apply(to_color, deproject(depth_k, Pixel(40, 30), 0.1)).z < 0
+        depth = DepthImage(data)
+        expected = reference_align(depth, depth_k, color_k, to_color)
+        assert np.count_nonzero(expected) > 1000
+        out = align_depth_to_color(depth, depth_k, color_k, to_color)
+        assert np.array_equal(out.data, expected)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EdgeSet(np.array([[1, 2], [3, 4]])),
+    RigidTransform.identity,
+    lambda: DepthImage(np.zeros((2, 2), dtype=np.uint16)),
+    lambda: FruitSpec("f", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02])),
+    lambda: QuadOccluder(np.zeros((4, 3))),
+], ids=["EdgeSet", "RigidTransform", "DepthImage", "FruitSpec", "QuadOccluder"])
+def test_array_dataclasses_compare_by_identity(make):
+    # two equal-valued instances with separate arrays
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fruitgauge.errors import InvalidSpec
 from fruitgauge.fileio import scene_from_dict, scene_to_dict
@@ -11,11 +13,18 @@ from fruitgauge.geometry import (
     Point3,
     RigCamera,
     RigidTransform,
-    deproject,
-    invert,
     apply,
+    apply_points,
+    compose,
+    deproject,
+    depth_units,
+    invert,
+    pixel_to_ray,
+    ray_to_pixel,
+    rotation_about,
+    translation_transform,
 )
-from fruitgauge.maskops import Pixel, extreme_points
+from fruitgauge.maskops import BinaryMask, Pixel, extreme_points
 from fruitgauge.simulate import (
     CAMERA_HEIGHTS_M,
     RIG_TARGET,
@@ -23,6 +32,8 @@ from fruitgauge.simulate import (
     NoiseSpec,
     QuadOccluder,
     SceneSpec,
+    _camera_noise_seed,
+    _fruit_window,
     add_depth_noise,
     lab_scene,
     paper_rig,
@@ -59,6 +70,237 @@ def ray_sphere_depth(k, u, v, center, radius):
     if disc < 0:
         return None
     return (-b - math.sqrt(disc)) / (2 * a)  # t equals camera z (d_z == 1)
+
+
+# -- the per-window (n, 3) renderer the package used before it moved to ----
+# -- component arrays and silhouette windows; kept as the reference ---------
+
+_CUBE_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
+)
+
+
+def ref_ellipsoid_ts(origin, dirs, center, semi):
+    o = (origin - center) / semi
+    d = dirs / semi
+    a = np.einsum("ij,ij->i", d, d)
+    b = 2.0 * d @ o
+    c = float(o @ o) - 1.0
+    disc = b * b - 4.0 * a * c
+    hit = disc >= 0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t1 = (-b - sq) / (2.0 * a)
+    t2 = (-b + sq) / (2.0 * a)
+    t = np.where(t1 > 1e-9, t1, np.where(t2 > 1e-9, t2, np.inf))
+    return np.where(hit, t, np.inf)
+
+
+def ref_triangle_ts(origin, dirs, v0, v1, v2):
+    e1, e2 = v1 - v0, v2 - v0
+    h = np.cross(dirs, e2)
+    a = h @ e1
+    ok = np.abs(a) > 1e-14
+    inv = np.where(ok, 1.0 / np.where(ok, a, 1.0), 0.0)
+    s = origin - v0
+    u = inv * (h @ s)
+    q = np.cross(s, e1)
+    v = inv * (dirs @ q)
+    t = inv * float(e2 @ q)
+    tol = 1e-12
+    hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > 1e-9)
+    return np.where(hit, t, np.inf)
+
+
+def ref_object_window(corners_world, world_to_cam, k, margin=2):
+    pts = apply_points(world_to_cam, corners_world)
+    if np.any(pts[:, 2] <= 1e-6):
+        return (0, k.width - 1, 0, k.height - 1)
+    u, v = ray_to_pixel(k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
+    u0 = max(int(np.floor(u.min())) - margin, 0)
+    u1 = min(int(np.ceil(u.max())) + margin, k.width - 1)
+    v0 = max(int(np.floor(v.min())) - margin, 0)
+    v1 = min(int(np.ceil(v.max())) + margin, k.height - 1)
+    if u0 > u1 or v0 > v1:
+        return None
+    return (u0, u1, v0, v1)
+
+
+def ref_pixel_dirs(cam, u0, u1, v0, v1):
+    """World ray directions of a pixel window as an (n, 3) array, row-major."""
+    uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+    dirs_cam = np.column_stack([*pixel_to_ray(cam.intrinsics, uu.ravel(), vv.ravel()),
+                                np.ones(uu.size)])
+    return dirs_cam @ cam.cam_to_world.rotation.T, uu.shape
+
+
+def ref_render_camera(cam, spec):
+    k = cam.intrinsics
+    world_to_cam = invert(cam.cam_to_world)
+    origin = cam.cam_to_world.translation
+    best_t = np.full((k.height, k.width), np.inf)
+    winner = np.full((k.height, k.width), -1, dtype=np.int32)
+    objects = [(f.center_world.to_array() + _CUBE_SIGNS * f.semi_axes, f) for f in spec.fruits]
+    objects += [(occ.corners, occ) for occ in spec.occluders]
+    windows = [ref_object_window(corners, world_to_cam, k) for corners, _ in objects]
+    for idx, ((_, obj), window) in enumerate(zip(objects, windows)):
+        if window is None:
+            continue
+        u0, u1, v0, v1 = window
+        dirs, shape = ref_pixel_dirs(cam, u0, u1, v0, v1)
+        if isinstance(obj, FruitSpec):
+            t = ref_ellipsoid_ts(origin, dirs, obj.center_world.to_array(), obj.semi_axes)
+        else:
+            c = obj.corners
+            t = np.minimum(ref_triangle_ts(origin, dirs, c[0], c[1], c[2]),
+                           ref_triangle_ts(origin, dirs, c[0], c[2], c[3]))
+        t = t.reshape(shape)
+        region_t = best_t[v0:v1 + 1, u0:u1 + 1]
+        region_w = winner[v0:v1 + 1, u0:u1 + 1]
+        better = t < region_t
+        region_t[better] = t[better]
+        region_w[better] = idx
+    hit = np.isfinite(best_t)
+    samples = np.zeros(best_t.shape, dtype=np.uint16)
+    samples[hit] = depth_units(best_t[hit], spec.depth_scale)
+    masks = {}
+    for idx, (fruit, window) in enumerate(zip(spec.fruits, windows)):
+        if window is None:
+            continue
+        u0, u1, v0, v1 = window
+        m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
+        if not m.is_empty():
+            masks[fruit.fruit_id] = m
+    return samples, masks
+
+
+def ref_add_depth_noise(data, depth_scale, sigma_at_1m, seed):
+    noise = np.random.default_rng(seed).standard_normal(data.shape)
+    z = data.astype(float) * depth_scale
+    q = depth_units(z + noise * sigma_at_1m * z * z, depth_scale)
+    q[data == 0] = 0
+    return q
+
+
+def ref_render_scene(spec):
+    """(depth samples, masks) per camera."""
+    out = []
+    for ci, cam in enumerate(spec.rig):
+        samples, masks = ref_render_camera(cam, spec)
+        if spec.noise.sigma_at_1m > 0:
+            samples = ref_add_depth_noise(samples, spec.depth_scale, spec.noise.sigma_at_1m,
+                                          _camera_noise_seed(spec.seed, ci))
+        out.append((samples, masks))
+    return out
+
+
+SMALL_K = CameraIntrinsics(160, 120, 115.0, 115.0, 79.5, 59.5)
+
+
+def small_orchard(depth_sensor: bool) -> SceneSpec:
+    """The orchard rig at 320x180 with 10 fruits and leaves; with
+    ``depth_sensor`` its cameras sit 15 mm beside the color cameras."""
+    k = CameraIntrinsics(320, 180, 230.0, 230.0, 159.5, 89.5)
+    spec = lab_scene(1, rig=paper_rig(k), n_fruits=10, columns=5, pitch_x=0.07, pitch_y=0.075)
+    if not depth_sensor:
+        return spec
+    offset = translation_transform(-0.015, 0.0, 0.0)
+    return dataclasses.replace(spec, rig=[RigCamera(c.camera_id, k, compose(c.cam_to_world, offset))
+                                          for c in spec.rig])
+
+
+def turned_rig_scene() -> SceneSpec:
+    """lab_scene on a 320x240 paper rig whose cameras are each turned 0.12 rad
+    about an oblique axis, so every rotation entry is nonzero."""
+    k = CameraIntrinsics(320, 240, 230.0, 230.0, 159.5, 119.5)
+    turn = rotation_about((0.3, 0.8, 0.5), 0.12)
+    rig = [RigCamera(c.camera_id, k, compose(c.cam_to_world, turn)) for c in paper_rig(k)]
+    return lab_scene(2, rig=rig)
+
+
+def one_fruit_scene(center, semi) -> SceneSpec:
+    """A fruit plus a normal one at the rig target, seen by a small paper rig."""
+    fruits = [FruitSpec("odd", Point3(*center), np.array(semi)),
+              FruitSpec("target", RIG_TARGET, np.array([0.03, 0.025, 0.03]))]
+    return SceneSpec(fruits=fruits, occluders=[], rig=paper_rig(SMALL_K),
+                     noise=NoiseSpec(0.002), seed=3)
+
+
+RENDER_SCENES = {
+    "lab_scene_0": lambda: lab_scene(0),
+    "orchard_color": lambda: small_orchard(False),
+    "orchard_depth_sensor": lambda: small_orchard(True),
+    "turned_rig": turned_rig_scene,
+    # straddles the right border of the middle camera's frame
+    "partly_outside": lambda: one_fruit_scene((0.42, 0.05, 0.6), (0.04, 0.035, 0.04)),
+    # spans camera-frame z -0.03..0.07 of the middle camera, beside its center;
+    # the middle camera sees the part in front of it
+    "crosses_camera_plane": lambda: one_fruit_scene((0.04, 0.0, 0.02), (0.03, 0.03, 0.05)),
+    "behind_camera": lambda: one_fruit_scene((0.0, 0.05, -0.3), (0.05, 0.04, 0.05)),
+    # the middle camera sits inside it and sees its far side everywhere
+    "contains_camera": lambda: one_fruit_scene((0.0, 0.0, 0.02), (0.03, 0.04, 0.05)),
+}
+
+
+@pytest.mark.parametrize("name", RENDER_SCENES)
+def test_render_matches_point_array_reference(name):
+    spec = RENDER_SCENES[name]()
+    got = render_scene(spec).captures
+    expected = ref_render_scene(spec)
+    assert len(got) == len(expected)
+    for cap, (samples, masks) in zip(got, expected):
+        assert np.array_equal(cap.depth.data, samples)
+        assert cap.masks == masks
+    assert any(masks for _, masks in expected)
+
+
+def reference_hits(cam, fruit):
+    """Pixels whose ray hits the fruit, by the reference ray caster over the
+    whole frame."""
+    k = cam.intrinsics
+    dirs, shape = ref_pixel_dirs(cam, 0, k.width - 1, 0, k.height - 1)
+    t = ref_ellipsoid_ts(cam.cam_to_world.translation, dirs, fruit.center_world.to_array(),
+                         fruit.semi_axes)
+    return np.isfinite(t).reshape(shape)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(cam_index=st.integers(0, 2),
+       center=st.tuples(st.floats(-0.45, 0.45), st.floats(-0.35, 0.35), st.floats(0.2, 1.0)),
+       semi=st.tuples(*[st.floats(0.003, 0.2)] * 3))
+def test_fruit_window_contains_every_hit(cam_index, center, semi):
+    # centers up to 0.45 m off the rig axis put fruits partly or wholly
+    # outside the frame, and the largest reach the oblique cameras' planes
+    cam = paper_rig(SMALL_K)[cam_index]
+    fruit = FruitSpec("f", Point3(*center), np.array(semi))
+    world_to_cam = invert(cam.cam_to_world)
+    window = _fruit_window(fruit, world_to_cam, SMALL_K)
+    hits = reference_hits(cam, fruit)
+    if window is None:
+        assert not hits.any()
+        return
+    u0, u1, v0, v1 = window
+    inside = np.zeros_like(hits)
+    inside[v0:v1 + 1, u0:u1 + 1] = True
+    assert not (hits & ~inside).any()
+
+    # a silhouette a few pixels across and wholly inside the frame gets a
+    # tight window, not the frame
+    c_z = apply(world_to_cam, fruit.center_world).z
+    vs, us = np.nonzero(hits)
+    if (min(semi) * SMALL_K.fx / c_z >= 2 and len(us)
+            and 0 < us.min() and us.max() < 159 and 0 < vs.min() and vs.max() < 119):
+        assert u0 >= us.min() - 5 and u1 <= us.max() + 5
+        assert v0 >= vs.min() - 5 and v1 <= vs.max() + 5
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.02), (0.0, 0.0, -0.04), (0.0, 0.0, -0.3)],
+                         ids=["contains_camera", "crosses_plane_from_behind", "behind"])
+def test_fruit_window_is_whole_image_unless_wholly_in_front(center):
+    # semi-axis 0.05 along z: the first two reach the middle camera's z = 0
+    # plane (one contains the camera), the third is wholly behind it
+    cam = single_camera(SMALL_K)
+    fruit = FruitSpec("f", Point3(*center), np.array([0.03, 0.04, 0.05]))
+    assert _fruit_window(fruit, invert(cam.cam_to_world), SMALL_K) == (0, 159, 0, 119)
 
 
 class TestRenderScene:
