@@ -339,11 +339,8 @@ def align_depth_to_color(
     del uu, vv
     x, y = xn * z, yn * z
     del xn, yn
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = depth_to_color.rotation.tolist()
-    t0, t1, t2 = depth_to_color.translation.tolist()
-    pz = x * r20 + y * r21 + z * r22 + t2
-    px = x * r00 + y * r01 + z * r02 + t0
-    py = x * r10 + y * r11 + z * r12 + t1
+    px, py, pz = (x * r0 + y * r1 + z * r2 + t for (r0, r1, r2), t in
+                  zip(depth_to_color.rotation.tolist(), depth_to_color.translation.tolist()))
     del x, y, z
 
     front = pz > 0

@@ -286,7 +286,7 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
     k = cam.intrinsics
     world_to_cam = invert(cam.cam_to_world)
     origin = cam.cam_to_world.translation.tolist()
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = cam.cam_to_world.rotation.tolist()
+    rows = cam.cam_to_world.rotation.tolist()
     # SceneSpec refuses distortion, so a pixel's normalized ray is separable:
     # its x depends on the column only and its y on the row only. A window's
     # world ray directions (x, y, 1) @ rot.T are then broadcast from a row of
@@ -305,9 +305,7 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
             continue
         u0, u1, v0, v1 = window
         x, y = xs[u0:u1 + 1], ys[v0:v1 + 1]
-        dirs = (x * r00 + (y * r01 + r02),
-                x * r10 + (y * r11 + r12),
-                x * r20 + (y * r21 + r22))
+        dirs = [x * r0 + (y * r1 + r2) for r0, r1, r2 in rows]
         if isinstance(obj, FruitSpec):
             t = _ellipsoid_ts(origin, dirs, obj.center_world, obj.semi_axes.tolist())
         else:
