@@ -324,14 +324,9 @@ def align_depth_to_color(
     re-projected; collisions keep the nearest sample and uncovered output
     pixels stay 0.
     """
-    height, width = color_k.height, color_k.width
-    out = np.zeros(height * width, dtype=np.uint16)
-    valid = np.flatnonzero(depth.data != 0)
-    if len(valid) == 0:
-        return DepthImage(out.reshape(height, width), depth.depth_scale)
-
     # One flat array per coordinate: numpy runs much slower over the short
     # rows of an (n, 3) array. Large arrays are freed as soon as they are used.
+    valid = np.flatnonzero(depth.data != 0)
     z = depth.data.ravel()[valid].astype(float) * depth.depth_scale
     vv, uu = np.divmod(valid, depth.width)
     del valid
@@ -346,8 +341,6 @@ def align_depth_to_color(
     front = pz > 0
     if not front.all():
         px, py, pz = px[front], py[front], pz[front]
-        if len(pz) == 0:
-            return DepthImage(out.reshape(height, width), depth.depth_scale)
     del front
     u, v = ray_to_pixel(color_k, px / pz, py / pz)
     del px, py
@@ -355,6 +348,7 @@ def align_depth_to_color(
     del u
     vo = np.floor(v + 0.5).astype(np.int64)
     del v
+    height, width = color_k.height, color_k.width
     inside = (uo >= 0) & (uo < width) & (vo >= 0) & (vo < height)
     flat = (vo * width + uo)[inside]
     del uo, vo
@@ -367,5 +361,6 @@ def align_depth_to_color(
     flat = flat[order]
     del order
     keep = samples > 0
+    out = np.zeros(height * width, dtype=np.uint16)
     out[flat[keep]] = samples[keep]
     return DepthImage(out.reshape(height, width), depth.depth_scale)

@@ -309,6 +309,12 @@ class TestAlignDepthToColor:
             RigidTransform.identity())
         assert not out.data.any()
 
+    def test_samples_all_behind_color_camera_leave_no_depth(self):
+        k = CameraIntrinsics(32, 32, 30.0, 30.0, 16.0, 16.0)
+        out = align_depth_to_color(DepthImage(np.full((32, 32), 1000, dtype=np.uint16)), k, k,
+                                   translation_transform(0.0, 0.0, -2.0))
+        assert not out.data.any()
+
     def test_never_invents_depth(self, rng):
         depth_k = CameraIntrinsics(64, 48, 55.0, 55.0, 32.0, 24.0)
         color_k = CameraIntrinsics(128, 96, 110.0, 110.0, 64.0, 48.0)
