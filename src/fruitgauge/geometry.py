@@ -64,8 +64,7 @@ def _project_to_so3(r: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-# eq=False: compare and hash by identity; the generated == would compare
-# numpy arrays and raise.
+# eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """3D rigid motion stored as a 3x3 rotation and a 3-vector translation.
@@ -191,8 +190,7 @@ class CameraIntrinsics:
         return self.distortion is not None and any(self.distortion.tolist())
 
 
-# eq=False: compare and hash by identity; the generated == would compare
-# numpy arrays and raise.
+# eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class DepthImage:
     """16-bit depth buffer; a zero sample means "no depth"."""

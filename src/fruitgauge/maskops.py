@@ -108,8 +108,7 @@ class BinaryMask:
         return out
 
 
-# eq=False: compare and hash by identity; the generated == would compare
-# numpy arrays and raise.
+# eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class EdgeSet:
     """Edge pixels as an (n, 2) int array of (u, v), sorted by (v, u)."""

@@ -49,8 +49,7 @@ _EPS_T = 1e-9
 DEFAULT_FRAME_ID = "000"
 
 
-# eq=False: compare and hash by identity; the generated == would compare
-# numpy arrays and raise.
+# eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class FruitSpec:
     fruit_id: str
@@ -74,8 +73,7 @@ class FruitSpec:
         return 2000.0 * float(self.semi_axes[0])
 
 
-# eq=False: compare and hash by identity; the generated == would compare
-# numpy arrays and raise.
+# eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class QuadOccluder:
     corners: np.ndarray  # (4, 3) world meters, rendered as two triangles
