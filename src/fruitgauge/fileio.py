@@ -14,7 +14,8 @@ A capture bundle directory looks like::
 
 ``fruitgauge measure`` writes ``records.json``: ``{"records": [...],
 "warnings": [...]}``. A record is one accepted detection, sized and localized
-in its own view (``Record``); its keys, in written order:
+in its own view (``Record``, a ``NamedTuple``: immutable, hashable, compared
+by value and cheap to build); its keys, in written order:
 
     frame_id, camera_id       str
     detection_index           int, position in the detections file
@@ -44,6 +45,9 @@ intrinsics_files: {camera_id: path}}``; a transform is ``{rotation, translation}
 One rule covers malformed input: only this module reads a document, and it
 indexes one only inside ``parsing(source)``, so a missing key or a value of the
 wrong type or shape is a ``BundleIOError`` that names the file (CLI exit 2).
+``read_records`` and ``read_fused_choices`` check a whole file in one pass,
+with the same per-record validation as ``Record.from_dict``, and name the
+failing entry as ``#records[i]`` or ``#fruits[i]``.
 
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
@@ -55,9 +59,10 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,10 +82,10 @@ _MALFORMED = (TypeError, ValueError, IndexError, AttributeError, OverflowError,
 
 class parsing:
     """Turns a ``KeyError`` or ``_MALFORMED`` error inside it into a
-    ``BundleIOError`` naming ``source``. A class, not a generator context
-    manager, because ``Record.from_dict`` enters one per record."""
+    ``BundleIOError`` naming ``source``, which is formatted only then, so a
+    reader can enter one per file and still name the entry that failed."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: object):
         self.source = source
 
     def __enter__(self) -> None:
@@ -111,7 +116,8 @@ def _string(d: dict, key: str, optional: bool = False) -> Optional[str]:
 
 
 def _check_list(key: str, values: list, n: int, types: tuple) -> None:
-    if type(values) is not list or len(values) != n or any(type(v) not in types for v in values):
+    if type(values) is not list or len(values) != n or not all(map(types.__contains__,
+                                                                   map(type, values))):
         raise TypeError(f"{key} needs {n} values of types {types}, got {values!r}")
 
 
@@ -356,19 +362,24 @@ def read_detections(path: Path) -> DetectionFile:
 
 # -- measurement records -----------------------------------------------------
 
-# records.json keys in written order, each with the JSON types its value may take.
+# records.json keys in written order up to center_world_m, which is last, each
+# with the JSON types its value may take.
 _RECORD_TYPES = {
     "frame_id": (str,), "camera_id": (str,), "detection_index": (int,), "class": (str,),
     "fruit_id": (str, type(None)), "height_mm": _NUMBER, "width_mm": _NUMBER,
     "median_depth_m": _NUMBER, "fill_ratio": _NUMBER, "circle": (dict,), "bbox": (list,),
     "center_depth_m": _NUMBER, "edge_margin_px": (int,), "radius_m": _NUMBER,
-    "center_world_m": (list,),
 }
 _CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
+_record_fields = operator.itemgetter(*_RECORD_TYPES)
+_circle_fields = operator.itemgetter(*_CIRCLE_TYPES)
+_RECORD_TYPE_SETS = tuple(map(frozenset, _RECORD_TYPES.values()))
+# The types of a record's circle, bbox and center values, in that order.
+_VALUE_TYPE_SETS = tuple(map(frozenset, (*_CIRCLE_TYPES.values(), *[(int,)] * 4,
+                                         *[_NUMBER] * 3)))
 
 
-@dataclass(frozen=True, slots=True)
-class Record:
+class Record(NamedTuple):
     """One ``records.json`` record (see the module docstring); ``class_name`` is ``class``."""
 
     frame_id: str
@@ -388,22 +399,25 @@ class Record:
     center_world_m: Point3
 
     def to_dict(self) -> dict:
+        (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
+         median_depth_m, fill_ratio, circle, bbox, center_depth_m, edge_margin_px, radius_m,
+         center_world_m) = self
         return {
-            "frame_id": self.frame_id,
-            "camera_id": self.camera_id,
-            "detection_index": self.detection_index,
-            "class": self.class_name,
-            "fruit_id": self.fruit_id,
-            "height_mm": self.height_mm,
-            "width_mm": self.width_mm,
-            "median_depth_m": self.median_depth_m,
-            "fill_ratio": self.fill_ratio,
-            "circle": {"cu": self.circle.cu, "cv": self.circle.cv, "r_px": self.circle.r_px},
-            "bbox": list(self.bbox),
-            "center_depth_m": self.center_depth_m,
-            "edge_margin_px": self.edge_margin_px,
-            "radius_m": self.radius_m,
-            "center_world_m": list(self.center_world_m),
+            "frame_id": frame_id,
+            "camera_id": camera_id,
+            "detection_index": detection_index,
+            "class": class_name,
+            "fruit_id": fruit_id,
+            "height_mm": height_mm,
+            "width_mm": width_mm,
+            "median_depth_m": median_depth_m,
+            "fill_ratio": fill_ratio,
+            "circle": {"cu": circle.cu, "cv": circle.cv, "r_px": circle.r_px},
+            "bbox": list(bbox),
+            "center_depth_m": center_depth_m,
+            "edge_margin_px": edge_margin_px,
+            "radius_m": radius_m,
+            "center_world_m": list(center_world_m),
         }
 
     @staticmethod
@@ -411,34 +425,48 @@ class Record:
         """Parse one record; a missing or mistyped field, a non-finite center or a
         radius that is not finite and positive raises BundleIOError."""
         with parsing(f"record {source}"):
-            _check_types(d, _RECORD_TYPES)
-            circle, bbox, center = d["circle"], d["bbox"], d["center_world_m"]
-            _check_types(circle, _CIRCLE_TYPES)
-            _check_list("bbox", bbox, 4, (int,))
-            _check_list("center_world_m", center, 3, _NUMBER)
-            if not all(map(math.isfinite, center)):
-                raise ValueError(f"center_world_m must be finite, got {center!r}")
-            radius = float(d["radius_m"])
-            if not 0 < radius < math.inf:
-                raise ValueError(f"radius_m must be finite and positive, got {radius!r}")
-            return Record(
-                frame_id=d["frame_id"],
-                camera_id=d["camera_id"],
-                detection_index=d["detection_index"],
-                class_name=d["class"],
-                fruit_id=d["fruit_id"],
-                height_mm=float(d["height_mm"]),
-                width_mm=float(d["width_mm"]),
-                median_depth_m=float(d["median_depth_m"]),
-                fill_ratio=float(d["fill_ratio"]),
-                circle=FittedCircle(float(circle["cu"]), float(circle["cv"]),
-                                    float(circle["r_px"])),
-                bbox=tuple(bbox),
-                center_depth_m=float(d["center_depth_m"]),
-                edge_margin_px=d["edge_margin_px"],
-                radius_m=radius,
-                center_world_m=Point3(*map(float, center)),
-            )
+            return _record(d, d["center_world_m"])
+
+
+def _record(d: dict, center: list) -> Record:
+    """The record with ``d``'s fields and ``center`` as its ``center_world_m``.
+    Raises ``KeyError`` or a ``_MALFORMED`` error; callers enter ``parsing``.
+
+    Each check maps ``type`` over the values against per-value type sets and
+    calls the checks that name the wrong field only when that fails."""
+    fields = _record_fields(d)
+    if not all(map(frozenset.__contains__, _RECORD_TYPE_SETS, map(type, fields))):
+        _check_types(d, _RECORD_TYPES)
+    (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
+     median_depth_m, fill_ratio, circle, bbox, center_depth_m, edge_margin_px, radius) = fields
+    cu, cv, r_px = _circle_fields(circle)
+    if (type(center) is not list or len(bbox) != 4 or len(center) != 3
+            or not all(map(frozenset.__contains__, _VALUE_TYPE_SETS,
+                           map(type, (cu, cv, r_px, *bbox, *center))))):
+        _check_types(circle, _CIRCLE_TYPES)
+        _check_list("bbox", bbox, 4, (int,))
+        _check_list("center_world_m", center, 3, _NUMBER)
+    x, y, z = map(float, center)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"center_world_m must be finite, got {center!r}")
+    radius = float(radius)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius_m must be finite and positive, got {radius!r}")
+    return Record(frame_id, camera_id, detection_index, class_name, fruit_id,
+                  float(height_mm), float(width_mm), float(median_depth_m), float(fill_ratio),
+                  FittedCircle(float(cu), float(cv), float(r_px)), tuple(bbox),
+                  float(center_depth_m), edge_margin_px, radius, Point3(x, y, z))
+
+
+class _Entry:
+    """``<where>[i]``, with i the number of entries parsed so far: the source
+    that one ``parsing`` around a whole list names when entry i fails."""
+
+    def __init__(self, where: str, parsed: list):
+        self.where, self.parsed = where, parsed
+
+    def __str__(self) -> str:
+        return f"{self.where}[{len(self.parsed)}]"
 
 
 def _entries(path: Path, key: str) -> list:
@@ -450,17 +478,21 @@ def _entries(path: Path, key: str) -> list:
 
 def read_records(path: Path) -> List[Record]:
     """The records of a ``records.json``; its warnings are not read."""
-    return [Record.from_dict(d, f"{path}#records[{i}]")
-            for i, d in enumerate(_entries(path, "records"))]
+    entries, records = _entries(path, "records"), []
+    with parsing(_Entry(f"record {path}#records", records)):
+        for d in entries:
+            records.append(_record(d, d["center_world_m"]))
+    return records
 
 
 def read_fused_choices(path: Path) -> List[Record]:
     """The chosen record of each fruit in a ``fused.json``, placed at the
     fruit's fused center, which is where the evaluator matches it."""
-    with parsing(f"fused fruit in {path}"):
-        placed = [{**f["chosen"], "center_world_m": f["center_world_m"]}
-                  for f in _entries(path, "fruits")]
-    return [Record.from_dict(d, f"{path}#fruits[{i}]") for i, d in enumerate(placed)]
+    entries, chosen = _entries(path, "fruits"), []
+    with parsing(_Entry(f"record {path}#fruits", chosen)):
+        for f in entries:
+            chosen.append(_record(f["chosen"], f["center_world_m"]))
+    return chosen
 
 
 # -- ground truth ------------------------------------------------------------

@@ -13,13 +13,21 @@ can only lie in its own cell or one of the 26 around it, and only those
 candidates get the exact distance test. The work is near-linear in the
 record count instead of quadratic. The grid needs finite centers and finite
 positive radii; ``fileio.Record.from_dict`` rejects anything else.
+
+The rest of the cluster bookkeeping is numpy too. Components come from
+min-index label propagation with pointer jumping over the matching pairs, so
+a cluster's label is its smallest record index. Cluster means are taken per
+cluster size over ``(m, k)`` gathers of members, which adds each cluster's
+members in the same order as a mean over that cluster alone, so the values
+are bit-identical to it. The best view is the member that comes first in one
+sort of all records on ``select_best``'s key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 import numpy as np
 
@@ -57,31 +65,12 @@ def localize(
     return apply(cam_to_world, Point3.from_array(p))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # deterministic: smaller root wins
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
 # A cell and the 26 cells around it.
 _NEIGHBOURS = np.array(list(product((-1, 0, 1), repeat=3)), dtype=np.int64)
 
 
 def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
-    """Index lists ``(i, j)`` of every pair i < j with
+    """Index arrays ``(i, j)`` of every pair i < j with
     ``norm(c_j - c_i) <= max(r_i, r_j)``, from a uniform grid hash.
 
     The cell edge is the largest radius, widened by a relative 1e-9 so that
@@ -118,7 +107,7 @@ def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     keep = i < j
     i, j = i[keep], j[keep]
     match = np.linalg.norm(centers[j] - centers[i], axis=1) <= np.maximum(radii[i], radii[j])
-    return i[match].tolist(), j[match].tolist()
+    return i[match], j[match]
 
 
 @dataclass
@@ -131,6 +120,17 @@ class WorldFruit:
     chosen: int = 0                     # index into ``members``
 
 
+def _best_view_key(camera_order: Sequence[str]) -> Callable[[Record], tuple]:
+    """``select_best``'s sort key: highest fill ratio first, then the rig's
+    camera order, then the lowest frame id and detection index."""
+    rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
+
+    def key(m: Record) -> tuple:
+        return (-m.fill_ratio, rank[m.camera_id], m.frame_id, m.detection_index)
+
+    return key
+
+
 def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:
     """Index of the member to report for a cluster.
 
@@ -139,11 +139,28 @@ def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:
     ``fill_ratio``, ``camera_id``, ``frame_id`` and ``detection_index``
     attributes, and every ``camera_id`` must be in ``camera_order``.
     """
-    def key(i: int):
-        m = members[i]
-        return (-m.fill_ratio, camera_order.index(m.camera_id), m.frame_id, m.detection_index)
+    key = _best_view_key(camera_order)
+    return min(range(len(members)), key=lambda i: key(members[i]))
 
-    return min(range(len(members)), key=key)
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each node's component label, its smallest node index, for the edges
+    ``(i, j)``: hook the larger label of every edge onto the smaller one, then
+    jump pointers until every label is a root; repeat until no edge joins two
+    labels."""
+    label = np.arange(n)
+    while True:
+        li, lj = label[i], label[j]
+        apart = li != lj
+        if not apart.any():
+            return label
+        li, lj = li[apart], lj[apart]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[WorldFruit]:
@@ -155,32 +172,37 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
     the larger of the two radii; clusters are the connected components of the
     match graph, found from the grid hash's candidate pairs. A cluster's
     members keep input order, clusters are ordered by their first member, and
-    cluster center and radius are member means.
+    cluster center and radius are member means. The chosen member is
+    ``select_best``'s.
     """
     n = len(records)
     if n == 0:
         return []
     centers = np.array([r.center_world_m for r in records], dtype=float)
     radii = np.array([r.radius_m for r in records], dtype=float)
+    label = _components(n, *_matching_pairs(centers, radii))
 
-    uf = _UnionFind(n)
-    for i, j in zip(*_matching_pairs(centers, radii)):
-        uf.union(i, j)
+    # Members grouped by cluster in input order; clusters ordered by label,
+    # which is their first member.
+    by_cluster = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[by_cluster], return_index=True, return_counts=True)
+    # Best view: the member that comes first in one sort of all records on
+    # select_best's key (the stable sort keeps index order among equal keys).
+    keys = list(map(_best_view_key(camera_order), records))
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
 
-    clusters: dict[int, List[int]] = {}
-    for i in range(n):
-        clusters.setdefault(uf.find(i), []).append(i)
-
-    fruits = []
-    for root in sorted(clusters):
-        idx = clusters[root]
-        members = [records[i] for i in idx]
-        fruits.append(
-            WorldFruit(
-                center_world=Point3.from_array(centers[idx].mean(axis=0)),
-                radius_m=float(radii[idx].mean()),
-                members=members,
-                chosen=select_best(members, camera_order),
-            )
-        )
+    fruits: List[WorldFruit] = [None] * len(starts)
+    # Means per cluster size, over (m, k) gathers, so that each mean adds
+    # its k members in the same order as a mean over that cluster alone.
+    for k in np.unique(sizes).tolist():
+        of_size = np.flatnonzero(sizes == k)
+        members = by_cluster[starts[of_size, None] + np.arange(k)]
+        means = centers[members].mean(axis=1).tolist()
+        mean_radii = radii[members].mean(axis=1).tolist()
+        chosen = rank[members].argmin(axis=1).tolist()
+        for c, idx, center, radius, best in zip(of_size.tolist(), members.tolist(), means,
+                                                mean_radii, chosen):
+            fruits[c] = WorldFruit(Point3._make(center), radius,
+                                   [records[i] for i in idx], best)
     return fruits
