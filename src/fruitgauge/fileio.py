@@ -211,7 +211,7 @@ def read_depth(path_pgm: Path) -> DepthImage:
 # -- intrinsics / rig --------------------------------------------------------
 
 def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
-    distortion = None if k.distortion is None else [float(c) for c in k.distortion]
+    distortion = None if k.distortion is None else list(k.distortion)
     return {**asdict(k), "distortion": distortion}
 
 
@@ -459,14 +459,15 @@ def _record(d: dict, center: list) -> Record:
 
 
 class _Entry:
-    """``<where>[i]``, with i the number of entries parsed so far: the source
-    that one ``parsing`` around a whole list names when entry i fails."""
+    """The source that one ``parsing`` around a whole list names when an
+    entry fails: ``before``, the entry's number, ``after``. The number is that
+    of the entries parsed so far, plus ``first``."""
 
-    def __init__(self, where: str, parsed: list):
-        self.where, self.parsed = where, parsed
+    def __init__(self, before: str, parsed: list, after: str = "", first: int = 0):
+        self.before, self.parsed, self.after, self.first = before, parsed, after, first
 
     def __str__(self) -> str:
-        return f"{self.where}[{len(self.parsed)}]"
+        return f"{self.before}{len(self.parsed) + self.first}{self.after}"
 
 
 def _entries(path: Path, key: str) -> list:
@@ -479,7 +480,7 @@ def _entries(path: Path, key: str) -> list:
 def read_records(path: Path) -> List[Record]:
     """The records of a ``records.json``; its warnings are not read."""
     entries, records = _entries(path, "records"), []
-    with parsing(_Entry(f"record {path}#records", records)):
+    with parsing(_Entry(f"record {path}#records[", records, "]")):
         for d in entries:
             records.append(_record(d, d["center_world_m"]))
     return records
@@ -489,7 +490,7 @@ def read_fused_choices(path: Path) -> List[Record]:
     """The chosen record of each fruit in a ``fused.json``, placed at the
     fruit's fused center, which is where the evaluator matches it."""
     entries, chosen = _entries(path, "fruits"), []
-    with parsing(_Entry(f"record {path}#fruits", chosen)):
+    with parsing(_Entry(f"record {path}#fruits[", chosen, "]")):
         for f in entries:
             chosen.append(_record(f["chosen"], f["center_world_m"]))
     return chosen
@@ -519,8 +520,8 @@ def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
     with parsing(f"ground truth {path}"):
         rows = list(csv.DictReader(io.StringIO(_read_bytes(path).decode(), newline="")))
     records = []
-    for i, row in enumerate(rows):
-        with parsing(f"ground-truth row {i + 1} in {path}"):
+    with parsing(_Entry("ground-truth row ", records, f" in {path}", first=1)):
+        for row in rows:
             center = None
             if row.get("x_m") not in (None, ""):
                 center = Point3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"]))

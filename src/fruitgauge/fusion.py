@@ -26,7 +26,6 @@ sort of all records on ``select_best``'s key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
 import numpy as np
@@ -65,10 +64,6 @@ def localize(
     return apply(cam_to_world, Point3.from_array(p))
 
 
-# A cell and the 26 cells around it.
-_NEIGHBOURS = np.array(list(product((-1, 0, 1), repeat=3)), dtype=np.int64)
-
-
 def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     """Index arrays ``(i, j)`` of every pair i < j with
     ``norm(c_j - c_i) <= max(r_i, r_j)``, from a uniform grid hash.
@@ -77,32 +72,34 @@ def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     rounding in ``c / edge`` cannot put a matching pair two cells apart (exact
     while coordinates stay within about 10**6 cell edges of the origin).
     """
+    n = len(centers)
     edge = float(radii.max()) * (1 + 1e-9)
     cells = np.floor(centers / edge).astype(np.int64)
     # A cell's key packs the first positions of its coordinates in each
     # axis's sorted cell coordinates, so it fits in int64 for up to two
     # million records; a neighbour cell with an unoccupied coordinate gets
-    # key -1.
-    axes = [np.sort(cells[:, a]) for a in range(3)]
-
-    def keys(c: np.ndarray) -> np.ndarray:
-        key = np.zeros(len(c), dtype=np.int64)
-        occupied = np.ones(len(c), dtype=bool)
-        for a, values in enumerate(axes):
-            rank = np.minimum(np.searchsorted(values, c[:, a]), len(values) - 1)
-            occupied &= values[rank] == c[:, a]
-            key = key * len(values) + rank
-        return np.where(occupied, key, -1)
-
-    own = keys(cells)
+    # key -1. Row 9 dx + 3 dy + dz + 13 of ``query`` holds the key of each
+    # record's cell moved by (dx, dy, dz), each in -1..1: each axis is
+    # searched for its three shifted coordinates only, and the 27
+    # neighbours are their combinations.
+    key = np.zeros((1, n), dtype=np.int64)
+    occupied = np.ones((1, n), dtype=bool)
+    for a in range(3):
+        values = np.sort(cells[:, a])
+        shifted = cells[:, a] + np.array([[-1], [0], [1]])
+        rank = np.minimum(np.searchsorted(values, shifted), n - 1)
+        key = (key[:, None] * n + rank).reshape(-1, n)
+        occupied = (occupied[:, None] & (values[rank] == shifted)).reshape(-1, n)
+    query = np.where(occupied, key, -1)
+    own = query[13]
     order = np.argsort(own)
-    sorted_keys = own[order]
-    # Query every record's 27 cells at once; record i's candidates in a cell
-    # are the sorted run order[lo:lo + count].
-    query = keys((cells + _NEIGHBOURS[:, None]).reshape(-1, 3))
-    lo = np.searchsorted(sorted_keys, query, side="left")
-    count = np.searchsorted(sorted_keys, query, side="right") - lo
-    i = np.repeat(np.tile(np.arange(len(cells)), len(_NEIGHBOURS)), count)
+    # Occupied cell k holds the records order[starts[k]:starts[k] + sizes[k]];
+    # record i's candidates in a queried cell are the run order[lo:lo + count].
+    cell_keys, starts, sizes = np.unique(own[order], return_index=True, return_counts=True)
+    query = query.reshape(-1)
+    at = np.minimum(np.searchsorted(cell_keys, query), len(cell_keys) - 1)
+    lo, count = starts[at], np.where(cell_keys[at] == query, sizes[at], 0)
+    i = np.repeat(np.tile(np.arange(n), 27), count)
     j = order[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(i))]
     keep = i < j
     i, j = i[keep], j[keep]
@@ -178,7 +175,7 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
     n = len(records)
     if n == 0:
         return []
-    centers = np.array([r.center_world_m for r in records], dtype=float)
+    centers = np.array([c for r in records for c in r.center_world_m], dtype=float).reshape(n, 3)
     radii = np.array([r.radius_m for r in records], dtype=float)
     label = _components(n, *_matching_pairs(centers, radii))
 
