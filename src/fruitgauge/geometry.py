@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,7 +163,8 @@ def mean_rotation(rotations: Sequence[np.ndarray]) -> np.ndarray:
 class CameraIntrinsics:
     """Pinhole model with optional 5-coefficient Brown-Conrady distortion.
 
-    Distortion coefficients are ordered (k1, k2, p1, p2, k3).
+    Distortion coefficients are ordered (k1, k2, p1, p2, k3) and held as a
+    tuple of floats, so intrinsics compare and hash by value.
     """
 
     width: int
@@ -172,7 +173,7 @@ class CameraIntrinsics:
     fy: float
     ppx: float
     ppy: float
-    distortion: Optional[np.ndarray] = None
+    distortion: Optional[Tuple[float, float, float, float, float]] = None
 
     def __post_init__(self):
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
@@ -180,14 +181,14 @@ class CameraIntrinsics:
         if not (0 <= self.ppx < self.width and 0 <= self.ppy < self.height):
             raise InvalidPose("principal point must lie inside the image")
         if self.distortion is not None:
-            d = np.asarray(self.distortion, dtype=float).reshape(-1)
-            if d.shape != (5,):
+            d = tuple(np.asarray(self.distortion, dtype=float).reshape(-1).tolist())
+            if len(d) != 5:
                 raise InvalidPose("distortion must have 5 coefficients")
             object.__setattr__(self, "distortion", d)
 
     @property
     def has_distortion(self) -> bool:
-        return self.distortion is not None and any(self.distortion.tolist())
+        return self.distortion is not None and any(self.distortion)
 
 
 # eq=False: == and hash() go by identity; generated ones would compare arrays.
@@ -243,7 +244,7 @@ class RigCamera:
 
 
 def _distort_normalized(xn, yn, d):
-    k1, k2, p1, p2, k3 = d.tolist()
+    k1, k2, p1, p2, k3 = d
     r2 = xn * xn + yn * yn
     radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     xd = xn * radial + 2 * p1 * xn * yn + p2 * (r2 + 2 * xn * xn)
@@ -260,7 +261,7 @@ def _undistort_normalized(xd, yd, d):
     # A fixed number of steps with no convergence test: the test is a numpy
     # reduction, which costs a scalar call more than the steps it saves. The
     # coefficients are Python floats, so scalar arithmetic stays in floats.
-    k1, k2, p1, p2, k3 = d.tolist()
+    k1, k2, p1, p2, k3 = d
     xn, yn = xd, yd
     for _ in range(UNDISTORT_ITERATIONS):
         r2 = xn * xn + yn * yn

@@ -246,8 +246,8 @@ def _quad_window(corners_world: np.ndarray, world_to_cam: RigidTransform,
 def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
                   k: CameraIntrinsics) -> Optional[Window]:
     """Pixel bbox of a fruit's exact silhouette: None when it lies outside
-    the image, the whole image unless the fruit is wholly in front of the
-    camera plane.
+    the image or wholly behind the camera, the whole image when it reaches
+    the camera plane.
 
     With the fruit's center c and shape matrix R diag(s^2) R^T in the camera
     frame, a plane l . X = 0 through the camera center meets the ellipsoid
@@ -255,7 +255,8 @@ def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
     silhouette in normalized coordinates (Hartley & Zisserman 2004, ch. 8).
     The planes x = x0 z with l = (1, 0, -x0) give the outline's x extent as
     the roots of n00 - 2 x0 n02 + x0^2 n22, and likewise for y. n22 > 0 says
-    the ellipsoid does not reach the plane z = 0.
+    the ellipsoid does not reach the plane z = 0, so the sign of the center's
+    z then says on which side of it the fruit lies.
     """
     (c,) = _camera_points(world_to_cam, [fruit.center_world])
     r = world_to_cam.rotation.tolist()
@@ -266,8 +267,10 @@ def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
                               + r[i][2] * r[j][2] * s2[2])
 
     n22 = n(2, 2)
-    if c[2] <= 0 or n22 <= 0:
+    if n22 <= 0:
         return _whole_image(k)
+    if c[2] <= 0:
+        return None
 
     def extent(i: int) -> Tuple[float, float]:
         n_ii, n_i2 = n(i, i), n(i, 2)

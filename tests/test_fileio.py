@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fruitgauge.fileio import (
     parsing,
     read_depth,
     read_detections,
+    read_fused_choices,
     read_ground_truth_csv,
     read_intrinsics,
     read_pgm16,
@@ -273,6 +275,53 @@ class TestRecords:
         del d[field]
         with pytest.raises(BundleIOError, match=field):
             Record.from_dict(d)
+
+    def test_records_are_immutable_and_hash_by_value(self):
+        a, b = Record.from_dict(RECORD), Record.from_dict(dict(RECORD))
+        with pytest.raises(AttributeError):
+            a.fill_ratio = 0.5
+        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Record.from_dict({**RECORD, "detection_index": 3})
+
+    @pytest.mark.parametrize("i", [0, 17, 49])
+    @pytest.mark.parametrize("damage,message", [
+        (lambda r: r.pop("width_mm"), "record {where} missing field 'width_mm'$"),
+        (lambda r: r.update(bbox=[1, 2, 3]), "malformed record {where}: bbox"),
+        (lambda r: r.update(radius_m=0.0), "malformed record {where}: radius_m"),
+    ], ids=["missing", "mistyped", "out-of-range"])
+    def test_bad_record_in_a_file_is_named_by_position(self, tmp_path, i, damage, message):
+        records = [{**RECORD, "detection_index": n} for n in range(50)]
+        damage(records[i])
+        path = tmp_path / "records.json"
+        dump_json({"records": records, "warnings": []}, path)
+        where = re.escape(f"{path}#records[{i}]")
+        with pytest.raises(BundleIOError, match="^" + message.format(where=where)):
+            read_records(path)
+
+    @pytest.mark.parametrize("i", [0, 17, 49])
+    @pytest.mark.parametrize("damage,message", [
+        (lambda f: f["chosen"].pop("fill_ratio"), "record {where} missing field 'fill_ratio'$"),
+        (lambda f: f.pop("center_world_m"), "record {where} missing field 'center_world_m'$"),
+        (lambda f: f.update(center_world_m=[0.0, float("nan"), 0.6]),
+         "malformed record {where}: center_world_m"),
+    ], ids=["chosen-missing", "center-missing", "center-non-finite"])
+    def test_bad_fruit_in_a_file_is_named_by_position(self, tmp_path, i, damage, message):
+        fruits = [{"center_world_m": [0.0, 0.0, 0.5 + n / 100], "radius_m": 0.0215,
+                   "n_views": 1, "chosen": {**RECORD, "detection_index": n},
+                   "members": [{**RECORD, "detection_index": n}]} for n in range(50)]
+        damage(fruits[i])
+        path = tmp_path / "fused.json"
+        dump_json({"fruits": fruits}, path)
+        where = re.escape(f"{path}#fruits[{i}]")
+        with pytest.raises(BundleIOError, match="^" + message.format(where=where)):
+            read_fused_choices(path)
+
+    def test_fused_choices_are_placed_at_the_fused_center(self, tmp_path):
+        chosen = {k: v for k, v in RECORD.items() if k != "center_world_m"}
+        dump_json({"fruits": [{"center_world_m": [0.1, 0.2, 0.7], "chosen": chosen}]},
+                  tmp_path / "fused.json")
+        (record,) = read_fused_choices(tmp_path / "fused.json")
+        assert record == Record.from_dict({**RECORD, "center_world_m": [0.1, 0.2, 0.7]})
 
     def test_file_without_records_list_rejected(self, tmp_path):
         dump_json([RECORD], tmp_path / "records.json")

@@ -186,16 +186,26 @@ NEAR = st.floats(-0.4, 0.4)
 JITTER = st.floats(-0.02, 0.02)
 
 
+STEP = st.floats(-0.002, 0.002)  # a step shorter than the smallest radius
+
+
 @st.composite
 def record_rows(draw):
-    """(x, y, z, r) rows: views of a few fruits, one large radius among small
-    ones, repeated centers, a sparse cloud metres wide, and pairs exactly
-    ``EDGE`` apart across a cell boundary; all coordinates may be negative."""
+    """(x, y, z, r) rows: views of a few fruits, a chain of 9 to 20 views that
+    forms one cluster, one large radius among small ones, repeated centers, a
+    sparse cloud metres wide, and pairs exactly ``EDGE`` apart across a cell
+    boundary; all coordinates may be negative. The chain's means add 8 or
+    more values, where numpy switches to pairwise summation."""
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         center = draw(st.tuples(NEAR, NEAR, NEAR))
         for _ in range(draw(st.integers(1, 3))):
             rows.append(tuple(c + draw(JITTER) for c in center) + (draw(RADII),))
+    if draw(st.booleans()):
+        x, y, z = draw(st.tuples(NEAR, NEAR, NEAR))
+        for _ in range(draw(st.integers(9, 20))):
+            rows.append((x, y, z, draw(RADII)))
+            x, y, z = x + draw(STEP), y + draw(STEP), z + draw(STEP)
     if draw(st.booleans()):
         rows.append(draw(st.tuples(NEAR, NEAR, NEAR, st.sampled_from([0.12, 0.4]))))
     rows += draw(st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3, RADII), max_size=8))
@@ -214,6 +224,7 @@ def record_rows(draw):
 @given(record_rows())
 @example([(0.1, -0.2, 0.5, 0.02)])
 @example([(-0.3, 0.0, 0.7, 0.02)] * 3)
+@example([(0.1 + n * 0.0031, -0.2 + n * 0.0007, 0.5 - n * 0.0013, 0.004) for n in range(12)])
 def test_grid_dedup_matches_all_pairs_reference(rows):
     records = [det(x, y, z, r=r, fill=0.5 + (i % 7) / 20, cam=ORDER[i % 3], index=i)
                for i, (x, y, z, r) in enumerate(rows)]

@@ -1,9 +1,10 @@
 """Mutation fuzzing of the document readers.
 
 Each test damages a valid document (replaces or deletes one to three of its
-values, or the whole document) and reads it back. A reader may reject the
-document only with a ``FruitGaugeError``; any other exception fails the test.
-Runs are derandomized and write no example database, so they are repeatable.
+values, or the whole document) and reads it back, through the file reader
+where there is one. A reader may reject the document only with a
+``FruitGaugeError``; any other exception fails the test. Runs are
+derandomized and write no example database, so they are repeatable.
 """
 
 import copy
@@ -22,7 +23,9 @@ from fruitgauge.fileio import (
     dump_json,
     read_board_poses,
     read_detections,
+    read_fused_choices,
     read_pgm16,
+    read_records,
     read_rig,
     scene_from_dict,
     scene_to_dict,
@@ -161,6 +164,26 @@ def test_record_from_dict(data):
     only_fruitgauge_errors(Record.from_dict, data.draw(damaged(RECORD)))
 
 
+RECORDS = {"records": [RECORD, {**RECORD, "camera_id": "middle", "fruit_id": "fruit00"}],
+           "warnings": []}
+FUSED = {"fruits": [{"center_world_m": [0.01, -0.02, 0.62], "radius_m": 0.0215, "n_views": 2,
+                     "chosen": RECORDS["records"][0], "members": RECORDS["records"]}]}
+
+
+@FUZZ
+@given(st.data())
+def test_read_records(work, data):
+    dump_json(data.draw(damaged(RECORDS)), work / "records.json")
+    only_fruitgauge_errors(read_records, work / "records.json")
+
+
+@FUZZ
+@given(st.data())
+def test_read_fused_choices(work, data):
+    dump_json(data.draw(damaged(FUSED)), work / "fused.json")
+    only_fruitgauge_errors(read_fused_choices, work / "fused.json")
+
+
 SCENE = scene_to_dict(SceneSpec(
     fruits=[FruitSpec("fruit00", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02]))],
     occluders=[QuadOccluder(np.array([[0, 0, 0.3], [0.01, 0, 0.3], [0.01, 0.01, 0.3],
@@ -199,6 +222,10 @@ def test_undamaged_documents_parse(work, detections_doc, rig_doc):
     assert len(read_detections(work / "valid_detections.json").detections) == 2
     assert len(read_rig(work / "rig" / "valid.json")) == 2
     assert Record.from_dict(RECORD).to_dict() == RECORD
+    dump_json(RECORDS, work / "valid_records.json")
+    assert [r.to_dict() for r in read_records(work / "valid_records.json")] == RECORDS["records"]
+    dump_json(FUSED, work / "valid_fused.json")
+    assert [r.to_dict() for r in read_fused_choices(work / "valid_fused.json")] == [RECORD]
     assert scene_to_dict(scene_from_dict(SCENE)) == SCENE
     dump_json(POSES, work / "valid_poses.json")
     assert read_board_poses(work / "valid_poses.json")[0] == "middle"

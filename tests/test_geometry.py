@@ -369,3 +369,13 @@ def test_array_dataclasses_compare_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+@pytest.mark.parametrize("distortion", [None, [0.1, 0, 0, 0, 0]], ids=["pinhole", "distorted"])
+def test_intrinsics_compare_and_hash_by_value(distortion):
+    def make(fx=60.0):
+        return CameraIntrinsics(64, 48, fx, 60.0, 32.0, 24.0, distortion=distortion)
+
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != make(fx=61.0)

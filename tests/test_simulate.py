@@ -293,14 +293,17 @@ def test_fruit_window_contains_every_hit(cam_index, center, semi):
         assert v0 >= vs.min() - 5 and v1 <= vs.max() + 5
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0, 0.02), (0.0, 0.0, -0.04), (0.0, 0.0, -0.3)],
-                         ids=["contains_camera", "crosses_plane_from_behind", "behind"])
-def test_fruit_window_is_whole_image_unless_wholly_in_front(center):
+@pytest.mark.parametrize("center,window", [
+    ((0.0, 0.0, 0.02), (0, 159, 0, 119)), ((0.0, 0.0, -0.04), (0, 159, 0, 119)),
+    ((0.0, 0.0, -0.3), None),
+], ids=["contains_camera", "crosses_plane_from_behind", "behind"])
+def test_fruit_window_is_whole_image_unless_wholly_in_front(center, window):
     # semi-axis 0.05 along z: the first two reach the middle camera's z = 0
-    # plane (one contains the camera), the third is wholly behind it
+    # plane (one contains the camera) and get the whole image; the third is
+    # wholly behind it and gets no window, like a fruit outside the frame
     cam = single_camera(SMALL_K)
     fruit = FruitSpec("f", Point3(*center), np.array([0.03, 0.04, 0.05]))
-    assert _fruit_window(fruit, invert(cam.cam_to_world), SMALL_K) == (0, 159, 0, 119)
+    assert _fruit_window(fruit, invert(cam.cam_to_world), SMALL_K) == window
 
 
 class TestRenderScene:
