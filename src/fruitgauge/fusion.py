@@ -19,14 +19,14 @@ min-index label propagation with pointer jumping over the matching pairs, so
 a cluster's label is its smallest record index. Cluster means are taken per
 cluster size over ``(m, k)`` gathers of members, which adds each cluster's
 members in the same order as a mean over that cluster alone, so the values
-are bit-identical to it. The best view is the member that comes first in one
-sort of all records on ``select_best``'s key.
+are bit-identical to it. Each record's ``select_best`` key is computed
+once, and each cluster's view is the first member with the least key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
@@ -117,15 +117,11 @@ class WorldFruit:
     chosen: int = 0                     # index into ``members``
 
 
-def _best_view_key(camera_order: Sequence[str]) -> Callable[[Record], tuple]:
-    """``select_best``'s sort key: highest fill ratio first, then the rig's
-    camera order, then the lowest frame id and detection index."""
+def _best_view_keys(records: Sequence[Record], camera_order: Sequence[str]) -> List[tuple]:
+    """``select_best``'s key of each record: highest fill ratio first, then
+    the rig's camera order, then the lowest frame id and detection index."""
     rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
-
-    def key(m: Record) -> tuple:
-        return (-m.fill_ratio, rank[m.camera_id], m.frame_id, m.detection_index)
-
-    return key
+    return [(-m.fill_ratio, rank[m.camera_id], m.frame_id, m.detection_index) for m in records]
 
 
 def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:
@@ -136,8 +132,8 @@ def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:
     ``fill_ratio``, ``camera_id``, ``frame_id`` and ``detection_index``
     attributes, and every ``camera_id`` must be in ``camera_order``.
     """
-    key = _best_view_key(camera_order)
-    return min(range(len(members)), key=lambda i: key(members[i]))
+    keys = _best_view_keys(members, camera_order)
+    return min(range(len(keys)), key=keys.__getitem__)
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -183,11 +179,7 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
     # which is their first member.
     by_cluster = np.argsort(label, kind="stable")
     _, starts, sizes = np.unique(label[by_cluster], return_index=True, return_counts=True)
-    # Best view: the member that comes first in one sort of all records on
-    # select_best's key (the stable sort keeps index order among equal keys).
-    keys = list(map(_best_view_key(camera_order), records))
-    rank = np.empty(n, dtype=np.int64)
-    rank[sorted(range(n), key=keys.__getitem__)] = np.arange(n)
+    keys = _best_view_keys(records, camera_order)
 
     fruits: List[WorldFruit] = [None] * len(starts)
     # Means per cluster size, over (m, k) gathers, so that each mean adds
@@ -197,9 +189,8 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
         members = by_cluster[starts[of_size, None] + np.arange(k)]
         means = centers[members].mean(axis=1).tolist()
         mean_radii = radii[members].mean(axis=1).tolist()
-        chosen = rank[members].argmin(axis=1).tolist()
-        for c, idx, center, radius, best in zip(of_size.tolist(), members.tolist(), means,
-                                                mean_radii, chosen):
-            fruits[c] = WorldFruit(Point3._make(center), radius,
-                                   [records[i] for i in idx], best)
+        for c, idx, center, radius in zip(of_size.tolist(), members.tolist(), means, mean_radii):
+            # select_best's choice, on keys computed once per record
+            chosen = min(range(k), key=[keys[i] for i in idx].__getitem__)
+            fruits[c] = WorldFruit(Point3._make(center), radius, [records[i] for i in idx], chosen)
     return fruits

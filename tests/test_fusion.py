@@ -152,6 +152,16 @@ class TestSelectBest:
         assert chosen.fill_ratio == 0.94
         assert all(chosen.fill_ratio >= m.fill_ratio for m in fruits[0].members)
 
+    @pytest.mark.parametrize("fills", [(0.5, float("nan"), 0.9), (float("nan"), 0.5, 0.9),
+                                       (0.9, 0.5, float("nan"))])
+    def test_cluster_choice_is_select_best_with_a_nan_fill_ratio(self, fills):
+        # NaN keys have no order, so only the same per-cluster minimum agrees
+        # with select_best; a far second fruit is sorted in with them
+        views = [det(0, 0, 0.6 + i / 1000, fill=f, cam=cam, index=i)
+                 for i, (f, cam) in enumerate(zip(fills, ORDER))]
+        fruit, _ = deduplicate(views + [det(1, 1, 1, fill=0.7, index=3)], ORDER)
+        assert fruit.chosen == select_best(fruit.members, ORDER)
+
 
 def all_pairs_dedup(records):
     """The O(n^2) dedup the grid hash replaced: (member indices, chosen, center,
