@@ -116,8 +116,7 @@ def _string(d: dict, key: str, optional: bool = False) -> Optional[str]:
 
 
 def _check_list(key: str, values: list, n: int, types: tuple) -> None:
-    if type(values) is not list or len(values) != n or not all(map(types.__contains__,
-                                                                   map(type, values))):
+    if type(values) is not list or len(values) != n or any(type(v) not in types for v in values):
         raise TypeError(f"{key} needs {n} values of types {types}, got {values!r}")
 
 
