@@ -155,8 +155,9 @@ class TestSelectBest:
     @pytest.mark.parametrize("fills", [(0.5, float("nan"), 0.9), (float("nan"), 0.5, 0.9),
                                        (0.9, 0.5, float("nan"))])
     def test_cluster_choice_is_select_best_with_a_nan_fill_ratio(self, fills):
-        # NaN keys have no order, so only the same per-cluster minimum agrees
-        # with select_best; a far second fruit is sorted in with them
+        # NaN keys have no order, so a choice made in any other way than
+        # select_best's minimum over the cluster, such as one sort of all
+        # records with the far second fruit, can differ from it
         views = [det(0, 0, 0.6 + i / 1000, fill=f, cam=cam, index=i)
                  for i, (f, cam) in enumerate(zip(fills, ORDER))]
         fruit, _ = deduplicate(views + [det(1, 1, 1, fill=0.7, index=3)], ORDER)
