@@ -47,7 +47,8 @@ indexes one only inside ``parsing(source)``, so a missing key or a value of the
 wrong type or shape is a ``BundleIOError`` that names the file (CLI exit 2).
 ``read_records`` and ``read_fused_choices`` check a whole file in one pass,
 with the same per-record validation as ``Record.from_dict``, and name the
-failing entry as ``#records[i]`` or ``#fruits[i]``.
+failing entry as ``#records[i]`` or ``#fruits[i]``. A record's float fields
+must be finite, and its radii positive.
 
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
@@ -113,6 +114,14 @@ def _string(d: dict, key: str, optional: bool = False) -> Optional[str]:
     if type(value) is str or (optional and value is None):
         return value
     raise TypeError(f"{key} must be a string, got {value!r}")
+
+
+def _number(d: dict, key: str):
+    """``d[key]`` if it is a JSON number (an int or a float, not a bool)."""
+    value = d[key]
+    if type(value) in _NUMBER:
+        return value
+    raise TypeError(f"{key} must be a number, got {value!r}")
 
 
 def _check_list(key: str, values: list, n: int, types: tuple) -> None:
@@ -350,7 +359,7 @@ def read_detections(path: Path) -> DetectionFile:
             dets.append(
                 Detection(
                     class_name=_string(d, "class"),
-                    score=float(d["score"]),
+                    score=float(_number(d, "score")),
                     bbox=tuple(d["bbox"]),
                     mask=decode_rle(rle["counts"], rle["size"]),
                     fruit_id=_string(d, "fruit_id", optional=True),
@@ -373,6 +382,7 @@ _CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
 _record_fields = operator.itemgetter(*_RECORD_TYPES)
 _circle_fields = operator.itemgetter(*_CIRCLE_TYPES)
 _RECORD_TYPE_SETS = tuple(map(frozenset, _RECORD_TYPES.values()))
+_SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
 # The types of a record's circle, bbox and center values, in that order.
 _VALUE_TYPE_SETS = tuple(map(frozenset, (*_CIRCLE_TYPES.values(), *[(int,)] * 4,
                                          *[_NUMBER] * 3)))
@@ -421,8 +431,8 @@ class Record(NamedTuple):
 
     @staticmethod
     def from_dict(d: dict, source: str = "<inline>") -> "Record":
-        """Parse one record; a missing or mistyped field, a non-finite center or a
-        radius that is not finite and positive raises BundleIOError."""
+        """Parse one record; a missing or mistyped field, a non-finite size, circle
+        or center, or a radius that is not finite and positive raises BundleIOError."""
         with parsing(f"record {source}"):
             return _record(d, d["center_world_m"])
 
@@ -451,10 +461,19 @@ def _record(d: dict, center: list) -> Record:
     radius = float(radius)
     if not 0 < radius < math.inf:
         raise ValueError(f"radius_m must be finite and positive, got {radius!r}")
+    sizes = (float(height_mm), float(width_mm), float(median_depth_m), float(fill_ratio),
+             float(center_depth_m))
+    height_mm, width_mm, median_depth_m, fill_ratio, center_depth_m = sizes
+    # The sum is finite if every term is; one that overflows is checked term by term.
+    if not math.isfinite(height_mm + width_mm + median_depth_m + fill_ratio + center_depth_m):
+        wrong = [f"{key}={value!r}" for key, value in zip(_SIZE_FIELDS, sizes)
+                 if not math.isfinite(value)]
+        if wrong:
+            raise ValueError(f"{', '.join(wrong)} must be finite")
     return Record(frame_id, camera_id, detection_index, class_name, fruit_id,
-                  float(height_mm), float(width_mm), float(median_depth_m), float(fill_ratio),
+                  height_mm, width_mm, median_depth_m, fill_ratio,
                   FittedCircle(float(cu), float(cv), float(r_px)), tuple(bbox),
-                  float(center_depth_m), edge_margin_px, radius, Point3(x, y, z))
+                  center_depth_m, edge_margin_px, radius, Point3(x, y, z))
 
 
 class _Entry:

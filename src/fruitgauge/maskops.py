@@ -6,6 +6,10 @@ the crop is background. An empty mask holds a 0x0 crop at (0, 0). A fruit
 covers well under 1% of a frame, so every operation here reads the crop (or
 a window clipped to it), never the whole frame.
 
+A mask's edge is the mask minus its 3x3 erosion: the mask pixels with at
+least one background 8-neighbor, anything outside the frame counting as
+background. Edge pixels are listed in row-major (v, u) order.
+
 The RLE interchange format (COCO-style) is row-major over the whole frame,
 with alternating run counts, the first count giving the number of leading
 background pixels (possibly 0).
@@ -21,10 +25,6 @@ import numpy as np
 
 from .errors import EmptyMask, LengthMismatch, NoValidDepth
 from .geometry import DepthImage, Pixel
-
-# Laplacian-style edge kernel: positive response on mask pixels with at
-# least one background 8-neighbor (image border counts as background).
-EDGE_KERNEL = np.array([[-1, -1, -1], [-1, 8, -1], [-1, -1, -1]], dtype=np.int32)
 
 # Share of a mask's edge pixels allowed to lack a depth sample.
 MAX_INVALID_EDGE_FRACTION = 0.5
@@ -111,16 +111,13 @@ class BinaryMask:
 # eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class EdgeSet:
-    """Edge pixels as an (n, 2) int array of (u, v), sorted by (v, u)."""
+    """Edge pixels as an (n, 2) int array of (u, v), kept in the order given;
+    ``extract_edges`` gives them in row-major (v, u) order."""
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pixels, dtype=np.int64).reshape(-1, 2)
-        if len(p):
-            order = np.lexsort((p[:, 0], p[:, 1]))
-            p = p[order]
-        object.__setattr__(self, "pixels", p)
+        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.int64).reshape(-1, 2))
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -142,7 +139,8 @@ def decode_rle(counts: Sequence[int], size: Tuple[int, int]) -> BinaryMask:
     if not (isinstance(size, (list, tuple)) and len(size) == 2
             and all(type(v) is int and v >= 0 for v in size)):
         raise LengthMismatch(f"mask size must be two non-negative integers, got {size!r}")
-    if not isinstance(counts, (list, tuple)) or any(type(c) is not int or c < 0 for c in counts):
+    if (not isinstance(counts, (list, tuple)) or not set(map(type, counts)) <= {int}
+            or min(counts, default=0) < 0):
         raise LengthMismatch("run counts must be non-negative integers")
     h, w = size
     bounds = list(accumulate(counts, initial=0))  # run i covers bounds[i]..bounds[i + 1] - 1
@@ -179,25 +177,24 @@ def encode_rle(mask: BinaryMask) -> dict:
 
 
 def extract_edges(mask: BinaryMask) -> EdgeSet:
-    """Mask pixels whose 3x3 edge-kernel response is positive.
+    """The mask minus its 3x3 erosion, in row-major (v, u) order: the mask
+    pixels with at least one background 8-neighbor, counting anything
+    outside the crop (and so the frame) as background.
 
-    Equivalent to: mask pixel with at least one zero 8-neighbor, counting
-    anything outside the image as zero.
+    The erosion is the AND over each pixel's 3x3 neighborhood of the
+    background-padded crop, taken as a 3-wide AND along rows, then columns.
     """
-    if mask.is_empty():
-        return EdgeSet(np.empty((0, 2), dtype=np.int64))
     win = mask.data
     h, w = win.shape
-    padded = np.pad(win, 1, mode="constant", constant_values=False)
-    neighbors = np.zeros(win.shape, dtype=np.uint8)
-    for dv in (-1, 0, 1):
-        for du in (-1, 0, 1):
-            if dv == 0 and du == 0:
-                continue
-            neighbors += padded[1 + dv:1 + dv + h, 1 + du:1 + du + w]
-    edge = win & (neighbors < 8)
-    vs, us = np.nonzero(edge)
-    return EdgeSet(np.column_stack([us + mask.x0, vs + mask.y0]))
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = win
+    rows = padded[:, :-2] & padded[:, 1:-1] & padded[:, 2:]
+    interior = rows[:-2] & rows[1:-1] & rows[2:]
+    vs, us = np.nonzero(win & ~interior)
+    pixels = np.empty((len(us), 2), dtype=np.int64)
+    pixels[:, 0] = us + mask.x0
+    pixels[:, 1] = vs + mask.y0
+    return EdgeSet(pixels)
 
 
 def extreme_points(mask: BinaryMask) -> ExtremePoints:

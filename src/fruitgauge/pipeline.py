@@ -18,8 +18,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from . import fileio
 from .calibrate import solve_rig
 from .errors import (
@@ -126,8 +124,8 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
                              f"differs from the {k.height}x{k.width} image")
     x, y, w, h = det.bbox
     # the bbox clipped to the image, so that a negative x or y cannot wrap around a slice
-    x0, x1 = np.clip([x, x + w], 0, k.width)
-    y0, y1 = np.clip([y, y + h], 0, k.height)
+    x0, x1 = max(0, min(x, k.width)), max(0, min(x + w, k.width))
+    y0, y1 = max(0, min(y, k.height)), max(0, min(y + h, k.height))
     if not det.mask.is_empty():
         mx, my, mw, mh = det.mask.bbox()
         if not (x0 <= mx and y0 <= my and mx + mw <= x1 and my + mh <= y1):

@@ -35,9 +35,9 @@ class FittedCircle:
     r_px: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.cu) and math.isfinite(self.cv) and self.r_px > 0):
+        if not (math.isfinite(self.cu) and math.isfinite(self.cv) and 0 < self.r_px < math.inf):
             raise DegenerateCircle(
-                f"invalid circle (cu={self.cu}, cv={self.cv}, r={self.r_px})"
+                f"invalid circle (cu={self.cu}, cv={self.cv}, r_px={self.r_px})"
             )
 
 
@@ -68,7 +68,8 @@ def fit_circle(points: Union[EdgeSet, np.ndarray]) -> FittedCircle:
     if sv[1] <= COLLINEAR_TOL * max(sv[0], 1.0):
         raise DegenerateCircle("points are collinear")
 
-    a = np.column_stack([q[:, 0], q[:, 1], np.ones(len(q))])
+    a = np.ones((len(q), 3))
+    a[:, :2] = q
     b = -(q[:, 0] ** 2 + q[:, 1] ** 2)
     (ca, cb, cc), *_ = np.linalg.lstsq(a, b, rcond=None)
     cu, cv = -ca / 2.0, -cb / 2.0
@@ -81,21 +82,21 @@ def fill_ratio(mask: BinaryMask, circle: FittedCircle) -> float:
     """Fraction of the circle's grid pixels covered by the mask.
 
     Both counts use pixel centers and only pixels of the image grid, so the
-    numerator and denominator share the same discretization.
+    numerator and denominator share the same discretization; the covered
+    pixels are a subset of the circle's, so the ratio lies in [0, 1].
     """
-    u0 = max(int(np.floor(circle.cu - circle.r_px)), 0)
-    u1 = min(int(np.ceil(circle.cu + circle.r_px)), mask.width - 1)
-    v0 = max(int(np.floor(circle.cv - circle.r_px)), 0)
-    v1 = min(int(np.ceil(circle.cv + circle.r_px)), mask.height - 1)
+    cu, cv, r = circle.cu, circle.cv, circle.r_px
+    u0, u1 = max(math.floor(cu - r), 0), min(math.ceil(cu + r), mask.width - 1)
+    v0, v1 = max(math.floor(cv - r), 0), min(math.ceil(cv + r), mask.height - 1)
     if u0 > u1 or v0 > v1:
         raise ZeroArea("fitted circle covers no image pixels")
-    uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-    inside = (uu - circle.cu) ** 2 + (vv - circle.cv) ** 2 <= circle.r_px ** 2
-    total = int(inside.sum())
+    # a row of (u - cu)^2 plus a column of (v - cv)^2
+    inside = ((np.arange(u0, u1 + 1) - cu) ** 2
+              + (np.arange(v0, v1 + 1)[:, None] - cv) ** 2 <= r ** 2)
+    total = int(np.count_nonzero(inside))
     if total == 0:
         raise ZeroArea("fitted circle covers no image pixels")
-    covered = int((inside & mask.window(u0, v0, u1 - u0 + 1, v1 - v0 + 1)).sum())
-    return min(max(covered / total, 0.0), 1.0)
+    return int(np.count_nonzero(inside & mask.window(u0, v0, u1 - u0 + 1, v1 - v0 + 1))) / total
 
 
 def measure_fruit(

@@ -215,7 +215,9 @@ class TestDetections:
         with pytest.raises(BundleIOError, match="d.json"):
             read_detections(tmp_path / "d.json")
 
-    @pytest.mark.parametrize("field,value", [("score", "high"), ("bbox", ["a", 0, 2, 2])])
+    @pytest.mark.parametrize("field,value", [
+        ("score", "high"), ("score", "0.9"), ("score", True), ("bbox", ["a", 0, 2, 2]),
+    ])
     def test_non_numeric_field_rejected(self, tmp_path, field, value):
         mask = BinaryMask(np.ones((4, 4), bool))
         write_detections(tmp_path / "d.json", DetectionFile("000", "top", [
@@ -223,10 +225,18 @@ class TestDetections:
         doc = json.loads((tmp_path / "d.json").read_text())
         doc["detections"][0][field] = value
         dump_json(doc, tmp_path / "d.json")
-        with pytest.raises(BundleIOError, match="d.json"):
+        with pytest.raises(BundleIOError, match=f"d.json.*{field}"):
             read_detections(tmp_path / "d.json")
 
+    @pytest.mark.parametrize("score", [0, 0.9])
+    def test_integer_or_float_score_read_as_float(self, tmp_path, score):
+        write_detections(tmp_path / "d.json", DetectionFile("000", "top", [
+            Detection("fully_ripened", score, (0, 0, 4, 4), BinaryMask(np.ones((4, 4), bool)))]))
+        (det,) = read_detections(tmp_path / "d.json").detections
+        assert type(det.score) is float and det.score == score
 
+
+SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
 RECORD = {
     "frame_id": "000", "camera_id": "top", "detection_index": 2,
     "class": "fully_ripened", "fruit_id": None,
@@ -269,6 +279,23 @@ class TestRecords:
         with pytest.raises(BundleIOError, match=f"r.json.*{field}"):
             Record.from_dict({**RECORD, field: value}, "r.json")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", SIZE_FIELDS)
+    def test_non_finite_size_rejected(self, field, value):
+        with pytest.raises(BundleIOError, match=f"^malformed record r.json: {field}="):
+            Record.from_dict({**RECORD, field: value}, "r.json")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_circle_rejected(self, value):
+        for key in ("cu", "cv", "r_px"):
+            with pytest.raises(BundleIOError, match=f"r.json.*circle.*{key}={value}"):
+                Record.from_dict({**RECORD, "circle": {**RECORD["circle"], key: value}},
+                                 "r.json")
+
+    def test_finite_sizes_whose_sum_overflows_accepted(self):
+        record = Record.from_dict({**RECORD, "height_mm": 1e308, "width_mm": 1e308})
+        assert (record.height_mm, record.width_mm) == (1e308, 1e308)
+
     @pytest.mark.parametrize("field", sorted(RECORD))
     def test_missing_field_rejected(self, field):
         d = dict(RECORD)
@@ -288,7 +315,8 @@ class TestRecords:
         (lambda r: r.pop("width_mm"), "record {where} missing field 'width_mm'$"),
         (lambda r: r.update(bbox=[1, 2, 3]), "malformed record {where}: bbox"),
         (lambda r: r.update(radius_m=0.0), "malformed record {where}: radius_m"),
-    ], ids=["missing", "mistyped", "out-of-range"])
+        (lambda r: r.update(fill_ratio=float("nan")), "malformed record {where}: fill_ratio=nan"),
+    ], ids=["missing", "mistyped", "out-of-range", "non-finite"])
     def test_bad_record_in_a_file_is_named_by_position(self, tmp_path, i, damage, message):
         records = [{**RECORD, "detection_index": n} for n in range(50)]
         damage(records[i])

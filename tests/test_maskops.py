@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from fruitgauge.errors import EmptyMask, LengthMismatch, NoValidDepth, ZeroArea
 from fruitgauge.geometry import DepthImage, Pixel
 from fruitgauge.maskops import (
-    EDGE_KERNEL,
     BinaryMask,
     EdgeSet,
     bbox_extreme_points,
@@ -32,6 +31,11 @@ def full(mask: BinaryMask) -> np.ndarray:
 def disc_mask(w, h, cu, cv, r):
     uu, vv = np.meshgrid(np.arange(w), np.arange(h))
     return BinaryMask((uu - cu) ** 2 + (vv - cv) ** 2 <= r * r)
+
+
+# Laplacian-style edge kernel: positive response on mask pixels with at
+# least one background 8-neighbor (image border counts as background).
+EDGE_KERNEL = np.array([[-1, -1, -1], [-1, 8, -1], [-1, -1, -1]], dtype=np.int32)
 
 
 def edge_set(edges: EdgeSet) -> set:
@@ -111,6 +115,27 @@ def ref_nearest_mask_depth(m: np.ndarray, depth: DepthImage, bbox, px: Pixel) ->
     return float(samples[vs[i], us[i]]) * depth.depth_scale
 
 
+def ref_extract_edges(mask: BinaryMask) -> np.ndarray:
+    """The edge pixels as extract_edges found them before the separable
+    erosion: eight shifted uint8 adds over the np.pad'ded crop, then a
+    (v, u) lexsort."""
+    if mask.is_empty():
+        return np.empty((0, 2), dtype=np.int64)
+    win = mask.data
+    h, w = win.shape
+    padded = np.pad(win, 1, mode="constant", constant_values=False)
+    neighbors = np.zeros(win.shape, dtype=np.uint8)
+    for dv in (-1, 0, 1):
+        for du in (-1, 0, 1):
+            if dv == 0 and du == 0:
+                continue
+            neighbors += padded[1 + dv:1 + dv + h, 1 + du:1 + du + w]
+    edge = win & (neighbors < 8)
+    vs, us = np.nonzero(edge)
+    p = np.column_stack([us + mask.x0, vs + mask.y0]).astype(np.int64)
+    return p[np.lexsort((p[:, 0], p[:, 1]))]
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -123,6 +148,44 @@ def frames(draw):
     """A random frame and mask: empty, single pixels, border-touching blobs."""
     h, w = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     return draw(arrays(bool, (h, w)))
+
+
+def disc(h, w, cu, cv, r) -> np.ndarray:
+    """Pixels of an (h, w) frame whose centers lie within r of (cu, cv)."""
+    uu, vv = np.meshgrid(np.arange(w), np.arange(h))
+    return (uu - cu) ** 2 + (vv - cv) ** 2 <= r * r
+
+
+@st.composite
+def placed_masks(draw):
+    """A mask whose crop is a random pattern, a 1-pixel line, a block or disc
+    with holes, or a disc clipped by the frame or of sub-pixel radius; the
+    crop sits flush with a frame border or at an offset inside the frame."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    ch, cw = draw(st.integers(1, h)), draw(st.integers(1, w))
+    x0 = draw(st.sampled_from([0, w - cw]) | st.integers(0, w - cw))
+    y0 = draw(st.sampled_from([0, h - ch]) | st.integers(0, h - ch))
+    kind = draw(st.sampled_from(["random", "line", "holes", "disc"]))
+    if kind == "random":
+        crop = draw(arrays(bool, (ch, cw)))
+    elif kind == "line":
+        crop = np.zeros((ch, cw), dtype=bool)
+        line = draw(st.sampled_from(["row", "column", "diagonal", "anti-diagonal"]))
+        if line == "row":
+            crop[draw(st.integers(0, ch - 1))] = True
+        elif line == "column":
+            crop[:, draw(st.integers(0, cw - 1))] = True
+        else:
+            crop = np.eye(ch, cw, draw(st.integers(1 - ch, cw - 1)), dtype=bool)
+            crop = crop[::-1] if line == "anti-diagonal" else crop
+    else:
+        crop = (np.ones((ch, cw), dtype=bool) if kind == "holes" else
+                disc(ch, cw, draw(st.floats(-3, cw + 2)), draw(st.floats(-3, ch + 2)),
+                     draw(st.floats(0.3, 12))))
+        for v, u in draw(st.lists(st.tuples(st.integers(0, ch - 1), st.integers(0, cw - 1)),
+                                  max_size=6 if kind == "holes" else 2)):
+            crop[v, u] = False
+    return BinaryMask(crop, x0, y0, (h, w))
 
 
 def pixel(h, w, v, u):
@@ -248,6 +311,9 @@ class TestRLE:
     @pytest.mark.parametrize("counts,size", [
         ([6], (2, 3.5)), ([6], ("2", "3")), ([6], (2, 3, 1)), ([6], (2,)), ([5], (-1, -5)),
         ([6], None), ([6.0], (2, 3)), (["6"], (2, 3)), ([True, 5], (2, 3)), (6, (2, 3)),
+        ([1, True, 4], (2, 3)), ([0, False, 6], (2, 3)), ([2.0, 4], (2, 3)),
+        ([2, 1.5, 2.5], (2, 3)), ([8, -2], (2, 3)), ([-1, 7], (2, 3)),
+        ([np.int64(6)], (2, 3)), ([1, np.int64(5)], (2, 3)), ([np.int32(6)], (2, 3)),
     ])
     def test_malformed_input_rejected(self, counts, size):
         with pytest.raises(LengthMismatch):
@@ -297,6 +363,18 @@ class TestExtractEdges:
             h, w = rng.integers(1, 16, size=2)
             m = BinaryMask(rng.random((h, w)) < rng.uniform(0.2, 0.9))
             assert edge_set(extract_edges(m)) == edge_oracle(m)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(placed_masks())
+    @example(BinaryMask(np.zeros((3, 4), dtype=bool)))
+    @example(BinaryMask(np.ones((1, 1), dtype=bool)))
+    @example(BinaryMask(np.ones((5, 7), dtype=bool), 2, 1, (9, 12)))
+    @example(BinaryMask(np.eye(4, 6, 1, dtype=bool), 0, 3, (7, 6)))
+    @example(BinaryMask(disc(12, 12, 5.5, 5.5, 5) & ~disc(12, 12, 5.5, 5.5, 2)))
+    def test_matches_its_reference_pixel_for_pixel_and_in_order(self, mask):
+        got = extract_edges(mask).pixels
+        assert got.dtype == np.int64 and got.shape[1:] == (2,)
+        assert np.array_equal(got, ref_extract_edges(mask))
 
     def test_edges_subset_of_mask_and_interior_survives(self):
         m = disc_mask(40, 40, 20, 20, 8)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fruitgauge.errors import DegenerateCircle, EmptyMask, NoValidDepth, ZeroArea
 from fruitgauge.geometry import CameraIntrinsics, DepthImage, Point3, distance
-from fruitgauge.maskops import BinaryMask, extract_edges
-from fruitgauge.sizing import FittedCircle, fill_ratio, fit_circle, measure_fruit
+from fruitgauge.maskops import BinaryMask, EdgeSet, extract_edges
+from fruitgauge.sizing import COLLINEAR_TOL, FittedCircle, fill_ratio, fit_circle, measure_fruit
 
-from test_maskops import disc_mask, full
+from test_maskops import disc, disc_mask, full, placed_masks
 
 
 def circle_samples(cu, cv, r, n, phase=0.0):
@@ -16,6 +19,90 @@ def circle_samples(cu, cv, r, n, phase=0.0):
 
 def uniform_depth(w, h, mm, scale=0.001):
     return DepthImage(np.full((h, w), mm, dtype=np.uint16), scale)
+
+
+# The kernels as they were before their per-call numpy overhead was cut; the
+# current ones must give bit-identical results.
+
+def ref_fit_circle(points) -> FittedCircle:
+    pts = points.pixels if isinstance(points, EdgeSet) else np.asarray(points)
+    pts = pts.reshape(-1, 2).astype(float)
+    if len(pts) < 3:
+        raise DegenerateCircle(f"need at least 3 points, got {len(pts)}")
+    centroid = pts.mean(axis=0)
+    q = pts - centroid
+    sv = np.linalg.svd(q, compute_uv=False)
+    if sv[1] <= COLLINEAR_TOL * max(sv[0], 1.0):
+        raise DegenerateCircle("points are collinear")
+    a = np.column_stack([q[:, 0], q[:, 1], np.ones(len(q))])
+    b = -(q[:, 0] ** 2 + q[:, 1] ** 2)
+    (ca, cb, cc), *_ = np.linalg.lstsq(a, b, rcond=None)
+    cu, cv = -ca / 2.0, -cb / 2.0
+    r = float(np.sqrt(max(cu * cu + cv * cv - cc, 0.0)))
+    return FittedCircle(float(cu + centroid[0]), float(cv + centroid[1]), r)
+
+
+def ref_fill_ratio(mask: BinaryMask, circle: FittedCircle) -> float:
+    u0 = max(int(np.floor(circle.cu - circle.r_px)), 0)
+    u1 = min(int(np.ceil(circle.cu + circle.r_px)), mask.width - 1)
+    v0 = max(int(np.floor(circle.cv - circle.r_px)), 0)
+    v1 = min(int(np.ceil(circle.cv + circle.r_px)), mask.height - 1)
+    if u0 > u1 or v0 > v1:
+        raise ZeroArea("fitted circle covers no image pixels")
+    uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
+    inside = (uu - circle.cu) ** 2 + (vv - circle.cv) ** 2 <= circle.r_px ** 2
+    total = int(inside.sum())
+    if total == 0:
+        raise ZeroArea("fitted circle covers no image pixels")
+    covered = int((inside & mask.window(u0, v0, u1 - u0 + 1, v1 - v0 + 1)).sum())
+    return min(max(covered / total, 0.0), 1.0)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateCircle, ZeroArea) as e:
+        return type(e)
+
+
+@st.composite
+def circles(draw, mask: BinaryMask):
+    """A circle over the mask or anywhere near its frame (so also clipped by a
+    border or off it), with a radius from sub-pixel to wider than the frame."""
+    h, w = mask.frame
+    ch, cw = mask.data.shape
+    cu = draw(st.floats(mask.x0 - 2, mask.x0 + cw + 1) | st.floats(-8, w + 8))
+    cv = draw(st.floats(mask.y0 - 2, mask.y0 + ch + 1) | st.floats(-8, h + 8))
+    return FittedCircle(cu, cv, draw(st.floats(0.05, 0.7) | st.floats(0.7, 30)))
+
+
+class TestAgainstReferenceKernels:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(placed_masks())
+    @example(BinaryMask(disc(40, 40, 20.3, 19.6, 15.2)))
+    @example(BinaryMask(disc(20, 30, -2.5, 10.25, 8.0)))
+    @example(BinaryMask(np.eye(6, dtype=bool)))
+    def test_fit_circle_on_edges(self, mask):
+        edges = extract_edges(mask)
+        assert outcome(fit_circle, edges) == outcome(ref_fit_circle, edges)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: arrays(
+        float, (n, 2), elements=st.floats(-1e3, 1e3) | st.integers(-50, 50).map(float))))
+    @example(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]]))
+    @example(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    def test_fit_circle_on_points(self, points):
+        assert outcome(fit_circle, points) == outcome(ref_fit_circle, points)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(placed_masks().flatmap(lambda m: st.tuples(st.just(m), circles(m))))
+    @example((BinaryMask(disc(30, 30, 14.5, 14.5, 10)), FittedCircle(14.5, 14.5, 10.0)))
+    @example((BinaryMask(disc(30, 30, 0.0, 29.0, 6)), FittedCircle(0.0, 29.0, 6.0)))
+    @example((BinaryMask(disc(9, 9, 4.0, 4.0, 2)), FittedCircle(4.2, 3.9, 0.3)))
+    @example((BinaryMask(disc(9, 9, 4.0, 4.0, 2)), FittedCircle(4.5, 4.5, 0.4)))
+    def test_fill_ratio(self, case):
+        mask, circle = case
+        assert outcome(fill_ratio, mask, circle) == outcome(ref_fill_ratio, mask, circle)
 
 
 class TestFitCircle:
