@@ -28,9 +28,14 @@ def full(mask: BinaryMask) -> np.ndarray:
     return out
 
 
-def disc_mask(w, h, cu, cv, r):
+def disc(h, w, cu, cv, r) -> np.ndarray:
+    """Pixels of an (h, w) frame whose centers lie within r of (cu, cv)."""
     uu, vv = np.meshgrid(np.arange(w), np.arange(h))
-    return BinaryMask((uu - cu) ** 2 + (vv - cv) ** 2 <= r * r)
+    return (uu - cu) ** 2 + (vv - cv) ** 2 <= r * r
+
+
+def disc_mask(w, h, cu, cv, r):
+    return BinaryMask(disc(h, w, cu, cv, r))
 
 
 # Laplacian-style edge kernel: positive response on mask pixels with at
@@ -148,12 +153,6 @@ def frames(draw):
     """A random frame and mask: empty, single pixels, border-touching blobs."""
     h, w = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     return draw(arrays(bool, (h, w)))
-
-
-def disc(h, w, cu, cv, r) -> np.ndarray:
-    """Pixels of an (h, w) frame whose centers lie within r of (cu, cv)."""
-    uu, vv = np.meshgrid(np.arange(w), np.arange(h))
-    return (uu - cu) ** 2 + (vv - cv) ** 2 <= r * r
 
 
 @st.composite

@@ -21,8 +21,8 @@ def uniform_depth(w, h, mm, scale=0.001):
     return DepthImage(np.full((h, w), mm, dtype=np.uint16), scale)
 
 
-# The kernels as they were before their per-call numpy overhead was cut; the
-# current ones must give bit-identical results.
+# Reference bodies of fit_circle and fill_ratio, written with column_stack and
+# meshgrid; the kernels must give bit-identical results.
 
 def ref_fit_circle(points) -> FittedCircle:
     pts = points.pixels if isinstance(points, EdgeSet) else np.asarray(points)
