@@ -18,7 +18,6 @@ from .geometry import (
 )
 from .maskops import (
     BinaryMask,
-    EdgeSet,
     ExtremePoints,
     decode_rle,
     encode_rle,
@@ -49,7 +48,6 @@ from .simulate import (
     render_scene,
 )
 from .pipeline import (
-    PipelineConfig,
     cmd_calibrate,
     cmd_evaluate,
     cmd_fuse,

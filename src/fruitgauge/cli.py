@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .errors import BundleIOError, FruitGaugeError
 from .pipeline import (
-    PipelineConfig,
     cmd_calibrate,
     cmd_evaluate,
     cmd_fuse,
@@ -38,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="measure every detection in a bundle")
     p.add_argument("--bundle", required=True, type=Path, help="capture bundle directory")
     p.add_argument("--rig", type=Path, default=None, help="rig JSON (default: bundle/rig.json)")
-    p.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
     p.add_argument("-o", "--out", required=True, type=Path, help="output directory")
 
     p = sub.add_parser("fuse", help="dedup records across views, pick best view")
@@ -68,8 +66,7 @@ def main(argv=None) -> int:
         if args.command == "calibrate":
             cmd_calibrate(args.poses, args.anchor, args.out)
         elif args.command == "measure":
-            config = PipelineConfig.load(args.config)
-            cmd_measure(args.bundle, config, args.out, rig_path=args.rig)
+            cmd_measure(args.bundle, args.out, rig_path=args.rig)
         elif args.command == "fuse":
             cmd_fuse(args.records, args.rig, args.out)
         elif args.command == "evaluate":

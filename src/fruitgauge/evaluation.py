@@ -69,7 +69,7 @@ def match_measurements(
     """Pair each measurement with exactly one truth record.
 
     Measurements are read by attribute: ``camera_id``, ``fruit_id`` and
-    ``center_world_m`` (a Point3, or None when unknown).
+    ``center_world_m`` (a Point3).
 
     ``fruit_id`` matching is used when every measurement carries an id;
     otherwise each measurement is matched to the nearest truth center,
@@ -80,7 +80,7 @@ def match_measurements(
         by_id = {t.fruit_id: t for t in truth}
         pairs = []
         for m in measurements:
-            if not m.fruit_id or m.fruit_id not in by_id:
+            if m.fruit_id not in by_id:
                 raise UnmatchedMeasurement(
                     f"no ground truth for fruit_id {m.fruit_id!r} "
                     f"(camera {m.camera_id})"
@@ -94,10 +94,6 @@ def match_measurements(
     centers = np.array([t.center_world.to_array() for t in with_centers])
     pairs = []
     for m in measurements:
-        if m.center_world_m is None:
-            raise UnmatchedMeasurement(
-                f"measurement from camera {m.camera_id} has no world center"
-            )
         d = np.linalg.norm(centers - m.center_world_m.to_array(), axis=1)
         order = np.argsort(d, kind="stable")
         nearest = float(d[order[0]])
@@ -133,12 +129,6 @@ class CameraRow:
 @dataclass(frozen=True)
 class EvalReport:
     rows: List[CameraRow]
-
-    def row(self, camera_id: str) -> CameraRow:
-        for r in self.rows:
-            if r.camera_id == camera_id:
-                return r
-        raise KeyError(camera_id)
 
 
 def _dimension_stats(measured: List[float], truths: List[float]) -> DimensionStats:

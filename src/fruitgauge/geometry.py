@@ -89,13 +89,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def validate(self, tol: float = ORTHONORMAL_TOL) -> "RigidTransform":
         """Raise InvalidPose unless the rotation is orthonormal with det +1."""
         if not _is_rotation(self.rotation, tol):

@@ -8,7 +8,8 @@ a window clipped to it), never the whole frame.
 
 A mask's edge is the mask minus its 3x3 erosion: the mask pixels with at
 least one background 8-neighbor, anything outside the frame counting as
-background. Edge pixels are listed in row-major (v, u) order.
+background. Edge pixels are an (n, 2) int64 array of (u, v) rows, listed in
+row-major (v, u) order.
 
 The RLE interchange format (COCO-style) is row-major over the whole frame,
 with alternating run counts, the first count giving the number of leading
@@ -83,10 +84,6 @@ class BinaryMask:
     def height(self) -> int:
         return self.frame[0]
 
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.data))
-
     def is_empty(self) -> bool:
         return self.data.size == 0
 
@@ -106,21 +103,6 @@ class BinaryMask:
             crop = self.data[v0 - self.y0:v1 - self.y0, u0 - self.x0:u1 - self.x0]
             out[v0 - y:v1 - y, u0 - x:u1 - x] = crop
         return out
-
-
-# eq=False: == and hash() go by identity; generated ones would compare arrays.
-@dataclass(frozen=True, eq=False)
-class EdgeSet:
-    """Edge pixels as an (n, 2) int array of (u, v), kept in the order given;
-    ``extract_edges`` gives them in row-major (v, u) order."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.int64).reshape(-1, 2))
-
-    def __len__(self) -> int:
-        return len(self.pixels)
 
 
 class ExtremePoints(NamedTuple):
@@ -176,10 +158,11 @@ def encode_rle(mask: BinaryMask) -> dict:
     return {"size": [h, w], "counts": counts + [tail] if tail else counts}
 
 
-def extract_edges(mask: BinaryMask) -> EdgeSet:
-    """The mask minus its 3x3 erosion, in row-major (v, u) order: the mask
-    pixels with at least one background 8-neighbor, counting anything
-    outside the crop (and so the frame) as background.
+def extract_edges(mask: BinaryMask) -> np.ndarray:
+    """The mask minus its 3x3 erosion as an (n, 2) int64 array of (u, v), in
+    row-major (v, u) order: the mask pixels with at least one background
+    8-neighbor, counting anything outside the crop (and so the frame) as
+    background.
 
     The erosion is the AND over each pixel's 3x3 neighborhood of the
     background-padded crop, taken as a 3-wide AND along rows, then columns.
@@ -194,7 +177,7 @@ def extract_edges(mask: BinaryMask) -> EdgeSet:
     pixels = np.empty((len(us), 2), dtype=np.int64)
     pixels[:, 0] = us + mask.x0
     pixels[:, 1] = vs + mask.y0
-    return EdgeSet(pixels)
+    return pixels
 
 
 def extreme_points(mask: BinaryMask) -> ExtremePoints:
@@ -216,20 +199,7 @@ def extreme_points(mask: BinaryMask) -> ExtremePoints:
     )
 
 
-def bbox_extreme_points(bbox: Tuple[int, int, int, int]) -> ExtremePoints:
-    """Extreme points of a bounding box (x, y, w, h): edge midpoints."""
-    x, y, w, h = bbox
-    cu = x + (w - 1) / 2.0
-    cv = y + (h - 1) / 2.0
-    return ExtremePoints(
-        top=Pixel(cu, y),
-        bottom=Pixel(cu, y + h - 1),
-        left=Pixel(x, cv),
-        right=Pixel(x + w - 1, cv),
-    )
-
-
-def median_edge_depth(edges: EdgeSet, depth: DepthImage) -> float:
+def median_edge_depth(edges: np.ndarray, depth: DepthImage) -> float:
     """Lower median of the metric depths sampled at edge pixels.
 
     Zero samples carry no depth and are excluded; if they exceed
@@ -239,8 +209,7 @@ def median_edge_depth(edges: EdgeSet, depth: DepthImage) -> float:
     """
     if len(edges) == 0:
         raise NoValidDepth("edge set is empty")
-    us, vs = edges.pixels[:, 0], edges.pixels[:, 1]
-    samples = depth.data[vs, us]
+    samples = depth.data[edges[:, 1], edges[:, 0]]
     valid = samples[samples > 0]
     if len(samples) - len(valid) > MAX_INVALID_EDGE_FRACTION * len(samples):
         raise NoValidDepth(

@@ -2,7 +2,7 @@
 
 Every command reads and writes the plain-file formats from ``fileio``; all
 canonical outputs (records, fused fruits, reports, bundles) are byte-stable
-for identical inputs and configuration. Timing lives only in the manifest.
+for identical inputs. Timing lives only in the manifest.
 
 Each view is sized and localized once, at measure time: a record carries its
 world-frame center and metric radius, and fusion clusters on those stored
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -24,7 +24,6 @@ from .errors import (
     BundleIOError,
     DegenerateCircle,
     EmptyMask,
-    FruitGaugeError,
     InvalidDepth,
     LengthMismatch,
     NoValidDepth,
@@ -44,30 +43,6 @@ logger = logging.getLogger(__name__)
 
 REJECTION_REASONS = (EmptyMask, NoValidDepth, DegenerateCircle, ZeroArea, InvalidDepth,
                      LengthMismatch, OutOfBounds)
-
-
-@dataclass
-class PipelineConfig:
-    """Measurement options that move a measured result."""
-
-    extreme_point_source: str = "mask"       # or "bbox"
-    per_point_depth: bool = False            # ablation: drop shared-depth assumption
-
-    def __post_init__(self):
-        if self.extreme_point_source not in ("mask", "bbox"):
-            raise FruitGaugeError(f"extreme_point_source must be mask|bbox, got {self.extreme_point_source!r}")
-        if not isinstance(self.per_point_depth, bool):
-            raise FruitGaugeError(f"per_point_depth must be true|false, got {self.per_point_depth!r}")
-
-    @staticmethod
-    def load(path: Optional[Path]) -> "PipelineConfig":
-        d = {} if path is None else fileio.load_json(path)
-        if not isinstance(d, dict):
-            raise BundleIOError(f"config {path} is not a JSON object")
-        unknown = set(d) - set(PipelineConfig.__dataclass_fields__)
-        if unknown:
-            raise FruitGaugeError(f"unknown config fields: {sorted(unknown)}")
-        return PipelineConfig(**d)
 
 
 def _bundle_signature(bundle_dir: Path) -> str:
@@ -116,7 +91,7 @@ def _bbox_center(bbox: Sequence[int]) -> Pixel:
 
 
 def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: DepthImage,
-                       cam: RigCamera, config: PipelineConfig) -> Record:
+                       cam: RigCamera) -> Record:
     """Size and localize one detection; raises one of REJECTION_REASONS."""
     k = cam.intrinsics
     if det.mask.frame != (k.height, k.width) or depth.data.shape != (k.height, k.width):
@@ -131,12 +106,7 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
         if not (x0 <= mx and y0 <= my and mx + mw <= x1 and my + mh <= y1):
             raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
     window = (x0, y0, x1 - x0, y1 - y0)
-    m = measure_fruit(
-        det.mask, depth, k,
-        extreme_source=config.extreme_point_source,
-        bbox=det.bbox,
-        per_point_depth=config.per_point_depth,
-    )
+    m = measure_fruit(det.mask, depth, k)
     center_px = _bbox_center(det.bbox)
     center_depth = depth.depth_m_at(center_px)
     # A view with no depth sample at its bbox center takes its front surface
@@ -165,7 +135,6 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
 
 def cmd_measure(
     bundle_dir: Path,
-    config: Optional[PipelineConfig] = None,
     out_dir: Optional[Path] = None,
     rig_path: Optional[Path] = None,
 ) -> dict:
@@ -176,7 +145,6 @@ def cmd_measure(
     """
     t0 = time.perf_counter()
     bundle_dir = Path(bundle_dir)
-    config = config or PipelineConfig()
     rig_path = Path(rig_path) if rig_path else bundle_dir / "rig.json"
     cameras = {c.camera_id: c for c in fileio.read_rig(rig_path)}
 
@@ -205,8 +173,7 @@ def cmd_measure(
         for index, det in enumerate(det_file.detections):
             n_detections += 1
             try:
-                records.append(_measure_detection(det, index, det_file.frame_id,
-                                                  depth, cam, config))
+                records.append(_measure_detection(det, index, det_file.frame_id, depth, cam))
             except REJECTION_REASONS as e:
                 warnings.append({
                     "frame_id": det_file.frame_id,
@@ -222,7 +189,6 @@ def cmd_measure(
         fileio.dump_json(payload, out_dir / "records.json")
         manifest = {
             "bundle": {"path": str(bundle_dir), "signature": _bundle_signature(bundle_dir)},
-            "config": asdict(config),
             "counts": {
                 "frames": len(det_files),
                 "detections": n_detections,

@@ -9,21 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import DegenerateCircle, EmptyMask, ZeroArea
-from .geometry import CameraIntrinsics, DepthImage, Pixel, deproject, distance
-from .maskops import (
-    BinaryMask,
-    EdgeSet,
-    ExtremePoints,
-    bbox_extreme_points,
-    extract_edges,
-    extreme_points,
-    median_edge_depth,
-)
+from .geometry import CameraIntrinsics, DepthImage, deproject, distance
+from .maskops import BinaryMask, extract_edges, extreme_points, median_edge_depth
 
 COLLINEAR_TOL = 1e-9
 
@@ -45,20 +36,18 @@ class FittedCircle:
 class FruitMeasurement:
     height_mm: float
     width_mm: float
-    extremes: ExtremePoints
     median_depth_m: float
     circle: FittedCircle
     fill_ratio: float
 
 
-def fit_circle(points: Union[EdgeSet, np.ndarray]) -> FittedCircle:
+def fit_circle(points: np.ndarray) -> FittedCircle:
     """Least-squares circle through 2D points (Kasa algebraic fit).
 
     Solves the linearized circle equation u^2 + v^2 + A*u + B*v + C = 0 in
     closed form; exact on noiseless circular data.
     """
-    pts = points.pixels if isinstance(points, EdgeSet) else np.asarray(points)
-    pts = pts.reshape(-1, 2).astype(float)
+    pts = np.asarray(points).reshape(-1, 2).astype(float)
     if len(pts) < 3:
         raise DegenerateCircle(f"need at least 3 points, got {len(pts)}")
 
@@ -99,50 +88,21 @@ def fill_ratio(mask: BinaryMask, circle: FittedCircle) -> float:
     return int(np.count_nonzero(inside & mask.window(u0, v0, u1 - u0 + 1, v1 - v0 + 1))) / total
 
 
-def measure_fruit(
-    mask: BinaryMask,
-    depth: DepthImage,
-    k: CameraIntrinsics,
-    *,
-    extreme_source: str = "mask",
-    bbox: Optional[Tuple[int, int, int, int]] = None,
-    per_point_depth: bool = False,
-) -> FruitMeasurement:
+def measure_fruit(mask: BinaryMask, depth: DepthImage, k: CameraIntrinsics) -> FruitMeasurement:
     """Measure one detection: metric height/width plus occlusion metrics.
 
-    ``extreme_source="bbox"`` reproduces the coarser bounding-box variant of
-    the endpoint choice; ``per_point_depth`` drops the shared-depth
-    assumption and samples depth at each extreme pixel (falling back to the
-    edge median where the sample is missing). Both default off.
+    Height and width join the mask's extreme points, each deprojected at the
+    edge-median depth.
     """
     if mask.is_empty():
         raise EmptyMask("cannot measure an empty mask")
     edges = extract_edges(mask)
     d = median_edge_depth(edges, depth)
-
-    if extreme_source == "bbox":
-        ext = bbox_extreme_points(bbox if bbox is not None else mask.bbox())
-    elif extreme_source == "mask":
-        ext = extreme_points(mask)
-    else:
-        raise ValueError(f"unknown extreme_source {extreme_source!r}")
-
-    def point_depth(px: Pixel) -> float:
-        if not per_point_depth:
-            return d
-        sample = depth.depth_m_at(px)
-        return sample if sample > 0 else d
-
-    p_top = deproject(k, ext.top, point_depth(ext.top))
-    p_bot = deproject(k, ext.bottom, point_depth(ext.bottom))
-    p_left = deproject(k, ext.left, point_depth(ext.left))
-    p_right = deproject(k, ext.right, point_depth(ext.right))
-
+    ext = extreme_points(mask)
     circle = fit_circle(edges)
     return FruitMeasurement(
-        height_mm=1000.0 * distance(p_top, p_bot),
-        width_mm=1000.0 * distance(p_left, p_right),
-        extremes=ext,
+        height_mm=1000.0 * distance(deproject(k, ext.top, d), deproject(k, ext.bottom, d)),
+        width_mm=1000.0 * distance(deproject(k, ext.left, d), deproject(k, ext.right, d)),
         median_depth_m=d,
         circle=circle,
         fill_ratio=fill_ratio(mask, circle),

@@ -200,7 +200,7 @@ class TestDetections:
         x, y, w, h = mask.bbox()
         assert (mask.width, mask.height) == (1280, 720)
         assert mask.data.size == w * h == 47 * 47 and (x, y) == (877, 118)
-        assert mask.count == int(disc.sum())
+        assert np.count_nonzero(mask.data) == int(disc.sum())
 
     def test_detections_compare_by_value(self):
         def detection(x0=0):

@@ -27,7 +27,6 @@ from fruitgauge.geometry import (
     solve_camera_chain,
     translation_transform,
 )
-from fruitgauge.maskops import EdgeSet
 from fruitgauge.simulate import FruitSpec, QuadOccluder
 
 from conftest import random_rigid
@@ -77,12 +76,6 @@ class TestTransformBasics:
         rot_z = rotation_about([0, 0, 1], np.pi / 2)
         p = apply(rot_z, Point3(1, 0, 0))
         assert abs(p.x) < 1e-12 and abs(p.y - 1) < 1e-12 and abs(p.z) < 1e-12
-
-    def test_matrix_roundtrip(self, rng):
-        t = random_rigid(rng)
-        m = t.matrix
-        assert_transforms_close(RigidTransform(m[:3, :3], m[:3, 3]), t, 0.0)
-        assert np.array_equal(t.matrix[3], [0, 0, 0, 1])
 
     def test_bad_rotation_rejected_by_validate(self):
         t = RigidTransform(np.eye(3) * 1.1, np.zeros(3))
@@ -358,12 +351,11 @@ class TestAlignDepthToColor:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: EdgeSet(np.array([[1, 2], [3, 4]])),
     RigidTransform.identity,
     lambda: DepthImage(np.zeros((2, 2), dtype=np.uint16)),
     lambda: FruitSpec("f", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02])),
     lambda: QuadOccluder(np.zeros((4, 3))),
-], ids=["EdgeSet", "RigidTransform", "DepthImage", "FruitSpec", "QuadOccluder"])
+], ids=["RigidTransform", "DepthImage", "FruitSpec", "QuadOccluder"])
 def test_array_dataclasses_compare_by_identity(make):
     # two equal-valued instances with separate arrays
     a, b = make(), make()

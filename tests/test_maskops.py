@@ -8,8 +8,6 @@ from fruitgauge.errors import EmptyMask, LengthMismatch, NoValidDepth, ZeroArea
 from fruitgauge.geometry import DepthImage, Pixel
 from fruitgauge.maskops import (
     BinaryMask,
-    EdgeSet,
-    bbox_extreme_points,
     decode_rle,
     encode_rle,
     extract_edges,
@@ -43,9 +41,9 @@ def disc_mask(w, h, cu, cv, r):
 EDGE_KERNEL = np.array([[-1, -1, -1], [-1, 8, -1], [-1, -1, -1]], dtype=np.int32)
 
 
-def edge_set(edges: EdgeSet) -> set:
+def edge_set(edges: np.ndarray) -> set:
     """The edge pixels as a set of (u, v) int pairs."""
-    return {(int(u), int(v)) for u, v in edges.pixels}
+    return {(int(u), int(v)) for u, v in edges}
 
 
 def edge_oracle(mask: BinaryMask) -> set:
@@ -212,7 +210,7 @@ class TestCropLayoutMatchesFullFrame:
         h, w = m.shape
         mask = BinaryMask(m)
         assert mask.frame == (h, w) and np.array_equal(full(mask), m)
-        assert mask.count == int(m.sum()) and mask.is_empty() == (not m.any())
+        assert np.count_nonzero(mask.data) == int(m.sum()) and mask.is_empty() == (not m.any())
 
         rle = encode_rle(mask)
         assert rle == ref_encode(m)
@@ -371,14 +369,14 @@ class TestExtractEdges:
     @example(BinaryMask(np.eye(4, 6, 1, dtype=bool), 0, 3, (7, 6)))
     @example(BinaryMask(disc(12, 12, 5.5, 5.5, 5) & ~disc(12, 12, 5.5, 5.5, 2)))
     def test_matches_its_reference_pixel_for_pixel_and_in_order(self, mask):
-        got = extract_edges(mask).pixels
+        got = extract_edges(mask)
         assert got.dtype == np.int64 and got.shape[1:] == (2,)
         assert np.array_equal(got, ref_extract_edges(mask))
 
     def test_edges_subset_of_mask_and_interior_survives(self):
         m = disc_mask(40, 40, 20, 20, 8)
         edges = extract_edges(m)
-        us, vs = edges.pixels[:, 0], edges.pixels[:, 1]
+        us, vs = edges[:, 0], edges[:, 1]
         assert full(m)[vs, us].all()
         remaining = full(m)
         remaining[vs, us] = False
@@ -423,17 +421,10 @@ class TestExtremePoints:
             assert ext.top.v == vs.min() and ext.bottom.v == vs.max()
             assert ext.left.u == us.min() and ext.right.u == us.max()
 
-    def test_bbox_variant_uses_edge_midpoints(self):
-        ext = bbox_extreme_points((10, 20, 5, 3))
-        assert ext.top == (12.0, 20)
-        assert ext.bottom == (12.0, 22)
-        assert ext.left == (10, 21.0)
-        assert ext.right == (14, 21.0)
-
 
 class TestMedianEdgeDepth:
     def edges_at(self, pixels):
-        return EdgeSet(np.array(pixels))
+        return np.array(pixels)
 
     def test_odd_count_median(self):
         edges = self.edges_at([(0, 0), (1, 0), (2, 0)])

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from fruitgauge.errors import DegenerateCircle, EmptyMask, NoValidDepth, ZeroArea
 from fruitgauge.geometry import CameraIntrinsics, DepthImage, Point3, distance
-from fruitgauge.maskops import BinaryMask, EdgeSet, extract_edges
+from fruitgauge.maskops import BinaryMask, extract_edges
 from fruitgauge.sizing import COLLINEAR_TOL, FittedCircle, fill_ratio, fit_circle, measure_fruit
 
 from test_maskops import disc, disc_mask, full, placed_masks
@@ -25,8 +25,7 @@ def uniform_depth(w, h, mm, scale=0.001):
 # meshgrid; the kernels must give bit-identical results.
 
 def ref_fit_circle(points) -> FittedCircle:
-    pts = points.pixels if isinstance(points, EdgeSet) else np.asarray(points)
-    pts = pts.reshape(-1, 2).astype(float)
+    pts = np.asarray(points).reshape(-1, 2).astype(float)
     if len(pts) < 3:
         raise DegenerateCircle(f"need at least 3 points, got {len(pts)}")
     centroid = pts.mean(axis=0)
@@ -234,20 +233,3 @@ class TestMeasureFruit:
         meas = measure_fruit(m, uniform_depth(1280, 960, 600), K600)
         similar = 2 * meas.circle.r_px * meas.median_depth_m / K600.fx * 1000
         assert similar == pytest.approx(meas.width_mm, rel=0.02)
-
-    def test_bbox_extreme_mode(self):
-        m = disc_mask(1280, 960, 640, 480, 100)
-        a = measure_fruit(m, uniform_depth(1280, 960, 600), K600)
-        b = measure_fruit(m, uniform_depth(1280, 960, 600), K600,
-                          extreme_source="bbox")
-        # a disc's bbox midpoints coincide with its mask extremes
-        assert b.height_mm == pytest.approx(a.height_mm, abs=1e-9)
-
-    def test_per_point_depth_mode(self):
-        m = disc_mask(1280, 960, 640, 480, 100)
-        depth = uniform_depth(1280, 960, 600)
-        depth.data[380, 640] = 900  # top extreme pixel farther than the rest
-        a = measure_fruit(m, depth, K600)
-        b = measure_fruit(m, depth, K600, per_point_depth=True)
-        assert a.height_mm != pytest.approx(b.height_mm)
-        assert b.height_mm > a.height_mm
