@@ -26,7 +26,7 @@ from .maskops import (
     median_edge_depth,
 )
 from .sizing import FittedCircle, FruitMeasurement, fill_ratio, fit_circle, measure_fruit
-from .fusion import WorldFruit, deduplicate, estimate_metric_radius, localize, select_best
+from .fusion import WorldFruit, deduplicate, estimate_metric_radius, localize
 from .evaluation import (
     EvalReport,
     GroundTruthRecord,

@@ -1,7 +1,7 @@
 """Extrinsic rig calibration from synchronized checkerboard poses.
 
-Each observation is a set of board poses (board frame -> camera frame), one
-per camera that saw the board at that instant. Any pair seeing the board
+Each observation maps camera id to board pose (board frame -> camera frame),
+one per camera that saw the board at that instant. Any pair seeing the board
 simultaneously yields the camera-to-camera transform T = P_b o P_a^-1 with
 T o P_a = P_b; repeated sightings are averaged (chordal mean of rotations,
 arithmetic mean of translations) and chains are composed toward the anchor
@@ -11,8 +11,7 @@ camera, which defines the world frame.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InsufficientObservations
 from .geometry import (
@@ -26,13 +25,6 @@ from .geometry import (
 import numpy as np
 
 
-@dataclass
-class BoardObservation:
-    """Board poses from one synchronized capture, keyed by camera id."""
-
-    poses: Dict[str, RigidTransform]
-
-
 def _average_transforms(samples: Sequence[RigidTransform]) -> RigidTransform:
     if len(samples) == 1:
         return samples[0]
@@ -42,7 +34,7 @@ def _average_transforms(samples: Sequence[RigidTransform]) -> RigidTransform:
 
 
 def solve_rig(
-    observations: Sequence[BoardObservation], anchor: str
+    observations: Sequence[Dict[str, RigidTransform]], anchor: str
 ) -> Dict[str, RigidTransform]:
     """cam_to_world per camera, world = anchor camera frame.
 
@@ -52,7 +44,7 @@ def solve_rig(
     cameras: List[str] = []
     edge_samples: Dict[Tuple[str, str], List[RigidTransform]] = {}
     for obs in observations:
-        ids = list(obs.poses)
+        ids = list(obs)
         for cam_id in ids:
             if cam_id not in cameras:
                 cameras.append(cam_id)
@@ -60,7 +52,7 @@ def solve_rig(
             for b in ids[i + 1:]:
                 key = (a, b) if (a, b) in edge_samples or (b, a) not in edge_samples else (b, a)
                 edge_samples.setdefault(key, []).append(
-                    solve_camera_chain(obs.poses[key[0]], obs.poses[key[1]])
+                    solve_camera_chain(obs[key[0]], obs[key[1]])
                 )
 
     if anchor not in cameras:

@@ -7,6 +7,7 @@ alongside as ``relative_error``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
@@ -33,8 +34,9 @@ class GroundTruthRecord:
     center_world: Optional[Point3] = None
 
     def __post_init__(self):
-        if self.height_mm <= 0 or self.width_mm <= 0:
-            raise ValueError("ground-truth sizes must be positive")
+        if not (0 < self.height_mm < math.inf and 0 < self.width_mm < math.inf
+                and all(map(math.isfinite, self.center_world or ()))):
+            raise ValueError("ground-truth sizes must be finite and positive, the center finite")
 
 
 def rmse(measured: Sequence[float], truth: Sequence[float]) -> float:

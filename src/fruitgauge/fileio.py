@@ -27,7 +27,6 @@ by value and cheap to build); its keys, in written order:
     circle                    {"cu", "cv", "r_px"}: fitted circle, pixels
     bbox                      [x, y, w, h], int pixels
     center_depth_m            float, depth at the bbox center (0: no sample)
-    edge_margin_px            int, bbox distance to the image border
     radius_m                  float, metric fruit radius
     center_world_m            [x, y, z] float, fruit center in the world frame
 
@@ -67,7 +66,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .calibrate import BoardObservation
 from .errors import BundleIOError, DegenerateCircle, LengthMismatch
 from .evaluation import GroundTruthRecord
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
@@ -296,16 +294,18 @@ def read_rig(path: Path) -> List[RigCamera]:
 
 # -- calibration board poses ---------------------------------------------------
 
-def read_board_poses(path: Path) -> Tuple[Optional[str], List[BoardObservation], Dict[str, str]]:
+def read_board_poses(
+    path: Path,
+) -> Tuple[Optional[str], List[Dict[str, RigidTransform]], Dict[str, str]]:
     """A board-pose file as ``(anchor or None, observations, intrinsics_files)``."""
     path = Path(path)
     doc = load_json(path)
     with parsing(f"board poses {path}"):
         observations = [
-            BoardObservation({
+            {
                 cam_id: transform_from_dict(pose, f"{path}#obs{i}/{cam_id}")
                 for cam_id, pose in obs.get("poses", {}).items()
-            })
+            }
             for i, obs in enumerate(doc.get("observations", []))
         ]
         files = doc.get("intrinsics_files", {})
@@ -376,7 +376,7 @@ _RECORD_TYPES = {
     "frame_id": (str,), "camera_id": (str,), "detection_index": (int,), "class": (str,),
     "fruit_id": (str, type(None)), "height_mm": _NUMBER, "width_mm": _NUMBER,
     "median_depth_m": _NUMBER, "fill_ratio": _NUMBER, "circle": (dict,), "bbox": (list,),
-    "center_depth_m": _NUMBER, "edge_margin_px": (int,), "radius_m": _NUMBER,
+    "center_depth_m": _NUMBER, "radius_m": _NUMBER,
 }
 _CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
 _record_fields = operator.itemgetter(*_RECORD_TYPES)
@@ -403,14 +403,12 @@ class Record(NamedTuple):
     circle: FittedCircle
     bbox: Tuple[int, int, int, int]
     center_depth_m: float
-    edge_margin_px: int
     radius_m: float
     center_world_m: Point3
 
     def to_dict(self) -> dict:
         (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
-         median_depth_m, fill_ratio, circle, bbox, center_depth_m, edge_margin_px, radius_m,
-         center_world_m) = self
+         median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius_m, center_world_m) = self
         return {
             "frame_id": frame_id,
             "camera_id": camera_id,
@@ -424,7 +422,6 @@ class Record(NamedTuple):
             "circle": {"cu": circle.cu, "cv": circle.cv, "r_px": circle.r_px},
             "bbox": list(bbox),
             "center_depth_m": center_depth_m,
-            "edge_margin_px": edge_margin_px,
             "radius_m": radius_m,
             "center_world_m": list(center_world_m),
         }
@@ -447,7 +444,7 @@ def _record(d: dict, center: list) -> Record:
     if not all(map(frozenset.__contains__, _RECORD_TYPE_SETS, map(type, fields))):
         _check_types(d, _RECORD_TYPES)
     (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
-     median_depth_m, fill_ratio, circle, bbox, center_depth_m, edge_margin_px, radius) = fields
+     median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius) = fields
     cu, cv, r_px = _circle_fields(circle)
     if (type(center) is not list or len(bbox) != 4 or len(center) != 3
             or not all(map(frozenset.__contains__, _VALUE_TYPE_SETS,
@@ -473,7 +470,7 @@ def _record(d: dict, center: list) -> Record:
     return Record(frame_id, camera_id, detection_index, class_name, fruit_id,
                   height_mm, width_mm, median_depth_m, fill_ratio,
                   FittedCircle(float(cu), float(cv), float(r_px)), tuple(bbox),
-                  center_depth_m, edge_margin_px, radius, Point3(x, y, z))
+                  center_depth_m, radius, Point3(x, y, z))
 
 
 class _Entry:
@@ -549,34 +546,6 @@ def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
 
 
 # -- simulator scenes ----------------------------------------------------------
-
-def scene_to_dict(spec: SceneSpec) -> dict:
-    return {
-        "seed": spec.seed,
-        "depth_scale": spec.depth_scale,
-        "noise": {"sigma_at_1m": spec.noise.sigma_at_1m, "model": spec.noise.model},
-        "rig": [
-            {
-                "camera_id": cam.camera_id,
-                "intrinsics": intrinsics_to_dict(cam.intrinsics),
-                "cam_to_world": transform_to_dict(cam.cam_to_world),
-            }
-            for cam in spec.rig
-        ],
-        "fruits": [
-            {
-                "id": f.fruit_id,
-                "center_world": [f.center_world.x, f.center_world.y, f.center_world.z],
-                "semi_axes": [float(s) for s in f.semi_axes],
-            }
-            for f in spec.fruits
-        ],
-        "occluders": [
-            {"corners": [[float(x) for x in corner] for corner in occ.corners]}
-            for occ in spec.occluders
-        ],
-    }
-
 
 def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
     with parsing(f"scene {source}"):

@@ -19,8 +19,9 @@ min-index label propagation with pointer jumping over the matching pairs, so
 a cluster's label is its smallest record index. Cluster means are taken per
 cluster size over ``(m, k)`` gathers of members, which adds each cluster's
 members in the same order as a mean over that cluster alone, so the values
-are bit-identical to it. Each record's ``select_best`` key is computed
-once, and each cluster's view is the first member with the least key.
+are bit-identical to it. Each record's best-view key (``_best_view_keys``)
+is computed once, and each cluster's view is the first member with the
+least key.
 """
 
 from __future__ import annotations
@@ -118,22 +119,12 @@ class WorldFruit:
 
 
 def _best_view_keys(records: Sequence[Record], camera_order: Sequence[str]) -> List[tuple]:
-    """``select_best``'s key of each record: highest fill ratio first, then
-    the rig's camera order, then the lowest frame id and detection index."""
+    """Each record's best-view key; a cluster reports its first member with
+    the least key. Highest fill ratio wins; exact ties fall back to the rig's
+    camera order, then to the lowest frame id and detection index. Every
+    ``camera_id`` must be in ``camera_order``."""
     rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
     return [(-m.fill_ratio, rank[m.camera_id], m.frame_id, m.detection_index) for m in records]
-
-
-def select_best(members: Sequence[Record], camera_order: Sequence[str]) -> int:
-    """Index of the member to report for a cluster.
-
-    Highest fill ratio wins; exact ties fall back to the rig's camera order,
-    then to the lowest frame id and detection index. Members need
-    ``fill_ratio``, ``camera_id``, ``frame_id`` and ``detection_index``
-    attributes, and every ``camera_id`` must be in ``camera_order``.
-    """
-    keys = _best_view_keys(members, camera_order)
-    return min(range(len(keys)), key=keys.__getitem__)
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -159,14 +150,15 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[WorldFruit]:
     """Cluster world-frame records of the same physical fruit.
 
-    Records need ``center_world_m`` and ``radius_m`` attributes, plus those
-    ``select_best`` reads; centers must be finite and radii finite and
-    positive. Two records match when their center distance does not exceed
-    the larger of the two radii; clusters are the connected components of the
-    match graph, found from the grid hash's candidate pairs. A cluster's
-    members keep input order, clusters are ordered by their first member, and
-    cluster center and radius are member means. The chosen member is
-    ``select_best``'s.
+    Records need ``center_world_m``, ``radius_m``, ``fill_ratio``,
+    ``camera_id``, ``frame_id`` and ``detection_index`` attributes; centers
+    must be finite and radii finite and positive. Two records match when
+    their center distance does not exceed the larger of the two radii;
+    clusters are the connected components of the match graph, found from the
+    grid hash's candidate pairs. A cluster's members keep input order,
+    clusters are ordered by their first member, and cluster center and radius
+    are member means. The chosen member is the first with the least
+    ``_best_view_keys`` key.
     """
     n = len(records)
     if n == 0:
@@ -190,7 +182,6 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
         means = centers[members].mean(axis=1).tolist()
         mean_radii = radii[members].mean(axis=1).tolist()
         for c, idx, center, radius in zip(of_size.tolist(), members.tolist(), means, mean_radii):
-            # select_best's choice, on keys computed once per record
             chosen = min(range(k), key=[keys[i] for i in idx].__getitem__)
             fruits[c] = WorldFruit(Point3._make(center), radius, [records[i] for i in idx], chosen)
     return fruits

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,13 +50,6 @@ def distance(a: Point3, b: Point3) -> float:
     return float(np.linalg.norm(a.to_array() - b.to_array()))
 
 
-def _is_rotation(r: np.ndarray, tol: float) -> bool:
-    return (
-        np.max(np.abs(r.T @ r - np.eye(3))) <= tol
-        and abs(float(np.linalg.det(r)) - 1.0) <= tol
-    )
-
-
 def _project_to_so3(r: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix in the Frobenius sense (polar decomposition)."""
     u, _, vt = np.linalg.svd(r)
@@ -89,27 +82,18 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    def validate(self, tol: float = ORTHONORMAL_TOL) -> "RigidTransform":
-        """Raise InvalidPose unless the rotation is orthonormal with det +1."""
-        if not _is_rotation(self.rotation, tol):
+    def validate(self) -> "RigidTransform":
+        """Raise InvalidPose unless the rotation is orthonormal with det +1
+        within ``ORTHONORMAL_TOL``."""
+        r = self.rotation
+        if not (np.max(np.abs(r.T @ r - np.eye(3))) <= ORTHONORMAL_TOL
+                and abs(float(np.linalg.det(r)) - 1.0) <= ORTHONORMAL_TOL):
             raise InvalidPose("rotation is not orthonormal within tolerance")
         return self
 
 
 def translation_transform(x: float, y: float, z: float) -> RigidTransform:
     return RigidTransform(np.eye(3), np.array([x, y, z], dtype=float))
-
-
-def rotation_about(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform:
-    """Rotation by ``angle_rad`` around ``axis`` (Rodrigues), plus translation."""
-    a = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(a)
-    if n == 0:
-        raise InvalidPose("rotation axis must be nonzero")
-    a = a / n
-    k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    r = np.eye(3) + np.sin(angle_rad) * k + (1 - np.cos(angle_rad)) * (k @ k)
-    return RigidTransform(r, np.asarray(translation, dtype=float))
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:

@@ -221,17 +221,16 @@ def median_edge_depth(edges: np.ndarray, depth: DepthImage) -> float:
     return float(ordered[(len(ordered) - 1) // 2]) * depth.depth_scale
 
 
-def nearest_mask_depth(mask: BinaryMask, depth: DepthImage,
-                       bbox: Tuple[int, int, int, int], px: Pixel) -> float:
+def nearest_mask_depth(mask: BinaryMask, depth: DepthImage, px: Pixel) -> float:
     """Metric depth at the mask pixel nearest ``px`` that has a depth sample.
 
-    Reads only the bbox window (x, y, w, h), which must lie inside the image.
+    Reads only the mask's crop of ``depth``, which must be the mask's frame.
     Exact distance ties go to the first such pixel in row-major order.
     """
-    x, y, w, h = bbox
+    (h, w), x, y = mask.data.shape, mask.x0, mask.y0
     samples = depth.data[y:y + h, x:x + w]
-    vs, us = np.nonzero(mask.window(x, y, w, h) & (samples > 0))
+    vs, us = np.nonzero(mask.data & (samples > 0))
     if len(us) == 0:
-        raise NoValidDepth("no mask pixel in the bbox has a depth sample")
+        raise NoValidDepth("no mask pixel has a depth sample")
     i = int(np.argmin((us + x - px.u) ** 2 + (vs + y - px.v) ** 2))
     return float(samples[vs[i], us[i]]) * depth.depth_scale

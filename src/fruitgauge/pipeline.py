@@ -16,7 +16,7 @@ import logging
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from . import fileio
 from .calibrate import solve_rig
@@ -85,11 +85,6 @@ def cmd_simulate(scene_path: Path, out_dir: Path) -> Path:
     return write_bundle(render_scene(fileio.read_scene(Path(scene_path))), out_dir)
 
 
-def _bbox_center(bbox: Sequence[int]) -> Pixel:
-    x, y, w, h = bbox
-    return Pixel(x + (w - 1) / 2.0, y + (h - 1) / 2.0)
-
-
 def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: DepthImage,
                        cam: RigCamera) -> Record:
     """Size and localize one detection; raises one of REJECTION_REASONS."""
@@ -98,21 +93,17 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
         raise LengthMismatch(f"mask {det.mask.frame} or depth {depth.data.shape} "
                              f"differs from the {k.height}x{k.width} image")
     x, y, w, h = det.bbox
-    # the bbox clipped to the image, so that a negative x or y cannot wrap around a slice
-    x0, x1 = max(0, min(x, k.width)), max(0, min(x + w, k.width))
-    y0, y1 = max(0, min(y, k.height)), max(0, min(y + h, k.height))
     if not det.mask.is_empty():
         mx, my, mw, mh = det.mask.bbox()
-        if not (x0 <= mx and y0 <= my and mx + mw <= x1 and my + mh <= y1):
+        if not (x <= mx and y <= my and mx + mw <= x + w and my + mh <= y + h):
             raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
-    window = (x0, y0, x1 - x0, y1 - y0)
     m = measure_fruit(det.mask, depth, k)
-    center_px = _bbox_center(det.bbox)
+    center_px = Pixel(x + (w - 1) / 2.0, y + (h - 1) / 2.0)
     center_depth = depth.depth_m_at(center_px)
     # A view with no depth sample at its bbox center takes its front surface
     # from the nearest sampled mask pixel and its radius from the edge median.
     radius_m = estimate_metric_radius(m.circle, center_depth or float(m.median_depth_m), k)
-    front_depth = center_depth or nearest_mask_depth(det.mask, depth, window, center_px)
+    front_depth = center_depth or nearest_mask_depth(det.mask, depth, center_px)
     center_world = localize(center_px, front_depth, radius_m, k, cam.cam_to_world)
     return Record(
         frame_id=frame_id,
@@ -127,7 +118,6 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
         circle=m.circle,
         bbox=tuple(int(v) for v in det.bbox),
         center_depth_m=float(center_depth),
-        edge_margin_px=int(min(x, y, k.width - x - w, k.height - y - h)),
         radius_m=float(radius_m),
         center_world_m=center_world,
     )

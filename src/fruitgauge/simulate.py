@@ -23,7 +23,7 @@ its width the x axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,16 +207,17 @@ def _quad_ts(origin: Vec3, dirs: Sequence[np.ndarray], corners: Sequence[Vec3]) 
 
 
 Window = Tuple[int, int, int, int]   # (u0, u1, v0, v1), inclusive pixel bounds
+WINDOW_MARGIN_PX = 2
 
 
-def _clip_window(k: CameraIntrinsics, u_lo: float, u_hi: float, v_lo: float, v_hi: float,
-                 margin: int = 2) -> Optional[Window]:
-    """Pixel bounds covering [u_lo, u_hi] x [v_lo, v_hi] plus ``margin``,
+def _clip_window(k: CameraIntrinsics, u_lo: float, u_hi: float, v_lo: float,
+                 v_hi: float) -> Optional[Window]:
+    """Pixel bounds covering [u_lo, u_hi] x [v_lo, v_hi] plus ``WINDOW_MARGIN_PX``,
     clipped to the image; None when nothing is left."""
-    u0 = max(math.floor(u_lo) - margin, 0)
-    u1 = min(math.ceil(u_hi) + margin, k.width - 1)
-    v0 = max(math.floor(v_lo) - margin, 0)
-    v1 = min(math.ceil(v_hi) + margin, k.height - 1)
+    u0 = max(math.floor(u_lo) - WINDOW_MARGIN_PX, 0)
+    u1 = min(math.ceil(u_hi) + WINDOW_MARGIN_PX, k.width - 1)
+    v0 = max(math.floor(v_lo) - WINDOW_MARGIN_PX, 0)
+    v1 = min(math.ceil(v_hi) + WINDOW_MARGIN_PX, k.height - 1)
     if u0 > u1 or v0 > v1:
         return None
     return (u0, u1, v0, v1)
@@ -428,23 +429,31 @@ def _chord_coordinate(fraction: float) -> float:
     return 0.5 * (lo + hi)
 
 
+Z_JITTER_M = 0.003                # lab_scene fruits' depth jitter about the rig target
+HEIGHT_RANGE_MM = (35.0, 44.0)    # and their size ranges
+WIDTH_RANGE_MM = (42.0, 52.0)
+OCCLUDED_FRACTION = (0.22, 0.38)  # the share of a fruit its leaf hides from one camera
+LEAF_DEPTH_M = 0.12               # a leaf's distance in front of its camera
+LEAF_MARGIN = 1.1                 # a leaf's reach past the fruit's silhouette, in its radii
+
+
 def _window_quad(cam: RigCamera, u_range: Tuple[float, float],
-                 v_range: Tuple[float, float], leaf_depth_m: float) -> QuadOccluder:
-    """Quad perpendicular to the camera axis covering a pixel window exactly."""
+                 v_range: Tuple[float, float]) -> QuadOccluder:
+    """Quad perpendicular to the camera axis at ``LEAF_DEPTH_M``, covering a pixel window."""
     us = np.array([u_range[0], u_range[1], u_range[1], u_range[0]])
     vs = np.array([v_range[0], v_range[0], v_range[1], v_range[1]])
     xn, yn = pixel_to_ray(cam.intrinsics, us, vs)
-    corners_cam = np.column_stack([xn, yn, np.ones(4)]) * leaf_depth_m
+    corners_cam = np.column_stack([xn, yn, np.ones(4)]) * LEAF_DEPTH_M
     return QuadOccluder(apply_points(cam.cam_to_world, corners_cam))
 
 
-def _leaves_for_fruit(fruit: FruitSpec, cam: RigCamera, cut: str, fraction: float,
-                      leaf_depth_m: float = 0.12, margin: float = 1.1) -> List[QuadOccluder]:
+def _leaves_for_fruit(fruit: FruitSpec, cam: RigCamera, cut: str,
+                      fraction: float) -> List[QuadOccluder]:
     """Planar leaves close to ``cam`` that hide ``fraction`` of the fruit.
 
     The blocked regions are built in image space (rectangles whose edges cut
     the fruit's silhouette at the requested area fraction) and placed
-    ``leaf_depth_m`` in front of the camera, so they cannot intersect any
+    ``LEAF_DEPTH_M`` in front of the camera, so they cannot intersect any
     other camera's rays to the fruits. ``left``/``right`` hide one side,
     ``band`` hides two horizontal strips of fraction/2 each.
     """
@@ -461,8 +470,8 @@ def _leaves_for_fruit(fruit: FruitSpec, cam: RigCamera, cut: str, fraction: floa
     rho_u = k.fx * ax / c_cam[2]
     rho_v = k.fy * s_vert / c_cam[2]
 
-    full_u = (u0 - margin * rho_u, u0 + margin * rho_u)
-    full_v = (v0 - margin * rho_v, v0 + margin * rho_v)
+    full_u = (u0 - LEAF_MARGIN * rho_u, u0 + LEAF_MARGIN * rho_u)
+    full_v = (v0 - LEAF_MARGIN * rho_v, v0 + LEAF_MARGIN * rho_v)
     if cut == "left":
         q = _chord_coordinate(fraction)
         windows = [((full_u[0], u0 - q * rho_u), full_v)]
@@ -477,7 +486,7 @@ def _leaves_for_fruit(fruit: FruitSpec, cam: RigCamera, cut: str, fraction: floa
         ]
     else:
         raise InvalidSpec(f"unknown cut {cut!r}")
-    return [_window_quad(cam, ur, vr, leaf_depth_m) for ur, vr in windows]
+    return [_window_quad(cam, ur, vr) for ur, vr in windows]
 
 
 def lab_scene(
@@ -488,13 +497,9 @@ def lab_scene(
     columns: int = 6,
     pitch_x: float = 0.09,
     pitch_y: float = 0.11,
-    z_jitter: float = 0.003,
     fruit_shape: str = "ellipsoid",
-    height_range_mm: Tuple[float, float] = (35.0, 44.0),
-    width_range_mm: Tuple[float, float] = (42.0, 52.0),
     occlusion: bool = True,
     occluded_camera: str = "bottom",
-    occluded_fraction: Tuple[float, float] = (0.22, 0.38),
     noise_sigma_at_1m: float = 0.002,
 ) -> SceneSpec:
     """Desk-scale truss bench: a fruit grid at the rig's aim point.
@@ -515,13 +520,13 @@ def lab_scene(
         r, c = divmod(i, columns)
         x = (c - (columns - 1) / 2.0) * pitch_x
         y = (r - (rows - 1) / 2.0) * pitch_y
-        z = RIG_TARGET.z + rng.uniform(-z_jitter, z_jitter)
+        z = RIG_TARGET.z + rng.uniform(-Z_JITTER_M, Z_JITTER_M)
         if fruit_shape == "sphere":
-            d = rng.uniform(*width_range_mm) / 1000.0
+            d = rng.uniform(*WIDTH_RANGE_MM) / 1000.0
             semi = np.array([d / 2, d / 2, d / 2])
         else:
-            h = rng.uniform(*height_range_mm) / 1000.0
-            w = rng.uniform(*width_range_mm) / 1000.0
+            h = rng.uniform(*HEIGHT_RANGE_MM) / 1000.0
+            w = rng.uniform(*WIDTH_RANGE_MM) / 1000.0
             semi = np.array([w / 2, h / 2, w / 2])
         fruits.append(FruitSpec(f"fruit{i:02d}", Point3(x, y, z), semi))
 
@@ -531,7 +536,7 @@ def lab_scene(
         if occluded_camera not in cams:
             raise InvalidSpec(f"rig has no camera {occluded_camera!r}")
         cuts = ("left", "band", "right", "band")
-        lo, hi = occluded_fraction
+        lo, hi = OCCLUDED_FRACTION
         for i, fruit in enumerate(fruits):
             kind = cuts[i % len(cuts)]
             # band cuts split across two strips, so draw them from the deep

@@ -12,21 +12,26 @@ from fruitgauge.fileio import (
     dump_json,
     read_depth,
     read_rig,
-    scene_to_dict,
     transform_to_dict,
     write_depth,
 )
-from fruitgauge.geometry import DepthImage, compose, invert, rotation_about
+from fruitgauge.geometry import DepthImage, compose, invert
 from fruitgauge.maskops import BinaryMask, encode_rle
 from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
+
+from conftest import rotation_about, scene_to_dict
 
 OUTPUTS = ("records.json", "fused.json", "report.json")
 
 
 def run_chain(root, scene_path):
     """simulate -> measure -> fuse -> evaluate into ``root``; returns ``root``."""
-    bundle, out = root / "bundle", root / "out"
-    assert main(["simulate", "--scene", str(scene_path), "-o", str(bundle)]) == 0
+    assert main(["simulate", "--scene", str(scene_path), "-o", str(root / "bundle")]) == 0
+    measure_fuse_evaluate(root / "bundle", root / "out")
+    return root
+
+
+def measure_fuse_evaluate(bundle, out):
     assert main(["measure", "--bundle", str(bundle), "-o", str(out)]) == 0
     assert main(["fuse", "--records", str(out / "records.json"),
                  "--rig", str(bundle / "rig.json"), "-o", str(out / "fused.json")]) == 0
@@ -34,7 +39,6 @@ def run_chain(root, scene_path):
                  "--records", str(out / "records.json"),
                  "--truth", str(bundle / "ground_truth.csv"),
                  "-o", str(out / "report")]) == 0
-    return root
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +106,21 @@ class TestChain:
         for fruit in load(runs[0] / "out" / "fused.json")["fruits"]:
             members = np.array([m["center_world_m"] for m in fruit["members"]])
             assert fruit["center_world_m"] == pytest.approx(members.mean(axis=0), abs=1e-15)
+
+    def test_report_without_fruit_ids_is_byte_identical(self, runs, tmp_path):
+        # a real detector supplies no fruit ids, so evaluate matches by truth center
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        for path in (bundle / "detections").glob("*.json"):
+            doc = load(path)
+            for det in doc["detections"]:
+                del det["fruit_id"]
+            dump_json(doc, path)
+        measure_fuse_evaluate(bundle, tmp_path / "out")
+        assert all(r["fruit_id"] is None
+                   for r in load(tmp_path / "out" / "records.json")["records"])
+        assert ((tmp_path / "out" / "report.json").read_bytes()
+                == (runs[0] / "out" / "report.json").read_bytes())
 
     def test_fuse_never_localizes(self, runs, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -246,8 +265,8 @@ class TestMeasureIngest:
         self.assert_one_warning(records, "OutOfBounds")
 
     def test_bbox_with_negative_x(self, runs, tmp_path):
-        # clipped to the image, a bbox from x = -5 holds the whole mask, and
-        # the nearest mask pixel with depth stands in for its blank center ...
+        # a bbox from x = -5 that holds the whole mask is accepted, and the
+        # nearest mask pixel with depth stands in for its blank center ...
         def widen(d):
             x, y, w, h = d["bbox"]
             d["bbox"] = [-5, y, x + w + 5, h]

@@ -241,8 +241,8 @@ RECORD = {
     "class": "fully_ripened", "fruit_id": None,
     "height_mm": 39.5, "width_mm": 46.25, "median_depth_m": 0.61, "fill_ratio": 0.97,
     "circle": {"cu": 320.5, "cv": 240.0, "r_px": 30.0},
-    "bbox": [290, 210, 61, 61], "center_depth_m": 0.6, "edge_margin_px": 210,
-    "radius_m": 0.0215, "center_world_m": [0.01, -0.02, 0.62],
+    "bbox": [290, 210, 61, 61], "center_depth_m": 0.6, "radius_m": 0.0215,
+    "center_world_m": [0.01, -0.02, 0.62],
 }
 SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
 
@@ -253,10 +253,13 @@ class TestRecords:
         assert json.dumps(back) == json.dumps(RECORD)
 
     def test_read_records(self, tmp_path):
-        dump_json({"records": [RECORD], "warnings": []}, tmp_path / "records.json")
+        # a key no record field holds, such as the edge_margin_px of older files, is ignored
+        dump_json({"records": [{**RECORD, "edge_margin_px": 210}], "warnings": []},
+                  tmp_path / "records.json")
         (record,) = read_records(tmp_path / "records.json")
         assert record.class_name == "fully_ripened" and record.bbox == (290, 210, 61, 61)
         assert record.center_world_m == Point3(0.01, -0.02, 0.62)
+        assert record.to_dict() == RECORD
 
     @pytest.mark.parametrize("field,value,named", [
         ("circle", "x", "circle"), ("circle", {"cu": 1.0, "cv": 1.0}, "r_px"),
@@ -385,7 +388,10 @@ class TestGroundTruthCsv:
             read_ground_truth_csv(tmp_path / "gt.csv")
 
     def test_bad_row_reports_location(self, tmp_path):
-        (tmp_path / "gt.csv").write_text(
-            "fruit_id,height_mm,width_mm,x_m,y_m,z_m\nf0,not_a_number,47,,,\n")
-        with pytest.raises(BundleIOError, match="row 1"):
-            read_ground_truth_csv(tmp_path / "gt.csv")
+        # a size that is not a finite positive number, or a center that is not finite
+        for bad_row in ("f1,not_a_number,47,,,", "f1,nan,47,,,", "f1,inf,47,,,",
+                        "f1,-inf,47,,,", "f1,40,47,nan,0.1,0.6"):
+            (tmp_path / "gt.csv").write_text(
+                f"fruit_id,height_mm,width_mm,x_m,y_m,z_m\nf0,40,47,,,\n{bad_row}\n")
+            with pytest.raises(BundleIOError, match="row 2"):
+                read_ground_truth_csv(tmp_path / "gt.csv")

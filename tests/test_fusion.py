@@ -6,12 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fruitgauge.errors import InvalidDepth
-from fruitgauge.fusion import (
-    deduplicate,
-    estimate_metric_radius,
-    localize,
-    select_best,
-)
+from fruitgauge.fusion import deduplicate, estimate_metric_radius, localize
 from fruitgauge.geometry import (
     CameraIntrinsics,
     Pixel,
@@ -39,6 +34,31 @@ class FakeMeas:
 
 def det(x, y, z, r=0.023, fill=0.9, cam="middle", frame="000", index=0):
     return FakeMeas(fill, cam, frame, index, Point3(x, y, z), r)
+
+
+def ref_select_best(members, camera_order):
+    """The view a cluster reports, written out: the first member whose fill
+    ratio no other member's beats, then the earliest camera in
+    ``camera_order``, then the lowest frame id, then the lowest detection
+    index. A NaN fill ratio is beaten by no one and beats no one."""
+    best = 0
+    for i, m in enumerate(members):
+        b = members[best]
+        if -m.fill_ratio != -b.fill_ratio:
+            if -m.fill_ratio < -b.fill_ratio:
+                best = i
+            continue
+        rank_m, rank_b = camera_order.index(m.camera_id), camera_order.index(b.camera_id)
+        if (rank_m, m.frame_id, m.detection_index) < (rank_b, b.frame_id, b.detection_index):
+            best = i
+    return best
+
+
+def chosen_view(members, camera_order=ORDER):
+    """The index of the view that ``deduplicate`` reports for co-located
+    ``members``, which form one cluster."""
+    fruit, = deduplicate(members, camera_order)
+    return fruit.chosen
 
 
 class TestEstimateMetricRadius:
@@ -128,22 +148,24 @@ class TestDeduplicate:
 
 
 class TestSelectBest:
+    """The view ``deduplicate`` chooses for a cluster."""
+
     def test_highest_fill_ratio_wins(self):
         members = [FakeMeas(0.73, "top"), FakeMeas(0.94, "bottom")]
-        assert select_best(members, ORDER) == 1
+        assert chosen_view(members) == 1
 
     def test_single_member(self):
-        assert select_best([FakeMeas(0.5)], ORDER) == 0
+        assert chosen_view([FakeMeas(0.5)]) == 0
 
     def test_tie_broken_by_camera_order(self):
         members = [FakeMeas(0.90, "bottom"), FakeMeas(0.90, "top")]
-        assert select_best(members, ORDER) == 1  # top precedes bottom
-        assert select_best(members, ("bottom", "middle", "top")) == 0
+        assert chosen_view(members) == 1  # top precedes bottom
+        assert chosen_view(members, ("bottom", "middle", "top")) == 0
 
     def test_tie_broken_by_frame_then_index(self):
         members = [FakeMeas(0.9, "top", "002", 0), FakeMeas(0.9, "top", "001", 3),
                    FakeMeas(0.9, "top", "001", 1)]
-        assert select_best(members, ORDER) == 2
+        assert chosen_view(members) == 2
 
     def test_chosen_attribute_on_clusters(self):
         fruits = deduplicate([det(0, 0, 0.6, fill=0.73, cam="top"),
@@ -155,13 +177,13 @@ class TestSelectBest:
     @pytest.mark.parametrize("fills", [(0.5, float("nan"), 0.9), (float("nan"), 0.5, 0.9),
                                        (0.9, 0.5, float("nan"))])
     def test_cluster_choice_is_select_best_with_a_nan_fill_ratio(self, fills):
-        # NaN keys have no order, so a choice made in any other way than
-        # select_best's minimum over the cluster, such as one sort of all
-        # records with the far second fruit, can differ from it
+        # NaN keys have no order, so a choice made in any other way than a
+        # first-to-last scan of the cluster, such as one sort of all records
+        # with the far second fruit, can differ from it
         views = [det(0, 0, 0.6 + i / 1000, fill=f, cam=cam, index=i)
                  for i, (f, cam) in enumerate(zip(fills, ORDER))]
         fruit, _ = deduplicate(views + [det(1, 1, 1, fill=0.7, index=3)], ORDER)
-        assert fruit.chosen == select_best(fruit.members, ORDER)
+        assert fruit.chosen == ref_select_best(fruit.members, ORDER)
 
 
 def all_pairs_dedup(records):
@@ -186,7 +208,7 @@ def all_pairs_dedup(records):
     clusters = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
-    return [(idx, select_best([records[i] for i in idx], ORDER),
+    return [(idx, ref_select_best([records[i] for i in idx], ORDER),
              Point3.from_array(centers[idx].mean(axis=0)), float(radii[idx].mean()))
             for idx in (clusters[root] for root in sorted(clusters))]
 

@@ -28,7 +28,6 @@ from fruitgauge.fileio import (
     read_records,
     read_rig,
     scene_from_dict,
-    scene_to_dict,
     transform_to_dict,
     write_detections,
     write_rig,
@@ -43,6 +42,7 @@ from fruitgauge.geometry import (
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
 
+from conftest import scene_to_dict
 from test_fileio import RECORD
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)

@@ -23,13 +23,12 @@ from fruitgauge.geometry import (
     pixel_to_ray,
     project,
     ray_to_pixel,
-    rotation_about,
     solve_camera_chain,
     translation_transform,
 )
 from fruitgauge.simulate import FruitSpec, QuadOccluder
 
-from conftest import random_rigid
+from conftest import random_rigid, rotation_about
 
 
 def assert_transforms_close(a: RigidTransform, b: RigidTransform, tol: float):

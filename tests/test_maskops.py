@@ -108,14 +108,12 @@ def ref_fill_ratio(m: np.ndarray, c: FittedCircle) -> float:
     return int((inside & m[v0:v1 + 1, u0:u1 + 1]).sum()) / int(inside.sum())
 
 
-def ref_nearest_mask_depth(m: np.ndarray, depth: DepthImage, bbox, px: Pixel) -> float:
-    x, y, w, h = bbox
-    samples = depth.data[y:y + h, x:x + w]
-    vs, us = np.nonzero(m[y:y + h, x:x + w] & (samples > 0))
+def ref_nearest_mask_depth(m: np.ndarray, depth: DepthImage, px: Pixel) -> float:
+    vs, us = np.nonzero(m & (depth.data > 0))
     if len(us) == 0:
         raise NoValidDepth("none")
-    i = int(np.argmin((us + x - px.u) ** 2 + (vs + y - px.v) ** 2))
-    return float(samples[vs[i], us[i]]) * depth.depth_scale
+    i = int(np.argmin((us - px.u) ** 2 + (vs - px.v) ** 2))
+    return float(depth.data[vs[i], us[i]]) * depth.depth_scale
 
 
 def ref_extract_edges(mask: BinaryMask) -> np.ndarray:
@@ -239,11 +237,9 @@ class TestCropLayoutMatchesFullFrame:
         assert outcome(fill_ratio, mask, circle) == outcome(ref_fill_ratio, m, circle)
 
         depth = DepthImage(data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 3))))
-        bx, by = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
-        bbox = (bx, by, data.draw(st.integers(0, w - bx)), data.draw(st.integers(0, h - by)))
         px = Pixel(data.draw(st.floats(0, w - 1)), data.draw(st.floats(0, h - 1)))
-        assert (outcome(nearest_mask_depth, mask, depth, bbox, px)
-                == outcome(ref_nearest_mask_depth, m, depth, bbox, px))
+        assert (outcome(nearest_mask_depth, mask, depth, px)
+                == outcome(ref_nearest_mask_depth, m, depth, px))
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(frames(), st.data())
@@ -491,18 +487,17 @@ class TestNearestMaskDepth:
         mask = disc_mask(64, 64, 32, 32, 10)
         # the center has no sample; (34, 32) is nearer than (32, 29)
         depth = depth_from_map({(34, 32): 601, (32, 29): 602, (31, 32): 0, (1, 1): 5})
-        assert nearest_mask_depth(mask, depth, mask.bbox(), Pixel(32, 32)) == pytest.approx(0.601)
+        assert nearest_mask_depth(mask, depth, Pixel(32, 32)) == pytest.approx(0.601)
 
     def test_tie_goes_to_first_in_row_major_order(self):
         mask = disc_mask(64, 64, 32, 32, 10)
         depth = depth_from_map({(32, 34): 610, (34, 32): 620, (30, 32): 630})
-        assert nearest_mask_depth(mask, depth, mask.bbox(), Pixel(32, 32)) == pytest.approx(0.630)
+        assert nearest_mask_depth(mask, depth, Pixel(32, 32)) == pytest.approx(0.630)
 
     def test_reads_only_mask_pixels_inside_the_window(self):
         mask = disc_mask(64, 64, 32, 32, 10)
-        depth = depth_from_map({(32, 32): 100, (40, 32): 640, (2, 2): 1})
-        # (2, 2) is outside the mask, (32, 32) outside the window
-        got = nearest_mask_depth(mask, depth, (36, 22, 7, 21), Pixel(32, 32))
-        assert got == pytest.approx(0.640)
+        # (23, 23) is inside the mask's crop but not the mask, (2, 2) outside both
+        depth = depth_from_map({(23, 23): 100, (40, 32): 640, (2, 2): 1})
+        assert nearest_mask_depth(mask, depth, Pixel(24, 24)) == pytest.approx(0.640)
         with pytest.raises(NoValidDepth):
-            nearest_mask_depth(mask, depth, (0, 0, 20, 20), Pixel(32, 32))
+            nearest_mask_depth(mask, depth_from_map({(23, 23): 100, (2, 2): 1}), Pixel(24, 24))

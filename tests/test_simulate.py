@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fruitgauge.errors import InvalidSpec
-from fruitgauge.fileio import scene_from_dict, scene_to_dict
+from fruitgauge.fileio import scene_from_dict
 from fruitgauge.geometry import (
     CameraIntrinsics,
     Point3,
@@ -21,7 +21,6 @@ from fruitgauge.geometry import (
     invert,
     pixel_to_ray,
     ray_to_pixel,
-    rotation_about,
     translation_transform,
 )
 from fruitgauge.maskops import BinaryMask, Pixel, extreme_points
@@ -41,6 +40,7 @@ from fruitgauge.simulate import (
 )
 from fruitgauge.sizing import measure_fruit
 
+from conftest import rotation_about, scene_to_dict
 from test_maskops import full
 
 
@@ -487,7 +487,9 @@ class TestPaperRig:
 
     def test_rotations_are_proper(self):
         for cam in paper_rig():
-            cam.cam_to_world.validate(1e-9)
+            r = cam.cam_to_world.rotation
+            assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-9
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-9
 
 
 class TestLabScene:
