@@ -279,6 +279,8 @@ def read_rig(path: Path) -> List[RigCamera]:
     with parsing(f"rig {path}"):
         for entry in doc["cameras"]:
             cam_id = _string(entry, "id")
+            if any(cam.camera_id == cam_id for cam in cameras):
+                raise BundleIOError(f"rig {path} lists camera {cam_id!r} twice")
             pose = transform_from_dict(entry["cam_to_world"], f"{path}:{cam_id}").validate()
             intr, depth_intr = (
                 read_intrinsics(path.parent / entry[key]) if entry.get(key) else None

@@ -11,9 +11,9 @@ of a fruit's exact silhouette (from the ellipsoid's dual conic) or of a
 leaf's corners. The renderer models no lens distortion, so a pixel's
 normalized ray is separable (x depends on the column only, y on the row
 only), and a window's rays are broadcast from one row of xs and one column
-of ys as x, y and z component arrays. Depth noise draws one normal per pixel
-of the whole frame, so each pixel's draw does not depend on which pixels were
-hit, but it is applied to hit pixels only.
+of ys as x, y and z component arrays. Depth noise draws one normal per depth
+sample, none for empty pixels: the k-th nonzero sample in row-major order
+takes the k-th normal of the camera's stream.
 
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
@@ -91,8 +91,8 @@ class NoiseSpec:
     model: str = "z2"
 
     def __post_init__(self):
-        if not self.sigma_at_1m >= 0:
-            raise InvalidSpec("noise sigma must be >= 0")
+        if not 0 <= self.sigma_at_1m < math.inf:
+            raise InvalidSpec("noise sigma must be finite and >= 0")
         if self.model != "z2":
             raise InvalidSpec(f"unknown noise model {self.model!r}")
 
@@ -336,21 +336,23 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
 def add_depth_noise(depth: DepthImage, sigma_at_1m: float, seed: int) -> DepthImage:
     """Zero-mean Gaussian noise with sigma(z) = sigma_at_1m * z^2, re-quantized.
 
-    Invalid (zero) samples stay zero; identical inputs and seed give an
-    identical result regardless of how many samples are valid.
+    Invalid (zero) samples stay zero and take no draw: the k-th nonzero
+    sample in row-major order takes the k-th normal of ``default_rng(seed)``.
+    A frame whose every pixel holds a sample thus takes one draw per pixel.
     """
-    if sigma_at_1m < 0:
-        raise InvalidSpec("noise sigma must be >= 0")
+    if not 0 <= sigma_at_1m < math.inf:
+        raise InvalidSpec("noise sigma must be finite and >= 0")
     if sigma_at_1m == 0:
         return DepthImage(depth.data.copy(), depth.depth_scale)
-    rng = np.random.default_rng(seed)
-    # one draw per pixel of the frame, so each pixel's draw does not depend on
-    # which samples are valid; only valid samples are perturbed
-    noise = rng.standard_normal(depth.data.shape)
     valid = depth.data != 0
     z = depth.data[valid].astype(float) * depth.depth_scale
+    noise = np.random.default_rng(seed).standard_normal(z.size)
+    noise *= sigma_at_1m
+    noise *= z
+    noise *= z
+    noise += z
     q = np.zeros_like(depth.data)
-    q[valid] = depth_units(z + noise[valid] * sigma_at_1m * z * z, depth.depth_scale)
+    q[valid] = depth_units(noise, depth.depth_scale)
     return DepthImage(q, depth.depth_scale)
 
 

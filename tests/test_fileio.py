@@ -174,6 +174,12 @@ class TestIntrinsicsAndRig:
         with pytest.raises(BundleIOError):
             read_rig(tmp_path / "rig.json")
 
+    def test_repeated_camera_id_rejected(self, tmp_path):
+        write_rig(tmp_path / "rig.json", [RigCamera("top", None, RigidTransform.identity()),
+                                          RigCamera("top", None, translation_transform(0, 1, 0))])
+        with pytest.raises(BundleIOError, match="'top'"):
+            read_rig(tmp_path / "rig.json")
+
 
 class TestDetections:
     def test_roundtrip_with_fruit_id(self, rng, tmp_path):

@@ -174,7 +174,9 @@ def ref_render_camera(cam, spec):
 
 
 def ref_add_depth_noise(data, depth_scale, sigma_at_1m, seed):
-    noise = np.random.default_rng(seed).standard_normal(data.shape)
+    valid = data != 0
+    noise = np.zeros(data.shape)
+    noise[valid] = np.random.default_rng(seed).standard_normal(np.count_nonzero(valid))
     z = data.astype(float) * depth_scale
     q = depth_units(z + noise * sigma_at_1m * z * z, depth_scale)
     q[data == 0] = 0
@@ -445,6 +447,12 @@ class TestAddDepthNoise:
         out = add_depth_noise(DepthImage(data), 0.01, seed=3)
         assert not out.data[data == 0].any()
         assert (out.data[data != 0] > 0).all()
+        assert np.array_equal(out.data, ref_add_depth_noise(data, 0.001, 0.01, 3))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidSpec):
+            add_depth_noise(self.make_depth(), sigma, seed=1)
 
     def test_sigma_grows_with_depth_squared(self):
         # remove the quantization variance (q^2/12) before comparing scales
@@ -572,9 +580,10 @@ class TestSceneValidation:
         with pytest.raises(InvalidSpec):
             NoiseSpec(-0.001)
 
-    def test_nan_sigma_rejected(self):
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_nan_sigma_rejected(self, sigma):
         with pytest.raises(InvalidSpec):
-            NoiseSpec(math.nan)
+            NoiseSpec(sigma)
 
     def test_bad_occluder_shape_rejected(self):
         with pytest.raises(InvalidSpec):
