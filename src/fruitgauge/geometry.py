@@ -185,8 +185,8 @@ class DepthImage:
                 raise InvalidDepth("depth samples out of uint16 range")
             d = d.astype(np.uint16)
         object.__setattr__(self, "data", d)
-        if not self.depth_scale > 0:
-            raise InvalidDepth("depth_scale must be positive")
+        if not 0 < self.depth_scale < math.inf:
+            raise InvalidDepth("depth_scale must be positive and finite")
 
     @property
     def width(self) -> int:

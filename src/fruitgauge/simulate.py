@@ -8,12 +8,14 @@ is the camera-frame z of the hit, quantized by the depth scale.
 
 Rays are cast only inside each object's window: the pixel bbox, plus 2 px,
 of a fruit's exact silhouette (from the ellipsoid's dual conic) or of a
-leaf's corners. The renderer models no lens distortion, so a pixel's
-normalized ray is separable (x depends on the column only, y on the row
-only), and a window's rays are broadcast from one row of xs and one column
-of ys as x, y and z component arrays. Depth noise draws one normal per depth
-sample, none for empty pixels: the k-th nonzero sample in row-major order
-takes the k-th normal of the camera's stream.
+leaf's corners. The renderer models no lens distortion, so the ray through
+pixel (x, y) has the world direction R (x, y, 1), with x depending on the
+column only and y on the row only. Every term of a hit test is then a
+linear or quadratic form in (x, y, 1): a window's tests are broadcasts of
+its row of xs and column of ys, and no per-pixel direction is built. Each
+frame's hit samples are quantized and noised in one pass over them. Depth
+noise draws one normal per nonzero depth sample: the k-th nonzero sample in
+row-major order takes the k-th normal of the camera's stream.
 
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
@@ -76,12 +78,17 @@ class FruitSpec:
 # eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class QuadOccluder:
-    corners: np.ndarray  # (4, 3) world meters, rendered as two triangles
+    """A planar convex quad; its corners go round its outline in order."""
+
+    corners: np.ndarray  # (4, 3) world meters
 
     def __post_init__(self):
         c = np.asarray(self.corners, dtype=float)
         if c.shape != (4, 3) or not np.all(np.isfinite(c)):
             raise InvalidSpec("occluder needs 4 finite 3D corners")
+        if not _is_planar_convex(c.tolist()):
+            raise InvalidSpec("occluder corners must bound a planar convex quad "
+                              "of nonzero area")
         object.__setattr__(self, "corners", c)
 
 
@@ -114,10 +121,15 @@ class SceneSpec:
                 raise InvalidSpec(f"camera {cam.camera_id!r} has no intrinsics")
             if cam.intrinsics.has_distortion:
                 raise InvalidSpec("the renderer models an ideal pinhole (no distortion)")
-        if not self.depth_scale > 0:
-            raise InvalidSpec("depth_scale must be positive")
+        if not 0 < self.depth_scale < math.inf:
+            raise InvalidSpec("depth_scale must be positive and finite")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
+        for kind, ids in (("fruit", [f.fruit_id for f in self.fruits]),
+                          ("camera", [c.camera_id for c in self.rig])):
+            if len(set(ids)) < len(ids):
+                repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+                raise InvalidSpec(f"repeated {kind} id {repeated!r}")
 
     def ground_truth(self) -> List[GroundTruthRecord]:
         return [
@@ -147,8 +159,8 @@ def _sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _dot(a, b):
-    """Dot product of two 3-sequences, each of floats or of arrays."""
+def _dot(a: Vec3, b: Vec3) -> float:
+    """Dot product of two 3-sequences of floats."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -156,54 +168,95 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _ellipsoid_ts(origin: Vec3, dirs: Sequence[np.ndarray], center: Vec3,
-                  semi: Vec3) -> np.ndarray:
-    """Smallest ray parameter above ``_EPS_T`` per ray, inf when the ray misses.
+def _is_planar_convex(corners: Sequence[Vec3]) -> bool:
+    """True when four corners, in order, bound a planar convex polygon of
+    nonzero area.
 
-    ``dirs`` are the x, y and z components of the ray directions, arrays of
-    one shape; ``origin``, ``center`` and ``semi`` are three floats each.
+    A quad is convex exactly when its diagonals d1 = c2 - c0 and
+    d2 = c3 - c1 cross inside both: c0 + l d1 = c1 + m d2 with 0 < l, m < 1.
+    With e = c1 - c0 and S = d1 x d2, twice the vector area, l |S|^2 =
+    (e x d2) . S and m |S|^2 = (e x d1) . S; S = 0 fails both. The quad is
+    planar when the twist e . S, six times the volume of the tetrahedron of
+    the corners, is zero to 1e-9 of |e| |S|.
     """
-    o = [(oi - ci) / si for oi, ci, si in zip(origin, center, semi)]
-    d = [di / si for di, si in zip(dirs, semi)]
-    a = _dot(d, d)
-    b = 2.0 * _dot(d, o)
-    c = _dot(o, o) - 1.0
-    disc = b * b - 4.0 * a * c
-    hit = disc >= 0
-    t = np.full(disc.shape, np.inf)
-    sq = np.sqrt(disc[hit])
-    b, a2 = b[hit], 2.0 * a[hit]
-    t1 = (-b - sq) / a2
-    t2 = (-b + sq) / a2
-    t[hit] = np.where(t1 > _EPS_T, t1, np.where(t2 > _EPS_T, t2, np.inf))
-    return t
+    d1, d2 = _sub(corners[2], corners[0]), _sub(corners[3], corners[1])
+    e = _sub(corners[1], corners[0])
+    s = _cross(d1, d2)
+    ss, twist = _dot(s, s), _dot(e, s)
+    return (0 < _dot(_cross(e, d2), s) < ss and 0 < _dot(_cross(e, d1), s) < ss
+            and twist * twist <= 1e-18 * _dot(e, e) * ss)
 
 
-def _triangle_ts(origin: Vec3, dirs: Sequence[np.ndarray],
-                 v0: Vec3, v1: Vec3, v2: Vec3) -> np.ndarray:
-    """Moeller-Trumbore, vectorized over rays given as x, y, z component arrays.
+def _image_form(axes: Sequence[Vec3], w: Vec3) -> Vec3:
+    """(k0, k1, k2) with w . d = k0 x + k1 y + k2 for d = x a0 + y a1 + a2.
 
-    Each term that is linear in the ray direction d is a dot product with
-    one constant vector: the determinant (d x e2) . e1 = d . (e2 x e1) and
-    the first barycentric (d x e2) . s = d . (e2 x s).
+    With ``axes`` the camera's axes a0, a1, a2 in the world frame, d is the
+    world direction of the ray through normalized image point (x, y)."""
+    return (_dot(axes[0], w), _dot(axes[1], w), _dot(axes[2], w))
+
+
+def _ellipsoid_ts(origin: Vec3, axes: Sequence[Vec3], x: np.ndarray, y: np.ndarray,
+                  center: Vec3, semi: Vec3) -> np.ndarray:
+    """Smallest ray parameter above ``_EPS_T`` per pixel of a window, inf on a miss.
+
+    ``x`` is the window's row of normalized xs and ``y`` its column of ys.
+    Scaled by 1/s about the center c, the ray o + t d becomes w + t P v with
+    w = (o - c)/s, P = diag(1/s) R and v = (x, y, 1), and hits the unit
+    sphere where a t^2 + 2 hb t + c0 = 0: a = v^T G v with G = P^T P,
+    hb = h . v with h = P^T w, and c0 = |w|^2 - 1. So a is a row term plus a
+    column term plus one outer product, and hb one broadcast add. The roots
+    are t = (-hb -/+ sqrt q)/a with q = hb^2 - a c0, and a miss is the NaN
+    of sqrt q < 0.
     """
-    e1, e2, s = _sub(v1, v0), _sub(v2, v0), _sub(origin, v0)
-    q = _cross(s, e1)
-    a = _dot(dirs, _cross(e2, e1))
-    ok = np.abs(a) > 1e-14
-    inv = np.where(ok, 1.0 / np.where(ok, a, 1.0), 0.0)
-    u = inv * _dot(dirs, _cross(e2, s))
-    v = inv * _dot(dirs, q)
-    t = inv * _dot(e2, q)
-    tol = 1e-12
-    hit = ok & (u >= -tol) & (v >= -tol) & (u + v <= 1.0 + tol) & (t > _EPS_T)
+    p = [[ai / si for ai, si in zip(axis, semi)] for axis in axes]  # columns of P
+    w = [(oi - ci) / si for oi, ci, si in zip(origin, center, semi)]
+    g00, g11, g22 = _dot(p[0], p[0]), _dot(p[1], p[1]), _dot(p[2], p[2])
+    g01, g02, g12 = _dot(p[0], p[1]), _dot(p[0], p[2]), _dot(p[1], p[2])
+    h0, h1, h2 = _image_form(p, w)
+    c0 = _dot(w, w) - 1.0
+    neg_a = np.multiply(-2.0 * g01 * y, x)
+    neg_a -= (g00 * x + 2.0 * g02) * x + g22
+    neg_a -= (g11 * y + 2.0 * g12) * y
+    hb = (h0 * x + h2) + h1 * y
+    t = hb * hb
+    t += c0 * neg_a
+    with np.errstate(invalid="ignore"):
+        np.sqrt(t, out=t)
+        # the near root from outside the fruit, the far one from inside
+        if c0 > 0:
+            t += hb
+        else:
+            np.subtract(hb, t, out=t)
+        t /= neg_a
+        return np.where(t > _EPS_T, t, np.inf)
+
+
+def _quad_ts(origin: Vec3, axes: Sequence[Vec3], x: np.ndarray, y: np.ndarray,
+             corners: Sequence[Vec3]) -> np.ndarray:
+    """Ray parameter of the hit on a planar convex quad per pixel of a window,
+    inf on a miss; ``x`` and ``y`` as for ``_ellipsoid_ts``.
+
+    With S = (c2 - c0) x (c3 - c1) the ray meets the quad's plane at
+    t = S . (c0 - o) / (S . d). It passes inside the quad when d lies on the
+    inner side of each plane through o and an edge: m_i . d has the sign of
+    S . (c0 - o) for m_i = (c_i - o) x (c_i+1 - o). The m_i . d sum to S . d,
+    so, as Moeller and Trumbore's test does, the edges are inclusive to
+    1e-12 of |S . d|; for t > 0 that is folded into m_i as 1e-12 S. Each
+    term is a linear form in the window's x row and y column.
+    """
+    rel = [_sub(c, origin) for c in corners]
+    s = _cross(_sub(corners[2], corners[0]), _sub(corners[3], corners[1]))
+    num = _dot(s, rel[0])
+    side = 1.0 if num > 0 else -1.0
+    k0, k1, k2 = _image_form(axes, s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num / ((k0 * x + k2) + k1 * y)
+    hit = t > _EPS_T
+    for i in range(4):
+        m = _cross(rel[i], rel[i - 3])
+        k0, k1, k2 = _image_form(axes, [side * (mj + 1e-12 * sj) for mj, sj in zip(m, s)])
+        hit &= (k0 * x + k2) >= -(k1 * y)
     return np.where(hit, t, np.inf)
-
-
-def _quad_ts(origin: Vec3, dirs: Sequence[np.ndarray], corners: Sequence[Vec3]) -> np.ndarray:
-    t1 = _triangle_ts(origin, dirs, corners[0], corners[1], corners[2])
-    t2 = _triangle_ts(origin, dirs, corners[0], corners[2], corners[3])
-    return np.minimum(t1, t2)
 
 
 Window = Tuple[int, int, int, int]   # (u0, u1, v0, v1), inclusive pixel bounds
@@ -284,18 +337,20 @@ def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
     return _clip_window(k, u_lo, u_hi, v_lo, v_hi)
 
 
-def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[str, BinaryMask]]:
+def _render_camera(cam: RigCamera, spec: SceneSpec
+                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, BinaryMask]]:
+    """Ray-cast one camera: the row-major flat indices of the pixels whose ray
+    hits an object, the depth units of those hits, and the masks of the
+    fruits that win a pixel."""
     k = cam.intrinsics
     world_to_cam = invert(cam.cam_to_world)
     origin = cam.cam_to_world.translation.tolist()
-    rows = cam.cam_to_world.rotation.tolist()
+    axes = cam.cam_to_world.rotation.T.tolist()
     # SceneSpec refuses distortion, so a pixel's normalized ray is separable:
-    # its x depends on the column only and its y on the row only. A window's
-    # world ray directions (x, y, 1) @ rot.T are then broadcast from a row of
-    # xs and a column of ys.
+    # its x depends on the column only and its y on the row only.
     xs, ys = pixel_to_ray(k, np.arange(k.width), np.arange(k.height)[:, None])
 
-    # ray parameter t equals camera-frame z because dirs have z component 1
+    # ray parameter t equals camera-frame z because the rays (x, y, 1) have z 1
     best_t = np.full((k.height, k.width), np.inf)
     winner = np.full((k.height, k.width), -1, dtype=np.int32)
 
@@ -307,19 +362,17 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
             continue
         u0, u1, v0, v1 = window
         x, y = xs[u0:u1 + 1], ys[v0:v1 + 1]
-        dirs = [x * r0 + (y * r1 + r2) for r0, r1, r2 in rows]
         if isinstance(obj, FruitSpec):
-            t = _ellipsoid_ts(origin, dirs, obj.center_world, obj.semi_axes.tolist())
+            t = _ellipsoid_ts(origin, axes, x, y, obj.center_world, obj.semi_axes.tolist())
         else:
-            t = _quad_ts(origin, dirs, obj.corners.tolist())
+            t = _quad_ts(origin, axes, x, y, obj.corners.tolist())
         region_t = best_t[v0:v1 + 1, u0:u1 + 1]
         better = t < region_t
         np.copyto(region_t, t, where=better)
         np.copyto(winner[v0:v1 + 1, u0:u1 + 1], idx, where=better)
 
-    hit = np.isfinite(best_t)
-    samples = np.zeros(best_t.shape, dtype=np.uint16)
-    samples[hit] = depth_units(best_t[hit], spec.depth_scale)
+    hits = np.flatnonzero(np.isfinite(best_t))
+    units = depth_units(best_t.ravel()[hits], spec.depth_scale)
 
     # a fruit can only win pixels inside its own window
     masks: Dict[str, BinaryMask] = {}
@@ -330,7 +383,24 @@ def _render_camera(cam: RigCamera, spec: SceneSpec) -> Tuple[DepthImage, Dict[st
         m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
         if not m.is_empty():
             masks[fruit.fruit_id] = m
-    return DepthImage(samples, spec.depth_scale), masks
+    return hits, units, masks
+
+
+def _noisy_units(units: np.ndarray, depth_scale: float, sigma_at_1m: float,
+                 seed: int) -> np.ndarray:
+    """Depth units plus zero-mean Gaussian noise of sigma(z) = sigma_at_1m * z^2,
+    re-quantized. Zero units stay zero and take no draw: the k-th nonzero
+    unit takes the k-th normal of ``default_rng(seed)``."""
+    valid = np.flatnonzero(units)
+    z = units[valid] * depth_scale
+    noise = np.random.default_rng(seed).standard_normal(z.size)
+    noise *= sigma_at_1m
+    noise *= z
+    noise *= z
+    noise += z
+    out = np.zeros_like(units)
+    out[valid] = depth_units(noise, depth_scale)
+    return out
 
 
 def add_depth_noise(depth: DepthImage, sigma_at_1m: float, seed: int) -> DepthImage:
@@ -344,16 +414,8 @@ def add_depth_noise(depth: DepthImage, sigma_at_1m: float, seed: int) -> DepthIm
         raise InvalidSpec("noise sigma must be finite and >= 0")
     if sigma_at_1m == 0:
         return DepthImage(depth.data.copy(), depth.depth_scale)
-    valid = depth.data != 0
-    z = depth.data[valid].astype(float) * depth.depth_scale
-    noise = np.random.default_rng(seed).standard_normal(z.size)
-    noise *= sigma_at_1m
-    noise *= z
-    noise *= z
-    noise += z
-    q = np.zeros_like(depth.data)
-    q[valid] = depth_units(noise, depth.depth_scale)
-    return DepthImage(q, depth.depth_scale)
+    q = _noisy_units(depth.data.ravel(), depth.depth_scale, sigma_at_1m, seed)
+    return DepthImage(q.reshape(depth.data.shape), depth.depth_scale)
 
 
 def _camera_noise_seed(scene_seed: int, camera_index: int) -> int:
@@ -363,11 +425,16 @@ def _camera_noise_seed(scene_seed: int, camera_index: int) -> int:
 def render_scene(spec: SceneSpec) -> CaptureBundle:
     """Deterministic render of all cameras: depth, per-fruit masks, truth."""
     captures = []
+    sigma = spec.noise.sigma_at_1m
     for ci, cam in enumerate(spec.rig):
-        depth, masks = _render_camera(cam, spec)
-        if spec.noise.sigma_at_1m > 0:
-            depth = add_depth_noise(depth, spec.noise.sigma_at_1m,
-                                    _camera_noise_seed(spec.seed, ci))
+        hits, units, masks = _render_camera(cam, spec)
+        if sigma > 0:
+            units = _noisy_units(units, spec.depth_scale, sigma,
+                                 _camera_noise_seed(spec.seed, ci))
+        k = cam.intrinsics
+        data = np.zeros(k.height * k.width, dtype=np.uint16)
+        data[hits] = units
+        depth = DepthImage(data.reshape(k.height, k.width), spec.depth_scale)
         captures.append(CameraCapture(cam, depth, masks))
     return CaptureBundle(captures, spec.ground_truth())
 

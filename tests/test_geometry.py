@@ -140,7 +140,7 @@ def test_bad_focal_length_rejected(fx):
         CameraIntrinsics(1280, 720, fx, 600.0, 640.0, 360.0)
 
 
-@pytest.mark.parametrize("scale", [0.0, -0.001, np.nan])
+@pytest.mark.parametrize("scale", [0.0, -0.001, np.nan, np.inf])
 def test_bad_depth_scale_rejected(scale):
     with pytest.raises(InvalidDepth):
         DepthImage(np.zeros((2, 2), np.uint16), scale)
@@ -353,7 +353,7 @@ class TestAlignDepthToColor:
     RigidTransform.identity,
     lambda: DepthImage(np.zeros((2, 2), dtype=np.uint16)),
     lambda: FruitSpec("f", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02])),
-    lambda: QuadOccluder(np.zeros((4, 3))),
+    lambda: QuadOccluder(np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)),
 ], ids=["RigidTransform", "DepthImage", "FruitSpec", "QuadOccluder"])
 def test_array_dataclasses_compare_by_identity(make):
     # two equal-valued instances with separate arrays

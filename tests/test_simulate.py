@@ -227,6 +227,19 @@ def one_fruit_scene(center, semi) -> SceneSpec:
                      noise=NoiseSpec(0.002), seed=3)
 
 
+# crosses the middle camera's z = 0 plane; its far edge, at y/z = 0.1, lies
+# on the centers of that camera's pixel row 71
+LEAF_ACROSS_CAMERA_PLANE = [(-0.05, -0.02, -0.05), (0.05, -0.02, -0.05), (0.05, 0.02, 0.2),
+                            (-0.05, 0.02, 0.2)]
+
+
+def leaf_scene(corners) -> SceneSpec:
+    """The normal fruit at the rig target and one leaf, seen by a small paper rig."""
+    return SceneSpec(fruits=[FruitSpec("target", RIG_TARGET, np.array([0.03, 0.025, 0.03]))],
+                     occluders=[QuadOccluder(np.array(corners))], rig=paper_rig(SMALL_K),
+                     noise=NoiseSpec(0.002), seed=3)
+
+
 RENDER_SCENES = {
     "lab_scene_0": lambda: lab_scene(0),
     "orchard_color": lambda: small_orchard(False),
@@ -240,6 +253,8 @@ RENDER_SCENES = {
     "behind_camera": lambda: one_fruit_scene((0.0, 0.05, -0.3), (0.05, 0.04, 0.05)),
     # the middle camera sits inside it and sees its far side everywhere
     "contains_camera": lambda: one_fruit_scene((0.0, 0.0, 0.02), (0.03, 0.04, 0.05)),
+    "leaf_crosses_camera_plane": lambda: leaf_scene(LEAF_ACROSS_CAMERA_PLANE),
+    "leaf_reversed": lambda: leaf_scene(LEAF_ACROSS_CAMERA_PLANE[::-1]),
 }
 
 
@@ -560,7 +575,8 @@ class TestSceneValidation:
         with pytest.raises(InvalidSpec):
             FruitSpec("f", center, np.array(semi))
 
-    @pytest.mark.parametrize("field,value", [("seed", -1), ("depth_scale", math.nan)])
+    @pytest.mark.parametrize("field,value", [("seed", -1), ("depth_scale", math.nan),
+                                             ("depth_scale", math.inf)])
     def test_bad_seed_or_depth_scale_rejected(self, field, value):
         with pytest.raises(InvalidSpec):
             SceneSpec(fruits=[], occluders=[], rig=[single_camera()], **{field: value})
@@ -568,6 +584,13 @@ class TestSceneValidation:
     def test_empty_rig_rejected(self):
         with pytest.raises(InvalidSpec):
             SceneSpec(fruits=[], occluders=[], rig=[], noise=NoiseSpec(0.0), seed=0)
+
+    @pytest.mark.parametrize("field,repeated", [("fruits", "fruit01"), ("rig", "middle")])
+    def test_repeated_id_rejected(self, field, repeated):
+        spec = lab_scene(0)
+        items = getattr(spec, field)
+        with pytest.raises(InvalidSpec, match=f"'{repeated}'"):
+            dataclasses.replace(spec, **{field: items + [items[1]]})
 
     def test_distorted_intrinsics_rejected(self):
         k = CameraIntrinsics(64, 64, 60.0, 60.0, 32.0, 32.0,
@@ -585,9 +608,15 @@ class TestSceneValidation:
         with pytest.raises(InvalidSpec):
             NoiseSpec(sigma)
 
-    def test_bad_occluder_shape_rejected(self):
+    @pytest.mark.parametrize("corners", [
+        np.zeros((3, 3)),
+        [[0, 0, 0.3], [0.01, 0, 0.3], [0.01, 0.01, 0.31], [0, 0.01, 0.3]],
+        [[0, 0, 0.3], [0.03, 0, 0.3], [0, 0.01, 0.3], [0.01, 0.01, 0.3]],
+        [[0, 0, 0.3], [0.01, 0, 0.3], [0.02, 0, 0.3], [0.03, 0, 0.3]],
+    ], ids=["three_corners", "non_planar", "bow_tie", "zero_area"])
+    def test_bad_occluder_shape_rejected(self, corners):
         with pytest.raises(InvalidSpec):
-            QuadOccluder(np.zeros((3, 3)))
+            QuadOccluder(np.array(corners, dtype=float))
 
     def test_scene_dict_roundtrip(self):
         spec = lab_scene(seed=3)
