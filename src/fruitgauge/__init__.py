@@ -42,7 +42,6 @@ from .simulate import (
     NoiseSpec,
     QuadOccluder,
     SceneSpec,
-    add_depth_noise,
     lab_scene,
     paper_rig,
     render_scene,

@@ -26,7 +26,8 @@ by value and cheap to build); its keys, in written order:
     fill_ratio                float in [0, 1], mask cover of the fitted circle
     circle                    {"cu", "cv", "r_px"}: fitted circle, pixels
     bbox                      [x, y, w, h], int pixels
-    center_depth_m            float, depth at the bbox center (0: no sample)
+    center_depth_m            float, front-surface depth at the sampled mask pixel
+                              nearest the bbox center rounded half up; > 0 (older: 0)
     radius_m                  float, metric fruit radius
     center_world_m            [x, y, z] float, fruit center in the world frame
 
@@ -47,7 +48,8 @@ wrong type or shape is a ``BundleIOError`` that names the file (CLI exit 2).
 ``read_records`` and ``read_fused_choices`` check a whole file in one pass,
 with the same per-record validation as ``Record.from_dict``, and name the
 failing entry as ``#records[i]`` or ``#fruits[i]``. A record's float fields
-must be finite, and its radii positive.
+must be finite, and its radii positive. A domain error met while reading, such as
+a focal length that is not positive, keeps its type (CLI exit 1) and names the file.
 
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
@@ -60,13 +62,14 @@ import io
 import json
 import math
 import operator
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import BundleIOError, DegenerateCircle, LengthMismatch
+from .errors import BundleIOError, DegenerateCircle, FruitGaugeError, LengthMismatch
 from .evaluation import GroundTruthRecord
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
@@ -82,7 +85,8 @@ _MALFORMED = (TypeError, ValueError, IndexError, AttributeError, OverflowError,
 class parsing:
     """Turns a ``KeyError`` or ``_MALFORMED`` error inside it into a
     ``BundleIOError`` naming ``source``, which is formatted only then, so a
-    reader can enter one per file and still name the entry that failed."""
+    reader can enter one per file and still name the entry that failed.
+    Another ``FruitGaugeError`` keeps its type, prefixed by the innermost source."""
 
     def __init__(self, source: object):
         self.source = source
@@ -95,6 +99,11 @@ class parsing:
             raise BundleIOError(f"{self.source} missing field {error}") from error
         if isinstance(error, _MALFORMED):
             raise BundleIOError(f"malformed {self.source}: {error}") from error
+        if isinstance(error, FruitGaugeError) and not isinstance(error, BundleIOError) \
+                and not getattr(error, "source_named", False):
+            named = type(error)(f"{self.source}: {error}")
+            named.source_named = True
+            raise named from error
 
 
 _NUMBER = (int, float)  # exact JSON value types, so a bool is not a number
@@ -114,12 +123,13 @@ def _string(d: dict, key: str, optional: bool = False) -> Optional[str]:
     raise TypeError(f"{key} must be a string, got {value!r}")
 
 
-def _number(d: dict, key: str):
-    """``d[key]`` if it is a JSON number (an int or a float, not a bool)."""
+def _number(d: dict, key: str, types: tuple = _NUMBER):
+    """``d[key]`` if it is a JSON number (an int or a float, not a bool);
+    with ``types`` ``(int,)``, only a JSON int."""
     value = d[key]
-    if type(value) in _NUMBER:
+    if type(value) in types:
         return value
-    raise TypeError(f"{key} must be a number, got {value!r}")
+    raise TypeError(f"{key} must be {'an int' if types == (int,) else 'a number'}, got {value!r}")
 
 
 def _check_list(key: str, values: list, n: int, types: tuple) -> None:
@@ -162,40 +172,25 @@ def write_pgm16(path: Path, data: np.ndarray) -> None:
     path.write_bytes(header + data.astype(">u2").tobytes())
 
 
+# P5, width, height and maxval, each token after whitespace or "#" comments
+# through the end of their line; one whitespace byte then precedes the raster.
+# Each byte of a separator matches one way only, so a failed match is linear.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*[\r\n])+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm16(path: Path) -> np.ndarray:
     path = Path(path)
     raw = _read_bytes(path)
-    pos = 0
-
-    def next_token() -> bytes:
-        nonlocal pos
-        while pos < len(raw):
-            if raw[pos:pos + 1].isspace():
-                pos += 1
-            elif raw[pos:pos + 1] == b"#":  # comment to end of line
-                while pos < len(raw) and raw[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise BundleIOError(f"truncated PGM header in {path}")
-        return raw[start:pos]
-
-    magic = next_token()
-    if magic != b"P5":
-        raise BundleIOError(f"not a binary PGM (P5) file: {path}")
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise BundleIOError(f"malformed PGM header in {path}" if raw.startswith(b"P5")
+                            else f"not a binary PGM (P5) file: {path}")
     with parsing(f"PGM header in {path}"):
-        width, height, maxval = int(next_token()), int(next_token()), int(next_token())
-    if width < 0 or height < 0:
-        raise BundleIOError(f"negative PGM size {width}x{height} in {path}")
+        width, height, maxval = map(int, header.groups())
     if not (256 <= maxval <= 65535):
         raise BundleIOError(f"expected 16-bit PGM (maxval 256..65535) in {path}")
-    pos += 1  # single whitespace byte separates header from raster
     expected = width * height * 2
-    body = raw[pos:pos + expected]
+    body = raw[header.end():header.end() + expected]
     if len(body) != expected:
         raise BundleIOError(f"PGM raster truncated in {path}")
     return np.frombuffer(body, dtype=">u2").reshape(height, width).astype(np.uint16)
@@ -211,7 +206,7 @@ def read_depth(path_pgm: Path) -> DepthImage:
     path_pgm = Path(path_pgm)
     data, sidecar = read_pgm16(path_pgm), path_pgm.with_suffix(".json")
     with parsing(f"depth sidecar {sidecar}"):
-        return DepthImage(data, float(load_json(sidecar)["depth_scale"]))
+        return DepthImage(data, float(_number(load_json(sidecar), "depth_scale")))
 
 
 # -- intrinsics / rig --------------------------------------------------------
@@ -223,15 +218,12 @@ def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
 
 def intrinsics_from_dict(d: dict, source: str = "<inline>") -> CameraIntrinsics:
     with parsing(f"intrinsics {source}"):
-        return CameraIntrinsics(
-            width=int(d["width"]),
-            height=int(d["height"]),
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            ppx=float(d["ppx"]),
-            ppy=float(d["ppy"]),
-            distortion=d.get("distortion"),
-        )
+        distortion = d.get("distortion")
+        if distortion is not None:
+            _check_list("distortion", distortion, 5, _NUMBER)
+        fx, fy, ppx, ppy = (float(_number(d, key)) for key in ("fx", "fy", "ppx", "ppy"))
+        return CameraIntrinsics(_number(d, "width", (int,)), _number(d, "height", (int,)),
+                                fx, fy, ppx, ppy, distortion)
 
 
 def write_intrinsics(path: Path, k: CameraIntrinsics) -> None:

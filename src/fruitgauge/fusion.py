@@ -56,7 +56,7 @@ def localize(
     """World-frame center of a fruit from its bounding-box center pixel.
 
     ``depth_m`` is the distance of the fruit's front surface along the
-    viewing ray (the aligned depth map's reading at the center pixel); the
+    viewing ray (read at the sampled mask pixel nearest that pixel); the
     point is pushed outward by the estimated radius to reach the center.
     """
     p = deproject(k, px, depth_m).to_array()

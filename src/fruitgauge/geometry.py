@@ -171,20 +171,20 @@ class CameraIntrinsics:
 # eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class DepthImage:
-    """16-bit depth buffer; a zero sample means "no depth"."""
+    """16-bit depth buffer; a zero sample means "no depth".
+
+    ``data`` must be a 2-D ``uint16`` array, which every reader and renderer
+    makes; any other array raises ``InvalidDepth`` rather than being cast.
+    """
 
     data: np.ndarray          # uint16, shape (height, width)
     depth_scale: float = 0.001  # meters per unit
 
     def __post_init__(self):
-        d = np.asarray(self.data)
-        if d.ndim != 2:
-            raise InvalidDepth(f"depth data must be 2D, got shape {d.shape}")
-        if d.dtype != np.uint16:
-            if np.any(d < 0) or np.any(d > 65535):
-                raise InvalidDepth("depth samples out of uint16 range")
-            d = d.astype(np.uint16)
-        object.__setattr__(self, "data", d)
+        d = self.data
+        if not (isinstance(d, np.ndarray) and d.ndim == 2 and d.dtype == np.uint16):
+            raise InvalidDepth("depth data must be a 2-D uint16 array, got "
+                               f"{getattr(d, 'dtype', type(d))} {getattr(d, 'shape', '')}")
         if not 0 < self.depth_scale < math.inf:
             raise InvalidDepth("depth_scale must be positive and finite")
 
@@ -195,13 +195,6 @@ class DepthImage:
     @property
     def height(self) -> int:
         return self.data.shape[0]
-
-    def depth_m_at(self, px: Pixel) -> float:
-        """Metric depth at the nearest pixel (halves round up); 0.0 where there is no sample."""
-        u, v = math.floor(px.u + 0.5), math.floor(px.v + 0.5)
-        if not (0 <= u < self.width and 0 <= v < self.height):
-            raise OutOfBounds(f"pixel ({u},{v}) outside {self.width}x{self.height}")
-        return float(self.data[v, u]) * self.depth_scale
 
 
 @dataclass

@@ -225,10 +225,17 @@ def nearest_mask_depth(mask: BinaryMask, depth: DepthImage, px: Pixel) -> float:
     """Metric depth at the mask pixel nearest ``px`` that has a depth sample.
 
     Reads only the mask's crop of ``depth``, which must be the mask's frame.
-    Exact distance ties go to the first such pixel in row-major order.
+    Exact distance ties go to the first such pixel in row-major order. When
+    ``px`` is itself a mask pixel with a sample, at distance 0, it is read at
+    once without a search.
     """
     (h, w), x, y = mask.data.shape, mask.x0, mask.y0
     samples = depth.data[y:y + h, x:x + w]
+    u, v = px.u - x, px.v - y
+    if 0 <= u < w and 0 <= v < h and u == int(u) and v == int(v):
+        u, v = int(u), int(v)
+        if mask.data[v, u] and samples[v, u]:
+            return float(samples[v, u]) * depth.depth_scale
     vs, us = np.nonzero(mask.data & (samples > 0))
     if len(us) == 0:
         raise NoValidDepth("no mask pixel has a depth sample")

@@ -99,11 +99,9 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
             raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
     m = measure_fruit(det.mask, depth, k)
     center_px = Pixel(x + (w - 1) / 2.0, y + (h - 1) / 2.0)
-    center_depth = depth.depth_m_at(center_px)
-    # A view with no depth sample at its bbox center takes its front surface
-    # from the nearest sampled mask pixel and its radius from the edge median.
-    radius_m = estimate_metric_radius(m.circle, center_depth or float(m.median_depth_m), k)
-    front_depth = center_depth or nearest_mask_depth(det.mask, depth, center_px)
+    # The front surface: the sampled mask pixel nearest the bbox center rounded half up.
+    front_depth = nearest_mask_depth(det.mask, depth, Pixel(x + w // 2, y + h // 2))
+    radius_m = estimate_metric_radius(m.circle, front_depth, k)
     center_world = localize(center_px, front_depth, radius_m, k, cam.cam_to_world)
     return Record(
         frame_id=frame_id,
@@ -117,7 +115,7 @@ def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: 
         fill_ratio=float(m.fill_ratio),
         circle=m.circle,
         bbox=tuple(int(v) for v in det.bbox),
-        center_depth_m=float(center_depth),
+        center_depth_m=front_depth,
         radius_m=float(radius_m),
         center_world_m=center_world,
     )

@@ -403,21 +403,6 @@ def _noisy_units(units: np.ndarray, depth_scale: float, sigma_at_1m: float,
     return out
 
 
-def add_depth_noise(depth: DepthImage, sigma_at_1m: float, seed: int) -> DepthImage:
-    """Zero-mean Gaussian noise with sigma(z) = sigma_at_1m * z^2, re-quantized.
-
-    Invalid (zero) samples stay zero and take no draw: the k-th nonzero
-    sample in row-major order takes the k-th normal of ``default_rng(seed)``.
-    A frame whose every pixel holds a sample thus takes one draw per pixel.
-    """
-    if not 0 <= sigma_at_1m < math.inf:
-        raise InvalidSpec("noise sigma must be finite and >= 0")
-    if sigma_at_1m == 0:
-        return DepthImage(depth.data.copy(), depth.depth_scale)
-    q = _noisy_units(depth.data.ravel(), depth.depth_scale, sigma_at_1m, seed)
-    return DepthImage(q.reshape(depth.data.shape), depth.depth_scale)
-
-
 def _camera_noise_seed(scene_seed: int, camera_index: int) -> int:
     return int(np.random.SeedSequence([scene_seed, camera_index]).generate_state(1)[0])
 

@@ -16,7 +16,7 @@ from fruitgauge.fileio import (
     write_depth,
 )
 from fruitgauge.geometry import DepthImage, compose, invert
-from fruitgauge.maskops import BinaryMask, encode_rle
+from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
 
 from conftest import rotation_about, scene_to_dict
@@ -229,8 +229,8 @@ class TestMeasureIngest:
             x, y, w, h = doc["detections"][4]["bbox"]
             depth = read_depth(bundle / "depth" / "middle_000.pgm")
             data = depth.data.copy()
-            # the pixel DepthImage.depth_m_at reads: halves round up
-            data[int(np.floor(y + h / 2)), int(np.floor(x + w / 2))] = 0
+            # the bbox center rounded half up, where the front depth is read first
+            data[y + h // 2, x + w // 2] = 0
             write_depth(bundle / "depth" / "middle_000.pgm", DepthImage(data, depth.depth_scale))
         code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
         return code, tmp_path / "out" / "records.json"
@@ -284,8 +284,42 @@ class TestMeasureIngest:
         record, = [r for r in load(records)["records"]
                    if (r["camera_id"], r["detection_index"]) == ("middle", 4)]
         fruit, = [f for f in lab_scene(0).fruits if f.fruit_id == record["fruit_id"]]
-        assert record["center_depth_m"] == 0
+        # the front depth is that of the sampled mask pixel nearest the blanked
+        # center, found here over the whole frame
+        det = load(tmp_path / "bundle" / "detections" / "middle_000.json")["detections"][4]
+        depth = read_depth(tmp_path / "bundle" / "depth" / "middle_000.pgm")
+        x, y, w, h = det["bbox"]
+        mask = decode_rle(det["mask_rle"]["counts"], det["mask_rle"]["size"])
+        vs, us = np.nonzero(mask.window(0, 0, mask.width, mask.height) & (depth.data > 0))
+        i = np.argmin((us - (x + w // 2)) ** 2 + (vs - (y + h // 2)) ** 2)
+        assert (us[i], vs[i]) != (x + w // 2, y + h // 2)
+        assert record["center_depth_m"] == float(depth.data[vs[i], us[i]]) * depth.depth_scale
+        assert record["center_depth_m"] > 0
         assert np.linalg.norm(np.subtract(record["center_world_m"], fruit.center_world)) < 0.004
+
+    def test_front_depth_is_read_at_the_rounded_bbox_center(self, runs, tmp_path):
+        # Each middle-camera view with an even bbox width has its center between
+        # two pixels; the right-hand one, x + w // 2, is read.
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        detections = load(bundle / "detections" / "middle_000.json")["detections"]
+        depth = read_depth(bundle / "depth" / "middle_000.pgm")
+        data, marked = depth.data.copy(), {}
+        for index, det in enumerate(detections):
+            x, y, w, h = det["bbox"]
+            mask = decode_rle(det["mask_rle"]["counts"], det["mask_rle"]["size"])
+            u, v = x + w // 2, y + h // 2
+            if w % 2 == 0 and mask.window(u - 1, v, 2, 1).all():
+                data[v, u - 1] = 1000 + index
+                data[v, u] = marked[index] = 2000 + index
+        assert len(marked) >= 3
+        write_depth(bundle / "depth" / "middle_000.pgm", DepthImage(data, depth.depth_scale))
+        assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 0
+        front = {r["detection_index"]: r["center_depth_m"]
+                 for r in load(tmp_path / "out" / "records.json")["records"]
+                 if r["camera_id"] == "middle"}
+        assert {i: front[i] for i in marked} == {
+            i: float(sample) * depth.depth_scale for i, sample in marked.items()}
 
     def test_rig_without_a_detected_camera_exits_1(self, runs, tmp_path, capsys):
         bundle = tmp_path / "bundle"
@@ -297,6 +331,19 @@ class TestMeasureIngest:
         assert main(["fuse", "--records", str(runs[0] / "out" / "records.json"),
                      "--rig", str(bundle / "rig.json"), "-o", str(tmp_path / "f.json")]) == 1
         assert capsys.readouterr().err.count("['bottom']") == 2
+
+    @pytest.mark.parametrize("rel,field,value,message", [
+        ("depth/top_000.json", "depth_scale", float("inf"), "depth_scale must be positive"),
+        ("intrinsics/top.json", "fx", 0, "focal lengths must be positive"),
+    ], ids=["depth-scale-inf", "fx-zero"])
+    def test_domain_error_names_its_file(self, runs, tmp_path, capsys, rel, field, value,
+                                         message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        damage_copy(bundle / rel, bundle / rel, lambda d: d.update({field: value}))
+        assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 1
+        err, = capsys.readouterr().err.splitlines()
+        assert str(bundle / rel) in err and message in err
 
     def test_non_orthonormal_rig_rotation_exits_1(self, runs, tmp_path):
         bundle = tmp_path / "bundle"
@@ -358,6 +405,10 @@ class TestDamagedDocuments:
         pytest.param("rig.json", lambda d: d.update(cameras=[1]), "", id="rig-camera-int"),
         pytest.param("rig.json", lambda d: [], "", id="rig-list"),
         pytest.param("depth/top_000.json", lambda d: [], "", id="depth-sidecar-list"),
+        pytest.param("depth/top_000.json", lambda d: d.update(depth_scale=True), "depth_scale",
+                     id="depth-scale-bool"),
+        pytest.param("intrinsics/top.json", lambda d: d.update(width=640.7), "width",
+                     id="width-float"),
         pytest.param("detections/top_000.json",
                      lambda d: d["detections"][0]["mask_rle"].update(size=[480]), "size",
                      id="rle-size-1"),
@@ -376,6 +427,16 @@ class TestDamagedDocuments:
         damage_copy(bundle / rel, bundle / rel, damage)
         code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
         self.assert_io_error(code, capsys, bundle / rel, named)
+
+    @pytest.mark.parametrize("width", [b"+640", b"-640", b"6" * 5000],
+                             ids=["plus", "minus", "5000-digits"])
+    def test_measure_pgm_width(self, runs, tmp_path, capsys, width):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        pgm = bundle / "depth" / "top_000.pgm"
+        pgm.write_bytes(pgm.read_bytes().replace(b"P5\n640 ", b"P5\n" + width + b" ", 1))
+        code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
+        self.assert_io_error(code, capsys, pgm, "PGM")
 
     @pytest.mark.parametrize("doc", [[], {"observations": [1]}, {"anchor": 5}],
                              ids=["list", "observation-int", "anchor-int"])

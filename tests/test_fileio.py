@@ -4,7 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from fruitgauge.errors import BundleIOError, DegenerateCircle, InvalidPose, LengthMismatch
+from fruitgauge.errors import (
+    BundleIOError,
+    DegenerateCircle,
+    InvalidDepth,
+    InvalidPose,
+    LengthMismatch,
+)
 from fruitgauge.evaluation import GroundTruthRecord
 from fruitgauge.fileio import (
     Detection,
@@ -59,6 +65,12 @@ class TestParsing:
             with parsing("doc.json"):
                 raise InvalidPose("not a rotation")
 
+    def test_domain_error_keeps_its_type_and_names_the_innermost_source(self):
+        with pytest.raises(InvalidDepth, match=r"^inner\.json: no depth$"):
+            with parsing("outer.json"):
+                with parsing("inner.json"):
+                    raise InvalidDepth("no depth")
+
     @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000], ids=["utf16-cut", "deep"])
     def test_undecodable_json_names_file(self, tmp_path, raw):
         (tmp_path / "bad.json").write_bytes(raw)
@@ -94,6 +106,23 @@ class TestPgm:
         with pytest.raises(BundleIOError, match="short.pgm"):
             read_pgm16(p)
 
+    @pytest.mark.parametrize("header", [
+        b"P5#a\n# b\n2# c\n#d\n1\n# e\n65535\n",
+        b"P5\r\n2\r\n# a\r\n1 \r\n65535\r",
+        b"P5 \t2\x0b1\x0c65535 ",
+    ], ids=["comment-between-every-token", "crlf", "other-whitespace"])
+    def test_header_separators(self, tmp_path, header):
+        p = tmp_path / "c.pgm"
+        p.write_bytes(header + b"\x01\x00\x02\x00")
+        assert read_pgm16(p).tolist() == [[256, 512]]
+
+    @pytest.mark.parametrize("width", [b"+2", b"-2", b"2" * 5000, b"2.0", b"0x2"])
+    def test_bad_width_names_file(self, tmp_path, width):
+        p = tmp_path / "w.pgm"
+        p.write_bytes(b"P5\n" + width + b" 1\n65535\n\x01\x00\x02\x00")
+        with pytest.raises(BundleIOError, match=r"PGM .*w\.pgm"):
+            read_pgm16(p)
+
     def test_negative_size_rejected(self, tmp_path):
         p = tmp_path / "neg.pgm"
         p.write_bytes(b"P5\n-1 -1\n65535\n\x00\x00")
@@ -122,6 +151,26 @@ class TestIntrinsicsAndRig:
         back = read_intrinsics(tmp_path / "k.json")
         assert back.width == 1280 and back.fx == 910.5
         assert np.allclose(back.distortion, k.distortion)
+
+    @pytest.mark.parametrize("field,value", [
+        ("width", 640.7), ("width", "640"), ("height", True), ("height", 480.0),
+        ("fx", "460"), ("fy", True), ("ppx", None), ("ppy", [1.0]),
+        ("distortion", [0.1, 0.0, "0.0", 0.0, 0.0]), ("distortion", [0.1, 0.0, 0.0, 0.0]),
+        ("distortion", "0.1"),
+    ])
+    def test_intrinsics_json_types(self, tmp_path, field, value):
+        doc = {"width": 640, "height": 480, "fx": 460, "fy": 460.0, "ppx": 319.5,
+               "ppy": 239.5, "distortion": None, field: value}
+        (tmp_path / "k.json").write_text(json.dumps(doc))
+        with pytest.raises(BundleIOError, match=rf"k\.json.*{field}"):
+            read_intrinsics(tmp_path / "k.json")
+
+    @pytest.mark.parametrize("value", [True, "0.001", None, [0.001]])
+    def test_depth_scale_json_type(self, tmp_path, value):
+        write_depth(tmp_path / "d.pgm", DepthImage(np.ones((2, 3), np.uint16)))
+        (tmp_path / "d.json").write_text(json.dumps({"depth_scale": value}))
+        with pytest.raises(BundleIOError, match=r"d\.json.*depth_scale"):
+            read_depth(tmp_path / "d.pgm")
 
     def test_missing_key_reports_source(self, tmp_path):
         (tmp_path / "k.json").write_text('{"width": 4}')

@@ -146,6 +146,18 @@ def test_bad_depth_scale_rejected(scale):
         DepthImage(np.zeros((2, 2), np.uint16), scale)
 
 
+@pytest.mark.parametrize("data", [
+    np.zeros((2, 2), np.int64),
+    np.zeros((2, 2), float),
+    np.zeros((2, 2, 1), np.uint16),
+    [[0, 1], [2, 3]],
+], ids=["int64", "float", "3-d", "list"])
+def test_depth_data_other_than_2d_uint16_rejected(data):
+    # every reader and renderer makes uint16 samples; nothing is cast
+    with pytest.raises(InvalidDepth, match="2-D uint16"):
+        DepthImage(data)
+
+
 class TestDeprojectProject:
     def test_principal_point_on_axis(self):
         p = deproject(K_NODIST, Pixel(640, 360), 0.5)
@@ -224,18 +236,6 @@ def test_depth_units(z_m, scale, expected):
     got = depth_units(np.array([z_m]), scale)
     assert got.dtype == np.uint16 and got.tolist() == [expected]
     assert int(depth_units(z_m, scale)) == expected
-
-
-def test_depth_m_at_rounds_half_up():
-    # a bbox center at k + 0.5 reads pixel k + 1, as depth_units and alignment round
-    ramp = np.arange(1, 21, dtype=np.uint16)[None, :]  # column u holds u + 1
-    for depth, at in ((DepthImage(ramp, 1.0), lambda t: Pixel(t, 0)),
-                      (DepthImage(ramp.T, 1.0), lambda t: Pixel(0, t))):
-        assert [depth.depth_m_at(at(u + 0.5)) - 1 for u in range(6)] == [1, 2, 3, 4, 5, 6]
-        assert [depth.depth_m_at(at(u + 0.49)) - 1 for u in range(6)] == [0, 1, 2, 3, 4, 5]
-        assert depth.depth_m_at(at(-0.5)) == 1.0
-        with pytest.raises(OutOfBounds):
-            depth.depth_m_at(at(19.5))
 
 
 def test_only_geometry_and_fileio_read_the_camera_model():

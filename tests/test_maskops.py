@@ -237,7 +237,9 @@ class TestCropLayoutMatchesFullFrame:
         assert outcome(fill_ratio, mask, circle) == outcome(ref_fill_ratio, m, circle)
 
         depth = DepthImage(data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 3))))
-        px = Pixel(data.draw(st.floats(0, w - 1)), data.draw(st.floats(0, h - 1)))
+        # integral pixels, also outside the frame, take the sampled-mask-pixel fast path
+        px = Pixel(*data.draw(st.tuples(st.floats(0, w - 1), st.floats(0, h - 1))
+                              | st.tuples(st.integers(-2, w + 1), st.integers(-2, h + 1))))
         assert (outcome(nearest_mask_depth, mask, depth, px)
                 == outcome(ref_nearest_mask_depth, m, depth, px))
 
@@ -488,6 +490,13 @@ class TestNearestMaskDepth:
         # the center has no sample; (34, 32) is nearer than (32, 29)
         depth = depth_from_map({(34, 32): 601, (32, 29): 602, (31, 32): 0, (1, 1): 5})
         assert nearest_mask_depth(mask, depth, Pixel(32, 32)) == pytest.approx(0.601)
+
+    def test_px_on_a_sampled_mask_pixel_is_read_and_one_outside_the_mask_is_not(self):
+        mask = disc_mask(64, 64, 32, 32, 10)
+        # (23, 23) is inside the mask's crop but not the mask
+        depth = depth_from_map({(32, 32): 650, (33, 32): 1, (23, 23): 100})
+        assert nearest_mask_depth(mask, depth, Pixel(33, 32)) == pytest.approx(0.001)
+        assert nearest_mask_depth(mask, depth, Pixel(23, 23)) == pytest.approx(0.650)
 
     def test_tie_goes_to_first_in_row_major_order(self):
         mask = disc_mask(64, 64, 32, 32, 10)

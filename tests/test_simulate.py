@@ -33,7 +33,7 @@ from fruitgauge.simulate import (
     SceneSpec,
     _camera_noise_seed,
     _fruit_window,
-    add_depth_noise,
+    _noisy_units,
     lab_scene,
     paper_rig,
     render_scene,
@@ -432,48 +432,42 @@ class TestRenderScene:
 
 
 class TestAddDepthNoise:
-    def make_depth(self, value=1000, shape=(64, 64)):
-        from fruitgauge.geometry import DepthImage
-        return DepthImage(np.full(shape, value, dtype=np.uint16))
+    """``_noisy_units``, the one depth-noise path of ``render_scene``. A bad
+    sigma is rejected when the scene's ``NoiseSpec`` is built."""
+
+    def units(self, value=1000, n=64 * 64):
+        return np.full(n, value, dtype=np.uint16)
 
     def test_zero_sigma_is_identity(self):
-        depth = self.make_depth()
-        out = add_depth_noise(depth, 0.0, seed=9)
-        assert np.array_equal(out.data, depth.data)
+        units = self.units()
+        assert np.array_equal(_noisy_units(units, 0.001, 0.0, seed=9), units)
 
     def test_same_seed_same_output(self):
-        depth = self.make_depth()
-        a = add_depth_noise(depth, 0.002, seed=42)
-        b = add_depth_noise(depth, 0.002, seed=42)
-        assert np.array_equal(a.data, b.data)
-        c = add_depth_noise(depth, 0.002, seed=43)
-        assert not np.array_equal(a.data, c.data)
+        units = self.units()
+        a = _noisy_units(units, 0.001, 0.002, seed=42)
+        b = _noisy_units(units, 0.001, 0.002, seed=42)
+        assert np.array_equal(a, b)
+        c = _noisy_units(units, 0.001, 0.002, seed=43)
+        assert not np.array_equal(a, c)
 
     def test_empirical_sigma_at_one_meter(self):
         # 10^5 samples at z = 1 m with sigma_at_1m = 2 mm
-        depth = self.make_depth(value=1000, shape=(400, 250))
-        out = add_depth_noise(depth, 0.002, seed=7)
-        sigma = (out.data.astype(float) - 1000).std() * 0.001
+        out = _noisy_units(self.units(1000, 400 * 250), 0.001, 0.002, seed=7)
+        sigma = (out.astype(float) - 1000).std() * 0.001
         assert sigma == pytest.approx(0.002, rel=0.05)
 
     def test_zeros_stay_zero(self, rng):
-        from fruitgauge.geometry import DepthImage
         data = np.where(rng.random((32, 32)) < 0.5, 800, 0).astype(np.uint16)
-        out = add_depth_noise(DepthImage(data), 0.01, seed=3)
-        assert not out.data[data == 0].any()
-        assert (out.data[data != 0] > 0).all()
-        assert np.array_equal(out.data, ref_add_depth_noise(data, 0.001, 0.01, 3))
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_bad_sigma_rejected(self, sigma):
-        with pytest.raises(InvalidSpec):
-            add_depth_noise(self.make_depth(), sigma, seed=1)
+        out = _noisy_units(data.ravel(), 0.001, 0.01, seed=3).reshape(data.shape)
+        assert not out[data == 0].any()
+        assert (out[data != 0] > 0).all()
+        assert np.array_equal(out, ref_add_depth_noise(data, 0.001, 0.01, 3))
 
     def test_sigma_grows_with_depth_squared(self):
         # remove the quantization variance (q^2/12) before comparing scales
         def noise_var(value):
-            out = add_depth_noise(self.make_depth(value, (300, 300)), 0.002, seed=5)
-            return (out.data.astype(float) - value).var() - 1.0 / 12.0
+            out = _noisy_units(self.units(value, 300 * 300), 0.001, 0.002, seed=5)
+            return (out.astype(float) - value).var() - 1.0 / 12.0
 
         ratio = math.sqrt(noise_var(2000) / noise_var(500))
         assert ratio == pytest.approx(16.0, rel=0.1)
