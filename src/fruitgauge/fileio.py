@@ -42,14 +42,17 @@ noise: {sigma_at_1m, model}, seed, depth_scale}``; a board-pose file (``calibrat
 --poses``) is ``{anchor, observations: [{poses: {camera_id: transform}}],
 intrinsics_files: {camera_id: path}}``; a transform is ``{rotation, translation}``.
 
-One rule covers malformed input: only this module reads a document, and it
-indexes one only inside ``parsing(source)``, so a missing key or a value of the
-wrong type or shape is a ``BundleIOError`` that names the file (CLI exit 2).
-``read_records`` and ``read_fused_choices`` check a whole file in one pass,
-with the same per-record validation as ``Record.from_dict``, and name the
-failing entry as ``#records[i]`` or ``#fruits[i]``. A record's float fields
-must be finite, and its radii positive. A domain error met while reading, such as
-a focal length that is not positive, keeps its type (CLI exit 1) and names the file.
+One rule covers malformed input. Every field of every JSON document has an
+exact JSON type, and a list field an exact shape: a number is never a bool, an
+int-only field takes no float, and only a nullable field takes null. This module
+reads every field through ``_value`` or ``_values`` inside ``parsing(source)``,
+so a missing key or a value of the wrong type or shape is a ``BundleIOError``
+that names the file and the field (CLI exit 2). ``read_records`` and
+``read_fused_choices`` check a whole file in one pass and name the failing entry
+as ``#records[i]`` or ``#fruits[i]``. A record's float fields must be finite,
+and its radii positive. A domain error met while reading, such as a focal length
+that is not positive or a rotation that is not orthonormal, keeps its type (CLI
+exit 1) and names the file.
 
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
@@ -63,6 +66,7 @@ import json
 import math
 import operator
 import re
+import reprlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -106,35 +110,36 @@ class parsing:
             raise named from error
 
 
-_NUMBER = (int, float)  # exact JSON value types, so a bool is not a number
+# Exact JSON value types: a bool is not a number, and an int-only field takes no float.
+_NUMBER, _INT, _STRING, _LIST, _OBJECT = (int, float), (int,), (str,), (list,), (dict,)
+_NULL = type(None)
+_REQUIRED = object()
 
 
-def _check_types(d: dict, types: dict) -> None:
-    wrong = [key for key, allowed in types.items() if type(d[key]) not in allowed]
-    if wrong:
-        raise TypeError(f"wrong value type for {', '.join(wrong)}")
-
-
-def _string(d: dict, key: str, optional: bool = False) -> Optional[str]:
-    """``d[key]`` as a string; with ``optional``, a missing key or null is None."""
-    value = d.get(key) if optional else d[key]
-    if type(value) is str or (optional and value is None):
-        return value
-    raise TypeError(f"{key} must be a string, got {value!r}")
-
-
-def _number(d: dict, key: str, types: tuple = _NUMBER):
-    """``d[key]`` if it is a JSON number (an int or a float, not a bool);
-    with ``types`` ``(int,)``, only a JSON int."""
-    value = d[key]
+def _value(d: dict, key: str, types: tuple = _NUMBER, default=_REQUIRED):
+    """``d[key]`` if its exact type is in ``types``; with a ``default``, a
+    missing key gives the default. Raises ``TypeError`` naming ``key``."""
+    value = d[key] if default is _REQUIRED else d.get(key, default)
     if type(value) in types:
         return value
-    raise TypeError(f"{key} must be {'an int' if types == (int,) else 'a number'}, got {value!r}")
+    raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}, "
+                    f"got {reprlib.repr(value)}")
 
 
-def _check_list(key: str, values: list, n: int, types: tuple) -> None:
-    if type(values) is not list or len(values) != n or any(type(v) not in types for v in values):
-        raise TypeError(f"{key} needs {n} values of types {types}, got {values!r}")
+def _values(d: dict, key: str, shape: tuple, types: tuple = _NUMBER) -> list:
+    """``d[key]`` if it is nested lists of exactly ``shape``, such as ``(4, 3)``,
+    whose leaves' exact types are in ``types``. Raises ``TypeError`` naming ``key``."""
+    level = [value := d[key]]
+    for n in shape:
+        if not all(type(v) is list and len(v) == n for v in level):
+            break
+        level = [leaf for v in level for leaf in v]
+    else:
+        if all(type(v) in types for v in level):
+            return value
+    kinds = " or ".join(t.__name__ for t in types)
+    raise TypeError(f"{key} must be lists of shape {shape} of {kinds}, "
+                    f"got {reprlib.repr(value)}")
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -206,7 +211,7 @@ def read_depth(path_pgm: Path) -> DepthImage:
     path_pgm = Path(path_pgm)
     data, sidecar = read_pgm16(path_pgm), path_pgm.with_suffix(".json")
     with parsing(f"depth sidecar {sidecar}"):
-        return DepthImage(data, float(_number(load_json(sidecar), "depth_scale")))
+        return DepthImage(data, float(_value(load_json(sidecar), "depth_scale")))
 
 
 # -- intrinsics / rig --------------------------------------------------------
@@ -218,11 +223,9 @@ def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
 
 def intrinsics_from_dict(d: dict, source: str = "<inline>") -> CameraIntrinsics:
     with parsing(f"intrinsics {source}"):
-        distortion = d.get("distortion")
-        if distortion is not None:
-            _check_list("distortion", distortion, 5, _NUMBER)
-        fx, fy, ppx, ppy = (float(_number(d, key)) for key in ("fx", "fy", "ppx", "ppy"))
-        return CameraIntrinsics(_number(d, "width", (int,)), _number(d, "height", (int,)),
+        distortion = None if d.get("distortion") is None else _values(d, "distortion", (5,))
+        fx, fy, ppx, ppy = (float(_value(d, key)) for key in ("fx", "fy", "ppx", "ppy"))
+        return CameraIntrinsics(_value(d, "width", _INT), _value(d, "height", _INT),
                                 fx, fy, ppx, ppy, distortion)
 
 
@@ -242,8 +245,10 @@ def transform_to_dict(t: RigidTransform) -> dict:
 
 
 def transform_from_dict(d: dict, source: str = "<inline>") -> RigidTransform:
+    """The transform ``d`` holds; a rotation that is not orthonormal raises ``InvalidPose``."""
     with parsing(f"transform {source}"):
-        return RigidTransform(np.array(d["rotation"]), np.array(d["translation"]))
+        return RigidTransform(_values(d, "rotation", (3, 3)),
+                              _values(d, "translation", (3,))).validate()
 
 
 def write_rig(path: Path, cameras: List[RigCamera]) -> None:
@@ -269,17 +274,18 @@ def read_rig(path: Path) -> List[RigCamera]:
     doc = load_json(path)
     cameras = []
     with parsing(f"rig {path}"):
-        for entry in doc["cameras"]:
-            cam_id = _string(entry, "id")
+        for entry in _value(doc, "cameras", _LIST):
+            cam_id = _value(entry, "id", _STRING)
             if any(cam.camera_id == cam_id for cam in cameras):
                 raise BundleIOError(f"rig {path} lists camera {cam_id!r} twice")
-            pose = transform_from_dict(entry["cam_to_world"], f"{path}:{cam_id}").validate()
+            pose = transform_from_dict(_value(entry, "cam_to_world", _OBJECT), f"{path}:{cam_id}")
             intr, depth_intr = (
-                read_intrinsics(path.parent / entry[key]) if entry.get(key) else None
-                for key in ("intrinsics_file", "depth_intrinsics_file"))
-            depth_to_color = None
-            if entry.get("depth_to_color"):
-                depth_to_color = transform_from_dict(entry["depth_to_color"], str(path)).validate()
+                None if name is None else read_intrinsics(path.parent / name)
+                for name in (_value(entry, key, (str, _NULL), None)
+                             for key in ("intrinsics_file", "depth_intrinsics_file")))
+            depth_to_color = _value(entry, "depth_to_color", (dict, _NULL), None)
+            if depth_to_color is not None:
+                depth_to_color = transform_from_dict(depth_to_color, str(path))
             cameras.append(RigCamera(cam_id, intr, pose, depth_intr, depth_to_color))
     if not cameras:
         raise BundleIOError(f"rig {path} lists no cameras")
@@ -295,16 +301,15 @@ def read_board_poses(
     path = Path(path)
     doc = load_json(path)
     with parsing(f"board poses {path}"):
-        observations = [
-            {
-                cam_id: transform_from_dict(pose, f"{path}#obs{i}/{cam_id}")
-                for cam_id, pose in obs.get("poses", {}).items()
-            }
-            for i, obs in enumerate(doc.get("observations", []))
-        ]
-        files = doc.get("intrinsics_files", {})
-        return (_string(doc, "anchor", optional=True), observations,
-                {cam_id: _string(files, cam_id) for cam_id in files})
+        observations = []
+        for i, obs in enumerate(_value(doc, "observations", _LIST, [])):
+            poses = _value(obs, "poses", _OBJECT, {})
+            observations.append({cam_id: transform_from_dict(_value(poses, cam_id, _OBJECT),
+                                                             f"{path}#obs{i}/{cam_id}")
+                                 for cam_id in poses})
+        files = _value(doc, "intrinsics_files", _OBJECT, {})
+        return (_value(doc, "anchor", (str, _NULL), None), observations,
+                {cam_id: _value(files, cam_id, _STRING) for cam_id in files})
 
 
 # -- detections --------------------------------------------------------------
@@ -347,19 +352,20 @@ def read_detections(path: Path) -> DetectionFile:
     doc = load_json(path)
     with parsing(f"detections {path}"):
         dets = []
-        for d in doc["detections"]:
-            _check_list("bbox", d["bbox"], 4, (int,))
-            rle = d["mask_rle"]
+        for d in _value(doc, "detections", _LIST):
+            rle = _value(d, "mask_rle", _OBJECT)
             dets.append(
                 Detection(
-                    class_name=_string(d, "class"),
-                    score=float(_number(d, "score")),
-                    bbox=tuple(d["bbox"]),
-                    mask=decode_rle(rle["counts"], rle["size"]),
-                    fruit_id=_string(d, "fruit_id", optional=True),
+                    class_name=_value(d, "class", _STRING),
+                    score=float(_value(d, "score")),
+                    bbox=tuple(_values(d, "bbox", (4,), _INT)),
+                    mask=decode_rle(_value(rle, "counts", _LIST),
+                                    _values(rle, "size", (2,), _INT)),
+                    fruit_id=_value(d, "fruit_id", (str, _NULL), None),
                 )
             )
-        return DetectionFile(_string(doc, "frame_id"), _string(doc, "camera_id"), dets)
+        return DetectionFile(_value(doc, "frame_id", _STRING), _value(doc, "camera_id", _STRING),
+                             dets)
 
 
 # -- measurement records -----------------------------------------------------
@@ -367,9 +373,9 @@ def read_detections(path: Path) -> DetectionFile:
 # records.json keys in written order up to center_world_m, which is last, each
 # with the JSON types its value may take.
 _RECORD_TYPES = {
-    "frame_id": (str,), "camera_id": (str,), "detection_index": (int,), "class": (str,),
-    "fruit_id": (str, type(None)), "height_mm": _NUMBER, "width_mm": _NUMBER,
-    "median_depth_m": _NUMBER, "fill_ratio": _NUMBER, "circle": (dict,), "bbox": (list,),
+    "frame_id": _STRING, "camera_id": _STRING, "detection_index": _INT, "class": _STRING,
+    "fruit_id": (str, _NULL), "height_mm": _NUMBER, "width_mm": _NUMBER,
+    "median_depth_m": _NUMBER, "fill_ratio": _NUMBER, "circle": _OBJECT, "bbox": _LIST,
     "center_depth_m": _NUMBER, "radius_m": _NUMBER,
 }
 _CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
@@ -378,7 +384,7 @@ _circle_fields = operator.itemgetter(*_CIRCLE_TYPES)
 _RECORD_TYPE_SETS = tuple(map(frozenset, _RECORD_TYPES.values()))
 _SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
 # The types of a record's circle, bbox and center values, in that order.
-_VALUE_TYPE_SETS = tuple(map(frozenset, (*_CIRCLE_TYPES.values(), *[(int,)] * 4,
+_VALUE_TYPE_SETS = tuple(map(frozenset, (*_CIRCLE_TYPES.values(), *[_INT] * 4,
                                          *[_NUMBER] * 3)))
 
 
@@ -420,32 +426,28 @@ class Record(NamedTuple):
             "center_world_m": list(center_world_m),
         }
 
-    @staticmethod
-    def from_dict(d: dict, source: str = "<inline>") -> "Record":
-        """Parse one record; a missing or mistyped field, a non-finite size, circle
-        or center, or a radius that is not finite and positive raises BundleIOError."""
-        with parsing(f"record {source}"):
-            return _record(d, d["center_world_m"])
-
 
 def _record(d: dict, center: list) -> Record:
     """The record with ``d``'s fields and ``center`` as its ``center_world_m``.
     Raises ``KeyError`` or a ``_MALFORMED`` error; callers enter ``parsing``.
 
-    Each check maps ``type`` over the values against per-value type sets and
-    calls the checks that name the wrong field only when that fails."""
+    Each check maps ``type`` over the values against per-value type sets; only
+    when that fails does it read the fields through ``_value`` and ``_values``,
+    which name the wrong one."""
     fields = _record_fields(d)
     if not all(map(frozenset.__contains__, _RECORD_TYPE_SETS, map(type, fields))):
-        _check_types(d, _RECORD_TYPES)
+        for key, types in _RECORD_TYPES.items():
+            _value(d, key, types)
     (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
      median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius) = fields
     cu, cv, r_px = _circle_fields(circle)
     if (type(center) is not list or len(bbox) != 4 or len(center) != 3
             or not all(map(frozenset.__contains__, _VALUE_TYPE_SETS,
                            map(type, (cu, cv, r_px, *bbox, *center))))):
-        _check_types(circle, _CIRCLE_TYPES)
-        _check_list("bbox", bbox, 4, (int,))
-        _check_list("center_world_m", center, 3, _NUMBER)
+        for key, types in _CIRCLE_TYPES.items():
+            _value(circle, key, types)
+        _values(d, "bbox", (4,), _INT)
+        _values({"center_world_m": center}, "center_world_m", (3,))
     x, y, z = map(float, center)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"center_world_m must be finite, got {center!r}")
@@ -481,9 +483,8 @@ class _Entry:
 
 def _entries(path: Path, key: str) -> list:
     doc = load_json(path)
-    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
-        raise BundleIOError(f"{path} has no {key!r} list")
-    return doc[key]
+    with parsing(path):
+        return _value(doc, key, _LIST)
 
 
 def read_records(path: Path) -> List[Record]:
@@ -544,25 +545,29 @@ def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
 def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
     with parsing(f"scene {source}"):
         rig = []
-        for c in doc["rig"]:
-            cam_id = _string(c, "camera_id")
+        for c in _value(doc, "rig", _LIST):
+            cam_id = _value(c, "camera_id", _STRING)
+            where = f"{source}:{cam_id}"
             rig.append(RigCamera(cam_id,
-                                 intrinsics_from_dict(c["intrinsics"], f"{source}:{cam_id}"),
-                                 transform_from_dict(c["cam_to_world"], f"{source}:{cam_id}")))
+                                 intrinsics_from_dict(_value(c, "intrinsics", _OBJECT), where),
+                                 transform_from_dict(_value(c, "cam_to_world", _OBJECT), where)))
         fruits = [
-            FruitSpec(_string(f, "id"), Point3.from_array(f["center_world"]),
-                      np.array(f["semi_axes"]))
-            for f in doc["fruits"]
+            FruitSpec(_value(f, "id", _STRING),
+                      Point3.from_array(_values(f, "center_world", (3,))),
+                      _values(f, "semi_axes", (3,)))
+            for f in _value(doc, "fruits", _LIST)
         ]
-        occluders = [QuadOccluder(np.array(o["corners"])) for o in doc.get("occluders", [])]
-        noise = doc.get("noise", {})
+        occluders = [QuadOccluder(_values(o, "corners", (4, 3)))
+                     for o in _value(doc, "occluders", _LIST, [])]
+        noise = _value(doc, "noise", _OBJECT, {})
         return SceneSpec(
             fruits=fruits,
             occluders=occluders,
             rig=rig,
-            noise=NoiseSpec(float(noise.get("sigma_at_1m", 0.0)), noise.get("model", "z2")),
-            seed=int(doc.get("seed", 0)),
-            depth_scale=float(doc.get("depth_scale", 0.001)),
+            noise=NoiseSpec(float(_value(noise, "sigma_at_1m", _NUMBER, 0.0)),
+                            _value(noise, "model", _STRING, "z2")),
+            seed=_value(doc, "seed", _INT, 0),
+            depth_scale=float(_value(doc, "depth_scale", _NUMBER, 0.001)),
         )
 
 

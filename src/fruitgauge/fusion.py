@@ -12,7 +12,7 @@ each record falls in a cubic cell as wide as the largest radius, so a match
 can only lie in its own cell or one of the 26 around it, and only those
 candidates get the exact distance test. The work is near-linear in the
 record count instead of quadratic. The grid needs finite centers and finite
-positive radii; ``fileio.Record.from_dict`` rejects anything else.
+positive radii; ``fileio.read_records`` rejects anything else.
 
 The rest of the cluster bookkeeping is numpy too. Components come from
 min-index label propagation with pointer jumping over the matching pairs, so

@@ -551,22 +551,20 @@ def lab_scene(
     columns: int = 6,
     pitch_x: float = 0.09,
     pitch_y: float = 0.11,
-    fruit_shape: str = "ellipsoid",
-    occlusion: bool = True,
-    occluded_camera: str = "bottom",
-    noise_sigma_at_1m: float = 0.002,
 ) -> SceneSpec:
     """Desk-scale truss bench: a fruit grid at the rig's aim point.
 
     Fruits sit on a rows-by-columns grid centered on the rig target, spaced
     widely enough that no fruit hides another from any camera and that
-    dedup cannot falsely merge neighbors. With ``occlusion`` on, each fruit
-    gets one leaf hiding part of it from ``occluded_camera`` only (cut side
-    cycling left/right/bottom, the hidden fraction drawn per fruit).
+    dedup cannot falsely merge neighbors. Each fruit gets one leaf hiding part
+    of it from the bottom camera only (cut side cycling left/right/bottom, the
+    hidden fraction drawn per fruit). The leaves are drawn after every fruit, so
+    ``dataclasses.replace(spec, occluders=[])`` is the same scene without them.
     """
     rig = rig if rig is not None else paper_rig()
-    if fruit_shape not in ("ellipsoid", "sphere"):
-        raise InvalidSpec(f"unknown fruit shape {fruit_shape!r}")
+    bottom = next((c for c in rig if c.camera_id == "bottom"), None)
+    if bottom is None:
+        raise InvalidSpec("rig has no camera 'bottom'")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE2E]))
     rows = math.ceil(n_fruits / columns)
     fruits = []
@@ -575,37 +573,20 @@ def lab_scene(
         x = (c - (columns - 1) / 2.0) * pitch_x
         y = (r - (rows - 1) / 2.0) * pitch_y
         z = RIG_TARGET.z + rng.uniform(-Z_JITTER_M, Z_JITTER_M)
-        if fruit_shape == "sphere":
-            d = rng.uniform(*WIDTH_RANGE_MM) / 1000.0
-            semi = np.array([d / 2, d / 2, d / 2])
-        else:
-            h = rng.uniform(*HEIGHT_RANGE_MM) / 1000.0
-            w = rng.uniform(*WIDTH_RANGE_MM) / 1000.0
-            semi = np.array([w / 2, h / 2, w / 2])
-        fruits.append(FruitSpec(f"fruit{i:02d}", Point3(x, y, z), semi))
+        h = rng.uniform(*HEIGHT_RANGE_MM) / 1000.0
+        w = rng.uniform(*WIDTH_RANGE_MM) / 1000.0
+        fruits.append(FruitSpec(f"fruit{i:02d}", Point3(x, y, z), np.array([w / 2, h / 2, w / 2])))
 
     occluders = []
-    if occlusion:
-        cams = {c.camera_id: c for c in rig}
-        if occluded_camera not in cams:
-            raise InvalidSpec(f"rig has no camera {occluded_camera!r}")
-        cuts = ("left", "band", "right", "band")
-        lo, hi = OCCLUDED_FRACTION
-        for i, fruit in enumerate(fruits):
-            kind = cuts[i % len(cuts)]
-            # band cuts split across two strips, so draw them from the deep
-            # end of the range to keep their height effect comparable
-            fraction = rng.uniform(max(lo, hi - 0.3 * (hi - lo)), hi) \
-                if kind == "band" else rng.uniform(lo, hi)
-            occluders.extend(
-                _leaves_for_fruit(fruit, cams[occluded_camera], kind, fraction)
-            )
+    cuts = ("left", "band", "right", "band")
+    lo, hi = OCCLUDED_FRACTION
+    for i, fruit in enumerate(fruits):
+        kind = cuts[i % len(cuts)]
+        # band cuts split across two strips, so draw them from the deep
+        # end of the range to keep their height effect comparable
+        fraction = rng.uniform(max(lo, hi - 0.3 * (hi - lo)), hi) \
+            if kind == "band" else rng.uniform(lo, hi)
+        occluders.extend(_leaves_for_fruit(fruit, bottom, kind, fraction))
 
-    return SceneSpec(
-        fruits=fruits,
-        occluders=occluders,
-        rig=rig,
-        noise=NoiseSpec(sigma_at_1m=noise_sigma_at_1m),
-        seed=seed,
-    )
-
+    return SceneSpec(fruits=fruits, occluders=occluders, rig=rig,
+                     noise=NoiseSpec(sigma_at_1m=0.002), seed=seed)

@@ -87,6 +87,17 @@ class TestCalibrate:
         assert main(["calibrate", "--poses", str(tmp_path / "poses.json"),
                      "-o", str(tmp_path / "rig.json")]) == 1
 
+    def test_scaled_board_pose_exits_1_naming_the_file(self, tmp_path, capsys):
+        doc = self.poses_doc(paper_rig(), [("top", "middle", "bottom")] * 2)
+        pose = doc["observations"][1]["poses"]["top"]
+        pose["rotation"] = [[2 * x for x in row] for row in pose["rotation"]]
+        dump_json(doc, tmp_path / "poses.json")
+        assert main(["calibrate", "--poses", str(tmp_path / "poses.json"),
+                     "-o", str(tmp_path / "rig.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'poses.json'}#obs1/top" in err and "orthonormal" in err
+        assert not (tmp_path / "rig.json").exists()
+
 
 class TestChain:
     def test_outputs_byte_identical_across_runs(self, runs):
@@ -396,7 +407,8 @@ class TestDamagedDocuments:
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1, err
         assert err[0].startswith("fruitgauge: i/o error:") and str(path) in err[0]
-        assert named in err[0]
+        # the path holds the test's name, so look for ``named`` in the rest
+        assert named in err[0].replace(str(path), "")
 
     @pytest.mark.parametrize("rel,damage,named", [
         pytest.param("intrinsics/top.json", lambda d: d.update(fx="abc"), "abc", id="fx"),
@@ -420,6 +432,19 @@ class TestDamagedDocuments:
                      id="fruit-id-int"),
         pytest.param("detections/top_000.json", lambda d: d.update(frame_id=5), "frame_id",
                      id="frame-id-int"),
+        pytest.param("rig.json", lambda d: d["cameras"][0]["cam_to_world"].update(
+            rotation=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "rotation",
+                     id="rig-rotation-strings"),
+        pytest.param("rig.json", lambda d: d["cameras"][1]["cam_to_world"]["translation"]
+                     .__setitem__(0, True), "translation", id="rig-translation-bool"),
+        *[pytest.param("rig.json", lambda d, v=value: d["cameras"][0].update(depth_to_color=v),
+                       "depth_to_color" if value != {} else "rotation",
+                       id=f"rig-depth-to-color-{name}")
+          for name, value in (("false", False), ("0", 0), ("empty-string", ""), ("list", []),
+                              ("empty-object", {}))],
+        *[pytest.param("rig.json", lambda d, v=value: d["cameras"][0].update(intrinsics_file=v),
+                       "intrinsics_file", id=f"rig-intrinsics-file-{name}")
+          for name, value in (("false", False), ("0", 0))],
     ])
     def test_measure(self, runs, tmp_path, capsys, rel, damage, named):
         bundle = tmp_path / "bundle"
@@ -438,21 +463,65 @@ class TestDamagedDocuments:
         code = main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")])
         self.assert_io_error(code, capsys, pgm, "PGM")
 
-    @pytest.mark.parametrize("doc", [[], {"observations": [1]}, {"anchor": 5}],
-                             ids=["list", "observation-int", "anchor-int"])
-    def test_calibrate(self, tmp_path, capsys, doc):
+    @pytest.mark.parametrize("doc,named", [
+        ([], ""), ({"observations": [1]}, ""), ({"anchor": 5}, "anchor"),
+        ({"observations": {}}, "observations"),
+        ({"observations": [{"poses": []}]}, "poses must be dict"),
+        ({"observations": [{"poses": {"top": 1}}]}, "top must be dict"),
+        ({"observations": [{"poses": {"top": {
+            "rotation": "eye", "translation": [0, 0, 0]}}}]}, "rotation"),
+        ({"observations": [{"poses": {"top": {
+            "rotation": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "translation": [0, False, 0]}}}]},
+         "translation"),
+        ({"intrinsics_files": []}, "intrinsics_files"),
+    ], ids=["list", "observation-int", "anchor-int", "observations-object", "poses-list",
+            "pose-int", "rotation-string", "translation-bool", "intrinsics-files-list"])
+    def test_calibrate(self, tmp_path, capsys, doc, named):
         dump_json(doc, tmp_path / "poses.json")
         code = main(["calibrate", "--poses", str(tmp_path / "poses.json"),
                      "-o", str(tmp_path / "rig.json")])
-        self.assert_io_error(code, capsys, tmp_path / "poses.json")
+        self.assert_io_error(code, capsys, tmp_path / "poses.json", named)
 
     @pytest.mark.parametrize("damage,named", [
         (lambda d: d["fruits"][0].update(semi_axes="abc"), "abc"),
         (lambda d: d["noise"].update(sigma_at_1m="abc"), "abc"),
         (lambda d: d["fruits"][0].update(id=7), "id"),
         (lambda d: d.pop("fruits") and None, "missing field 'fruits'"),
-    ], ids=["semi-axes-string", "sigma-string", "fruit-id-int", "missing-key"])
+        (lambda d: d.update(seed=7.9), "seed"),
+        (lambda d: d.update(seed=True), "seed"),
+        (lambda d: d.update(depth_scale="0.001"), "depth_scale"),
+        (lambda d: d["noise"].update(sigma_at_1m=True), "sigma_at_1m"),
+        (lambda d: d["noise"].update(model=2), "model"),
+        (lambda d: d["fruits"][0].update(center_world=["0", "0", "0.6"]), "center_world"),
+        (lambda d: d["fruits"][0].update(center_world="0 0 0.6"), "center_world"),
+        (lambda d: d["fruits"][0].update(semi_axes=[0.02, 0.02, 0.02, 0.02]), "semi_axes"),
+        (lambda d: d["rig"][0]["cam_to_world"].update(rotation="eye"), "rotation"),
+        (lambda d: d["rig"][0]["cam_to_world"]["translation"].__setitem__(1, True),
+         "translation"),
+        (lambda d: d["occluders"][0]["corners"][2].__setitem__(0, "0.1"), "corners"),
+        (lambda d: d.update(rig={}), "rig"),
+        (lambda d: d.update(fruits={}), "fruits"),
+        (lambda d: d.update(occluders=None), "occluders"),
+        (lambda d: d.update(noise=[]), "noise"),
+    ], ids=["semi-axes-string", "sigma-string", "fruit-id-int", "missing-key", "seed-float",
+            "seed-bool", "depth-scale-string", "sigma-bool", "model-int",
+            "center-world-strings", "center-world-string", "semi-axes-4", "rotation-string",
+            "translation-bool", "corner-string", "rig-object", "fruits-object",
+            "occluders-null", "noise-list"])
     def test_simulate(self, scene_path, tmp_path, capsys, damage, named):
         scene = damage_copy(scene_path, tmp_path / "scene.json", damage)
         code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
         self.assert_io_error(code, capsys, scene, named)
+
+    def test_simulate_scaled_rotation_exits_1_naming_the_file(self, scene_path, tmp_path,
+                                                              capsys):
+        def scale_top_rotation(doc):
+            (top,) = [c for c in doc["rig"] if c["camera_id"] == "top"]
+            top["cam_to_world"]["rotation"] = [[2 * x for x in row]
+                                               for row in top["cam_to_world"]["rotation"]]
+
+        scene = damage_copy(scene_path, tmp_path / "scene.json", scale_top_rotation)
+        code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
+        err = capsys.readouterr().err
+        assert code == 1 and f"{scene}:top" in err and "orthonormal" in err
+        assert not (tmp_path / "bundle").exists()

@@ -15,7 +15,6 @@ from fruitgauge.evaluation import GroundTruthRecord
 from fruitgauge.fileio import (
     Detection,
     DetectionFile,
-    Record,
     dump_json,
     load_json,
     parsing,
@@ -302,9 +301,16 @@ RECORD = {
 SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
 
 
+def read_record(tmp_path, d):
+    """The one record of a ``records.json`` in ``tmp_path`` that holds only ``d``."""
+    dump_json({"records": [d], "warnings": []}, tmp_path / "r.json")
+    (record,) = read_records(tmp_path / "r.json")
+    return record
+
+
 class TestRecords:
-    def test_dict_roundtrip_keeps_keys_order_and_types(self):
-        back = Record.from_dict(RECORD).to_dict()
+    def test_dict_roundtrip_keeps_keys_order_and_types(self, tmp_path):
+        back = read_record(tmp_path, RECORD).to_dict()
         assert json.dumps(back) == json.dumps(RECORD)
 
     def test_read_records(self, tmp_path):
@@ -322,9 +328,9 @@ class TestRecords:
         ("bbox", [1, 2, 3], "bbox"), ("center_world_m", [0, 0, None], "center_world_m"),
         ("fruit_id", 7, "fruit_id"), ("fill_ratio", True, "fill_ratio"),
     ])
-    def test_mistyped_field_rejected(self, field, value, named):
+    def test_mistyped_field_rejected(self, tmp_path, field, value, named):
         with pytest.raises(BundleIOError, match=named):
-            Record.from_dict({**RECORD, field: value}, "r.json")
+            read_record(tmp_path, {**RECORD, field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("radius_m", float("nan")), ("radius_m", float("inf")), ("radius_m", -float("inf")),
@@ -337,27 +343,27 @@ class TestRecords:
         *[("circle", {**RECORD["circle"], key: value}) for key in ("cu", "cv", "r_px")
           for value in (float("nan"), float("inf"), -float("inf"))],
     ])
-    def test_non_finite_geometry_rejected(self, field, value):
+    def test_non_finite_geometry_rejected(self, tmp_path, field, value):
         with pytest.raises(BundleIOError, match=f"r.json.*{field}"):
-            Record.from_dict({**RECORD, field: value}, "r.json")
+            read_record(tmp_path, {**RECORD, field: value})
 
-    def test_finite_sizes_whose_sum_overflows_accepted(self):
-        record = Record.from_dict({**RECORD, "height_mm": 1e308, "width_mm": 1e308})
+    def test_finite_sizes_whose_sum_overflows_accepted(self, tmp_path):
+        record = read_record(tmp_path, {**RECORD, "height_mm": 1e308, "width_mm": 1e308})
         assert (record.height_mm, record.width_mm) == (1e308, 1e308)
 
     @pytest.mark.parametrize("field", sorted(RECORD))
-    def test_missing_field_rejected(self, field):
+    def test_missing_field_rejected(self, tmp_path, field):
         d = dict(RECORD)
         del d[field]
         with pytest.raises(BundleIOError, match=field):
-            Record.from_dict(d)
+            read_record(tmp_path, d)
 
-    def test_records_are_immutable_and_hash_by_value(self):
-        a, b = Record.from_dict(RECORD), Record.from_dict(dict(RECORD))
+    def test_records_are_immutable_and_hash_by_value(self, tmp_path):
+        a, b = read_record(tmp_path, RECORD), read_record(tmp_path, dict(RECORD))
         with pytest.raises(AttributeError):
             a.fill_ratio = 0.5
         assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != Record.from_dict({**RECORD, "detection_index": 3})
+        assert a != read_record(tmp_path, {**RECORD, "detection_index": 3})
 
     @pytest.mark.parametrize("i", [0, 17, 49])
     @pytest.mark.parametrize("damage,message", [
@@ -398,7 +404,7 @@ class TestRecords:
         dump_json({"fruits": [{"center_world_m": [0.1, 0.2, 0.7], "chosen": chosen}]},
                   tmp_path / "fused.json")
         (record,) = read_fused_choices(tmp_path / "fused.json")
-        assert record == Record.from_dict({**RECORD, "center_world_m": [0.1, 0.2, 0.7]})
+        assert record == read_record(tmp_path, {**RECORD, "center_world_m": [0.1, 0.2, 0.7]})
 
     def test_file_without_records_list_rejected(self, tmp_path):
         dump_json([RECORD], tmp_path / "records.json")

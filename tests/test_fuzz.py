@@ -1,10 +1,12 @@
-"""Mutation fuzzing of the document readers.
+"""Mutation and type-swap fuzzing of the document readers.
 
-Each test damages a valid document (replaces or deletes one to three of its
-values, or the whole document) and reads it back, through the file reader
-where there is one. A reader may reject the document only with a
-``FruitGaugeError``; any other exception fails the test. Runs are
-derandomized and write no example database, so they are repeatable.
+Each mutation test damages a valid document (replaces or deletes one to three
+of its values, or the whole document) and reads it back, through the file
+reader where there is one. A reader may reject the document only with a
+``FruitGaugeError``; any other exception fails the test. The type-swap test
+gives one value of a valid document a JSON type its field does not admit, and
+the file reader must reject it with a ``BundleIOError``. Runs are derandomized
+and write no example database, so they are repeatable.
 """
 
 import copy
@@ -15,25 +17,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitgauge.errors import FruitGaugeError
+from fruitgauge.errors import BundleIOError, FruitGaugeError
 from fruitgauge.fileio import (
     Detection,
     DetectionFile,
-    Record,
     dump_json,
+    intrinsics_to_dict,
     read_board_poses,
+    read_depth,
     read_detections,
     read_fused_choices,
+    read_intrinsics,
     read_pgm16,
     read_records,
     read_rig,
+    read_scene,
     scene_from_dict,
     transform_to_dict,
+    write_depth,
     write_detections,
     write_rig,
 )
 from fruitgauge.geometry import (
     CameraIntrinsics,
+    DepthImage,
     Point3,
     RigCamera,
     RigidTransform,
@@ -75,6 +82,12 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (index,))
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def damaged(draw, doc):
     """``doc`` with one to three values replaced or deleted."""
@@ -84,9 +97,7 @@ def damaged(draw, doc):
         if not path:
             doc = draw(VALUES)
             continue
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _at(doc, path[:-1])
         if draw(st.booleans()):
             parent[path[-1]] = draw(VALUES)
         else:
@@ -158,12 +169,6 @@ def test_read_rig(work, rig_doc, data):
     only_fruitgauge_errors(read_rig, work / "rig" / "damaged.json")
 
 
-@FUZZ
-@given(st.data())
-def test_record_from_dict(data):
-    only_fruitgauge_errors(Record.from_dict, data.draw(damaged(RECORD)))
-
-
 RECORDS = {"records": [RECORD, {**RECORD, "camera_id": "middle", "fruit_id": "fruit00"}],
            "warnings": []}
 FUSED = {"fruits": [{"center_world_m": [0.01, -0.02, 0.62], "radius_m": 0.0215, "n_views": 2,
@@ -221,7 +226,6 @@ def test_undamaged_documents_parse(work, detections_doc, rig_doc):
     assert np.array_equal(decode_rle(**encode_rle(MASK)).data, MASK.data)
     assert len(read_detections(work / "valid_detections.json").detections) == 2
     assert len(read_rig(work / "rig" / "valid.json")) == 2
-    assert Record.from_dict(RECORD).to_dict() == RECORD
     dump_json(RECORDS, work / "valid_records.json")
     assert [r.to_dict() for r in read_records(work / "valid_records.json")] == RECORDS["records"]
     dump_json(FUSED, work / "valid_fused.json")
@@ -229,3 +233,84 @@ def test_undamaged_documents_parse(work, detections_doc, rig_doc):
     assert scene_to_dict(scene_from_dict(SCENE)) == SCENE
     dump_json(POSES, work / "valid_poses.json")
     assert read_board_poses(work / "valid_poses.json")[0] == "middle"
+
+
+# Fields that admit null, each with the one other JSON type it admits, and the
+# int-only fields; a list's elements belong to the field that holds the list.
+NULLABLE = {"fruit_id": str, "distortion": list, "anchor": str, "intrinsics_file": str,
+            "depth_intrinsics_file": str, "depth_to_color": dict}
+INT_ONLY = {"seed", "width", "height", "detection_index", "bbox", "counts", "size"}
+# One strategy per JSON type; an int and a float are both a number.
+KINDS = {
+    str: st.text(alphabet="ab01.-", max_size=4),
+    bool: st.booleans(),
+    float: st.one_of(st.integers(-3, 70), st.floats()),
+    list: st.lists(LEAVES, max_size=3),
+    dict: st.dictionaries(st.text(alphabet="ab", max_size=2), LEAVES, max_size=3),
+    type(None): st.none(),
+}
+
+
+def _kind(value):
+    return float if type(value) is int else type(value)
+
+
+@st.composite
+def swapped(draw, doc):
+    """``doc`` with one scalar value swapped for a JSON value of a type its field
+    does not admit: another kind, or an integral float where only an int belongs."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from([p for p in _paths(doc) if p and not isinstance(
+        _at(doc, p), (dict, list))]))
+    parent, key = _at(doc, path[:-1]), path[-1]
+    leaf, field = parent[key], [k for k in path if isinstance(k, str)][-1]
+    admitted = {_kind(leaf), *([type(None), NULLABLE[key]] if key in NULLABLE else [])}
+    swaps = [strategy for kind, strategy in KINDS.items() if kind not in admitted]
+    if field in INT_ONLY:
+        swaps.append(st.just(float(leaf)))
+    parent[key] = draw(st.one_of(swaps))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def documents(work, detections_doc, rig_doc):
+    """Each JSON document kind as ``(valid document, path, file reader)``."""
+    k_distorted = CameraIntrinsics(32, 24, 30.0, 30.0, 16.0, 12.0, (0.1, -0.05, 0.001, 0, 0.01))
+    write_depth(work / "swap_depth.pgm", DepthImage(np.full((2, 3), 600, np.uint16)))
+    chosen = {key: value for key, value in RECORD.items() if key != "center_world_m"}
+    return {
+        "scene": (SCENE, work / "scene.json", read_scene),
+        "rig": (rig_doc, work / "rig" / "swapped.json", read_rig),
+        "intrinsics": (intrinsics_to_dict(k_distorted), work / "intrinsics.json",
+                       read_intrinsics),
+        "depth_sidecar": ({"depth_scale": 0.001}, work / "swap_depth.json",
+                          lambda path: read_depth(path.with_suffix(".pgm"))),
+        "detections": (detections_doc, work / "swapped_detections.json", read_detections),
+        "board_poses": (POSES, work / "poses.json", read_board_poses),
+        "records": (RECORDS, work / "records.json", read_records),
+        # only the fields read_fused_choices reads: each fruit's center and chosen record
+        "fused": ({"fruits": [{"center_world_m": [0.01, -0.02, 0.62], "chosen": chosen}]},
+                  work / "fused.json", read_fused_choices),
+    }
+
+
+DOCUMENT_KINDS = ["scene", "rig", "intrinsics", "depth_sidecar", "detections", "board_poses",
+                  "records", "fused"]
+
+
+@pytest.mark.parametrize("kind", DOCUMENT_KINDS)
+@FUZZ
+@given(data=st.data())
+def test_type_swap_is_a_bundle_io_error(documents, kind, data):
+    doc, path, read = documents[kind]
+    dump_json(data.draw(swapped(doc)), path)
+    with pytest.raises(BundleIOError):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", DOCUMENT_KINDS)
+def test_unswapped_document_parses(documents, kind):
+    """The type-swap fuzzing starts from valid documents."""
+    doc, path, read = documents[kind]
+    dump_json(doc, path)
+    read(path)

@@ -425,7 +425,7 @@ class TestRenderScene:
             assert by_id[f.fruit_id].width_mm == pytest.approx(2000 * f.semi_axes[0])
 
     def test_mask_pixels_have_depth(self):
-        bundle = render_scene(lab_scene(seed=0, noise_sigma_at_1m=0.0))
+        bundle = render_scene(dataclasses.replace(lab_scene(seed=0), noise=NoiseSpec(0.0)))
         for cap in bundle.captures:
             for mask in cap.masks.values():
                 assert (cap.depth.data[full(mask)] > 0).all()
@@ -516,12 +516,6 @@ class TestLabScene:
             assert 35.0 <= f.height_mm <= 44.0
             assert 42.0 <= f.width_mm <= 52.0
 
-    def test_sphere_mode(self):
-        spec = lab_scene(seed=6, fruit_shape="sphere", occlusion=False)
-        for f in spec.fruits:
-            assert f.height_mm == f.width_mm
-            assert len(set(np.round(f.semi_axes, 12))) == 1
-
     def test_spacing_exceeds_twice_max_radius(self):
         spec = lab_scene(seed=7)
         centers = np.array([f.center_world.to_array() for f in spec.fruits])
@@ -549,9 +543,13 @@ class TestLabScene:
         assert 0.20 <= np.mean(coverages) <= 0.40
 
     def test_every_fruit_visible_in_every_camera(self):
-        bundle = render_scene(lab_scene(seed=9, occlusion=False, noise_sigma_at_1m=0.0))
-        for cap in bundle.captures:
+        spec = dataclasses.replace(lab_scene(seed=9), occluders=[], noise=NoiseSpec(0.0))
+        for cap in render_scene(spec).captures:
             assert len(cap.masks) == 12
+
+    def test_rig_without_bottom_camera_rejected(self):
+        with pytest.raises(InvalidSpec, match="bottom"):
+            lab_scene(0, rig=[c for c in paper_rig() if c.camera_id != "bottom"])
 
 
 class TestSceneValidation:
