@@ -18,7 +18,6 @@ from .geometry import (
 )
 from .maskops import (
     BinaryMask,
-    ExtremePoints,
     decode_rle,
     encode_rle,
     extract_edges,

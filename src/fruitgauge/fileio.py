@@ -47,7 +47,9 @@ exact JSON type, and a list field an exact shape: a number is never a bool, an
 int-only field takes no float, and only a nullable field takes null. This module
 reads every field through ``_value`` or ``_values`` inside ``parsing(source)``,
 so a missing key or a value of the wrong type or shape is a ``BundleIOError``
-that names the file and the field (CLI exit 2). ``read_records`` and
+that names the file and the field (CLI exit 2). A document, and each entry of
+its lists of objects, must be a JSON object (``_object``, ``_objects``, which
+name the entry as ``cameras[1]``). ``read_records`` and
 ``read_fused_choices`` check a whole file in one pass and name the failing entry
 as ``#records[i]`` or ``#fruits[i]``. A record's float fields must be finite,
 and its radii positive. A domain error met while reading, such as a focal length
@@ -124,6 +126,22 @@ def _value(d: dict, key: str, types: tuple = _NUMBER, default=_REQUIRED):
         return value
     raise TypeError(f"{key} must be {' or '.join(t.__name__ for t in types)}, "
                     f"got {reprlib.repr(value)}")
+
+
+def _object(value, name: str = "document") -> dict:
+    """``value`` if it is a JSON object. Raises ``TypeError`` naming it."""
+    if type(value) is dict:
+        return value
+    raise TypeError(f"{name} must be an object, got {reprlib.repr(value)}")
+
+
+def _objects(d, key: str, default=_REQUIRED) -> list:
+    """``d[key]``, a list of JSON objects, from the JSON object ``d``. Raises
+    ``TypeError`` naming ``d`` or the entry that is not one, as ``key[i]``."""
+    entries = _value(_object(d), key, _LIST, default)
+    for i, entry in enumerate(entries):
+        _object(entry, f"{key}[{i}]")
+    return entries
 
 
 def _values(d: dict, key: str, shape: tuple, types: tuple = _NUMBER) -> list:
@@ -211,7 +229,7 @@ def read_depth(path_pgm: Path) -> DepthImage:
     path_pgm = Path(path_pgm)
     data, sidecar = read_pgm16(path_pgm), path_pgm.with_suffix(".json")
     with parsing(f"depth sidecar {sidecar}"):
-        return DepthImage(data, float(_value(load_json(sidecar), "depth_scale")))
+        return DepthImage(data, float(_value(_object(load_json(sidecar)), "depth_scale")))
 
 
 # -- intrinsics / rig --------------------------------------------------------
@@ -223,6 +241,7 @@ def intrinsics_to_dict(k: CameraIntrinsics) -> dict:
 
 def intrinsics_from_dict(d: dict, source: str = "<inline>") -> CameraIntrinsics:
     with parsing(f"intrinsics {source}"):
+        d = _object(d)
         distortion = None if d.get("distortion") is None else _values(d, "distortion", (5,))
         fx, fy, ppx, ppy = (float(_value(d, key)) for key in ("fx", "fy", "ppx", "ppy"))
         return CameraIntrinsics(_value(d, "width", _INT), _value(d, "height", _INT),
@@ -274,7 +293,7 @@ def read_rig(path: Path) -> List[RigCamera]:
     doc = load_json(path)
     cameras = []
     with parsing(f"rig {path}"):
-        for entry in _value(doc, "cameras", _LIST):
+        for entry in _objects(doc, "cameras"):
             cam_id = _value(entry, "id", _STRING)
             if any(cam.camera_id == cam_id for cam in cameras):
                 raise BundleIOError(f"rig {path} lists camera {cam_id!r} twice")
@@ -302,7 +321,7 @@ def read_board_poses(
     doc = load_json(path)
     with parsing(f"board poses {path}"):
         observations = []
-        for i, obs in enumerate(_value(doc, "observations", _LIST, [])):
+        for i, obs in enumerate(_objects(doc, "observations", [])):
             poses = _value(obs, "poses", _OBJECT, {})
             observations.append({cam_id: transform_from_dict(_value(poses, cam_id, _OBJECT),
                                                              f"{path}#obs{i}/{cam_id}")
@@ -352,7 +371,7 @@ def read_detections(path: Path) -> DetectionFile:
     doc = load_json(path)
     with parsing(f"detections {path}"):
         dets = []
-        for d in _value(doc, "detections", _LIST):
+        for d in _objects(doc, "detections"):
             rle = _value(d, "mask_rle", _OBJECT)
             dets.append(
                 Detection(
@@ -484,7 +503,7 @@ class _Entry:
 def _entries(path: Path, key: str) -> list:
     doc = load_json(path)
     with parsing(path):
-        return _value(doc, key, _LIST)
+        return _value(_object(doc), key, _LIST)
 
 
 def read_records(path: Path) -> List[Record]:
@@ -492,7 +511,7 @@ def read_records(path: Path) -> List[Record]:
     entries, records = _entries(path, "records"), []
     with parsing(_Entry(f"record {path}#records[", records, "]")):
         for d in entries:
-            records.append(_record(d, d["center_world_m"]))
+            records.append(_record(_object(d, "record"), d["center_world_m"]))
     return records
 
 
@@ -502,7 +521,8 @@ def read_fused_choices(path: Path) -> List[Record]:
     entries, chosen = _entries(path, "fruits"), []
     with parsing(_Entry(f"record {path}#fruits[", chosen, "]")):
         for f in entries:
-            chosen.append(_record(f["chosen"], f["center_world_m"]))
+            chosen.append(_record(_object(_object(f, "fruit")["chosen"], "chosen"),
+                                  f["center_world_m"]))
     return chosen
 
 
@@ -545,7 +565,7 @@ def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
 def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
     with parsing(f"scene {source}"):
         rig = []
-        for c in _value(doc, "rig", _LIST):
+        for c in _objects(doc, "rig"):
             cam_id = _value(c, "camera_id", _STRING)
             where = f"{source}:{cam_id}"
             rig.append(RigCamera(cam_id,
@@ -555,10 +575,10 @@ def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
             FruitSpec(_value(f, "id", _STRING),
                       Point3.from_array(_values(f, "center_world", (3,))),
                       _values(f, "semi_axes", (3,)))
-            for f in _value(doc, "fruits", _LIST)
+            for f in _objects(doc, "fruits")
         ]
         occluders = [QuadOccluder(_values(o, "corners", (4, 3)))
-                     for o in _value(doc, "occluders", _LIST, [])]
+                     for o in _objects(doc, "occluders", [])]
         noise = _value(doc, "noise", _OBJECT, {})
         return SceneSpec(
             fruits=fruits,

@@ -32,37 +32,38 @@ from typing import TYPE_CHECKING, List, Sequence
 import numpy as np
 
 from .errors import InvalidDepth
-from .geometry import CameraIntrinsics, Pixel, Point3, RigidTransform, apply, deproject
-from .sizing import FittedCircle
+from .geometry import (CameraIntrinsics, Pixel, Point3, RigidTransform, apply_points,
+                       distance, pixel_to_ray)
 
 if TYPE_CHECKING:
     from .fileio import Record
 
 
-def estimate_metric_radius(circle: FittedCircle, depth_m: float, k: CameraIntrinsics) -> float:
-    """Pixel radius -> meters by similar triangles at the given depth."""
-    if depth_m <= 0:
+def estimate_metric_radius(r_px, depth_m, k: CameraIntrinsics):
+    """Pixel radii -> meters by similar triangles at the given depths (floats
+    or arrays)."""
+    if np.any(np.asarray(depth_m) <= 0):
         raise InvalidDepth(f"depth must be positive, got {depth_m}")
-    return circle.r_px * depth_m / k.fx
+    return r_px * depth_m / k.fx
 
 
-def localize(
-    px: Pixel,
-    depth_m: float,
-    radius_m: float,
-    k: CameraIntrinsics,
-    cam_to_world: RigidTransform,
-) -> Point3:
-    """World-frame center of a fruit from its bounding-box center pixel.
+def localize(px: Pixel, depth_m: np.ndarray, radius_m: np.ndarray, k: CameraIntrinsics,
+             cam_to_world: RigidTransform) -> np.ndarray:
+    """World-frame centers of fruits, as an (n, 3) array, from the arrays of
+    their bounding-box center pixels ``px.u`` and ``px.v``, front depths and radii.
 
-    ``depth_m`` is the distance of the fruit's front surface along the
+    ``depth_m`` is the distance of each fruit's front surface along the
     viewing ray (read at the sampled mask pixel nearest that pixel); the
-    point is pushed outward by the estimated radius to reach the center.
+    point is pushed outward by the estimated radius to reach the center. The
+    ray norm is ``geometry.distance``'s, so it is bit-identical to a norm of
+    one point.
     """
-    p = deproject(k, px, depth_m).to_array()
-    norm = float(np.linalg.norm(p))
-    p = p * (norm + radius_m) / norm
-    return apply(cam_to_world, Point3.from_array(p))
+    if np.any(np.asarray(depth_m) <= 0):
+        raise InvalidDepth(f"depth must be positive, got {depth_m}")
+    xn, yn = pixel_to_ray(k, np.asarray(px.u, dtype=float), np.asarray(px.v, dtype=float))
+    p = np.stack([xn * depth_m, yn * depth_m, np.broadcast_to(depth_m, xn.shape)], axis=-1)
+    norm = distance(p, 0.0)
+    return apply_points(cam_to_world, p * (norm + radius_m)[..., None] / norm[..., None])
 
 
 def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:

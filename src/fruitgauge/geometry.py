@@ -45,9 +45,13 @@ class Pixel(NamedTuple):
     v: float
 
 
-def distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance in meters."""
-    return float(np.linalg.norm(a.to_array() - b.to_array()))
+def distance(a, b):
+    """Euclidean distance in meters between two points, or along the last axis
+    of two (..., 3) arrays. ``np.vecdot`` takes the BLAS ``dot`` that
+    ``np.linalg.norm`` takes of one vector, so each distance is the norm's, bit
+    for bit."""
+    d = np.subtract(a, b, dtype=float)
+    return np.sqrt(np.vecdot(d, d))
 
 
 def _project_to_so3(r: np.ndarray) -> np.ndarray:

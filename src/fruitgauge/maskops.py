@@ -11,6 +11,14 @@ least one background 8-neighbor, anything outside the frame counting as
 background. Edge pixels are an (n, 2) int64 array of (u, v) rows, listed in
 row-major (v, u) order.
 
+A frame's non-empty masks are measured together on one canvas, a
+``MaskStack``. The canvas is a ``BinaryMask`` that holds every crop at column
+1, with a blank row above each crop: crop i fills canvas rows ``top[i]`` to
+``top[i + 1] - 2`` and columns 1 to ``width[i]``, and its canvas pixel (c, r)
+is frame pixel (c, r) + ``offset[i]``. No two crops touch, so one erosion of
+the canvas gives every crop's edge, each crop's pixels in its own row-major
+order, and a canvas row alone names its crop.
+
 The RLE interchange format (COCO-style) is row-major over the whole frame,
 with alternating run counts, the first count giving the number of leading
 background pixels (possibly 0).
@@ -105,11 +113,26 @@ class BinaryMask:
         return out
 
 
-class ExtremePoints(NamedTuple):
-    top: Pixel
-    bottom: Pixel
-    left: Pixel
-    right: Pixel
+class MaskStack(NamedTuple):
+    """A frame's non-empty masks on one canvas (see the module docstring)."""
+
+    canvas: BinaryMask
+    top: np.ndarray     # (n + 1,) int64: top[i] is crop i's first canvas row
+    width: np.ndarray   # (n,) int64
+    offset: np.ndarray  # (n, 2) int64: frame pixel minus canvas pixel
+
+    @classmethod
+    def of(cls, masks: Sequence[BinaryMask]) -> "MaskStack":
+        if any(m.is_empty() for m in masks):
+            raise EmptyMask("cannot stack an empty mask")
+        h, w, x0, y0 = np.array([(*m.data.shape, m.x0, m.y0) for m in masks],
+                                dtype=np.int64).reshape(-1, 4).T
+        top = np.cumsum(np.concatenate([[1], h + 1]))
+        data = np.zeros((max(top[-1] - 2, 0), w.max(initial=0)), dtype=bool)
+        for m, row in zip(masks, top.tolist()):  # canvas pixel (c, r) is data[r - 1, c - 1]
+            data[row - 1:row - 1 + m.data.shape[0], :m.data.shape[1]] = m.data
+        return cls(BinaryMask(data, 1, 1, (len(data) + 2, data.shape[1] + 2)), top, w,
+                   np.column_stack([x0 - 1, y0 - top[:-1]]))
 
 
 def decode_rle(counts: Sequence[int], size: Tuple[int, int]) -> BinaryMask:
@@ -143,9 +166,12 @@ def encode_rle(mask: BinaryMask) -> dict:
     h, w = mask.frame
     if mask.is_empty():
         return {"size": [h, w], "counts": [h * w] if h * w else []}
-    # +1 where a row's foreground run starts, -1 one past where it ends
-    steps = np.diff(np.pad(mask.data.astype(np.int8), ((0, 0), (1, 1))), axis=1)
-    rows, cols = np.nonzero(steps)
+    # with one background column on each side, a row's foreground run starts
+    # at each change from background, and ends one before each change back
+    ch, cw = mask.data.shape
+    padded = np.zeros((ch, cw + 2), dtype=bool)
+    padded[:, 1:-1] = mask.data
+    rows, cols = np.nonzero(padded[:, 1:] != padded[:, :-1])
     flat = (rows + mask.y0) * w + cols + mask.x0
     starts, ends = flat[0::2], flat[1::2]
     # a run that reaches the right border continues on the next row
@@ -180,45 +206,39 @@ def extract_edges(mask: BinaryMask) -> np.ndarray:
     return pixels
 
 
-def extreme_points(mask: BinaryMask) -> ExtremePoints:
-    """Topmost/bottommost/leftmost/rightmost mask pixels.
+def extreme_points(mask: BinaryMask, top: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The top, bottom, left and right pixels of each crop of the ``MaskStack``
+    canvas ``mask`` with that stack's ``top`` and ``width`` (at least one crop),
+    as a (4, n, 2) int64 array of (u, v) canvas pixels. Ties: top prefers the
+    smaller u, bottom the larger u, left the smaller v, right the larger v.
+    Every crop is tight, so each of its four border lines holds a mask pixel."""
+    d, rows = mask.data, np.arange(len(mask.data))
+    first, last = top[:-1] - 1, top[1:] - 3    # data rows of each crop's first and last row
+    lefts = np.flatnonzero(d[:, 0])
+    # the data rows whose crop's last column holds a mask pixel there
+    rights = np.flatnonzero(d[rows, width[np.searchsorted(first, rows, side="right") - 1] - 1])
+    return np.array([
+        np.argmax(d[first], axis=1), first,
+        d.shape[1] - 1 - np.argmax(d[last, ::-1], axis=1), last,
+        np.zeros_like(first), lefts[np.searchsorted(lefts, first)],
+        width - 1, rights[np.searchsorted(rights, last, side="right") - 1],
+    ]).reshape(4, 2, -1).transpose(0, 2, 1) + 1
 
-    Ties: top prefers the smaller u, bottom the larger u, left the smaller v,
-    right the larger v, so the result is unique.
-    """
-    if mask.is_empty():
-        raise EmptyMask("cannot locate extreme points of an empty mask")
-    # the crop is tight, so each of its four border lines holds a mask pixel
-    d, x0, y0 = mask.data, mask.x0, mask.y0
-    h, w = d.shape
-    return ExtremePoints(
-        top=Pixel(x0 + int(np.argmax(d[0])), y0),
-        bottom=Pixel(x0 + w - 1 - int(np.argmax(d[-1, ::-1])), y0 + h - 1),
-        left=Pixel(x0, y0 + int(np.argmax(d[:, 0]))),
-        right=Pixel(x0 + w - 1, y0 + h - 1 - int(np.argmax(d[::-1, -1]))),
-    )
 
-
-def median_edge_depth(edges: np.ndarray, depth: DepthImage) -> float:
-    """Lower median of the metric depths sampled at edge pixels.
-
-    Zero samples carry no depth and are excluded; if they exceed
-    ``MAX_INVALID_EDGE_FRACTION`` of the edge set the measurement is unusable.
-    The lower median keeps the result an actually-observed value and
-    tolerates up to half the samples being outliers.
-    """
-    if len(edges) == 0:
-        raise NoValidDepth("edge set is empty")
-    samples = depth.data[edges[:, 1], edges[:, 0]]
-    valid = samples[samples > 0]
-    if len(samples) - len(valid) > MAX_INVALID_EDGE_FRACTION * len(samples):
-        raise NoValidDepth(
-            f"{len(samples) - len(valid)}/{len(samples)} edge pixels have no depth"
-        )
-    if len(valid) == 0:
-        raise NoValidDepth("no edge pixel has a depth sample")
-    ordered = np.sort(valid)
-    return float(ordered[(len(ordered) - 1) // 2]) * depth.depth_scale
+def median_edge_depth(edges: np.ndarray, crop: np.ndarray, n: int, depth: DepthImage):
+    """Per crop, the lower median of the metric depths sampled at its edge
+    pixels, its edge-pixel count and how many of them have no sample, from the
+    frame pixels ``edges`` of the crops ``crop`` (non-decreasing, below ``n``).
+    Zero samples carry no depth and are excluded. The lower median is an
+    observed value and tolerates up to half the samples being outliers. One
+    sort of ``crop * 65536 + sample`` puts each crop's samples in a block."""
+    samples = depth.data[edges[:, 1], edges[:, 0]].astype(np.int64)
+    count = np.bincount(crop, minlength=n)
+    invalid = np.bincount(crop[samples == 0], minlength=n)
+    ordered = np.sort(crop * 65536 + samples)
+    # each crop's block is its zeros, then its valid samples in order
+    at = np.cumsum(count) - count + invalid + (count - invalid - 1) // 2
+    return (ordered[at] % 65536).astype(float) * depth.depth_scale, count, invalid
 
 
 def nearest_mask_depth(mask: BinaryMask, depth: DepthImage, px: Pixel) -> float:

@@ -16,33 +16,23 @@ import logging
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from . import fileio
 from .calibrate import solve_rig
-from .errors import (
-    BundleIOError,
-    DegenerateCircle,
-    EmptyMask,
-    InvalidDepth,
-    LengthMismatch,
-    NoValidDepth,
-    OutOfBounds,
-    UnknownCamera,
-    ZeroArea,
-)
+from .errors import (BundleIOError, EmptyMask, FruitGaugeError, LengthMismatch, OutOfBounds,
+                     UnknownCamera)
 from .evaluation import evaluate_run, format_report_text
 from .fileio import Record
 from .fusion import deduplicate, estimate_metric_radius, localize
-from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
+from .geometry import DepthImage, Pixel, Point3, RigCamera, align_depth_to_color
 from .maskops import nearest_mask_depth
 from .simulate import CaptureBundle, render_scene
-from .sizing import measure_fruit
+from .sizing import FittedCircle, measure_fruit
 
 logger = logging.getLogger(__name__)
-
-REJECTION_REASONS = (EmptyMask, NoValidDepth, DegenerateCircle, ZeroArea, InvalidDepth,
-                     LengthMismatch, OutOfBounds)
 
 
 def _bundle_signature(bundle_dir: Path) -> str:
@@ -85,40 +75,60 @@ def cmd_simulate(scene_path: Path, out_dir: Path) -> Path:
     return write_bundle(render_scene(fileio.read_scene(Path(scene_path))), out_dir)
 
 
-def _measure_detection(det: fileio.Detection, index: int, frame_id: str, depth: DepthImage,
-                       cam: RigCamera) -> Record:
-    """Size and localize one detection; raises one of REJECTION_REASONS."""
-    k = cam.intrinsics
-    if det.mask.frame != (k.height, k.width) or depth.data.shape != (k.height, k.width):
-        raise LengthMismatch(f"mask {det.mask.frame} or depth {depth.data.shape} "
-                             f"differs from the {k.height}x{k.width} image")
-    x, y, w, h = det.bbox
-    if not det.mask.is_empty():
-        mx, my, mw, mh = det.mask.bbox()
-        if not (x <= mx and y <= my and mx + mw <= x + w and my + mh <= y + h):
-            raise OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
-    m = measure_fruit(det.mask, depth, k)
-    center_px = Pixel(x + (w - 1) / 2.0, y + (h - 1) / 2.0)
-    # The front surface: the sampled mask pixel nearest the bbox center rounded half up.
-    front_depth = nearest_mask_depth(det.mask, depth, Pixel(x + w // 2, y + h // 2))
-    radius_m = estimate_metric_radius(m.circle, front_depth, k)
-    center_world = localize(center_px, front_depth, radius_m, k, cam.cam_to_world)
-    return Record(
-        frame_id=frame_id,
-        camera_id=cam.camera_id,
-        detection_index=index,
-        class_name=det.class_name,
-        fruit_id=det.fruit_id,
-        height_mm=float(m.height_mm),
-        width_mm=float(m.width_mm),
-        median_depth_m=float(m.median_depth_m),
-        fill_ratio=float(m.fill_ratio),
-        circle=m.circle,
-        bbox=tuple(int(v) for v in det.bbox),
-        center_depth_m=front_depth,
-        radius_m=float(radius_m),
-        center_world_m=center_world,
-    )
+def _measure_frame(det_file: fileio.DetectionFile, depth: DepthImage,
+                   cam: RigCamera) -> Tuple[List[Record], List[dict]]:
+    """Size and localize every detection of one frame, all its masks in one
+    ``measure_fruit`` call: the records and the warnings, in detection order.
+    A warning names the first failed check of ``LengthMismatch``, ``OutOfBounds``
+    (mask outside its bbox), ``EmptyMask``, those of ``measure_fruit`` and
+    ``OutOfBounds`` (bbox center outside the image)."""
+    k, dets = cam.intrinsics, det_file.detections
+    rejections: List[Optional[FruitGaugeError]] = [None] * len(dets)
+    for i, det in enumerate(dets):
+        x, y, w, h = det.bbox
+        if det.mask.frame != (k.height, k.width) or depth.data.shape != (k.height, k.width):
+            rejections[i] = LengthMismatch(f"mask {det.mask.frame} or depth {depth.data.shape} "
+                                           f"differs from the {k.height}x{k.width} image")
+        elif det.mask.is_empty():
+            rejections[i] = EmptyMask("cannot measure an empty mask")
+        else:
+            mx, my, mw, mh = det.mask.bbox()
+            if not (x <= mx and y <= my and mx + mw <= x + w and my + mh <= y + h):
+                rejections[i] = OutOfBounds(f"mask has pixels outside its bbox {list(det.bbox)}")
+    live = [i for i, rejection in enumerate(rejections) if rejection is None]
+    m = measure_fruit([dets[i].mask for i in live], depth, k)
+    accepted, centers, front = [], [], []
+    for j, i in enumerate(live):
+        x, y, w, h = dets[i].bbox
+        u, v = x + (w - 1) / 2.0, y + (h - 1) / 2.0
+        rejections[i] = m.rejections[j]
+        if rejections[i] is None and not (0 <= u <= k.width - 1 and 0 <= v <= k.height - 1):
+            rejections[i] = OutOfBounds(f"pixel ({u},{v}) outside {k.width}x{k.height}")
+        if rejections[i] is None:
+            accepted.append(j)
+            centers.append((u, v))
+            # The front surface: the sampled mask pixel nearest the bbox center rounded half up.
+            front.append(nearest_mask_depth(dets[i].mask, depth, Pixel(x + w // 2, y + h // 2)))
+    warnings = [{"frame_id": det_file.frame_id, "camera_id": det_file.camera_id,
+                 "detection_index": i, "reason": type(e).__name__, "message": str(e)}
+                for i, e in enumerate(rejections) if e is not None]
+    if not accepted:
+        return [], warnings
+
+    u, v = np.array(centers).T
+    front = np.array(front)
+    radius = estimate_metric_radius(m.circle[accepted, 2], front, k)
+    world = localize(Pixel(u, v), front, radius, k, cam.cam_to_world)
+    records = []
+    for at, (j, center) in enumerate(zip(accepted, world.tolist())):
+        det = dets[live[j]]
+        records.append(Record(
+            det_file.frame_id, cam.camera_id, live[j], det.class_name, det.fruit_id,
+            float(m.height_mm[j]), float(m.width_mm[j]), float(m.median_depth_m[j]),
+            float(m.fill_ratio[j]), FittedCircle(*m.circle[j].tolist()),
+            tuple(int(b) for b in det.bbox), float(front[at]), float(radius[at]),
+            Point3(*center)))
+    return records, warnings
 
 
 def cmd_measure(
@@ -158,18 +168,10 @@ def cmd_measure(
             depth = align_depth_to_color(depth, cam.depth_intrinsics,
                                          cam.intrinsics, cam.depth_to_color)
 
-        for index, det in enumerate(det_file.detections):
-            n_detections += 1
-            try:
-                records.append(_measure_detection(det, index, det_file.frame_id, depth, cam))
-            except REJECTION_REASONS as e:
-                warnings.append({
-                    "frame_id": det_file.frame_id,
-                    "camera_id": det_file.camera_id,
-                    "detection_index": index,
-                    "reason": type(e).__name__,
-                    "message": str(e),
-                })
+        n_detections += len(det_file.detections)
+        frame_records, frame_warnings = _measure_frame(det_file, depth, cam)
+        records += frame_records
+        warnings += frame_warnings
 
     payload = {"records": [r.to_dict() for r in records], "warnings": warnings}
     if out_dir is not None:

@@ -20,6 +20,7 @@ from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
 
 from conftest import rotation_about, scene_to_dict
+from test_maskops import full
 
 OUTPUTS = ("records.json", "fused.json", "report.json")
 
@@ -301,7 +302,7 @@ class TestMeasureIngest:
         depth = read_depth(tmp_path / "bundle" / "depth" / "middle_000.pgm")
         x, y, w, h = det["bbox"]
         mask = decode_rle(det["mask_rle"]["counts"], det["mask_rle"]["size"])
-        vs, us = np.nonzero(mask.window(0, 0, mask.width, mask.height) & (depth.data > 0))
+        vs, us = np.nonzero(full(mask) & (depth.data > 0))
         i = np.argmin((us - (x + w // 2)) ** 2 + (vs - (y + h // 2)) ** 2)
         assert (us[i], vs[i]) != (x + w // 2, y + h // 2)
         assert record["center_depth_m"] == float(depth.data[vs[i], us[i]]) * depth.depth_scale
@@ -320,7 +321,7 @@ class TestMeasureIngest:
             x, y, w, h = det["bbox"]
             mask = decode_rle(det["mask_rle"]["counts"], det["mask_rle"]["size"])
             u, v = x + w // 2, y + h // 2
-            if w % 2 == 0 and mask.window(u - 1, v, 2, 1).all():
+            if w % 2 == 0 and full(mask)[v, u - 1:u + 1].all():
                 data[v, u - 1] = 1000 + index
                 data[v, u] = marked[index] = 2000 + index
         assert len(marked) >= 3
@@ -414,9 +415,17 @@ class TestDamagedDocuments:
         pytest.param("intrinsics/top.json", lambda d: d.update(fx="abc"), "abc", id="fx"),
         pytest.param("intrinsics/top.json", lambda d: d.update(distortion="abc"), "abc",
                      id="distortion"),
-        pytest.param("rig.json", lambda d: d.update(cameras=[1]), "", id="rig-camera-int"),
-        pytest.param("rig.json", lambda d: [], "", id="rig-list"),
-        pytest.param("depth/top_000.json", lambda d: [], "", id="depth-sidecar-list"),
+        pytest.param("rig.json", lambda d: d.update(cameras=[1]), "cameras[0] must be an object",
+                     id="rig-camera-int"),
+        pytest.param("rig.json", lambda d: [], "document must be an object", id="rig-list"),
+        pytest.param("depth/top_000.json", lambda d: [], "document must be an object",
+                     id="depth-sidecar-list"),
+        pytest.param("intrinsics/top.json", lambda d: [d], "document must be an object",
+                     id="intrinsics-list"),
+        pytest.param("detections/top_000.json", lambda d: [d], "document must be an object",
+                     id="detections-list"),
+        pytest.param("detections/top_000.json", lambda d: d["detections"].insert(1, [2]),
+                     "detections[1] must be an object", id="detection-list"),
         pytest.param("depth/top_000.json", lambda d: d.update(depth_scale=True), "depth_scale",
                      id="depth-scale-bool"),
         pytest.param("intrinsics/top.json", lambda d: d.update(width=640.7), "width",
@@ -464,7 +473,8 @@ class TestDamagedDocuments:
         self.assert_io_error(code, capsys, pgm, "PGM")
 
     @pytest.mark.parametrize("doc,named", [
-        ([], ""), ({"observations": [1]}, ""), ({"anchor": 5}, "anchor"),
+        ([1], "document must be an object, got [1]"),
+        ({"observations": [1]}, "observations[0] must be an object"), ({"anchor": 5}, "anchor"),
         ({"observations": {}}, "observations"),
         ({"observations": [{"poses": []}]}, "poses must be dict"),
         ({"observations": [{"poses": {"top": 1}}]}, "top must be dict"),
@@ -503,15 +513,42 @@ class TestDamagedDocuments:
         (lambda d: d.update(fruits={}), "fruits"),
         (lambda d: d.update(occluders=None), "occluders"),
         (lambda d: d.update(noise=[]), "noise"),
+        (lambda d: [d], "document must be an object"),
+        (lambda d: d["rig"].insert(1, "top"), "rig[1] must be an object"),
+        (lambda d: d["fruits"].append(None), f"fruits[{len(lab_scene(0).fruits)}] must be"),
+        (lambda d: d["occluders"].insert(0, 1.5), "occluders[0] must be an object"),
     ], ids=["semi-axes-string", "sigma-string", "fruit-id-int", "missing-key", "seed-float",
             "seed-bool", "depth-scale-string", "sigma-bool", "model-int",
             "center-world-strings", "center-world-string", "semi-axes-4", "rotation-string",
             "translation-bool", "corner-string", "rig-object", "fruits-object",
-            "occluders-null", "noise-list"])
+            "occluders-null", "noise-list", "scene-list", "camera-string", "fruit-null",
+            "occluder-float"])
     def test_simulate(self, scene_path, tmp_path, capsys, damage, named):
         scene = damage_copy(scene_path, tmp_path / "scene.json", damage)
         code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
         self.assert_io_error(code, capsys, scene, named)
+
+    @pytest.mark.parametrize("name,damage,named", [
+        ("records.json", lambda d: [d], "document must be an object"),
+        ("records.json", lambda d: d["records"].insert(2, 1), "#records[2]: record must be an"),
+        ("records.json", lambda d: d["records"].insert(0, []), "#records[0]: record must be an"),
+        ("fused.json", lambda d: d["fruits"].insert(1, 1), "#fruits[1]: fruit must be an"),
+        ("fused.json", lambda d: d["fruits"][0].update(chosen=[]), "#fruits[0]: chosen must be"),
+    ], ids=["records-list", "record-int", "record-list", "fused-fruit-int", "chosen-list"])
+    def test_fuse_and_evaluate(self, runs, tmp_path, capsys, name, damage, named):
+        out = runs[0] / "out"
+        damaged = damage_copy(out / name, tmp_path / name, damage)
+        records = damaged if name == "records.json" else out / "records.json"
+        code = main(["fuse", "--records", str(records),
+                     "--rig", str(runs[0] / "bundle" / "rig.json"),
+                     "-o", str(tmp_path / "fused-out.json")])
+        if name == "records.json":
+            self.assert_io_error(code, capsys, damaged, named)
+        code = main(["evaluate", "--fused", str(out / "fused.json" if name == "records.json"
+                                                else damaged), "--records", str(records),
+                     "--truth", str(runs[0] / "bundle" / "ground_truth.csv"),
+                     "-o", str(tmp_path / "report")])
+        self.assert_io_error(code, capsys, damaged, named)
 
     def test_simulate_scaled_rotation_exits_1_naming_the_file(self, scene_path, tmp_path,
                                                               capsys):

@@ -12,9 +12,13 @@ from fruitgauge.geometry import (
     Pixel,
     Point3,
     RigidTransform,
+    apply,
+    deproject,
     translation_transform,
 )
 from fruitgauge.sizing import FittedCircle
+
+from conftest import random_rigid
 
 K500 = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
 ORDER = ("top", "middle", "bottom")  # the rig's camera order
@@ -63,12 +67,12 @@ def chosen_view(members, camera_order=ORDER):
 
 class TestEstimateMetricRadius:
     def test_similar_triangles(self):
-        got = estimate_metric_radius(FittedCircle(10, 10, 20.0), 0.6, K500)
+        got = estimate_metric_radius(20.0, 0.6, K500)
         assert got == pytest.approx(0.024, abs=1e-12)
 
     def test_zero_depth(self):
         with pytest.raises(InvalidDepth):
-            estimate_metric_radius(FittedCircle(10, 10, 20.0), 0.0, K500)
+            estimate_metric_radius(np.array([20.0, 20.0]), np.array([0.6, 0.0]), K500)
 
     def test_zero_radius_unrepresentable(self):
         with pytest.raises(Exception):
@@ -77,14 +81,14 @@ class TestEstimateMetricRadius:
 
 class TestLocalize:
     def test_on_axis_ray_scaling(self):
-        p = localize(Pixel(640, 360), 0.600, 0.023, K500, RigidTransform.identity())
-        assert p.x == pytest.approx(0) and p.y == pytest.approx(0)
-        assert p.z == pytest.approx(0.623, abs=1e-12)
+        x, y, z = localize(Pixel(640, 360), 0.600, 0.023, K500, RigidTransform.identity())
+        assert x == pytest.approx(0) and y == pytest.approx(0)
+        assert z == pytest.approx(0.623, abs=1e-12)
 
     def test_composed_with_world_transform(self):
-        p = localize(Pixel(640, 360), 0.600, 0.023, K500,
-                     translation_transform(0, 0, -0.600))
-        assert p.z == pytest.approx(0.023, abs=1e-12)
+        _, _, z = localize(Pixel(640, 360), 0.600, 0.023, K500,
+                           translation_transform(0, 0, -0.600))
+        assert z == pytest.approx(0.023, abs=1e-12)
 
     def test_zero_depth_propagates(self):
         with pytest.raises(InvalidDepth):
@@ -94,7 +98,18 @@ class TestLocalize:
         p = localize(Pixel(740, 360), 0.500, 0.025, K500, RigidTransform.identity())
         ray = np.array([0.2 * 0.5, 0.0, 0.5])
         expected = ray * (np.linalg.norm(ray) + 0.025) / np.linalg.norm(ray)
-        assert np.allclose(p.to_array(), expected, atol=1e-12)
+        assert np.allclose(p, expected, atol=1e-12)
+
+    def test_arrays_match_one_point_at_a_time(self, rng):
+        u, v = rng.uniform(0, 1279, 50), rng.uniform(0, 719, 50)
+        depth, radius = rng.uniform(0.2, 2.0, 50), rng.uniform(0.01, 0.05, 50)
+        pose = random_rigid(rng)
+        got = localize(Pixel(u, v), depth, radius, K500, pose)
+        for i in range(50):
+            p = deproject(K500, Pixel(u[i], v[i]), depth[i]).to_array()
+            norm = float(np.linalg.norm(p))
+            want = apply(pose, Point3.from_array(p * (norm + radius[i]) / norm))
+            assert np.allclose(got[i], want, rtol=1e-12, atol=1e-12)
 
 
 class TestDeduplicate:

@@ -1,13 +1,16 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fruitgauge.errors import EmptyMask, LengthMismatch, NoValidDepth, ZeroArea
-from fruitgauge.geometry import DepthImage, Pixel
+from fruitgauge.errors import DegenerateCircle, EmptyMask, LengthMismatch, NoValidDepth, ZeroArea
+from fruitgauge.geometry import CameraIntrinsics, DepthImage, Pixel
 from fruitgauge.maskops import (
     BinaryMask,
+    MaskStack,
     decode_rle,
     encode_rle,
     extract_edges,
@@ -15,7 +18,7 @@ from fruitgauge.maskops import (
     median_edge_depth,
     nearest_mask_depth,
 )
-from fruitgauge.sizing import FittedCircle, fill_ratio
+from fruitgauge.sizing import ON_CIRCLE_TOL, FittedCircle, fill_ratio, measure_fruit
 
 
 def full(mask: BinaryMask) -> np.ndarray:
@@ -102,7 +105,7 @@ def ref_fill_ratio(m: np.ndarray, c: FittedCircle) -> float:
     if u0 > u1 or v0 > v1:
         raise ZeroArea("no pixels")
     uu, vv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1))
-    inside = (uu - c.cu) ** 2 + (vv - c.cv) ** 2 <= c.r_px ** 2
+    inside = (uu - c.cu) ** 2 + (vv - c.cv) ** 2 <= c.r_px ** 2 * (1 + ON_CIRCLE_TOL)
     if not inside.any():
         raise ZeroArea("no pixels")
     return int((inside & m[v0:v1 + 1, u0:u1 + 1]).sum()) / int(inside.sum())
@@ -135,6 +138,44 @@ def ref_extract_edges(mask: BinaryMask) -> np.ndarray:
     vs, us = np.nonzero(edge)
     p = np.column_stack([us + mask.x0, vs + mask.y0]).astype(np.int64)
     return p[np.lexsort((p[:, 0], p[:, 1]))]
+
+
+class ExtremePoints(NamedTuple):
+    top: Pixel
+    bottom: Pixel
+    left: Pixel
+    right: Pixel
+
+
+def extremes(mask: BinaryMask) -> ExtremePoints:
+    """extreme_points of the one-crop stack of ``mask``, as frame pixels."""
+    stack = MaskStack.of([mask])
+    ext = extreme_points(stack.canvas, stack.top, stack.width)
+    return ExtremePoints(*(Pixel(*(p[0] + stack.offset[0]).tolist()) for p in ext))
+
+
+def one_fill_ratio(mask: BinaryMask, circle: FittedCircle) -> float:
+    """fill_ratio of ``circle`` over ``mask`` alone; ZeroArea when the circle
+    covers no pixel, as ``measure_fruit`` rejects it."""
+    covered, total = fill_ratio([mask], np.array([[circle.cu, circle.cv, circle.r_px]]))
+    if total[0] == 0:
+        raise ZeroArea("fitted circle covers no image pixels")
+    return covered[0] / total[0]
+
+
+def edge_median(edges, depth: DepthImage) -> float:
+    """median_edge_depth of one crop whose edge pixels are ``edges``."""
+    edges = np.asarray(edges)
+    depth_m, _, _ = median_edge_depth(edges, np.zeros(len(edges), dtype=np.int64), 1, depth)
+    return float(depth_m[0])
+
+
+def measure_row(n: int, depth: DepthImage):
+    """measure_fruit on the mask of pixels (0, 0)..(n - 1, 0) of ``depth``'s frame."""
+    data = np.zeros(depth.data.shape, dtype=bool)
+    data[0, :n] = True
+    k = CameraIntrinsics(depth.width, depth.height, 100.0, 100.0, 0.0, 0.0)
+    return measure_fruit([BinaryMask(data)], depth, k)
 
 
 def outcome(fn, *args):
@@ -223,18 +264,19 @@ class TestCropLayoutMatchesFullFrame:
             x, y, bw, bh = mask.bbox()
             assert mask.data.size == bw * bh
             assert (mask.x0, mask.y0) == (x, y)
-            ext = extreme_points(mask)
+            ext = extremes(mask)
             assert [tuple(p) for p in ext] == [tuple(int(c) for c in p)
                                               for p in ref_extreme_points(m)]
         else:
-            assert outcome(extreme_points, mask) is EmptyMask
+            assert outcome(extremes, mask) is EmptyMask
         assert edge_set(extract_edges(mask)) == edge_oracle(mask)
 
         if h == 0 or w == 0 or data is None:
             return
         circle = FittedCircle(data.draw(st.floats(-3, w + 3)), data.draw(st.floats(-3, h + 3)),
                               data.draw(st.floats(0.3, 8)))
-        assert outcome(fill_ratio, mask, circle) == outcome(ref_fill_ratio, m, circle)
+        if m.any():  # measure_fruit rejects an empty mask before its fill ratio
+            assert outcome(one_fill_ratio, mask, circle) == outcome(ref_fill_ratio, m, circle)
 
         depth = DepthImage(data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 3))))
         # integral pixels, also outside the frame, take the sampled-mask-pixel fast path
@@ -259,6 +301,25 @@ class TestCropLayoutMatchesFullFrame:
     def test_window_outside_its_frame_rejected(self):
         with pytest.raises(LengthMismatch):
             BinaryMask(np.ones((3, 3), bool), 2, 0, (3, 4))
+
+
+class TestMaskStack:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(placed_masks().filter(lambda m: not m.is_empty()), min_size=1, max_size=6))
+    def test_canvas_layout(self, masks):
+        stack = MaskStack.of(masks)
+        canvas = full(stack.canvas)
+        assert not canvas[0].any() and not canvas[:, 0].any()
+        for i, m in enumerate(masks):
+            (h, w), top = m.data.shape, stack.top[i]
+            assert stack.top[i + 1] == top + h + 1 and stack.width[i] == w
+            assert np.array_equal(canvas[top:top + h, 1:1 + w], m.data)
+            assert not canvas[top:top + h, 1 + w:].any() and not canvas[top + h].any()
+            assert stack.offset[i].tolist() == [m.x0 - 1, m.y0 - top]
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(EmptyMask):
+            MaskStack.of([BinaryMask(np.eye(3, dtype=bool)), BinaryMask(np.zeros((3, 3), bool))])
 
 
 class TestMaskEquality:
@@ -384,7 +445,7 @@ class TestExtractEdges:
 class TestExtremePoints:
     def test_rasterized_disc(self):
         m = disc_mask(100, 100, 50, 50, 10)
-        ext = extreme_points(m)
+        ext = extremes(m)
         assert ext.top == (50, 40)
         assert ext.bottom == (50, 60)
         assert ext.left == (40, 50)
@@ -393,17 +454,17 @@ class TestExtremePoints:
     def test_single_pixel(self):
         data = np.zeros((10, 10), dtype=bool)
         data[3, 7] = True
-        ext = extreme_points(BinaryMask(data))
+        ext = extremes(BinaryMask(data))
         assert ext.top == ext.bottom == ext.left == ext.right == (7, 3)
 
     def test_empty_mask(self):
         with pytest.raises(EmptyMask):
-            extreme_points(BinaryMask(np.zeros((4, 4), dtype=bool)))
+            extremes(BinaryMask(np.zeros((4, 4), dtype=bool)))
 
     def test_tie_breaking_on_a_block(self):
         data = np.zeros((5, 5), dtype=bool)
         data[1:3, 1:3] = True
-        ext = extreme_points(BinaryMask(data))
+        ext = extremes(BinaryMask(data))
         assert ext.top == (1, 1)      # min v, then min u
         assert ext.bottom == (2, 2)   # max v, then max u
         assert ext.left == (1, 1)     # min u, then min v
@@ -414,7 +475,7 @@ class TestExtremePoints:
             m = BinaryMask(rng.random((12, 12)) < 0.3)
             if m.is_empty():
                 continue
-            ext = extreme_points(m)
+            ext = extremes(m)
             vs, us = np.nonzero(full(m))
             assert ext.top.v == vs.min() and ext.bottom.v == vs.max()
             assert ext.left.u == us.min() and ext.right.u == us.max()
@@ -427,40 +488,43 @@ class TestMedianEdgeDepth:
     def test_odd_count_median(self):
         edges = self.edges_at([(0, 0), (1, 0), (2, 0)])
         depth = depth_from_map({(0, 0): 600, (1, 0): 610, (2, 0): 620})
-        assert median_edge_depth(edges, depth) == pytest.approx(0.610)
+        assert edge_median(edges, depth) == pytest.approx(0.610)
 
     def test_median_rejects_far_outlier(self):
         pts = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
         depth = depth_from_map({(0, 0): 500, (1, 0): 600, (2, 0): 610,
                                 (3, 0): 620, (4, 0): 5000})
-        assert median_edge_depth(self.edges_at(pts), depth) == pytest.approx(0.610)
+        assert edge_median(self.edges_at(pts), depth) == pytest.approx(0.610)
 
+    # A row mask's pixels are all edge pixels, and measure_fruit rejects it as
+    # collinear unless too few of them have depth.
     def test_all_zero_rejected(self):
-        edges = self.edges_at([(0, 0), (1, 0)])
-        with pytest.raises(NoValidDepth):
-            median_edge_depth(edges, depth_from_map({}))
+        (rejection,) = measure_row(2, depth_from_map({})).rejections
+        assert isinstance(rejection, NoValidDepth) and str(rejection) == \
+            "2/2 edge pixels have no depth"
 
     def test_over_half_invalid_rejected(self):
-        pts = [(i, 0) for i in range(4)]
         depth = depth_from_map({(0, 0): 600})  # 3 of 4 invalid
-        with pytest.raises(NoValidDepth):
-            median_edge_depth(self.edges_at(pts), depth)
+        (rejection,) = measure_row(4, depth).rejections
+        assert isinstance(rejection, NoValidDepth) and str(rejection) == \
+            "3/4 edge pixels have no depth"
 
     def test_exactly_half_invalid_accepted(self):
-        pts = [(i, 0) for i in range(4)]
         depth = depth_from_map({(0, 0): 600, (1, 0): 610})
-        assert median_edge_depth(self.edges_at(pts), depth) == pytest.approx(0.600)
+        m = measure_row(4, depth)
+        assert isinstance(m.rejections[0], DegenerateCircle)
+        assert m.median_depth_m[0] == pytest.approx(0.600)
 
     def test_even_count_uses_lower_median(self):
         pts = [(i, 0) for i in range(4)]
         depth = depth_from_map({(0, 0): 600, (1, 0): 610, (2, 0): 620, (3, 0): 630})
-        assert median_edge_depth(self.edges_at(pts), depth) == pytest.approx(0.610)
+        assert edge_median(self.edges_at(pts), depth) == pytest.approx(0.610)
 
     def test_enumeration_order_invariance(self, rng):
         pixels = [(int(u), int(v)) for u, v in rng.integers(0, 64, size=(30, 2))]
         pixels = list(dict.fromkeys(pixels))
         depth = depth_from_map({p: int(rng.integers(400, 800)) for p in pixels})
-        values = [median_edge_depth(self.edges_at(list(perm)), depth)
+        values = [edge_median(self.edges_at(list(perm)), depth)
                   for perm in (pixels, pixels[::-1], sorted(pixels))]
         assert len(set(values)) == 1
 
@@ -480,7 +544,7 @@ class TestMedianEdgeDepth:
             data = np.zeros((1, n), dtype=np.uint16)
             data[0, :] = samples
             edges = self.edges_at([(i, 0) for i in range(n)])
-            got = median_edge_depth(edges, DepthImage(data))
+            got = edge_median(edges, DepthImage(data))
             assert abs(got - clean * 0.001) <= 0.001 + 1e-12
 
 

@@ -23,7 +23,7 @@ from fruitgauge.geometry import (
     ray_to_pixel,
     translation_transform,
 )
-from fruitgauge.maskops import BinaryMask, Pixel, extreme_points
+from fruitgauge.maskops import BinaryMask, Pixel
 from fruitgauge.simulate import (
     CAMERA_HEIGHTS_M,
     RIG_TARGET,
@@ -38,10 +38,10 @@ from fruitgauge.simulate import (
     paper_rig,
     render_scene,
 )
-from fruitgauge.sizing import measure_fruit
 
 from conftest import rotation_about, scene_to_dict
-from test_maskops import full
+from test_maskops import extremes, full
+from test_sizing import measure_one
 
 
 def single_camera(k=None):
@@ -336,7 +336,7 @@ class TestRenderScene:
     def test_on_axis_sphere_mask_is_centered_disc(self):
         bundle = render_scene(sphere_scene())
         mask = bundle.captures[0].masks["s0"]
-        ext = extreme_points(mask)
+        ext = extremes(mask)
         k = bundle.captures[0].camera.intrinsics
         assert abs((ext.left.u + ext.right.u) / 2 - k.ppx) <= 1.0
         assert abs((ext.top.v + ext.bottom.v) / 2 - k.ppy) <= 1.0
@@ -348,7 +348,7 @@ class TestRenderScene:
         k = CameraIntrinsics(1024, 1024, 8000.0, 8000.0, 511.5, 511.5)
         bundle = render_scene(sphere_scene(k=k))
         cap = bundle.captures[0]
-        m = measure_fruit(cap.masks["s0"], cap.depth, k)
+        m = measure_one(cap.masks["s0"], cap.depth, k)
         assert m.width_mm == pytest.approx(46.7, rel=0.01)
         assert m.height_mm == pytest.approx(46.7, rel=0.01)
 
@@ -405,8 +405,8 @@ class TestRenderScene:
         k = spec.rig[0].intrinsics
         cap = render_scene(spec).captures[0]
         cap_clean = render_scene(clean).captures[0]
-        occluded = measure_fruit(cap.masks["s0"], cap.depth, k)
-        reference = measure_fruit(cap_clean.masks["s0"], cap_clean.depth, k)
+        occluded = measure_one(cap.masks["s0"], cap.depth, k)
+        reference = measure_one(cap_clean.masks["s0"], cap_clean.depth, k)
         assert np.count_nonzero(cap.masks["s0"].data) \
             < 0.6 * np.count_nonzero(cap_clean.masks["s0"].data)
         assert occluded.fill_ratio < reference.fill_ratio - 0.1
