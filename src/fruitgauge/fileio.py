@@ -187,12 +187,14 @@ def load_json(path: Path):
 # -- PGM depth ---------------------------------------------------------------
 
 def write_pgm16(path: Path, data: np.ndarray) -> None:
-    """Binary PGM (P5), maxval 65535, big-endian samples."""
+    """Binary PGM (P5), maxval 65535, big-endian samples; the raster is
+    copied once, to swap its byte order, and written from that buffer."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = np.asarray(data, dtype=np.uint16)
-    header = f"P5\n{data.shape[1]} {data.shape[0]}\n65535\n".encode("ascii")
-    path.write_bytes(header + data.astype(">u2").tobytes())
+    raster = np.ascontiguousarray(data, dtype=">u2")
+    with path.open("wb") as f:
+        f.write(f"P5\n{raster.shape[1]} {raster.shape[0]}\n65535\n".encode("ascii"))
+        f.write(raster)
 
 
 # P5, width, height and maxval, each token after whitespace or "#" comments
@@ -212,11 +214,11 @@ def read_pgm16(path: Path) -> np.ndarray:
         width, height, maxval = map(int, header.groups())
     if not (256 <= maxval <= 65535):
         raise BundleIOError(f"expected 16-bit PGM (maxval 256..65535) in {path}")
-    expected = width * height * 2
-    body = raw[header.end():header.end() + expected]
-    if len(body) != expected:
+    if len(raw) - header.end() < width * height * 2:
         raise BundleIOError(f"PGM raster truncated in {path}")
-    return np.frombuffer(body, dtype=">u2").reshape(height, width).astype(np.uint16)
+    # a view of the file's bytes, copied once into native byte order
+    return np.frombuffer(raw, ">u2", width * height, header.end()).reshape(
+        height, width).astype(np.uint16)
 
 
 def write_depth(path_pgm: Path, depth: DepthImage) -> None:

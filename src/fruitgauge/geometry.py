@@ -265,7 +265,11 @@ def ray_to_pixel(k: CameraIntrinsics, xn, yn):
 
 def depth_units(z_m, depth_scale: float):
     """Metric depth -> uint16 depth samples: round half up, clip to 0..65535."""
-    return np.clip(np.floor(z_m / depth_scale + 0.5), 0, 65535).astype(np.uint16)
+    q = np.asarray(np.divide(z_m, depth_scale))
+    q += 0.5
+    np.floor(q, out=q)
+    np.clip(q, 0, 65535, out=q)
+    return q.astype(np.uint16)
 
 
 def deproject(k: CameraIntrinsics, px: Pixel, depth_m: float) -> Point3:
@@ -298,15 +302,19 @@ def align_depth_to_color(
     pixels stay 0.
     """
     # One flat array per coordinate: numpy runs much slower over the short
-    # rows of an (n, 3) array. Large arrays are freed as soon as they are used.
+    # rows of an (n, 3) array. Large arrays are freed as soon as they are
+    # used, and fresh ones are updated in place.
     valid = np.flatnonzero(depth.data != 0)
-    z = depth.data.ravel()[valid].astype(float) * depth.depth_scale
-    vv, uu = np.divmod(valid, depth.width)
+    z = depth.data.ravel()[valid] * depth.depth_scale
+    # the samples come row by row: each row's count, not a division per sample
+    starts = np.searchsorted(valid, np.arange(depth.height + 1) * depth.width)
+    vv = np.repeat(np.arange(depth.height), np.diff(starts))
+    uu = valid - vv * depth.width
     del valid
-    xn, yn = pixel_to_ray(depth_k, uu, vv)
+    x, y = pixel_to_ray(depth_k, uu, vv)
     del uu, vv
-    x, y = xn * z, yn * z
-    del xn, yn
+    x *= z
+    y *= z
     px, py, pz = (x * r0 + y * r1 + z * r2 + t for (r0, r1, r2), t in
                   zip(depth_to_color.rotation.tolist(), depth_to_color.translation.tolist()))
     del x, y, z
@@ -315,25 +323,30 @@ def align_depth_to_color(
     if not front.all():
         px, py, pz = px[front], py[front], pz[front]
     del front
-    u, v = ray_to_pixel(color_k, px / pz, py / pz)
+    px /= pz
+    py /= pz
+    u, v = ray_to_pixel(color_k, px, py)
     del px, py
-    uo = np.floor(u + 0.5).astype(np.int64)
+    u += 0.5
+    uo = np.floor(u, out=u).astype(np.int64)
     del u
-    vo = np.floor(v + 0.5).astype(np.int64)
+    v += 0.5
+    vo = np.floor(v, out=v).astype(np.int64)
     del v
     height, width = color_k.height, color_k.width
-    inside = (uo >= 0) & (uo < width) & (vo >= 0) & (vo < height)
-    flat = (vo * width + uo)[inside]
+    samples = depth_units(pz, depth.depth_scale)
+    del pz
+    # as unsigned, a negative pixel index lies past the frame's far edge
+    keep = (uo.view(np.uint64) < width) & (vo.view(np.uint64) < height) & (samples > 0)
+    flat = vo[keep] * width + uo[keep]
     del uo, vo
-    samples = depth_units(pz[inside], depth.depth_scale)
-    del pz, inside
+    samples = samples[keep]
+    del keep
 
-    # z-buffer: keep the nearest nonzero sample per output pixel
-    order = np.argsort(samples, kind="stable")[::-1]  # write nearest last
-    samples = samples[order]
-    flat = flat[order]
-    del order
-    keep = samples > 0
+    # z-buffer, nearest wins: a plain scatter lands one sample per pixel, and
+    # only the samples nearer than the one that landed are reduced into it
     out = np.zeros(height * width, dtype=np.uint16)
-    out[flat[keep]] = samples[keep]
+    out[flat] = samples
+    nearer = samples < out[flat]
+    np.minimum.at(out, flat[nearer], samples[nearer])
     return DepthImage(out.reshape(height, width), depth.depth_scale)

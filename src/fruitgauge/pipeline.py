@@ -100,13 +100,18 @@ def _measure_frame(det_file: fileio.DetectionFile, depth: DepthImage,
     accepted, centers, front = [], [], []
     for j, i in enumerate(live):
         x, y, w, h = dets[i].bbox
-        u, v = x + (w - 1) / 2.0, y + (h - 1) / 2.0
+        u2, v2 = 2 * x + w - 1, 2 * y + h - 1   # twice the bbox center, exact for any ints
         rejections[i] = m.rejections[j]
-        if rejections[i] is None and not (0 <= u <= k.width - 1 and 0 <= v <= k.height - 1):
-            rejections[i] = OutOfBounds(f"pixel ({u},{v}) outside {k.width}x{k.height}")
+        if rejections[i] is None and not (0 <= u2 <= 2 * k.width - 2
+                                          and 0 <= v2 <= 2 * k.height - 2):
+            try:
+                at = f"({u2 / 2},{v2 / 2})"
+            except OverflowError:   # past the float range
+                at = f"({u2}/2,{v2}/2)"
+            rejections[i] = OutOfBounds(f"pixel {at} outside {k.width}x{k.height}")
         if rejections[i] is None:
             accepted.append(j)
-            centers.append((u, v))
+            centers.append((u2 / 2, v2 / 2))
             # The front surface: the sampled mask pixel nearest the bbox center rounded half up.
             front.append(nearest_mask_depth(dets[i].mask, depth, Pixel(x + w // 2, y + h // 2)))
     warnings = [{"frame_id": det_file.frame_id, "camera_id": det_file.camera_id,

@@ -196,8 +196,8 @@ def _image_form(axes: Sequence[Vec3], w: Vec3) -> Vec3:
 
 
 def _ellipsoid_ts(origin: Vec3, axes: Sequence[Vec3], x: np.ndarray, y: np.ndarray,
-                  center: Vec3, semi: Vec3) -> np.ndarray:
-    """Smallest ray parameter above ``_EPS_T`` per pixel of a window, inf on a miss.
+                  center: Vec3, semi: Vec3) -> Tuple[np.ndarray, np.ndarray]:
+    """The ray parameter per pixel of a window, and where it is a hit: above ``_EPS_T``.
 
     ``x`` is the window's row of normalized xs and ``y`` its column of ys.
     Scaled by 1/s about the center c, the ray o + t d becomes w + t P v with
@@ -228,13 +228,13 @@ def _ellipsoid_ts(origin: Vec3, axes: Sequence[Vec3], x: np.ndarray, y: np.ndarr
         else:
             np.subtract(hb, t, out=t)
         t /= neg_a
-        return np.where(t > _EPS_T, t, np.inf)
+    return t, t > _EPS_T
 
 
 def _quad_ts(origin: Vec3, axes: Sequence[Vec3], x: np.ndarray, y: np.ndarray,
-             corners: Sequence[Vec3]) -> np.ndarray:
-    """Ray parameter of the hit on a planar convex quad per pixel of a window,
-    inf on a miss; ``x`` and ``y`` as for ``_ellipsoid_ts``.
+             corners: Sequence[Vec3]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ray parameter of a planar convex quad's plane per pixel of a window,
+    and where it is a hit; ``x`` and ``y`` as for ``_ellipsoid_ts``.
 
     With S = (c2 - c0) x (c3 - c1) the ray meets the quad's plane at
     t = S . (c0 - o) / (S . d). It passes inside the quad when d lies on the
@@ -256,54 +256,24 @@ def _quad_ts(origin: Vec3, axes: Sequence[Vec3], x: np.ndarray, y: np.ndarray,
         m = _cross(rel[i], rel[i - 3])
         k0, k1, k2 = _image_form(axes, [side * (mj + 1e-12 * sj) for mj, sj in zip(m, s)])
         hit &= (k0 * x + k2) >= -(k1 * y)
-    return np.where(hit, t, np.inf)
+    return t, hit
 
 
 Window = Tuple[int, int, int, int]   # (u0, u1, v0, v1), inclusive pixel bounds
 WINDOW_MARGIN_PX = 2
 
 
-def _clip_window(k: CameraIntrinsics, u_lo: float, u_hi: float, v_lo: float,
-                 v_hi: float) -> Optional[Window]:
-    """Pixel bounds covering [u_lo, u_hi] x [v_lo, v_hi] plus ``WINDOW_MARGIN_PX``,
-    clipped to the image; None when nothing is left."""
-    u0 = max(math.floor(u_lo) - WINDOW_MARGIN_PX, 0)
-    u1 = min(math.ceil(u_hi) + WINDOW_MARGIN_PX, k.width - 1)
-    v0 = max(math.floor(v_lo) - WINDOW_MARGIN_PX, 0)
-    v1 = min(math.ceil(v_hi) + WINDOW_MARGIN_PX, k.height - 1)
-    if u0 > u1 or v0 > v1:
-        return None
-    return (u0, u1, v0, v1)
+def _windows(fruits: Sequence[FruitSpec], occluders: Sequence[QuadOccluder],
+             world_to_cam: RigidTransform, k: CameraIntrinsics) -> List[Optional[Window]]:
+    """The window of every fruit, then of every leaf: the pixel bbox, plus
+    ``WINDOW_MARGIN_PX`` and clipped to the image, of a fruit's exact
+    silhouette or of a leaf's corners (it is convex). None when the object
+    lies outside the image or wholly behind the camera; the whole image when
+    it reaches the camera plane, or a leaf's corner comes within 1e-6 m of it.
+    Each kind takes one array pass, whose terms keep the scalar formulas'
+    order of operations.
 
-
-def _whole_image(k: CameraIntrinsics) -> Window:
-    return (0, k.width - 1, 0, k.height - 1)
-
-
-def _camera_points(world_to_cam: RigidTransform, points: Sequence[Vec3]) -> List[Vec3]:
-    rows, t = world_to_cam.rotation.tolist(), world_to_cam.translation.tolist()
-    return [(_dot(rows[0], p) + t[0], _dot(rows[1], p) + t[1], _dot(rows[2], p) + t[2])
-            for p in points]
-
-
-def _quad_window(corners_world: np.ndarray, world_to_cam: RigidTransform,
-                 k: CameraIntrinsics) -> Optional[Window]:
-    """Pixel bbox of a quad's corners (it is convex): None when fully outside
-    the image, the whole image when any corner is at or behind the camera plane."""
-    pts = _camera_points(world_to_cam, corners_world.tolist())
-    if any(z <= 1e-6 for _, _, z in pts):
-        return _whole_image(k)
-    us, vs = zip(*(ray_to_pixel(k, x / z, y / z) for x, y, z in pts))
-    return _clip_window(k, min(us), max(us), min(vs), max(vs))
-
-
-def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
-                  k: CameraIntrinsics) -> Optional[Window]:
-    """Pixel bbox of a fruit's exact silhouette: None when it lies outside
-    the image or wholly behind the camera, the whole image when it reaches
-    the camera plane.
-
-    With the fruit's center c and shape matrix R diag(s^2) R^T in the camera
+    With a fruit's center c and shape matrix R diag(s^2) R^T in the camera
     frame, a plane l . X = 0 through the camera center meets the ellipsoid
     iff l^T n l <= 0, n = c c^T - R diag(s^2) R^T: n is the dual conic of the
     silhouette in normalized coordinates (Hartley & Zisserman 2004, ch. 8).
@@ -312,36 +282,50 @@ def _fruit_window(fruit: FruitSpec, world_to_cam: RigidTransform,
     the ellipsoid does not reach the plane z = 0, so the sign of the center's
     z then says on which side of it the fruit lies.
     """
-    (c,) = _camera_points(world_to_cam, [fruit.center_world])
-    r = world_to_cam.rotation.tolist()
-    s2 = [s * s for s in fruit.semi_axes.tolist()]
+    r, shift = world_to_cam.rotation.tolist(), world_to_cam.translation.tolist()
 
-    def n(i: int, j: int) -> float:
-        return c[i] * c[j] - (r[i][0] * r[j][0] * s2[0] + r[i][1] * r[j][1] * s2[1]
-                              + r[i][2] * r[j][2] * s2[2])
+    def camera_frame(p: np.ndarray) -> List[np.ndarray]:
+        return [ri[0] * p[..., 0] + ri[1] * p[..., 1] + ri[2] * p[..., 2] + ti
+                for ri, ti in zip(r, shift)]
+
+    c = camera_frame(np.array([f.center_world for f in fruits]).reshape(-1, 3))
+    s2 = np.array([f.semi_axes for f in fruits]).reshape(-1, 3) ** 2
+
+    def n(i: int, j: int) -> np.ndarray:
+        return c[i] * c[j] - (r[i][0] * r[j][0] * s2[:, 0] + r[i][1] * r[j][1] * s2[:, 1]
+                              + r[i][2] * r[j][2] * s2[:, 2])
 
     n22 = n(2, 2)
-    if n22 <= 0:
-        return _whole_image(k)
-    if c[2] <= 0:
-        return None
-
-    def extent(i: int) -> Tuple[float, float]:
-        n_ii, n_i2 = n(i, i), n(i, 2)
-        half = math.sqrt(max(n_i2 * n_i2 - n_ii * n22, 0.0))
-        return (n_i2 - half) / n22, (n_i2 + half) / n22
-
-    (x_lo, x_hi), (y_lo, y_hi) = extent(0), extent(1)
-    u_lo, v_lo = ray_to_pixel(k, x_lo, y_lo)
-    u_hi, v_hi = ray_to_pixel(k, x_hi, y_hi)
-    return _clip_window(k, u_lo, u_hi, v_lo, v_hi)
+    qx, qy, qz = camera_frame(np.array([o.corners for o in occluders]).reshape(-1, 4, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ends = []
+        for i in (0, 1):
+            n_ii, n_i2 = n(i, i), n(i, 2)
+            half = np.sqrt(np.maximum(n_i2 * n_i2 - n_ii * n22, 0.0))
+            ends.append(((n_i2 - half) / n22, (n_i2 + half) / n22))
+        (u_lo, v_lo), (u_hi, v_hi) = [ray_to_pixel(k, x, y) for x, y in zip(*ends)]
+        qu, qv = ray_to_pixel(k, qx / qz, qy / qz)
+    u0 = np.floor(np.concatenate([u_lo, qu.min(axis=1)])) - WINDOW_MARGIN_PX
+    u1 = np.ceil(np.concatenate([u_hi, qu.max(axis=1)])) + WINDOW_MARGIN_PX
+    v0 = np.floor(np.concatenate([v_lo, qv.min(axis=1)])) - WINDOW_MARGIN_PX
+    v1 = np.ceil(np.concatenate([v_hi, qv.max(axis=1)])) + WINDOW_MARGIN_PX
+    np.maximum(u0, 0, out=u0)
+    np.minimum(u1, k.width - 1, out=u1)
+    np.maximum(v0, 0, out=v0)
+    np.minimum(v1, k.height - 1, out=v1)
+    reaches = np.concatenate([n22 <= 0, (qz <= 1e-6).any(axis=1)])
+    shown = np.concatenate([c[2] > 0, np.ones(len(occluders), bool)]) & (u0 <= u1) & (v0 <= v1)
+    whole = (0, k.width - 1, 0, k.height - 1)
+    boxes = zip(u0.tolist(), u1.tolist(), v0.tolist(), v1.tolist())
+    return [whole if reach else tuple(map(int, box)) if show else None
+            for reach, show, box in zip(reaches.tolist(), shown.tolist(), boxes)]
 
 
 def _render_camera(cam: RigCamera, spec: SceneSpec
                    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, BinaryMask]]:
-    """Ray-cast one camera: the row-major flat indices of the pixels whose ray
-    hits an object, the depth units of those hits, and the masks of the
-    fruits that win a pixel."""
+    """Ray-cast one camera: which pixels' rays hit an object, the depth units
+    of those hits in row-major order, and the masks of the fruits that win
+    a pixel."""
     k = cam.intrinsics
     world_to_cam = invert(cam.cam_to_world)
     origin = cam.cam_to_world.translation.tolist()
@@ -350,29 +334,29 @@ def _render_camera(cam: RigCamera, spec: SceneSpec
     # its x depends on the column only and its y on the row only.
     xs, ys = pixel_to_ray(k, np.arange(k.width), np.arange(k.height)[:, None])
 
-    # ray parameter t equals camera-frame z because the rays (x, y, 1) have z 1
-    best_t = np.full((k.height, k.width), np.inf)
-    winner = np.full((k.height, k.width), -1, dtype=np.int32)
-
     objects: List[object] = [*spec.fruits, *spec.occluders]
-    windows = [_fruit_window(obj, world_to_cam, k) if isinstance(obj, FruitSpec)
-               else _quad_window(obj.corners, world_to_cam, k) for obj in objects]
+    # ray parameter t equals camera-frame z because the rays (x, y, 1) have z 1;
+    # the winning object's index, or -1, takes the narrowest signed type
+    best_t = np.full((k.height, k.width), np.inf)
+    winner = np.full((k.height, k.width), -1, dtype=np.min_scalar_type(-len(objects) - 1))
+    windows = _windows(spec.fruits, spec.occluders, world_to_cam, k)
     for idx, (obj, window) in enumerate(zip(objects, windows)):
         if window is None:
             continue
         u0, u1, v0, v1 = window
         x, y = xs[u0:u1 + 1], ys[v0:v1 + 1]
         if isinstance(obj, FruitSpec):
-            t = _ellipsoid_ts(origin, axes, x, y, obj.center_world, obj.semi_axes.tolist())
+            t, better = _ellipsoid_ts(origin, axes, x, y, obj.center_world,
+                                      obj.semi_axes.tolist())
         else:
-            t = _quad_ts(origin, axes, x, y, obj.corners.tolist())
+            t, better = _quad_ts(origin, axes, x, y, obj.corners.tolist())
         region_t = best_t[v0:v1 + 1, u0:u1 + 1]
-        better = t < region_t
+        better &= t < region_t
         np.copyto(region_t, t, where=better)
         np.copyto(winner[v0:v1 + 1, u0:u1 + 1], idx, where=better)
 
-    hits = np.flatnonzero(np.isfinite(best_t))
-    units = depth_units(best_t.ravel()[hits], spec.depth_scale)
+    hit = winner >= 0
+    units = depth_units(best_t[hit], spec.depth_scale)
 
     # a fruit can only win pixels inside its own window
     masks: Dict[str, BinaryMask] = {}
@@ -383,7 +367,7 @@ def _render_camera(cam: RigCamera, spec: SceneSpec
         m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
         if not m.is_empty():
             masks[fruit.fruit_id] = m
-    return hits, units, masks
+    return hit, units, masks
 
 
 def _noisy_units(units: np.ndarray, depth_scale: float, sigma_at_1m: float,
@@ -391,13 +375,15 @@ def _noisy_units(units: np.ndarray, depth_scale: float, sigma_at_1m: float,
     """Depth units plus zero-mean Gaussian noise of sigma(z) = sigma_at_1m * z^2,
     re-quantized. Zero units stay zero and take no draw: the k-th nonzero
     unit takes the k-th normal of ``default_rng(seed)``."""
-    valid = np.flatnonzero(units)
-    z = units[valid] * depth_scale
+    valid = None if units.all() else np.flatnonzero(units)
+    z = (units if valid is None else units[valid]) * depth_scale
     noise = np.random.default_rng(seed).standard_normal(z.size)
     noise *= sigma_at_1m
     noise *= z
     noise *= z
     noise += z
+    if valid is None:
+        return depth_units(noise, depth_scale)
     out = np.zeros_like(units)
     out[valid] = depth_units(noise, depth_scale)
     return out
@@ -412,14 +398,13 @@ def render_scene(spec: SceneSpec) -> CaptureBundle:
     captures = []
     sigma = spec.noise.sigma_at_1m
     for ci, cam in enumerate(spec.rig):
-        hits, units, masks = _render_camera(cam, spec)
+        hit, units, masks = _render_camera(cam, spec)
         if sigma > 0:
             units = _noisy_units(units, spec.depth_scale, sigma,
                                  _camera_noise_seed(spec.seed, ci))
-        k = cam.intrinsics
-        data = np.zeros(k.height * k.width, dtype=np.uint16)
-        data[hits] = units
-        depth = DepthImage(data.reshape(k.height, k.width), spec.depth_scale)
+        data = np.zeros(hit.shape, dtype=np.uint16)
+        data[hit] = units
+        depth = DepthImage(data, spec.depth_scale)
         captures.append(CameraCapture(cam, depth, masks))
     return CaptureBundle(captures, spec.ground_truth())
 

@@ -268,6 +268,13 @@ class TestMeasureIngest:
         assert code == 0
         self.assert_one_warning(records, "OutOfBounds")
 
+    def test_bbox_center_beyond_float_range(self, runs, tmp_path):
+        # the center is checked in exact integers; 10**400 has no float
+        code, records = self.measure_damaged(
+            runs, tmp_path, lambda d: d.update(bbox=[0, 0, 10**400, 10**400]))
+        assert code == 0
+        self.assert_one_warning(records, "OutOfBounds")
+
     def test_bbox_shifted_off_its_mask(self, runs, tmp_path):
         def shift(d):
             x, y, w, h = d["bbox"]

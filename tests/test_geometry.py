@@ -348,6 +348,22 @@ class TestAlignDepthToColor:
         out = align_depth_to_color(depth, depth_k, color_k, to_color)
         assert np.array_equal(out.data, expected)
 
+    def test_zbuffer_matches_reference_on_collisions_ties_and_zero_samples(self):
+        # Up to 14 depth pixels land on one pixel of the coarse color frame,
+        # in no depth order, and most tie with another of equal depth; 1 mm
+        # samples move to 0.2 mm and round to 0, and more than half the
+        # samples project outside the color frame.
+        rng = np.random.default_rng(12345)
+        depth_k = CameraIntrinsics(64, 48, 60.0, 60.0, 31.5, 23.5)
+        color_k = CameraIntrinsics(12, 10, 15.0, 15.0, 4.5, 5.5)
+        data = rng.choice(np.array([0, 1, 2, 3, 700, 700, 701], dtype=np.uint16), (48, 64))
+        to_color = translation_transform(0.0005, 0.0, -0.0008)
+        depth = DepthImage(data)
+        expected = reference_align(depth, depth_k, color_k, to_color)
+        assert set(np.unique(expected)) == {1, 2, 699}
+        out = align_depth_to_color(depth, depth_k, color_k, to_color)
+        assert np.array_equal(out.data, expected)
+
 
 @pytest.mark.parametrize("make", [
     RigidTransform.identity,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fruitgauge.geometry import (
     Point3,
     RigCamera,
     RigidTransform,
+    align_depth_to_color,
     apply,
     apply_points,
     compose,
@@ -32,8 +34,8 @@ from fruitgauge.simulate import (
     QuadOccluder,
     SceneSpec,
     _camera_noise_seed,
-    _fruit_window,
     _noisy_units,
+    _windows,
     lab_scene,
     paper_rig,
     render_scene,
@@ -270,6 +272,30 @@ def test_render_matches_point_array_reference(name):
     assert any(masks for _, masks in expected)
 
 
+def test_full_frame_render_and_alignment_peak_memory():
+    # one 1280x720 depth sensor of the orchard rig, 15 mm beside the middle
+    # color camera: the peak of what the render and then the alignment hold
+    k = CameraIntrinsics(1280, 720, 920.0, 920.0, 639.5, 359.5)
+    rig = paper_rig(k)
+    spec = lab_scene(0, rig=rig, n_fruits=60, columns=10, pitch_x=0.07, pitch_y=0.075)
+    to_color = translation_transform(-0.015, 0.0, 0.0)
+    spec = dataclasses.replace(spec, rig=[
+        RigCamera("middle", k, compose(rig[1].cam_to_world, to_color))])
+    tracemalloc.start()
+    try:
+        depth = render_scene(spec).captures[0].depth
+        render_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        align_depth_to_color(depth, k, k, to_color)
+        align_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    pixels = k.width * k.height
+    assert render_peak <= 20.0 * pixels
+    assert align_peak <= 14.0 * pixels
+
+
 def reference_hits(cam, fruit):
     """Pixels whose ray hits the fruit, by the reference ray caster over the
     whole frame."""
@@ -290,7 +316,7 @@ def test_fruit_window_contains_every_hit(cam_index, center, semi):
     cam = paper_rig(SMALL_K)[cam_index]
     fruit = FruitSpec("f", Point3(*center), np.array(semi))
     world_to_cam = invert(cam.cam_to_world)
-    window = _fruit_window(fruit, world_to_cam, SMALL_K)
+    (window,) = _windows([fruit], [], world_to_cam, SMALL_K)
     hits = reference_hits(cam, fruit)
     if window is None:
         assert not hits.any()
@@ -320,7 +346,7 @@ def test_fruit_window_is_whole_image_unless_wholly_in_front(center, window):
     # wholly behind it and gets no window, like a fruit outside the frame
     cam = single_camera(SMALL_K)
     fruit = FruitSpec("f", Point3(*center), np.array([0.03, 0.04, 0.05]))
-    assert _fruit_window(fruit, invert(cam.cam_to_world), SMALL_K) == window
+    assert _windows([fruit], [], invert(cam.cam_to_world), SMALL_K) == [window]
 
 
 class TestRenderScene:
@@ -461,6 +487,14 @@ class TestAddDepthNoise:
         out = _noisy_units(data.ravel(), 0.001, 0.01, seed=3).reshape(data.shape)
         assert not out[data == 0].any()
         assert (out[data != 0] > 0).all()
+        assert np.array_equal(out, ref_add_depth_noise(data, 0.001, 0.01, 3))
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.3], ids=["all_nonzero", "with_zeros"])
+    def test_matches_reference(self, rng, zero_share):
+        # all nonzero units take the path without a gather and a scatter
+        data = rng.integers(1, 3000, size=(40, 50)).astype(np.uint16)
+        data[rng.random(data.shape) < zero_share] = 0
+        out = _noisy_units(data.ravel(), 0.001, 0.01, seed=3).reshape(data.shape)
         assert np.array_equal(out, ref_add_depth_noise(data, 0.001, 0.01, 3))
 
     def test_sigma_grows_with_depth_squared(self):
