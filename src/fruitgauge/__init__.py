@@ -34,7 +34,7 @@ from .evaluation import (
     relative_error,
     rmse,
 )
-from .fileio import Record
+from .fileio import RecordTable
 from .simulate import (
     CaptureBundle,
     FruitSpec,

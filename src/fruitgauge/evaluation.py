@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
 from .geometry import Point3
 
 if TYPE_CHECKING:
-    from .fileio import Record
+    from .fileio import RecordTable
 
 
 @dataclass(frozen=True)
@@ -65,50 +65,45 @@ def relative_error(rmse_mm: float, mean_truth_mm: float) -> float:
 
 
 def match_measurements(
-    measurements: Sequence[Record],
+    measurements: RecordTable,
+    rows: Sequence[int],
     truth: Sequence[GroundTruthRecord],
-) -> List[Tuple[Record, GroundTruthRecord]]:
-    """Pair each measurement with exactly one truth record.
+) -> List[GroundTruthRecord]:
+    """The one truth record that each of ``rows`` of the table matches.
 
-    Measurements are read by attribute: ``camera_id``, ``fruit_id`` and
-    ``center_world_m`` (a Point3).
-
-    ``fruit_id`` matching is used when every measurement carries an id;
-    otherwise each measurement is matched to the nearest truth center,
-    rejected as ambiguous unless the second-nearest center is more than twice
-    as far.
+    ``fruit_id`` matching is used when every one of the rows carries an id;
+    otherwise each is matched to the nearest truth center, rejected as
+    ambiguous unless the second-nearest center is more than twice as far.
     """
-    if all(m.fruit_id for m in measurements):
+    ids = [measurements.fruit_id[i] for i in rows]
+    if all(ids):
         by_id = {t.fruit_id: t for t in truth}
-        pairs = []
-        for m in measurements:
-            if m.fruit_id not in by_id:
-                raise UnmatchedMeasurement(
-                    f"no ground truth for fruit_id {m.fruit_id!r} "
-                    f"(camera {m.camera_id})"
-                )
-            pairs.append((m, by_id[m.fruit_id]))
-        return pairs
+        try:
+            return [by_id[fruit_id] for fruit_id in ids]
+        except KeyError as e:
+            row = rows[ids.index(e.args[0])]
+            raise UnmatchedMeasurement(f"no ground truth for fruit_id {e.args[0]!r} "
+                                       f"(camera {measurements.camera_id[row]})") from None
 
     with_centers = [t for t in truth if t.center_world is not None]
     if not with_centers:
         raise UnmatchedMeasurement("center matching needs truth world centers")
     centers = np.array([t.center_world.to_array() for t in with_centers])
-    pairs = []
-    for m in measurements:
-        d = np.linalg.norm(centers - m.center_world_m.to_array(), axis=1)
+    matched = []
+    for i in rows:
+        d = np.linalg.norm(centers - measurements.center_world_m[i], axis=1)
         order = np.argsort(d, kind="stable")
         nearest = float(d[order[0]])
         if len(d) > 1:
             second = float(d[order[1]])
             if second <= 2.0 * nearest:
                 raise AmbiguousMatch(
-                    f"measurement at {m.center_world_m} is {nearest:.4f} m from "
-                    f"{with_centers[order[0]].fruit_id} but {second:.4f} m from "
-                    f"{with_centers[order[1]].fruit_id}"
+                    f"measurement at {Point3._make(measurements.center_world_m[i].tolist())} "
+                    f"is {nearest:.4f} m from {with_centers[order[0]].fruit_id} but "
+                    f"{second:.4f} m from {with_centers[order[1]].fruit_id}"
                 )
-        pairs.append((m, with_centers[order[0]]))
-    return pairs
+        matched.append(with_centers[order[0]])
+    return matched
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,7 @@ class EvalReport:
     rows: List[CameraRow]
 
 
-def _dimension_stats(measured: List[float], truths: List[float]) -> DimensionStats:
+def _dimension_stats(measured: Sequence[float], truths: List[float]) -> DimensionStats:
     e = rmse(measured, truths)
     mean_truth = float(np.mean(truths))
     return DimensionStats(
@@ -144,37 +139,37 @@ def _dimension_stats(measured: List[float], truths: List[float]) -> DimensionSta
     )
 
 
-def _make_row(camera_id: str,
-              pairs: List[Tuple[Record, GroundTruthRecord]]) -> CameraRow:
-    if not pairs:
+def _make_row(camera_id: str, records: RecordTable, rows: List[int],
+              truth: Sequence[GroundTruthRecord]) -> CameraRow:
+    if not rows:
         return CameraRow(camera_id, 0, None, None, None)
+    matched = match_measurements(records, rows, truth)
     return CameraRow(
         camera_id=camera_id,
-        n=len(pairs),
-        mean_fill_ratio=float(np.mean([m.fill_ratio for m, _ in pairs])),
-        height=_dimension_stats([m.height_mm for m, _ in pairs],
-                                [t.height_mm for _, t in pairs]),
-        width=_dimension_stats([m.width_mm for m, _ in pairs],
-                               [t.width_mm for _, t in pairs]),
+        n=len(rows),
+        mean_fill_ratio=float(np.mean(records.fill_ratio[rows])),
+        height=_dimension_stats(records.height_mm[rows], [t.height_mm for t in matched]),
+        width=_dimension_stats(records.width_mm[rows], [t.width_mm for t in matched]),
     )
 
 
 def evaluate_run(
-    chosen: Sequence[Record],
-    per_camera: Mapping[str, Sequence[Record]],
+    chosen: RecordTable,
+    records: RecordTable,
     truth: Sequence[GroundTruthRecord],
 ) -> EvalReport:
-    """Per-camera rows plus one fused row from the selected measurements.
+    """One row per camera of ``records``, in order of first appearance, plus
+    one fused row from the selected measurements ``chosen``.
 
     Mean truth sizes are computed over the matched pairs of each row, so a
     camera that misses fruits is judged against what it saw; ``n`` makes the
     coverage explicit.
     """
-    rows = [
-        _make_row(camera_id, match_measurements(measurements, truth))
-        for camera_id, measurements in per_camera.items()
-    ]
-    rows.append(_make_row("fused", match_measurements(chosen, truth)))
+    per_camera: Dict[str, List[int]] = {}
+    for i, camera_id in enumerate(records.camera_id):
+        per_camera.setdefault(camera_id, []).append(i)
+    rows = [_make_row(camera_id, records, idx, truth) for camera_id, idx in per_camera.items()]
+    rows.append(_make_row("fused", chosen, list(range(len(chosen))), truth))
     return EvalReport(rows)
 
 

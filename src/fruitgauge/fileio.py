@@ -14,8 +14,8 @@ A capture bundle directory looks like::
 
 ``fruitgauge measure`` writes ``records.json``: ``{"records": [...],
 "warnings": [...]}``. A record is one accepted detection, sized and localized
-in its own view (``Record``, a ``NamedTuple``: immutable, hashable, compared
-by value and cheap to build); its keys, in written order:
+in its own view. The package holds records as the columns of a
+``RecordTable``, one row per record; its keys, in written order:
 
     frame_id, camera_id       str
     detection_index           int, position in the detections file
@@ -49,11 +49,12 @@ reads every field through ``_value`` or ``_values`` inside ``parsing(source)``,
 so a missing key or a value of the wrong type or shape is a ``BundleIOError``
 that names the file and the field (CLI exit 2). A document, and each entry of
 its lists of objects, must be a JSON object (``_object``, ``_objects``, which
-name the entry as ``cameras[1]``). ``read_records`` and
-``read_fused_choices`` check a whole file in one pass and name the failing entry
-as ``#records[i]`` or ``#fruits[i]``. A record's float fields must be finite,
-and its radii positive. A domain error met while reading, such as a focal length
-that is not positive or a rotation that is not orthonormal, keeps its type (CLI
+name the entry as ``cameras[1]``). A record's float fields must be finite, and
+its radii positive. ``read_records`` and ``read_fused_choices`` check the same
+rules a column at a time; only when a column fails do they check record by
+record, to name the first failing entry as ``#records[i]`` or ``#fruits[i]``
+and its field. A domain error met while reading, such as a focal length that
+is not positive or a rotation that is not orthonormal, keeps its type (CLI
 exit 1) and names the file.
 
 All JSON emitted by the pipeline is written with a fixed key order and a
@@ -64,14 +65,15 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import operator
 import re
 import reprlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -402,93 +404,162 @@ _RECORD_TYPES = {
 _CIRCLE_TYPES = {"cu": _NUMBER, "cv": _NUMBER, "r_px": _NUMBER}
 _record_fields = operator.itemgetter(*_RECORD_TYPES)
 _circle_fields = operator.itemgetter(*_CIRCLE_TYPES)
-_RECORD_TYPE_SETS = tuple(map(frozenset, _RECORD_TYPES.values()))
 _SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
-# The types of a record's circle, bbox and center values, in that order.
-_VALUE_TYPE_SETS = tuple(map(frozenset, (*_CIRCLE_TYPES.values(), *[_INT] * 4,
-                                         *[_NUMBER] * 3)))
+# The float columns of a table, each with the shape of one row's value.
+_ARRAY_SHAPES = {**dict.fromkeys((*_SIZE_FIELDS, "radius_m"), ()),
+                 "circle": (3,), "center_world_m": (3,)}
 
 
-class Record(NamedTuple):
-    """One ``records.json`` record (see the module docstring); ``class_name`` is ``class``."""
+@dataclass(eq=False)
+class RecordTable:
+    """``records.json`` records as columns, row i holding record i (see the
+    module docstring); ``class_name`` is ``class``. The string, int and bbox
+    columns are lists of the JSON values, so a bbox int of any size
+    round-trips. The float columns are float64 arrays: ``circle`` is (n, 3)
+    of cu, cv, r_px, and ``center_world_m`` is (n, 3)."""
 
-    frame_id: str
-    camera_id: str
-    detection_index: int
-    class_name: str
-    fruit_id: Optional[str]
-    height_mm: float
-    width_mm: float
-    median_depth_m: float
-    fill_ratio: float
-    circle: FittedCircle
-    bbox: Tuple[int, int, int, int]
-    center_depth_m: float
-    radius_m: float
-    center_world_m: Point3
+    frame_id: List[str]
+    camera_id: List[str]
+    detection_index: List[int]
+    class_name: List[str]
+    fruit_id: List[Optional[str]]
+    height_mm: np.ndarray
+    width_mm: np.ndarray
+    median_depth_m: np.ndarray
+    fill_ratio: np.ndarray
+    circle: np.ndarray
+    bbox: List[List[int]]
+    center_depth_m: np.ndarray
+    radius_m: np.ndarray
+    center_world_m: np.ndarray
 
-    def to_dict(self) -> dict:
-        (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
-         median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius_m, center_world_m) = self
-        return {
-            "frame_id": frame_id,
-            "camera_id": camera_id,
-            "detection_index": detection_index,
-            "class": class_name,
-            "fruit_id": fruit_id,
-            "height_mm": height_mm,
-            "width_mm": width_mm,
-            "median_depth_m": median_depth_m,
-            "fill_ratio": fill_ratio,
-            "circle": {"cu": circle.cu, "cv": circle.cv, "r_px": circle.r_px},
-            "bbox": list(bbox),
-            "center_depth_m": center_depth_m,
-            "radius_m": radius_m,
-            "center_world_m": list(center_world_m),
-        }
+    def __len__(self) -> int:
+        return len(self.frame_id)
+
+    @classmethod
+    def concat(cls, tables: Sequence[RecordTable]) -> RecordTable:
+        """The rows of ``tables`` in order; of no tables, the empty table."""
+        return cls(**{name: np.concatenate([np.empty((0, *_ARRAY_SHAPES[name])),
+                                            *(getattr(t, name) for t in tables)])
+                      if name in _ARRAY_SHAPES else [v for t in tables for v in getattr(t, name)]
+                      for name in (f.name for f in fields(cls))})
+
+    def to_dicts(self) -> List[dict]:
+        """Each row as its ``records.json`` object, keys in written order."""
+        circles = [{"cu": cu, "cv": cv, "r_px": r_px} for cu, cv, r_px in self.circle.tolist()]
+        return [{"frame_id": frame_id, "camera_id": camera_id, "detection_index": index,
+                 "class": class_name, "fruit_id": fruit_id, "height_mm": height_mm,
+                 "width_mm": width_mm, "median_depth_m": median_depth_m,
+                 "fill_ratio": fill_ratio, "circle": circle, "bbox": bbox,
+                 "center_depth_m": center_depth_m, "radius_m": radius_m, "center_world_m": center}
+                for (frame_id, camera_id, index, class_name, fruit_id, height_mm, width_mm,
+                     median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius_m, center)
+                in zip(self.frame_id, self.camera_id, self.detection_index, self.class_name,
+                       self.fruit_id, self.height_mm.tolist(), self.width_mm.tolist(),
+                       self.median_depth_m.tolist(), self.fill_ratio.tolist(), circles,
+                       self.bbox, self.center_depth_m.tolist(), self.radius_m.tolist(),
+                       self.center_world_m.tolist())]
 
 
-def _record(d: dict, center: list) -> Record:
-    """The record with ``d``'s fields and ``center`` as its ``center_world_m``.
-    Raises ``KeyError`` or a ``_MALFORMED`` error; callers enter ``parsing``.
+def _column(rows: Optional[list], key: str) -> Optional[list]:
+    """``row[key]`` of every row, or None if a row is not a JSON object with ``key``."""
+    try:
+        return list(map(operator.itemgetter(key), rows))
+    except (KeyError, TypeError):
+        return None
 
-    Each check maps ``type`` over the values against per-value type sets; only
-    when that fails does it read the fields through ``_value`` and ``_values``,
-    which name the wrong one."""
-    fields = _record_fields(d)
-    if not all(map(frozenset.__contains__, _RECORD_TYPE_SETS, map(type, fields))):
-        for key, types in _RECORD_TYPES.items():
-            _value(d, key, types)
+
+def _columns(rows: Optional[list], centers: Optional[list]) -> Optional[RecordTable]:
+    """The table of the record objects ``rows`` placed at ``centers``, or None
+    if a record breaks a rule of ``_check_record``. Each rule runs once per
+    column: one set of the column's value types, and numpy for finiteness
+    and sign."""
+    columns = [_column(rows, key) for key in _RECORD_TYPES]
+    if centers is None or any(column is None for column in columns) or not all(
+            set(map(type, column)).issubset(types)
+            for column, types in zip(columns, _RECORD_TYPES.values())):
+        return None
     (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
-     median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius) = fields
-    cu, cv, r_px = _circle_fields(circle)
-    if (type(center) is not list or len(bbox) != 4 or len(center) != 3
-            or not all(map(frozenset.__contains__, _VALUE_TYPE_SETS,
-                           map(type, (cu, cv, r_px, *bbox, *center))))):
-        for key, types in _CIRCLE_TYPES.items():
-            _value(circle, key, types)
-        _values(d, "bbox", (4,), _INT)
-        _values({"center_world_m": center}, "center_world_m", (3,))
+     median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius_m) = columns
+    circles = [_column(circle, key) for key in _CIRCLE_TYPES]
+    if (any(column is None for column in circles) or set(map(type, centers)) - {list}
+            or set(map(len, bbox)) - {4} or set(map(len, centers)) - {3}
+            or set(map(type, itertools.chain.from_iterable(bbox))) - {int}
+            or set(map(type, itertools.chain(*circles, *centers))) - {int, float}):
+        return None
+    try:   # rows 0-4 the sizes, 5 radius_m, 6-8 cu, cv, r_px
+        values = np.array([height_mm, width_mm, median_depth_m, fill_ratio, center_depth_m,
+                           radius_m, *circles], dtype=float)
+        center = np.array(centers, dtype=float).reshape(-1, 3)
+    except OverflowError:   # an int past the float range
+        return None
+    if not (np.isfinite(values).all() and np.isfinite(center).all()
+            and (values[5] > 0).all() and (values[8] > 0).all()):
+        return None
+    return RecordTable(frame_id, camera_id, detection_index, class_name, fruit_id, *values[:4],
+                       values[6:].T, bbox, values[4], values[5], center)
+
+
+def _check_record(d: dict, center) -> None:
+    """Raises the ``KeyError`` or ``_MALFORMED`` error of the first rule that
+    the record ``d``, placed at ``center``, breaks: a missing field, then a
+    wrong type or shape, then a non-finite center, a radius that is not
+    positive, a non-finite size and a degenerate circle, each naming its field.
+    Run only after ``_columns`` has refused a table, to name the record."""
+    _record_fields(d)
+    for key, types in _RECORD_TYPES.items():
+        _value(d, key, types)
+    circle = d["circle"]
+    _circle_fields(circle)
+    for key, types in _CIRCLE_TYPES.items():
+        _value(circle, key, types)
+    _values(d, "bbox", (4,), _INT)
+    _values({"center_world_m": center}, "center_world_m", (3,))
     x, y, z = map(float, center)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"center_world_m must be finite, got {center!r}")
-    radius = float(radius)
+    radius = float(d["radius_m"])
     if not 0 < radius < math.inf:
         raise ValueError(f"radius_m must be finite and positive, got {radius!r}")
-    sizes = (float(height_mm), float(width_mm), float(median_depth_m), float(fill_ratio),
-             float(center_depth_m))
-    height_mm, width_mm, median_depth_m, fill_ratio, center_depth_m = sizes
-    # The sum is finite if every term is; one that overflows is checked term by term.
-    if not math.isfinite(height_mm + width_mm + median_depth_m + fill_ratio + center_depth_m):
-        wrong = [f"{key}={value!r}" for key, value in zip(_SIZE_FIELDS, sizes)
-                 if not math.isfinite(value)]
-        if wrong:
-            raise ValueError(f"{', '.join(wrong)} must be finite")
-    return Record(frame_id, camera_id, detection_index, class_name, fruit_id,
-                  height_mm, width_mm, median_depth_m, fill_ratio,
-                  FittedCircle(float(cu), float(cv), float(r_px)), tuple(bbox),
-                  center_depth_m, radius, Point3(x, y, z))
+    sizes = [float(d[key]) for key in _SIZE_FIELDS]
+    wrong = [f"{key}={value!r}" for key, value in zip(_SIZE_FIELDS, sizes)
+             if not math.isfinite(value)]
+    if wrong:
+        raise ValueError(f"{', '.join(wrong)} must be finite")
+    FittedCircle(*map(float, _circle_fields(circle)))
 
+
+def _entries(path: Path, key: str) -> list:
+    doc = load_json(path)
+    with parsing(path):
+        return _value(_object(doc), key, _LIST)
+
+
+def read_records(path: Path) -> RecordTable:
+    """The records of a ``records.json``; its warnings are not read."""
+    entries = _entries(path, "records")
+    table = _columns(entries, _column(entries, "center_world_m"))
+    if table is None:   # name the first bad record
+        for i, d in enumerate(entries):
+            with parsing(f"record {path}#records[{i}]"):
+                _check_record(_object(d, "record"), d["center_world_m"])
+    return table
+
+
+def read_fused_choices(path: Path) -> RecordTable:
+    """The chosen record of each fruit in a ``fused.json``, placed at the
+    fruit's fused center, which is where the evaluator matches it."""
+    entries = _entries(path, "fruits")
+    table = _columns(_column(entries, "chosen"), _column(entries, "center_world_m"))
+    if table is None:   # name the first bad fruit
+        for i, f in enumerate(entries):
+            with parsing(f"record {path}#fruits[{i}]"):
+                _check_record(_object(_object(f, "fruit")["chosen"], "chosen"),
+                              f["center_world_m"])
+    return table
+
+
+# -- ground truth ------------------------------------------------------------
 
 class _Entry:
     """The source that one ``parsing`` around a whole list names when an
@@ -501,34 +572,6 @@ class _Entry:
     def __str__(self) -> str:
         return f"{self.before}{len(self.parsed) + self.first}{self.after}"
 
-
-def _entries(path: Path, key: str) -> list:
-    doc = load_json(path)
-    with parsing(path):
-        return _value(_object(doc), key, _LIST)
-
-
-def read_records(path: Path) -> List[Record]:
-    """The records of a ``records.json``; its warnings are not read."""
-    entries, records = _entries(path, "records"), []
-    with parsing(_Entry(f"record {path}#records[", records, "]")):
-        for d in entries:
-            records.append(_record(_object(d, "record"), d["center_world_m"]))
-    return records
-
-
-def read_fused_choices(path: Path) -> List[Record]:
-    """The chosen record of each fruit in a ``fused.json``, placed at the
-    fruit's fused center, which is where the evaluator matches it."""
-    entries, chosen = _entries(path, "fruits"), []
-    with parsing(_Entry(f"record {path}#fruits[", chosen, "]")):
-        for f in entries:
-            chosen.append(_record(_object(_object(f, "fruit")["chosen"], "chosen"),
-                                  f["center_world_m"]))
-    return chosen
-
-
-# -- ground truth ------------------------------------------------------------
 
 TRUTH_HEADER = ["fruit_id", "height_mm", "width_mm", "x_m", "y_m", "z_m"]
 

@@ -14,7 +14,9 @@ candidates get the exact distance test. The work is near-linear in the
 record count instead of quadratic. The grid needs finite centers and finite
 positive radii; ``fileio.read_records`` rejects anything else.
 
-The rest of the cluster bookkeeping is numpy too. Components come from
+``deduplicate`` reads the columns of a ``fileio.RecordTable``: the center and
+radius arrays, and for the best view the fill ratios and the id columns. The
+rest of the cluster bookkeeping is numpy too. Components come from
 min-index label propagation with pointer jumping over the matching pairs, so
 a cluster's label is its smallest record index. Cluster means are taken per
 cluster size over ``(m, k)`` gathers of members, which adds each cluster's
@@ -36,7 +38,7 @@ from .geometry import (CameraIntrinsics, Pixel, Point3, RigidTransform, apply_po
                        distance, pixel_to_ray)
 
 if TYPE_CHECKING:
-    from .fileio import Record
+    from .fileio import RecordTable
 
 
 def estimate_metric_radius(r_px, depth_m, k: CameraIntrinsics):
@@ -111,21 +113,23 @@ def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
 
 @dataclass
 class WorldFruit:
-    """One physical fruit: clustered records plus the selected view."""
+    """One physical fruit: its records, as rows of the clustered table, plus
+    the selected view."""
 
     center_world: Point3
     radius_m: float
-    members: List[Record]
+    members: List[int]                  # rows of the table, in table order
     chosen: int = 0                     # index into ``members``
 
 
-def _best_view_keys(records: Sequence[Record], camera_order: Sequence[str]) -> List[tuple]:
+def _best_view_keys(records: RecordTable, camera_order: Sequence[str]) -> List[tuple]:
     """Each record's best-view key; a cluster reports its first member with
     the least key. Highest fill ratio wins; exact ties fall back to the rig's
     camera order, then to the lowest frame id and detection index. Every
     ``camera_id`` must be in ``camera_order``."""
     rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
-    return [(-m.fill_ratio, rank[m.camera_id], m.frame_id, m.detection_index) for m in records]
+    return list(zip((-records.fill_ratio).tolist(), map(rank.__getitem__, records.camera_id),
+                    records.frame_id, records.detection_index))
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -148,15 +152,13 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[WorldFruit]:
-    """Cluster world-frame records of the same physical fruit.
+def deduplicate(records: RecordTable, camera_order: Sequence[str]) -> List[WorldFruit]:
+    """Cluster the rows of a record table that view the same physical fruit.
 
-    Records need ``center_world_m``, ``radius_m``, ``fill_ratio``,
-    ``camera_id``, ``frame_id`` and ``detection_index`` attributes; centers
-    must be finite and radii finite and positive. Two records match when
-    their center distance does not exceed the larger of the two radii;
+    Centers must be finite and radii finite and positive. Two records match
+    when their center distance does not exceed the larger of the two radii;
     clusters are the connected components of the match graph, found from the
-    grid hash's candidate pairs. A cluster's members keep input order,
+    grid hash's candidate pairs. A cluster's members keep table order,
     clusters are ordered by their first member, and cluster center and radius
     are member means. The chosen member is the first with the least
     ``_best_view_keys`` key.
@@ -164,8 +166,7 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
     n = len(records)
     if n == 0:
         return []
-    centers = np.array([c for r in records for c in r.center_world_m], dtype=float).reshape(n, 3)
-    radii = np.array([r.radius_m for r in records], dtype=float)
+    centers, radii = records.center_world_m, records.radius_m
     label = _components(n, *_matching_pairs(centers, radii))
 
     # Members grouped by cluster in input order; clusters ordered by label,
@@ -184,5 +185,5 @@ def deduplicate(records: Sequence[Record], camera_order: Sequence[str]) -> List[
         mean_radii = radii[members].mean(axis=1).tolist()
         for c, idx, center, radius in zip(of_size.tolist(), members.tolist(), means, mean_radii):
             chosen = min(range(k), key=[keys[i] for i in idx].__getitem__)
-            fruits[c] = WorldFruit(Point3._make(center), radius, [records[i] for i in idx], chosen)
+            fruits[c] = WorldFruit(Point3._make(center), radius, idx, chosen)
     return fruits

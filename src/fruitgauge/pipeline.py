@@ -16,7 +16,7 @@ import logging
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,12 +25,12 @@ from .calibrate import solve_rig
 from .errors import (BundleIOError, EmptyMask, FruitGaugeError, LengthMismatch, OutOfBounds,
                      UnknownCamera)
 from .evaluation import evaluate_run, format_report_text
-from .fileio import Record
+from .fileio import RecordTable
 from .fusion import deduplicate, estimate_metric_radius, localize
-from .geometry import DepthImage, Pixel, Point3, RigCamera, align_depth_to_color
+from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
 from .maskops import nearest_mask_depth
 from .simulate import CaptureBundle, render_scene
-from .sizing import FittedCircle, measure_fruit
+from .sizing import measure_fruit
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +76,12 @@ def cmd_simulate(scene_path: Path, out_dir: Path) -> Path:
 
 
 def _measure_frame(det_file: fileio.DetectionFile, depth: DepthImage,
-                   cam: RigCamera) -> Tuple[List[Record], List[dict]]:
+                   cam: RigCamera) -> Tuple[RecordTable, List[dict]]:
     """Size and localize every detection of one frame, all its masks in one
-    ``measure_fruit`` call: the records and the warnings, in detection order.
-    A warning names the first failed check of ``LengthMismatch``, ``OutOfBounds``
-    (mask outside its bbox), ``EmptyMask``, those of ``measure_fruit`` and
-    ``OutOfBounds`` (bbox center outside the image)."""
+    ``measure_fruit`` call: the table of records and the warnings, in detection
+    order. A warning names the first failed check of ``LengthMismatch``,
+    ``OutOfBounds`` (mask outside its bbox), ``EmptyMask``, those of
+    ``measure_fruit`` and ``OutOfBounds`` (bbox center outside the image)."""
     k, dets = cam.intrinsics, det_file.detections
     rejections: List[Optional[FruitGaugeError]] = [None] * len(dets)
     for i, det in enumerate(dets):
@@ -118,22 +118,19 @@ def _measure_frame(det_file: fileio.DetectionFile, depth: DepthImage,
                  "detection_index": i, "reason": type(e).__name__, "message": str(e)}
                 for i, e in enumerate(rejections) if e is not None]
     if not accepted:
-        return [], warnings
+        return RecordTable.concat([]), warnings
 
     u, v = np.array(centers).T
     front = np.array(front)
     radius = estimate_metric_radius(m.circle[accepted, 2], front, k)
     world = localize(Pixel(u, v), front, radius, k, cam.cam_to_world)
-    records = []
-    for at, (j, center) in enumerate(zip(accepted, world.tolist())):
-        det = dets[live[j]]
-        records.append(Record(
-            det_file.frame_id, cam.camera_id, live[j], det.class_name, det.fruit_id,
-            float(m.height_mm[j]), float(m.width_mm[j]), float(m.median_depth_m[j]),
-            float(m.fill_ratio[j]), FittedCircle(*m.circle[j].tolist()),
-            tuple(int(b) for b in det.bbox), float(front[at]), float(radius[at]),
-            Point3(*center)))
-    return records, warnings
+    rows = [live[j] for j in accepted]
+    return RecordTable(
+        [det_file.frame_id] * len(rows), [cam.camera_id] * len(rows), rows,
+        [dets[i].class_name for i in rows], [dets[i].fruit_id for i in rows],
+        m.height_mm[accepted], m.width_mm[accepted], m.median_depth_m[accepted],
+        m.fill_ratio[accepted], m.circle[accepted], [[int(b) for b in dets[i].bbox] for i in rows],
+        front, radius, world), warnings
 
 
 def cmd_measure(
@@ -156,7 +153,7 @@ def cmd_measure(
         raise BundleIOError(f"bundle has no detections directory: {det_dir}")
     det_files = [fileio.read_detections(p) for p in sorted(det_dir.glob("*.json"))]
 
-    records: List[Record] = []
+    frames: List[RecordTable] = []
     warnings: List[dict] = []
     n_detections = 0
     unknown = sorted({f.camera_id for f in det_files} - set(cameras))
@@ -175,10 +172,11 @@ def cmd_measure(
 
         n_detections += len(det_file.detections)
         frame_records, frame_warnings = _measure_frame(det_file, depth, cam)
-        records += frame_records
+        frames.append(frame_records)
         warnings += frame_warnings
 
-    payload = {"records": [r.to_dict() for r in records], "warnings": warnings}
+    records = RecordTable.concat(frames)
+    payload = {"records": records.to_dicts(), "warnings": warnings}
     if out_dir is not None:
         out_dir = Path(out_dir)
         fileio.dump_json(payload, out_dir / "records.json")
@@ -203,13 +201,14 @@ def cmd_fuse(records_path: Path, rig_path: Path, out_path: Optional[Path] = None
     """Dedup records across views by their stored world centers; pick the best view."""
     camera_order = tuple(c.camera_id for c in fileio.read_rig(Path(rig_path)))
     records = fileio.read_records(Path(records_path))
-    unknown = sorted({r.camera_id for r in records} - set(camera_order))
+    unknown = sorted(set(records.camera_id) - set(camera_order))
     if unknown:
         raise UnknownCamera(f"records reference cameras {unknown} absent from rig")
 
+    rows = records.to_dicts()
     fruits = []
     for f in deduplicate(records, camera_order=camera_order):
-        members = [m.to_dict() for m in f.members]
+        members = [rows[i] for i in f.members]
         fruits.append({
             "center_world_m": list(f.center_world),
             "radius_m": f.radius_m,
@@ -232,12 +231,10 @@ def cmd_evaluate(
 ) -> dict:
     """Per-camera and fused accuracy report against ground truth."""
     truth = fileio.read_ground_truth_csv(Path(truth_path))
-    per_camera: Dict[str, List[Record]] = {}
-    for record in fileio.read_records(Path(records_path)):
-        per_camera.setdefault(record.camera_id, []).append(record)
+    records = fileio.read_records(Path(records_path))
     chosen = fileio.read_fused_choices(Path(fused_path))
 
-    report = evaluate_run(chosen, per_camera, truth)
+    report = evaluate_run(chosen, records, truth)
     payload = asdict(report)
     if out_prefix is not None:
         out_prefix = Path(out_prefix)

@@ -134,6 +134,41 @@ class TestChain:
         assert ((tmp_path / "out" / "report.json").read_bytes()
                 == (runs[0] / "out" / "report.json").read_bytes())
 
+    def test_bundle_without_detections_gives_empty_outputs(self, runs, tmp_path):
+        # zero records: every record column is empty, the center and circle ones (0, 3)
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        for path in (bundle / "detections").glob("*.json"):
+            damage_copy(path, path, lambda doc: doc.update(detections=[]))
+        measure_fuse_evaluate(bundle, tmp_path / "out")
+        out = tmp_path / "out"
+        assert (out / "records.json").read_text() == '{"records": [], "warnings": []}\n'
+        assert (out / "fused.json").read_text() == '{"fruits": []}\n'
+        assert (out / "report.json").read_text() == (
+            '{"rows": [{"camera_id": "fused", "n": 0, "mean_fill_ratio": null, '
+            '"height": null, "width": null}]}\n')
+        assert (out / "report.txt").read_text() == (
+            "Fused (fill-ratio selection)     RMSE (mm)    Accuracy\n"
+            "Height                                 n/a         n/a\n"
+            "Width                                  n/a         n/a\n"
+            "n = 0, mean fill ratio = n/a\n")
+
+    def test_fuse_writes_a_float_field_int_as_float_and_keeps_big_bbox_ints(self, runs,
+                                                                             tmp_path):
+        doc = load(runs[0] / "out" / "records.json")
+        doc["records"][0].update(height_mm=40, bbox=[2**70, *doc["records"][0]["bbox"][1:]])
+        dump_json(doc, tmp_path / "records.json")
+        assert main(["fuse", "--records", str(tmp_path / "records.json"),
+                     "--rig", str(runs[0] / "bundle" / "rig.json"),
+                     "-o", str(tmp_path / "fused.json")]) == 0
+        # clusters are ordered by their first record, so record 0 leads the first fruit
+        first = load(tmp_path / "fused.json")["fruits"][0]["members"][0]
+        assert json.dumps(first) == json.dumps({**doc["records"][0], "height_mm": 40.0})
+        assert main(["evaluate", "--fused", str(tmp_path / "fused.json"),
+                     "--records", str(tmp_path / "records.json"),
+                     "--truth", str(runs[0] / "bundle" / "ground_truth.csv"),
+                     "-o", str(tmp_path / "report")]) == 0
+
     def test_fuse_never_localizes(self, runs, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("fuse must use the stored localization")

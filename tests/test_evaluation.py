@@ -3,16 +3,22 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fruitgauge.errors import (
     AmbiguousMatch,
     EmptyInput,
+    FruitGaugeError,
     LengthMismatch,
     UnmatchedMeasurement,
     ZeroMean,
 )
 from fruitgauge.evaluation import (
+    CameraRow,
+    EvalReport,
     GroundTruthRecord,
+    _dimension_stats,
     accuracy,
     evaluate_run,
     format_report_text,
@@ -20,7 +26,15 @@ from fruitgauge.evaluation import (
     relative_error,
     rmse,
 )
+from fruitgauge.fileio import (RecordTable, dump_json, read_fused_choices, read_records,
+                               write_rig)
+from fruitgauge.fusion import deduplicate
 from fruitgauge.geometry import Point3
+from fruitgauge.pipeline import cmd_fuse
+from fruitgauge.simulate import paper_rig
+
+from test_fileio import ref_read
+from test_fusion import ORDER, clusters, ref_deduplicate
 
 # (rmse_mm, mean_mm, published accuracy) for every table row:
 # top, middle, bottom cameras and the fused fill-ratio selection
@@ -107,6 +121,30 @@ def meas(cam, h, w, fill=0.9, fruit_id=None, center=None):
     return Meas(cam, h, w, fill, fruit_id, center)
 
 
+def table(records) -> RecordTable:
+    """The record table of ``records``' attributes; the fields the evaluator
+    does not read hold placeholder values, and a missing center is the origin."""
+    n = len(records)
+    return RecordTable(["000"] * n, [m.camera_id for m in records], list(range(n)),
+                       ["fruit"] * n, [m.fruit_id for m in records],
+                       np.array([m.height_mm for m in records], dtype=float),
+                       np.array([m.width_mm for m in records], dtype=float), np.full(n, 0.6),
+                       np.array([m.fill_ratio for m in records], dtype=float),
+                       np.full((n, 3), 10.0), [[0, 0, 1, 1]] * n, np.full(n, 0.6),
+                       np.full(n, 0.02), np.array([m.center_world_m or (0.0, 0.0, 0.0)
+                                                   for m in records], dtype=float).reshape(n, 3))
+
+
+def match(records, truth):
+    return match_measurements(table(records), list(range(len(records))), truth)
+
+
+def run(chosen, per_cam, truth):
+    """``evaluate_run`` on the table of ``chosen`` and that of every camera's
+    records, cameras in ``per_cam``'s order."""
+    return evaluate_run(table(chosen), table([m for ms in per_cam.values() for m in ms]), truth)
+
+
 def truth_12(mean_h=39.4, mean_w=46.7):
     return [GroundTruthRecord(f"f{i:02d}", mean_h, mean_w) for i in range(12)]
 
@@ -114,29 +152,35 @@ def truth_12(mean_h=39.4, mean_w=46.7):
 class TestMatchMeasurements:
     def test_fruit_id_matching(self):
         truth = truth_12()
-        pairs = match_measurements([meas("top", 40, 47, fruit_id="f03")], truth)
-        assert pairs[0][1].fruit_id == "f03"
+        (matched,) = match([meas("top", 40, 47, fruit_id="f03")], truth)
+        assert matched.fruit_id == "f03"
 
     def test_missing_fruit_id_in_truth(self):
-        with pytest.raises(UnmatchedMeasurement):
-            match_measurements([meas("top", 40, 47, fruit_id="nope")], truth_12())
+        with pytest.raises(UnmatchedMeasurement, match=r"'nope' \(camera top\)"):
+            match([meas("middle", 40, 47, fruit_id="f01"), meas("top", 40, 47, fruit_id="nope")],
+                  truth_12())
+
+    def test_rows_select_the_measurements(self):
+        records = table([meas("top", 40, 47, fruit_id=f"f{i:02d}") for i in (4, 7, 2)])
+        got = match_measurements(records, [2, 0], truth_12())
+        assert [t.fruit_id for t in got] == ["f02", "f04"]
 
     def test_center_matching_with_guard(self):
         truth = [
             GroundTruthRecord("a", 40, 47, Point3(0, 0, 0.6)),
             GroundTruthRecord("b", 40, 47, Point3(0.2, 0, 0.6)),
         ]
-        pairs = match_measurements(
-            [meas("top", 40, 47, center=Point3(0.01, 0, 0.6))], truth)
-        assert pairs[0][1].fruit_id == "a"
+        (matched,) = match([meas("top", 40, 47, center=Point3(0.01, 0, 0.6))], truth)
+        assert matched.fruit_id == "a"
 
     def test_equidistant_is_ambiguous(self):
         truth = [
             GroundTruthRecord("a", 40, 47, Point3(-0.1, 0, 0.6)),
             GroundTruthRecord("b", 40, 47, Point3(0.1, 0, 0.6)),
         ]
-        with pytest.raises(AmbiguousMatch):
-            match_measurements([meas("top", 40, 47, center=Point3(0, 0, 0.6))], truth)
+        with pytest.raises(AmbiguousMatch, match=r"^measurement at Point3\(x=0.0, y=0.0, "
+                                                 r"z=0.6\) is 0.1000 m from a but 0.1000 m"):
+            match([meas("top", 40, 47, center=Point3(0, 0, 0.6))], truth)
 
     def test_second_nearest_within_double_is_ambiguous(self):
         truth = [
@@ -144,7 +188,7 @@ class TestMatchMeasurements:
             GroundTruthRecord("b", 40, 47, Point3(0.015, 0, 0.6)),
         ]
         with pytest.raises(AmbiguousMatch):
-            match_measurements([meas("top", 40, 47, center=Point3(0.006, 0, 0.6))], truth)
+            match([meas("top", 40, 47, center=Point3(0.006, 0, 0.6))], truth)
 
 
 class TestEvaluateRun:
@@ -152,7 +196,7 @@ class TestEvaluateRun:
         truth = truth_12()
         per_cam = {"middle": [meas("middle", 39.4, 46.7, fruit_id=t.fruit_id)
                               for t in truth]}
-        report = evaluate_run(per_cam["middle"], per_cam, truth)
+        report = run(per_cam["middle"], per_cam, truth)
         for row in report.rows:
             assert row.n == 12
             assert row.height.accuracy == 1.0
@@ -170,20 +214,29 @@ class TestEvaluateRun:
         }
         chosen = [meas("top", 39.4 + 3.4920, 46.7 + 2.6, fruit_id=t.fruit_id)
                   for t in truth]
-        report = evaluate_run(chosen, per_cam, truth)
+        report = run(chosen, per_cam, truth)
         expected = {"top": (0.9013, 0.9604), "middle": (0.9162, 0.9426),
                     "bottom": (0.7473, 0.8722), "fused": (0.9114, 0.9443)}
+        assert [row.camera_id for row in report.rows] == list(expected)
         for row in report.rows:
             eh, ew = expected[row.camera_id]
             assert row.height.accuracy == pytest.approx(eh, abs=1e-4)
             assert row.width.accuracy == pytest.approx(ew, abs=1e-4)
             assert row.height.mean_truth_mm == pytest.approx(39.4)
 
+    def test_cameras_in_order_of_first_record(self):
+        truth = truth_12()
+        records = [meas(cam, 40, 47, fruit_id=truth[i].fruit_id)
+                   for i, cam in enumerate(["bottom", "top", "bottom", "middle", "top"])]
+        report = evaluate_run(table(records[:1]), table(records), truth)
+        assert [(row.camera_id, row.n) for row in report.rows] == \
+            [("bottom", 2), ("top", 2), ("middle", 1), ("fused", 1)]
+
     def test_rows_internally_consistent(self, rng):
         truth = truth_12()
         per_cam = {"top": [meas("top", 39.4 + rng.normal(0, 2), 46.7 + rng.normal(0, 2),
                                 fruit_id=t.fruit_id) for t in truth]}
-        report = evaluate_run(per_cam["top"], per_cam, truth)
+        report = run(per_cam["top"], per_cam, truth)
         for row in report.rows:
             for dim in (row.height, row.width):
                 assert dim.accuracy == pytest.approx(
@@ -192,7 +245,7 @@ class TestEvaluateRun:
     def test_text_report_contains_table_shape(self):
         truth = truth_12()
         per_cam = {"top": [meas("top", 39.4, 46.7, fruit_id=t.fruit_id) for t in truth]}
-        report = evaluate_run(per_cam["top"], per_cam, truth)
+        report = run(per_cam["top"], per_cam, truth)
         text = format_report_text(report)
         assert "Top Camera" in text and "RMSE (mm)" in text and "Height" in text
         payload = asdict(report)
@@ -200,7 +253,140 @@ class TestEvaluateRun:
 
     def test_empty_camera_row(self):
         truth = truth_12()
-        report = evaluate_run([], {"top": []}, truth)
-        top, _ = report.rows
-        assert (top.camera_id, top.n, top.height) == ("top", 0, None)
+        report = run([], {"top": []}, truth)
+        (fused,) = report.rows
+        assert (fused.camera_id, fused.n, fused.height) == ("fused", 0, None)
         assert "n/a" in format_report_text(report)
+
+
+def ref_match_measurements(measurements, truth):
+    """``match_measurements`` as it was before records became columns: each
+    measurement paired with its truth record, read by attribute."""
+    if all(m.fruit_id for m in measurements):
+        by_id = {t.fruit_id: t for t in truth}
+        pairs = []
+        for m in measurements:
+            if m.fruit_id not in by_id:
+                raise UnmatchedMeasurement(
+                    f"no ground truth for fruit_id {m.fruit_id!r} "
+                    f"(camera {m.camera_id})"
+                )
+            pairs.append((m, by_id[m.fruit_id]))
+        return pairs
+
+    with_centers = [t for t in truth if t.center_world is not None]
+    if not with_centers:
+        raise UnmatchedMeasurement("center matching needs truth world centers")
+    centers = np.array([t.center_world.to_array() for t in with_centers])
+    pairs = []
+    for m in measurements:
+        d = np.linalg.norm(centers - m.center_world_m.to_array(), axis=1)
+        order = np.argsort(d, kind="stable")
+        nearest = float(d[order[0]])
+        if len(d) > 1:
+            second = float(d[order[1]])
+            if second <= 2.0 * nearest:
+                raise AmbiguousMatch(
+                    f"measurement at {m.center_world_m} is {nearest:.4f} m from "
+                    f"{with_centers[order[0]].fruit_id} but {second:.4f} m from "
+                    f"{with_centers[order[1]].fruit_id}"
+                )
+        pairs.append((m, with_centers[order[0]]))
+    return pairs
+
+
+def ref_make_row(camera_id, pairs):
+    if not pairs:
+        return CameraRow(camera_id, 0, None, None, None)
+    return CameraRow(
+        camera_id=camera_id,
+        n=len(pairs),
+        mean_fill_ratio=float(np.mean([m.fill_ratio for m, _ in pairs])),
+        height=_dimension_stats([m.height_mm for m, _ in pairs],
+                                [t.height_mm for _, t in pairs]),
+        width=_dimension_stats([m.width_mm for m, _ in pairs],
+                               [t.width_mm for _, t in pairs]),
+    )
+
+
+def ref_evaluate_run(chosen, per_camera, truth):
+    rows = [ref_make_row(camera_id, ref_match_measurements(measurements, truth))
+            for camera_id, measurements in per_camera.items()]
+    rows.append(ref_make_row("fused", ref_match_measurements(chosen, truth)))
+    return EvalReport(rows)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FruitGaugeError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def views(draw, with_ids):
+    """(record objects of ``records.json``, truth): views of a few truth fruits
+    by the rig's cameras, each center near its fruit, a little or far off, so
+    that clusters may merge fruits and center matching may be ambiguous."""
+    truth = [GroundTruthRecord(f"fruit{i}", draw(st.floats(30, 50)), draw(st.floats(35, 55)),
+                               Point3(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3)),
+                                      draw(st.floats(0.4, 0.9))))
+             for i in range(draw(st.integers(1, 6)))]
+    records = []
+    for i in range(draw(st.integers(0, 16))):
+        fruit = draw(st.sampled_from(truth))
+        off = draw(st.sampled_from([0.002, 0.02, 0.2]))
+        records.append({
+            "frame_id": draw(st.sampled_from(["000", "001"])),
+            "camera_id": draw(st.sampled_from(ORDER)), "detection_index": i,
+            "class": "fully_ripened", "fruit_id": fruit.fruit_id if with_ids else None,
+            "height_mm": fruit.height_mm + draw(st.floats(-5, 5)),
+            "width_mm": fruit.width_mm + draw(st.floats(-5, 5)),
+            "median_depth_m": draw(st.floats(0.3, 1.0)),
+            "fill_ratio": draw(st.sampled_from([0.9, 0.95]) | st.floats(0, 1)),
+            "circle": {"cu": draw(st.floats(0, 640)), "cv": draw(st.floats(0, 480)),
+                       "r_px": draw(st.floats(5, 60))},
+            "bbox": [draw(st.integers(0, 600)), draw(st.integers(0, 440)), 40, 40],
+            "center_depth_m": draw(st.floats(0.3, 1.0)),
+            "radius_m": draw(st.sampled_from([0.01, 0.02, 0.05])),
+            "center_world_m": [c + draw(st.floats(-off, off)) for c in fruit.center_world],
+        })
+    return records, truth
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("tables")
+    write_rig(work / "rig.json", paper_rig())
+    return work
+
+
+@pytest.mark.parametrize("with_ids", [True, False], ids=["fruit-ids", "centers"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_table_pipeline_matches_the_row_references(work, with_ids, data):
+    """Read, deduplicate, fuse and evaluate as columns give the clusters,
+    chosen views, ``fused.json`` objects and report rows (or error) of the
+    row-by-row references."""
+    rows, truth = data.draw(views(with_ids))
+    dump_json({"records": rows, "warnings": []}, work / "records.json")
+    records, ref = read_records(work / "records.json"), ref_read(work / "records.json", "records")
+    assert records.to_dicts() == [r.to_dict() for r in ref] == rows
+
+    want = ref_deduplicate(ref, ORDER)
+    assert clusters(deduplicate(records, ORDER)) == want
+    fused = cmd_fuse(work / "records.json", work / "rig.json", work / "fused.json")
+    assert fused["fruits"] == [
+        {"center_world_m": list(center), "radius_m": radius, "n_views": len(members),
+         "chosen": ref[members[chosen]].to_dict(), "members": [ref[i].to_dict() for i in members]}
+        for members, chosen, center, radius in want]
+
+    chosen, ref_chosen = (read_fused_choices(work / "fused.json"),
+                          ref_read(work / "fused.json", "fruits"))
+    assert chosen.to_dicts() == [r.to_dict() for r in ref_chosen]
+    per_camera = {}
+    for r in ref:
+        per_camera.setdefault(r.camera_id, []).append(r)
+    got = outcome(evaluate_run, chosen, records, truth)
+    event(got[0].__name__ if type(got) is tuple else "report")
+    assert got == outcome(ref_evaluate_run, ref_chosen, per_camera, truth)

@@ -1,5 +1,8 @@
 import json
+import math
+import operator
 import re
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -7,14 +10,22 @@ import pytest
 from fruitgauge.errors import (
     BundleIOError,
     DegenerateCircle,
+    FruitGaugeError,
     InvalidDepth,
     InvalidPose,
     LengthMismatch,
 )
 from fruitgauge.evaluation import GroundTruthRecord
 from fruitgauge.fileio import (
+    _CIRCLE_TYPES,
+    _RECORD_TYPES,
+    _SIZE_FIELDS,
     Detection,
     DetectionFile,
+    RecordTable,
+    _object,
+    _value,
+    _values,
     dump_json,
     load_json,
     parsing,
@@ -42,6 +53,7 @@ from fruitgauge.geometry import (
     translation_transform,
 )
 from fruitgauge.maskops import BinaryMask
+from fruitgauge.sizing import FittedCircle
 
 
 class TestParsing:
@@ -301,26 +313,170 @@ RECORD = {
 SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_depth_m")
 
 
+class RefRecord(NamedTuple):
+    """One record as a row: how ``fileio`` held a record before its columns
+    became ``RecordTable``; the reference of the readers and of ``to_dicts``."""
+
+    frame_id: str
+    camera_id: str
+    detection_index: int
+    class_name: str
+    fruit_id: Optional[str]
+    height_mm: float
+    width_mm: float
+    median_depth_m: float
+    fill_ratio: float
+    circle: FittedCircle
+    bbox: Tuple[int, int, int, int]
+    center_depth_m: float
+    radius_m: float
+    center_world_m: Point3
+
+    def to_dict(self) -> dict:
+        (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
+         median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius_m, center_world_m) = self
+        return {
+            "frame_id": frame_id,
+            "camera_id": camera_id,
+            "detection_index": detection_index,
+            "class": class_name,
+            "fruit_id": fruit_id,
+            "height_mm": height_mm,
+            "width_mm": width_mm,
+            "median_depth_m": median_depth_m,
+            "fill_ratio": fill_ratio,
+            "circle": {"cu": circle.cu, "cv": circle.cv, "r_px": circle.r_px},
+            "bbox": list(bbox),
+            "center_depth_m": center_depth_m,
+            "radius_m": radius_m,
+            "center_world_m": list(center_world_m),
+        }
+
+
+_ref_fields = operator.itemgetter(*_RECORD_TYPES)
+_ref_circle_fields = operator.itemgetter(*_CIRCLE_TYPES)
+_REF_TYPE_SETS = tuple(map(frozenset, _RECORD_TYPES.values()))
+_REF_VALUE_TYPE_SETS = tuple(map(frozenset, (*_CIRCLE_TYPES.values(), *[(int,)] * 4,
+                                             *[(int, float)] * 3)))
+
+
+def ref_record(d: dict, center: list) -> RefRecord:
+    """The record with ``d``'s fields and ``center`` as its ``center_world_m``,
+    checked one record at a time. Raises ``KeyError`` or a malformed-value
+    error; callers enter ``parsing``."""
+    fields = _ref_fields(d)
+    if not all(map(frozenset.__contains__, _REF_TYPE_SETS, map(type, fields))):
+        for key, types in _RECORD_TYPES.items():
+            _value(d, key, types)
+    (frame_id, camera_id, detection_index, class_name, fruit_id, height_mm, width_mm,
+     median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius) = fields
+    cu, cv, r_px = _ref_circle_fields(circle)
+    if (type(center) is not list or len(bbox) != 4 or len(center) != 3
+            or not all(map(frozenset.__contains__, _REF_VALUE_TYPE_SETS,
+                           map(type, (cu, cv, r_px, *bbox, *center))))):
+        for key, types in _CIRCLE_TYPES.items():
+            _value(circle, key, types)
+        _values(d, "bbox", (4,), (int,))
+        _values({"center_world_m": center}, "center_world_m", (3,))
+    x, y, z = map(float, center)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"center_world_m must be finite, got {center!r}")
+    radius = float(radius)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius_m must be finite and positive, got {radius!r}")
+    sizes = (float(height_mm), float(width_mm), float(median_depth_m), float(fill_ratio),
+             float(center_depth_m))
+    height_mm, width_mm, median_depth_m, fill_ratio, center_depth_m = sizes
+    # The sum is finite if every term is; one that overflows is checked term by term.
+    if not math.isfinite(height_mm + width_mm + median_depth_m + fill_ratio + center_depth_m):
+        wrong = [f"{key}={value!r}" for key, value in zip(_SIZE_FIELDS, sizes)
+                 if not math.isfinite(value)]
+        if wrong:
+            raise ValueError(f"{', '.join(wrong)} must be finite")
+    return RefRecord(frame_id, camera_id, detection_index, class_name, fruit_id,
+                     height_mm, width_mm, median_depth_m, fill_ratio,
+                     FittedCircle(float(cu), float(cv), float(r_px)), tuple(bbox),
+                     center_depth_m, radius, Point3(x, y, z))
+
+
+def ref_read(path, key: str) -> list:
+    """``read_records`` (``key`` "records") or ``read_fused_choices`` ("fruits")
+    one record at a time, as ``RefRecord`` rows."""
+    doc = load_json(path)
+    with parsing(path):
+        entries = _value(_object(doc), key, (list,))
+    rows = []
+    for i, entry in enumerate(entries):
+        with parsing(f"record {path}#{key}[{i}]"):
+            if key == "records":
+                rows.append(ref_record(_object(entry, "record"), entry["center_world_m"]))
+            else:
+                rows.append(ref_record(_object(_object(entry, "fruit")["chosen"], "chosen"),
+                                       entry["center_world_m"]))
+    return rows
+
+
+def read_outcome(read, path):
+    """The objects a reader's records are written as, or its error's type and text."""
+    try:
+        got = read(path)
+    except FruitGaugeError as e:
+        return type(e), str(e)
+    return got.to_dicts() if isinstance(got, RecordTable) else [r.to_dict() for r in got]
+
+
 def read_record(tmp_path, d):
-    """The one record of a ``records.json`` in ``tmp_path`` that holds only ``d``."""
+    """The object written for the one record of a ``records.json`` in
+    ``tmp_path`` that holds only ``d``."""
     dump_json({"records": [d], "warnings": []}, tmp_path / "r.json")
-    (record,) = read_records(tmp_path / "r.json")
+    (record,) = read_records(tmp_path / "r.json").to_dicts()
     return record
 
 
 class TestRecords:
     def test_dict_roundtrip_keeps_keys_order_and_types(self, tmp_path):
-        back = read_record(tmp_path, RECORD).to_dict()
+        back = read_record(tmp_path, RECORD)
         assert json.dumps(back) == json.dumps(RECORD)
 
     def test_read_records(self, tmp_path):
         # a key no record field holds, such as the edge_margin_px of older files, is ignored
         dump_json({"records": [{**RECORD, "edge_margin_px": 210}], "warnings": []},
                   tmp_path / "records.json")
-        (record,) = read_records(tmp_path / "records.json")
-        assert record.class_name == "fully_ripened" and record.bbox == (290, 210, 61, 61)
-        assert record.center_world_m == Point3(0.01, -0.02, 0.62)
-        assert record.to_dict() == RECORD
+        table = read_records(tmp_path / "records.json")
+        assert len(table) == 1 and table.class_name == ["fully_ripened"]
+        assert table.bbox == [[290, 210, 61, 61]]
+        assert table.center_world_m.tolist() == [[0.01, -0.02, 0.62]]
+        assert table.circle.tolist() == [[320.5, 240.0, 30.0]]
+        assert table.to_dicts() == [RECORD]
+
+    def test_table_columns(self, tmp_path):
+        records = [{**RECORD, "detection_index": n, "radius_m": 0.01 + n / 1000}
+                   for n in range(5)]
+        dump_json({"records": records, "warnings": []}, tmp_path / "records.json")
+        table = read_records(tmp_path / "records.json")
+        assert len(table) == 5 and table.detection_index == list(range(5))
+        for name in ("height_mm", "width_mm", "median_depth_m", "fill_ratio",
+                     "center_depth_m", "radius_m"):
+            column = getattr(table, name)
+            assert column.dtype == np.float64 and column.shape == (5,)
+            assert column.tolist() == [r[name] for r in records]
+        assert table.circle.shape == table.center_world_m.shape == (5, 3)
+        assert table.to_dicts() == records
+
+    def test_empty_table(self, tmp_path):
+        dump_json({"records": [], "warnings": []}, tmp_path / "records.json")
+        for table in (read_records(tmp_path / "records.json"), RecordTable.concat([])):
+            assert len(table) == 0 and table.to_dicts() == []
+            assert table.circle.shape == table.center_world_m.shape == (0, 3)
+            assert table.radius_m.shape == (0,)
+
+    def test_concat_keeps_row_order(self, tmp_path):
+        records = [{**RECORD, "detection_index": n, "fill_ratio": n / 10} for n in range(4)]
+        tables = []
+        for part in (records[:1], [], records[1:]):
+            dump_json({"records": part, "warnings": []}, tmp_path / "records.json")
+            tables.append(read_records(tmp_path / "records.json"))
+        assert RecordTable.concat(tables).to_dicts() == records
 
     @pytest.mark.parametrize("field,value,named", [
         ("circle", "x", "circle"), ("circle", {"cu": 1.0, "cv": 1.0}, "r_px"),
@@ -347,9 +503,53 @@ class TestRecords:
         with pytest.raises(BundleIOError, match=f"r.json.*{field}"):
             read_record(tmp_path, {**RECORD, field: value})
 
+    @pytest.mark.parametrize("r_px", [0, 0.0, -1.5])
+    def test_circle_radius_not_positive_rejected(self, tmp_path, r_px):
+        with pytest.raises(BundleIOError, match=r"r.json#records\[0\]: invalid circle"):
+            read_record(tmp_path, {**RECORD, "circle": {**RECORD["circle"], "r_px": r_px}})
+
     def test_finite_sizes_whose_sum_overflows_accepted(self, tmp_path):
         record = read_record(tmp_path, {**RECORD, "height_mm": 1e308, "width_mm": 1e308})
-        assert (record.height_mm, record.width_mm) == (1e308, 1e308)
+        assert (record["height_mm"], record["width_mm"]) == (1e308, 1e308)
+
+    def test_int_in_a_float_field_is_read_and_written_as_a_float(self, tmp_path):
+        record = read_record(tmp_path, {**RECORD, "height_mm": 40, "circle": {
+            "cu": 320, "cv": 240, "r_px": 30}, "center_world_m": [0, 0, 1]})
+        assert '"height_mm": 40.0,' in json.dumps(record)
+        assert record["circle"] == {"cu": 320.0, "cv": 240.0, "r_px": 30.0}
+        assert type(record["center_world_m"][2]) is float
+
+    @pytest.mark.parametrize("big", [2**63, 2**70, -2**80, 10**400])
+    def test_bbox_int_past_int64_round_trips(self, tmp_path, big):
+        record = read_record(tmp_path, {**RECORD, "bbox": [big, 210, 61, big]})
+        assert record["bbox"] == [big, 210, 61, big]
+        assert json.dumps(record) == json.dumps({**RECORD, "bbox": [big, 210, 61, big]})
+
+    @pytest.mark.parametrize("field", ["height_mm", "radius_m", "center_world_m"])
+    def test_float_field_int_past_float_range_rejected(self, tmp_path, field):
+        value = [0, 10**400, 1] if field == "center_world_m" else 10**400
+        with pytest.raises(BundleIOError, match=r"r.json#records\[0\]: int too large"):
+            read_record(tmp_path, {**RECORD, field: value})
+
+    @pytest.mark.parametrize("damage", [
+        {"center_world_m": [float("nan"), 10**400, 0.6]},
+        {"height_mm": float("nan"), "width_mm": 10**400},
+        {"height_mm": float("inf"), "fill_ratio": float("nan")},
+        {"radius_m": 0.0, "height_mm": float("nan")},
+        {"circle": {"cu": float("nan"), "cv": 1.0, "r_px": 0}, "fill_ratio": float("nan")},
+        {"circle": {"cu": "1", "r_px": 1.0}},
+        {"bbox": [1, 2, 3, 4.0], "center_world_m": [0, 0]},
+        {"bbox": 5, "circle": [], "height_mm": None},
+    ], ids=["center-nan-then-huge", "size-nan-then-huge", "two-sizes", "radius-then-size",
+            "circle-then-size", "circle-mistyped-then-missing", "bbox-then-center",
+            "three-types"])
+    def test_record_with_several_faults_fails_as_the_row_reference(self, tmp_path, damage):
+        records = [RECORD, {**RECORD, **damage}, {**RECORD, "radius_m": -1.0}]
+        dump_json({"records": records, "warnings": []}, tmp_path / "records.json")
+        got = read_outcome(read_records, tmp_path / "records.json")
+        assert "#records[1]" in got[1]
+        assert got == read_outcome(lambda path: ref_read(path, "records"),
+                                   tmp_path / "records.json")
 
     @pytest.mark.parametrize("field", sorted(RECORD))
     def test_missing_field_rejected(self, tmp_path, field):
@@ -357,13 +557,6 @@ class TestRecords:
         del d[field]
         with pytest.raises(BundleIOError, match=field):
             read_record(tmp_path, d)
-
-    def test_records_are_immutable_and_hash_by_value(self, tmp_path):
-        a, b = read_record(tmp_path, RECORD), read_record(tmp_path, dict(RECORD))
-        with pytest.raises(AttributeError):
-            a.fill_ratio = 0.5
-        assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != read_record(tmp_path, {**RECORD, "detection_index": 3})
 
     @pytest.mark.parametrize("i", [0, 17, 49])
     @pytest.mark.parametrize("damage,message", [
@@ -380,6 +573,32 @@ class TestRecords:
         where = re.escape(f"{path}#records[{i}]")
         with pytest.raises(BundleIOError, match="^" + message.format(where=where)):
             read_records(path)
+
+    @pytest.mark.parametrize("bad", [(5, 7999), (7999,)], ids=["fifth-and-last", "last"])
+    def test_first_bad_record_of_8000_is_named(self, tmp_path, bad):
+        records = [{**RECORD, "detection_index": n} for n in range(8000)]
+        records[bad[0]]["height_mm"] = float("nan")
+        for i in bad[1:]:
+            records[i]["bbox"] = [1, 2, 3]
+        path = tmp_path / "records.json"
+        dump_json({"records": records, "warnings": []}, path)
+        where = re.escape(f"{path}#records[{bad[0]}]")
+        with pytest.raises(BundleIOError, match=f"^malformed record {where}: height_mm=nan"):
+            read_records(path)
+
+    @pytest.mark.parametrize("bad", [(5, 7999), (7999,)], ids=["fifth-and-last", "last"])
+    def test_first_bad_fruit_of_8000_is_named(self, tmp_path, bad):
+        fruits = [{"center_world_m": [0.0, 0.0, 0.5 + n / 10000], "radius_m": 0.0215,
+                   "n_views": 1, "chosen": {**RECORD, "detection_index": n},
+                   "members": [{**RECORD, "detection_index": n}]} for n in range(8000)]
+        fruits[bad[0]]["chosen"]["class"] = 3
+        for i in bad[1:]:
+            fruits[i]["center_world_m"] = [0.0, float("inf"), 0.6]
+        path = tmp_path / "fused.json"
+        dump_json({"fruits": fruits}, path)
+        where = re.escape(f"{path}#fruits[{bad[0]}]")
+        with pytest.raises(BundleIOError, match=f"^malformed record {where}: class must be str"):
+            read_fused_choices(path)
 
     @pytest.mark.parametrize("i", [0, 17, 49])
     @pytest.mark.parametrize("damage,message", [
@@ -403,8 +622,8 @@ class TestRecords:
         chosen = {k: v for k, v in RECORD.items() if k != "center_world_m"}
         dump_json({"fruits": [{"center_world_m": [0.1, 0.2, 0.7], "chosen": chosen}]},
                   tmp_path / "fused.json")
-        (record,) = read_fused_choices(tmp_path / "fused.json")
-        assert record == read_record(tmp_path, {**RECORD, "center_world_m": [0.1, 0.2, 0.7]})
+        assert read_fused_choices(tmp_path / "fused.json").to_dicts() == \
+            [read_record(tmp_path, {**RECORD, "center_world_m": [0.1, 0.2, 0.7]})]
 
     def test_file_without_records_list_rejected(self, tmp_path):
         dump_json([RECORD], tmp_path / "records.json")

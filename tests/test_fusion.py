@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fruitgauge.errors import InvalidDepth
+from fruitgauge import fusion
+from fruitgauge.fileio import RecordTable
 from fruitgauge.fusion import deduplicate, estimate_metric_radius, localize
 from fruitgauge.geometry import (
     CameraIntrinsics,
@@ -40,6 +42,48 @@ def det(x, y, z, r=0.023, fill=0.9, cam="middle", frame="000", index=0):
     return FakeMeas(fill, cam, frame, index, Point3(x, y, z), r)
 
 
+def table(records) -> RecordTable:
+    """The record table of ``records``' attributes; the fields fusion does not
+    read hold placeholder values."""
+    n = len(records)
+    return RecordTable([m.frame_id for m in records], [m.camera_id for m in records],
+                       [m.detection_index for m in records], ["fruit"] * n, [None] * n,
+                       *[np.full(n, 40.0)] * 3, np.array([m.fill_ratio for m in records]),
+                       np.full((n, 3), 10.0), [[0, 0, 1, 1]] * n, np.full(n, 0.6),
+                       np.array([m.radius_m for m in records], dtype=float),
+                       np.array([m.center_world_m for m in records], dtype=float).reshape(n, 3))
+
+
+def ref_deduplicate(records, camera_order):
+    """``deduplicate`` as it was before records became columns: the cluster
+    bookkeeping over per-record attribute reads, each cluster as (member
+    indices, chosen, center, radius)."""
+    n = len(records)
+    if n == 0:
+        return []
+    centers = np.array([c for r in records for c in r.center_world_m], dtype=float).reshape(n, 3)
+    radii = np.array([r.radius_m for r in records], dtype=float)
+    label = fusion._components(n, *fusion._matching_pairs(centers, radii))
+    by_cluster = np.argsort(label, kind="stable")
+    _, starts, sizes = np.unique(label[by_cluster], return_index=True, return_counts=True)
+    rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
+    keys = [(-m.fill_ratio, rank[m.camera_id], m.frame_id, m.detection_index) for m in records]
+    fruits = [None] * len(starts)
+    for k in np.unique(sizes).tolist():
+        of_size = np.flatnonzero(sizes == k)
+        members = by_cluster[starts[of_size, None] + np.arange(k)]
+        means = centers[members].mean(axis=1).tolist()
+        mean_radii = radii[members].mean(axis=1).tolist()
+        for c, idx, center, radius in zip(of_size.tolist(), members.tolist(), means, mean_radii):
+            chosen = min(range(k), key=[keys[i] for i in idx].__getitem__)
+            fruits[c] = (idx, chosen, Point3._make(center), radius)
+    return fruits
+
+
+def clusters(fruits):
+    return [(f.members, f.chosen, f.center_world, f.radius_m) for f in fruits]
+
+
 def ref_select_best(members, camera_order):
     """The view a cluster reports, written out: the first member whose fill
     ratio no other member's beats, then the earliest camera in
@@ -61,7 +105,7 @@ def ref_select_best(members, camera_order):
 def chosen_view(members, camera_order=ORDER):
     """The index of the view that ``deduplicate`` reports for co-located
     ``members``, which form one cluster."""
-    fruit, = deduplicate(members, camera_order)
+    fruit, = deduplicate(table(members), camera_order)
     return fruit.chosen
 
 
@@ -114,24 +158,24 @@ class TestLocalize:
 
 class TestDeduplicate:
     def test_close_pair_merges(self):
-        fruits = deduplicate([det(0, 0, 0.6), det(0.010, 0, 0.6)], ORDER)
-        assert len(fruits) == 1 and len(fruits[0].members) == 2
+        fruits = deduplicate(table([det(0, 0, 0.6), det(0.010, 0, 0.6)]), ORDER)
+        assert len(fruits) == 1 and fruits[0].members == [0, 1]
 
     def test_far_pair_stays_apart(self):
-        fruits = deduplicate([det(0, 0, 0.6), det(0.100, 0, 0.6)], ORDER)
-        assert len(fruits) == 2
+        fruits = deduplicate(table([det(0, 0, 0.6), det(0.100, 0, 0.6)]), ORDER)
+        assert [f.members for f in fruits] == [[0], [1]]
 
     def test_chain_merges_transitively(self):
         # a-b and b-c within radius, a-c not: one cluster of three
-        fruits = deduplicate([det(0, 0, 0.6), det(0.020, 0, 0.6), det(0.040, 0, 0.6)],
+        fruits = deduplicate(table([det(0, 0, 0.6), det(0.020, 0, 0.6), det(0.040, 0, 0.6)]),
                              ORDER)
         assert len(fruits) == 1 and len(fruits[0].members) == 3
 
     def test_empty_input(self):
-        assert deduplicate([], ORDER) == []
+        assert deduplicate(table([]), ORDER) == []
 
     def test_cluster_center_and_radius_are_means(self):
-        fruits = deduplicate([det(0, 0, 0.6, r=0.020), det(0.01, 0, 0.6, r=0.030)], ORDER)
+        fruits = deduplicate(table([det(0, 0, 0.6, r=0.020), det(0.01, 0, 0.6, r=0.030)]), ORDER)
         f = fruits[0]
         assert f.center_world.x == pytest.approx(0.005)
         assert f.radius_m == pytest.approx(0.025)
@@ -139,13 +183,13 @@ class TestDeduplicate:
     def test_permutation_invariance(self, rng):
         base = [det(*rng.uniform(-0.3, 0.3, size=2), 0.6 + rng.uniform(-0.05, 0.05),
                     r=rng.uniform(0.015, 0.03), index=i) for i in range(20)]
-        reference = {frozenset(m.detection_index for m in f.members)
-                     for f in deduplicate(base, ORDER)}
+        reference = {frozenset(base[i].detection_index for i in f.members)
+                     for f in deduplicate(table(base), ORDER)}
         for _ in range(10):
             perm = list(base)
             rng.shuffle(perm)
-            got = {frozenset(m.detection_index for m in f.members)
-                   for f in deduplicate(perm, ORDER)}
+            got = {frozenset(perm[i].detection_index for i in f.members)
+                   for f in deduplicate(table(perm), ORDER)}
             assert got == reference
 
     def test_cluster_count_monotone_in_radius(self, rng):
@@ -154,12 +198,12 @@ class TestDeduplicate:
         counts = []
         for scale in (1, 5, 20, 60, 200):
             scaled = [replace(p, radius_m=p.radius_m * scale) for p in pts]
-            counts.append(len(deduplicate(scaled, ORDER)))
+            counts.append(len(deduplicate(table(scaled), ORDER)))
         assert counts == sorted(counts, reverse=True)
 
     def test_larger_radius_decides_a_match(self):
         pair = [det(0, 0, 0.6, r=0.005), det(0.010, 0, 0.6, r=0.030)]
-        assert len(deduplicate(pair, ORDER)) == 1
+        assert len(deduplicate(table(pair), ORDER)) == 1
 
 
 class TestSelectBest:
@@ -183,11 +227,12 @@ class TestSelectBest:
         assert chosen_view(members) == 2
 
     def test_chosen_attribute_on_clusters(self):
-        fruits = deduplicate([det(0, 0, 0.6, fill=0.73, cam="top"),
-                              det(0.005, 0, 0.6, fill=0.94, cam="bottom", index=1)], ORDER)
-        chosen = fruits[0].members[fruits[0].chosen]
+        records = [det(0, 0, 0.6, fill=0.73, cam="top"),
+                   det(0.005, 0, 0.6, fill=0.94, cam="bottom", index=1)]
+        fruits = deduplicate(table(records), ORDER)
+        chosen = records[fruits[0].members[fruits[0].chosen]]
         assert chosen.fill_ratio == 0.94
-        assert all(chosen.fill_ratio >= m.fill_ratio for m in fruits[0].members)
+        assert all(chosen.fill_ratio >= records[i].fill_ratio for i in fruits[0].members)
 
     @pytest.mark.parametrize("fills", [(0.5, float("nan"), 0.9), (float("nan"), 0.5, 0.9),
                                        (0.9, 0.5, float("nan"))])
@@ -197,8 +242,9 @@ class TestSelectBest:
         # with the far second fruit, can differ from it
         views = [det(0, 0, 0.6 + i / 1000, fill=f, cam=cam, index=i)
                  for i, (f, cam) in enumerate(zip(fills, ORDER))]
-        fruit, _ = deduplicate(views + [det(1, 1, 1, fill=0.7, index=3)], ORDER)
-        assert fruit.chosen == ref_select_best(fruit.members, ORDER)
+        records = views + [det(1, 1, 1, fill=0.7, index=3)]
+        fruit, _ = deduplicate(table(records), ORDER)
+        assert fruit.chosen == ref_select_best([records[i] for i in fruit.members], ORDER)
 
 
 def all_pairs_dedup(records):
@@ -276,9 +322,9 @@ def record_rows(draw):
 def test_grid_dedup_matches_all_pairs_reference(rows):
     records = [det(x, y, z, r=r, fill=0.5 + (i % 7) / 20, cam=ORDER[i % 3], index=i)
                for i, (x, y, z, r) in enumerate(rows)]
-    got = [([m.detection_index for m in f.members], f.chosen, f.center_world, f.radius_m)
-           for f in deduplicate(records, ORDER)]
+    got = clusters(deduplicate(table(records), ORDER))
     assert got == all_pairs_dedup(records)
+    assert got == ref_deduplicate(records, ORDER)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -292,5 +338,5 @@ def test_pair_one_radius_apart_across_a_cell_boundary_merges(axis, start, r):
     a, b = [0.25, -0.5, 0.75], [0.25, -0.5, 0.75]
     a[axis], b[axis] = start, start + r
     assert np.linalg.norm(np.subtract([b], [a]), axis=1)[0] == r
-    fruits = deduplicate([det(*a, r=r), det(*b, r=r / 4, index=1)], ORDER)
-    assert [len(f.members) for f in fruits] == [2]
+    fruits = deduplicate(table([det(*a, r=r), det(*b, r=r / 4, index=1)]), ORDER)
+    assert [f.members for f in fruits] == [[0, 1]]

@@ -50,7 +50,7 @@ from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
 
 from conftest import scene_to_dict
-from test_fileio import RECORD
+from test_fileio import RECORD, read_outcome, ref_read
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -189,6 +189,24 @@ def test_read_fused_choices(work, data):
     only_fruitgauge_errors(read_fused_choices, work / "fused.json")
 
 
+@FUZZ
+@given(st.data())
+def test_read_records_matches_the_row_reference(work, data):
+    """The column reader accepts what the row reference accepts, with the same
+    values, and otherwise fails with its error, naming the same entry and field."""
+    dump_json(data.draw(damaged(RECORDS)), work / "records.json")
+    assert read_outcome(read_records, work / "records.json") == \
+        read_outcome(lambda path: ref_read(path, "records"), work / "records.json")
+
+
+@FUZZ
+@given(st.data())
+def test_read_fused_choices_matches_the_row_reference(work, data):
+    dump_json(data.draw(damaged(FUSED)), work / "fused.json")
+    assert read_outcome(read_fused_choices, work / "fused.json") == \
+        read_outcome(lambda path: ref_read(path, "fruits"), work / "fused.json")
+
+
 SCENE = scene_to_dict(SceneSpec(
     fruits=[FruitSpec("fruit00", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02]))],
     occluders=[QuadOccluder(np.array([[0, 0, 0.3], [0.01, 0, 0.3], [0.01, 0.01, 0.3],
@@ -227,9 +245,9 @@ def test_undamaged_documents_parse(work, detections_doc, rig_doc):
     assert len(read_detections(work / "valid_detections.json").detections) == 2
     assert len(read_rig(work / "rig" / "valid.json")) == 2
     dump_json(RECORDS, work / "valid_records.json")
-    assert [r.to_dict() for r in read_records(work / "valid_records.json")] == RECORDS["records"]
+    assert read_records(work / "valid_records.json").to_dicts() == RECORDS["records"]
     dump_json(FUSED, work / "valid_fused.json")
-    assert [r.to_dict() for r in read_fused_choices(work / "valid_fused.json")] == [RECORD]
+    assert read_fused_choices(work / "valid_fused.json").to_dicts() == [RECORD]
     assert scene_to_dict(scene_from_dict(SCENE)) == SCENE
     dump_json(POSES, work / "valid_poses.json")
     assert read_board_poses(work / "valid_poses.json")[0] == "middle"

@@ -19,7 +19,7 @@ from fruitgauge.errors import (
     OutOfBounds,
     ZeroArea,
 )
-from fruitgauge.fileio import Detection, DetectionFile, Record
+from fruitgauge.fileio import Detection, DetectionFile
 from fruitgauge.geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -165,9 +165,10 @@ def ref_check_detection(det: Detection, depth: DepthImage, k: CameraIntrinsics) 
 
 
 def ref_measure_detection(det: Detection, index: int, frame_id: str, depth: DepthImage,
-                          cam: RigCamera) -> Record:
-    """One detection's record, from the reference chain: checks, measurement,
-    front depth, metric radius and localization; raises its rejection."""
+                          cam: RigCamera) -> dict:
+    """One detection's ``records.json`` object, from the reference chain:
+    checks, measurement, front depth, metric radius and localization; raises
+    its rejection."""
     k = cam.intrinsics
     ref_check_detection(det, depth, k)
     x, y, w, h = det.bbox
@@ -180,10 +181,13 @@ def ref_measure_detection(det: Detection, index: int, frame_id: str, depth: Dept
     p = deproject(k, center_px, front_depth).to_array()
     norm = float(np.linalg.norm(p))
     p = p * (norm + radius_m) / norm
-    return Record(frame_id, cam.camera_id, index, det.class_name, det.fruit_id,
-                  m.height_mm, m.width_mm, m.median_depth_m, m.fill_ratio, m.circle,
-                  tuple(det.bbox), front_depth, radius_m,
-                  apply(cam.cam_to_world, Point3.from_array(p)))
+    return {"frame_id": frame_id, "camera_id": cam.camera_id, "detection_index": index,
+            "class": det.class_name, "fruit_id": det.fruit_id, "height_mm": m.height_mm,
+            "width_mm": m.width_mm, "median_depth_m": m.median_depth_m,
+            "fill_ratio": m.fill_ratio, "circle": vars(m.circle),
+            "bbox": [int(b) for b in det.bbox], "center_depth_m": front_depth,
+            "radius_m": radius_m,
+            "center_world_m": list(apply(cam.cam_to_world, Point3.from_array(p)))}
 
 
 def outcome(fn, *args):
@@ -558,9 +562,12 @@ class TestBatchedKernel:
                 want_records.append(want)
         assert warnings == want_warnings
         assert len(records) == len(want_records)
-        for got, want in zip(records, want_records):
-            assert got._replace(circle=None, radius_m=None, center_world_m=None) == \
-                want._replace(circle=None, radius_m=None, center_world_m=None)
-            assert same_circle(got.circle, want.circle) and close(got.radius_m, want.radius_m)
-            assert distance(got.center_world_m, want.center_world_m) \
-                <= 1e-12 * np.linalg.norm(want.center_world_m)
+        inexact = ("circle", "radius_m", "center_world_m")
+        for got, want in zip(records.to_dicts(), want_records):
+            assert {key: got[key] for key in got if key not in inexact} == \
+                {key: want[key] for key in want if key not in inexact}
+            assert list(got) == list(want)
+            assert same_circle(FittedCircle(**got["circle"]), FittedCircle(**want["circle"]))
+            assert close(got["radius_m"], want["radius_m"])
+            assert distance(got["center_world_m"], want["center_world_m"]) \
+                <= 1e-12 * np.linalg.norm(want["center_world_m"])
