@@ -11,7 +11,6 @@ from .geometry import (
     align_depth_to_color,
     apply,
     compose,
-    deproject,
     invert,
     project,
     solve_camera_chain,

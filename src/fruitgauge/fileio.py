@@ -173,11 +173,12 @@ def dump_json(obj, path: Path) -> None:
     """One line of JSON plus a newline, keys in insertion order.
 
     No ``indent``: it makes CPython's ``json`` fall back from its C encoder
-    to the pure-Python one, several times slower on large documents.
+    to the pure-Python one, several times slower on large documents. No
+    circular check: the package writes only trees it builds itself.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj) + "\n")
+    path.write_text(json.dumps(obj, check_circular=False) + "\n")
 
 
 def load_json(path: Path):

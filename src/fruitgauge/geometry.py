@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BehindCamera, InvalidDepth, InvalidPose, OutOfBounds
+from .errors import BehindCamera, InvalidDepth, InvalidPose
 
 ORTHONORMAL_TOL = 1e-6     # accepted on ingest
 DRIFT_REPAIR_TOL = 1e-9    # re-orthonormalize composition results beyond this
@@ -263,23 +263,24 @@ def ray_to_pixel(k: CameraIntrinsics, xn, yn):
     return k.fx * xn + k.ppx, k.fy * yn + k.ppy
 
 
+# Alignment and the render's depth tail run over blocks of whole rows of about
+# this many pixels, so that their per-sample temporaries stay cache-sized.
+BLOCK_PIXELS = 1 << 16
+
+
+def row_blocks(height: int, width: int) -> List[slice]:
+    """Top to bottom, a frame's blocks of as many rows as fit in ``BLOCK_PIXELS``, or one."""
+    rows = max(1, BLOCK_PIXELS // max(1, width))
+    return [slice(v0, v0 + rows) for v0 in range(0, height, rows)]
+
+
 def depth_units(z_m, depth_scale: float):
-    """Metric depth -> uint16 depth samples: round half up, clip to 0..65535."""
+    """Metric depth -> uint16 depth samples: round half up, clip to 0..65535;
+    the cast truncates the clipped value, which is not negative: its floor."""
     q = np.asarray(np.divide(z_m, depth_scale))
     q += 0.5
-    np.floor(q, out=q)
     np.clip(q, 0, 65535, out=q)
     return q.astype(np.uint16)
-
-
-def deproject(k: CameraIntrinsics, px: Pixel, depth_m: float) -> Point3:
-    """Pixel + metric depth -> camera-frame 3D point."""
-    if depth_m <= 0:
-        raise InvalidDepth(f"depth must be positive, got {depth_m}")
-    if not (0 <= px.u <= k.width - 1 and 0 <= px.v <= k.height - 1):
-        raise OutOfBounds(f"pixel ({px.u},{px.v}) outside {k.width}x{k.height}")
-    xn, yn = pixel_to_ray(k, px.u, px.v)
-    return Point3(float(xn) * depth_m, float(yn) * depth_m, depth_m)
 
 
 def project(k: CameraIntrinsics, p: Point3) -> Pixel:
@@ -287,6 +288,48 @@ def project(k: CameraIntrinsics, p: Point3) -> Pixel:
     if p.z <= 0:
         raise BehindCamera(f"cannot project point with z={p.z}")
     return Pixel(*ray_to_pixel(k, p.x / p.z, p.y / p.z))
+
+
+def _color_samples(depth: DepthImage, rows: slice, depth_k: CameraIntrinsics,
+                   color_k: CameraIntrinsics, depth_to_color: RigidTransform):
+    """The flat color pixel and the sample of each valid sample of a block of
+    depth rows that lands inside the color frame nonzero."""
+    # One flat array per coordinate: numpy runs much slower over the short
+    # rows of an (n, 3) array. Coordinate arrays are freed once used, and
+    # fresh ones are updated in place.
+    block = depth.data[rows]
+    valid = np.flatnonzero(block != 0)
+    z = block.ravel().take(valid) * depth.depth_scale
+    # the samples come row by row: each row's count, not a division per sample
+    starts = np.searchsorted(valid, np.arange(len(block) + 1) * depth.width)
+    vv = np.repeat(np.arange(len(block)), np.diff(starts))
+    uu = valid - vv * depth.width
+    del valid
+    vv += rows.start
+    x, y = pixel_to_ray(depth_k, uu, vv)
+    del uu, vv
+    x *= z
+    y *= z
+    px, py, pz = (x * r0 + y * r1 + z * r2 + t for (r0, r1, r2), t in
+                  zip(depth_to_color.rotation.tolist(), depth_to_color.translation.tolist()))
+    del x, y, z
+
+    front = pz > 0
+    if not front.all():
+        px, py, pz = px[front], py[front], pz[front]
+    px /= pz
+    py /= pz
+    u, v = ray_to_pixel(color_k, px, py)
+    del px, py
+    u += 0.5
+    v += 0.5
+    uo = np.floor(u, out=u).astype(np.int64)
+    vo = np.floor(v, out=v).astype(np.int64)
+    samples = depth_units(pz, depth.depth_scale)
+    # as unsigned, a negative pixel index lies past the frame's far edge
+    keep = ((uo.view(np.uint64) < color_k.width) & (vo.view(np.uint64) < color_k.height)
+            & (samples > 0))
+    return vo[keep] * color_k.width + uo[keep], samples[keep]
 
 
 def align_depth_to_color(
@@ -299,54 +342,22 @@ def align_depth_to_color(
 
     Every valid sample is deprojected, moved into the color frame and
     re-projected; collisions keep the nearest sample and uncovered output
-    pixels stay 0.
+    pixels stay 0. The samples go through in blocks of ``BLOCK_PIXELS``
+    depth pixels, whole rows each, and every block is z-buffered into the
+    one output frame: nearest wins is a minimum, whatever the block order.
     """
-    # One flat array per coordinate: numpy runs much slower over the short
-    # rows of an (n, 3) array. Large arrays are freed as soon as they are
-    # used, and fresh ones are updated in place.
-    valid = np.flatnonzero(depth.data != 0)
-    z = depth.data.ravel()[valid] * depth.depth_scale
-    # the samples come row by row: each row's count, not a division per sample
-    starts = np.searchsorted(valid, np.arange(depth.height + 1) * depth.width)
-    vv = np.repeat(np.arange(depth.height), np.diff(starts))
-    uu = valid - vv * depth.width
-    del valid
-    x, y = pixel_to_ray(depth_k, uu, vv)
-    del uu, vv
-    x *= z
-    y *= z
-    px, py, pz = (x * r0 + y * r1 + z * r2 + t for (r0, r1, r2), t in
-                  zip(depth_to_color.rotation.tolist(), depth_to_color.translation.tolist()))
-    del x, y, z
-
-    front = pz > 0
-    if not front.all():
-        px, py, pz = px[front], py[front], pz[front]
-    del front
-    px /= pz
-    py /= pz
-    u, v = ray_to_pixel(color_k, px, py)
-    del px, py
-    u += 0.5
-    uo = np.floor(u, out=u).astype(np.int64)
-    del u
-    v += 0.5
-    vo = np.floor(v, out=v).astype(np.int64)
-    del v
-    height, width = color_k.height, color_k.width
-    samples = depth_units(pz, depth.depth_scale)
-    del pz
-    # as unsigned, a negative pixel index lies past the frame's far edge
-    keep = (uo.view(np.uint64) < width) & (vo.view(np.uint64) < height) & (samples > 0)
-    flat = vo[keep] * width + uo[keep]
-    del uo, vo
-    samples = samples[keep]
-    del keep
-
-    # z-buffer, nearest wins: a plain scatter lands one sample per pixel, and
-    # only the samples nearer than the one that landed are reduced into it
-    out = np.zeros(height * width, dtype=np.uint16)
-    out[flat] = samples
-    nearer = samples < out[flat]
-    np.minimum.at(out, flat[nearer], samples[nearer])
-    return DepthImage(out.reshape(height, width), depth.depth_scale)
+    out = np.zeros(color_k.height * color_k.width, dtype=np.uint16)
+    for rows in row_blocks(depth.height, depth.width):
+        flat, samples = _color_samples(depth, rows, depth_k, color_k, depth_to_color)
+        # z-buffer, nearest wins: a plain scatter of the samples that beat an
+        # empty or farther pixel lands one per pixel, and only the samples
+        # nearer than the one that landed are reduced into it
+        landed = out.take(flat)
+        beats = (landed == 0) | (samples < landed)
+        if not beats.all():
+            flat, samples = flat[beats], samples[beats]
+        out[flat] = samples
+        nearer = samples < out[flat]
+        np.minimum.at(out, flat[nearer], samples[nearer])
+        del flat, samples, landed, beats, nearer
+    return DepthImage(out.reshape(color_k.height, color_k.width), depth.depth_scale)

@@ -12,10 +12,11 @@ leaf's corners. The renderer models no lens distortion, so the ray through
 pixel (x, y) has the world direction R (x, y, 1), with x depending on the
 column only and y on the row only. Every term of a hit test is then a
 linear or quadratic form in (x, y, 1): a window's tests are broadcasts of
-its row of xs and column of ys, and no per-pixel direction is built. Each
-frame's hit samples are quantized and noised in one pass over them. Depth
-noise draws one normal per nonzero depth sample: the k-th nonzero sample in
-row-major order takes the k-th normal of the camera's stream.
+its row of xs and column of ys, and no per-pixel direction is built. The
+hit samples are quantized, noised and written into the frame one block of
+rows at a time (``geometry.BLOCK_PIXELS``), top to bottom. Depth noise
+draws one normal per nonzero depth sample from the camera's one generator:
+the k-th nonzero sample in row-major order takes the k-th normal.
 
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
@@ -44,6 +45,7 @@ from .geometry import (
     invert,
     pixel_to_ray,
     ray_to_pixel,
+    row_blocks,
 )
 from .maskops import BinaryMask
 
@@ -321,11 +323,10 @@ def _windows(fruits: Sequence[FruitSpec], occluders: Sequence[QuadOccluder],
             for reach, show, box in zip(reaches.tolist(), shown.tolist(), boxes)]
 
 
-def _render_camera(cam: RigCamera, spec: SceneSpec
-                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, BinaryMask]]:
-    """Ray-cast one camera: which pixels' rays hit an object, the depth units
-    of those hits in row-major order, and the masks of the fruits that win
-    a pixel."""
+def _render_camera(cam: RigCamera, spec: SceneSpec, noise: Optional[np.random.Generator]
+                   ) -> Tuple[np.ndarray, Dict[str, BinaryMask]]:
+    """Ray-cast one camera: its depth samples, noised from ``noise`` unless
+    that is None, and the masks of the fruits that win a pixel."""
     k = cam.intrinsics
     world_to_cam = invert(cam.cam_to_world)
     origin = cam.cam_to_world.translation.tolist()
@@ -355,8 +356,14 @@ def _render_camera(cam: RigCamera, spec: SceneSpec
         np.copyto(region_t, t, where=better)
         np.copyto(winner[v0:v1 + 1, u0:u1 + 1], idx, where=better)
 
-    hit = winner >= 0
-    units = depth_units(best_t[hit], spec.depth_scale)
+    # row-major blocks, so the k-th nonzero sample still takes the k-th normal
+    data = np.zeros((k.height, k.width), dtype=np.uint16)
+    for rows in row_blocks(k.height, k.width):
+        hit = winner[rows] >= 0
+        units = depth_units(best_t[rows][hit], spec.depth_scale)
+        if noise is not None:
+            units = _noisy_units(units, spec.depth_scale, spec.noise.sigma_at_1m, noise)
+        data[rows][hit] = units
 
     # a fruit can only win pixels inside its own window
     masks: Dict[str, BinaryMask] = {}
@@ -367,17 +374,17 @@ def _render_camera(cam: RigCamera, spec: SceneSpec
         m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
         if not m.is_empty():
             masks[fruit.fruit_id] = m
-    return hit, units, masks
+    return data, masks
 
 
 def _noisy_units(units: np.ndarray, depth_scale: float, sigma_at_1m: float,
-                 seed: int) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Depth units plus zero-mean Gaussian noise of sigma(z) = sigma_at_1m * z^2,
     re-quantized. Zero units stay zero and take no draw: the k-th nonzero
-    unit takes the k-th normal of ``default_rng(seed)``."""
+    unit takes the next normal of ``rng``."""
     valid = None if units.all() else np.flatnonzero(units)
     z = (units if valid is None else units[valid]) * depth_scale
-    noise = np.random.default_rng(seed).standard_normal(z.size)
+    noise = rng.standard_normal(z.size)
     noise *= sigma_at_1m
     noise *= z
     noise *= z
@@ -396,16 +403,11 @@ def _camera_noise_seed(scene_seed: int, camera_index: int) -> int:
 def render_scene(spec: SceneSpec) -> CaptureBundle:
     """Deterministic render of all cameras: depth, per-fruit masks, truth."""
     captures = []
-    sigma = spec.noise.sigma_at_1m
     for ci, cam in enumerate(spec.rig):
-        hit, units, masks = _render_camera(cam, spec)
-        if sigma > 0:
-            units = _noisy_units(units, spec.depth_scale, sigma,
-                                 _camera_noise_seed(spec.seed, ci))
-        data = np.zeros(hit.shape, dtype=np.uint16)
-        data[hit] = units
-        depth = DepthImage(data, spec.depth_scale)
-        captures.append(CameraCapture(cam, depth, masks))
+        noise = (np.random.default_rng(_camera_noise_seed(spec.seed, ci))
+                 if spec.noise.sigma_at_1m > 0 else None)
+        data, masks = _render_camera(cam, spec, noise)
+        captures.append(CameraCapture(cam, DepthImage(data, spec.depth_scale), masks))
     return CaptureBundle(captures, spec.ground_truth())
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fruitgauge.errors import InvalidPose
+from fruitgauge.errors import InvalidDepth, InvalidPose, OutOfBounds
 from fruitgauge.fileio import intrinsics_to_dict, transform_to_dict
-from fruitgauge.geometry import RigidTransform
+from fruitgauge.geometry import CameraIntrinsics, Pixel, Point3, RigidTransform, pixel_to_ray
 from fruitgauge.simulate import SceneSpec
 
 
@@ -34,6 +34,18 @@ def rotation_about(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> Rigid
     k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
     r = np.eye(3) + np.sin(angle_rad) * k + (1 - np.cos(angle_rad)) * (k @ k)
     return RigidTransform(r, np.asarray(translation, dtype=float))
+
+
+def deproject(k: CameraIntrinsics, px: Pixel, depth_m: float) -> Point3:
+    """Pixel + metric depth -> camera-frame 3D point, one at a time: the
+    reference for the package's array deprojection in ``align_depth_to_color``
+    and ``fusion.localize``, with the rejections the sizing reference expects."""
+    if depth_m <= 0:
+        raise InvalidDepth(f"depth must be positive, got {depth_m}")
+    if not (0 <= px.u <= k.width - 1 and 0 <= px.v <= k.height - 1):
+        raise OutOfBounds(f"pixel ({px.u},{px.v}) outside {k.width}x{k.height}")
+    xn, yn = pixel_to_ray(k, px.u, px.v)
+    return Point3(float(xn) * depth_m, float(yn) * depth_m, depth_m)
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:

@@ -15,12 +15,11 @@ from fruitgauge.geometry import (
     Point3,
     RigidTransform,
     apply,
-    deproject,
     translation_transform,
 )
 from fruitgauge.sizing import FittedCircle
 
-from conftest import random_rigid
+from conftest import deproject, random_rigid
 
 K500 = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
 ORDER = ("top", "middle", "bottom")  # the rig's camera order

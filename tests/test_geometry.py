@@ -6,6 +6,7 @@ import pytest
 
 import fruitgauge
 
+from fruitgauge import geometry
 from fruitgauge.errors import BehindCamera, InvalidDepth, InvalidPose, OutOfBounds
 from fruitgauge.geometry import (
     CameraIntrinsics,
@@ -16,7 +17,6 @@ from fruitgauge.geometry import (
     align_depth_to_color,
     apply,
     compose,
-    deproject,
     depth_units,
     distance,
     invert,
@@ -28,7 +28,7 @@ from fruitgauge.geometry import (
 )
 from fruitgauge.simulate import FruitSpec, QuadOccluder
 
-from conftest import random_rigid, rotation_about
+from conftest import deproject, random_rigid, rotation_about
 
 
 def assert_transforms_close(a: RigidTransform, b: RigidTransform, tol: float):
@@ -238,6 +238,19 @@ def test_depth_units(z_m, scale, expected):
     assert int(depth_units(z_m, scale)) == expected
 
 
+@pytest.mark.parametrize("scale", [0.001, 0.25])
+def test_depth_units_matches_the_four_step_formula(scale):
+    # divide, add a half, floor, clip, then cast: on every half-unit boundary
+    # from -3 to 66000 units and the floats either side of it, on random
+    # depths and at +-inf
+    edges = np.arange(-6, 132001) / 2 * scale
+    z = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        np.random.default_rng(8).uniform(-3, 66000, 10**6) * scale,
+                        [-np.inf, np.inf]])
+    expected = np.clip(np.floor(z / scale + 0.5), 0, 65535).astype(np.uint16)
+    assert np.array_equal(depth_units(z, scale), expected)
+
+
 def test_only_geometry_and_fileio_read_the_camera_model():
     # Principal point and distortion are read by the camera model in
     # geometry (and serialized by fileio); every other module goes through
@@ -251,30 +264,50 @@ def test_only_geometry_and_fileio_read_the_camera_model():
         sorted(r for r in readers if not r.startswith(("geometry.py", "fileio.py")))
 
 
-def reference_align(depth, depth_k, color_k, depth_to_color):
-    """Alignment on an (n, 3) point array, as the package did it before it
-    moved to one array per coordinate; kept as the reference."""
+def reference_landings(depth, depth_k, color_k, depth_to_color):
+    """The depth row, color pixel (v, u) and sample of every depth sample that
+    lands inside the color frame nonzero, on an (n, 3) point array as the
+    package did it before it moved to one array per coordinate."""
     vv, uu = np.nonzero(depth.data)
-    out = np.zeros((color_k.height, color_k.width), dtype=np.uint16)
-    if len(uu) == 0:
-        return out
     z = depth.data[vv, uu].astype(float) * depth.depth_scale
     xn, yn = pixel_to_ray(depth_k, uu, vv)
     pts = (np.column_stack([xn * z, yn * z, z]) @ depth_to_color.rotation.T
            + depth_to_color.translation)
-    pts = pts[pts[:, 2] > 0]
-    if len(pts) == 0:
-        return out
+    front = pts[:, 2] > 0
+    vv, pts = vv[front], pts[front]
     u, v = ray_to_pixel(color_k, pts[:, 0] / pts[:, 2], pts[:, 1] / pts[:, 2])
     uo = np.floor(u + 0.5).astype(int)
     vo = np.floor(v + 0.5).astype(int)
-    inside = (uo >= 0) & (uo < color_k.width) & (vo >= 0) & (vo < color_k.height)
-    uo, vo = uo[inside], vo[inside]
-    samples = depth_units(pts[inside, 2], depth.depth_scale)
+    samples = depth_units(pts[:, 2], depth.depth_scale)
+    keep = (uo >= 0) & (uo < color_k.width) & (vo >= 0) & (vo < color_k.height) & (samples > 0)
+    return vv[keep], vo[keep], uo[keep], samples[keep]
+
+
+def reference_align(depth, depth_k, color_k, depth_to_color):
+    """Alignment with the nearest sample written last; kept as the reference."""
+    _, vo, uo, samples = reference_landings(depth, depth_k, color_k, depth_to_color)
+    out = np.zeros((color_k.height, color_k.width), dtype=np.uint16)
     order = np.argsort(samples, kind="stable")[::-1]  # write nearest last
-    keep = samples[order] > 0
-    out[vo[order][keep], uo[order][keep]] = samples[order][keep]
+    out[vo[order], uo[order]] = samples[order]
     return out
+
+
+def align_in_blocks(monkeypatch, rows, depth, depth_k, color_k, depth_to_color):
+    """``align_depth_to_color`` with blocks of ``rows`` depth rows, after
+    checking that they make at least three blocks, the last one partial, and
+    that some color pixel takes its nearest sample from an earlier block than
+    another of its samples and some from a later one."""
+    monkeypatch.setattr(geometry, "BLOCK_PIXELS", rows * depth.width + depth.width // 2)
+    assert depth.height // rows >= 2 and depth.height % rows
+    row, vo, uo, samples = reference_landings(depth, depth_k, color_k, depth_to_color)
+    by_pixel = {}
+    for b, pixel, sample in zip((row // rows).tolist(), zip(vo.tolist(), uo.tolist()),
+                                samples.tolist()):
+        by_pixel.setdefault(pixel, []).append((sample, b))
+    spans = [(min(hits)[1], {b for _, b in hits}) for hits in by_pixel.values()]
+    assert any(b < max(blocks) for b, blocks in spans)
+    assert any(b > min(blocks) for b, blocks in spans)
+    return align_depth_to_color(depth, depth_k, color_k, depth_to_color)
 
 
 class TestAlignDepthToColor:
@@ -295,11 +328,13 @@ class TestAlignDepthToColor:
         assert out.data.sum() == 1000
 
     def test_all_zero_stays_zero(self):
+        # a PGM may declare a frame 0 samples wide
         k = CameraIntrinsics(32, 32, 30.0, 30.0, 16.0, 16.0)
-        out = align_depth_to_color(
-            DepthImage(np.zeros((32, 32), dtype=np.uint16)), k, k,
-            RigidTransform.identity())
-        assert not out.data.any()
+        for width in (32, 0):
+            out = align_depth_to_color(
+                DepthImage(np.zeros((32, width), dtype=np.uint16)), k, k,
+                RigidTransform.identity())
+            assert out.data.shape == (32, 32) and not out.data.any()
 
     def test_samples_all_behind_color_camera_leave_no_depth(self):
         k = CameraIntrinsics(32, 32, 30.0, 30.0, 16.0, 16.0)
@@ -329,7 +364,8 @@ class TestAlignDepthToColor:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("distortion", [None, (0.05, -0.01, 0.001, -0.002, 0.0)])
-    def test_rotated_extrinsic_matches_point_array_reference(self, seed, distortion):
+    def test_rotated_extrinsic_matches_point_array_reference(self, monkeypatch, seed,
+                                                             distortion):
         # a coarser, smaller color frame: samples collide, the right part of
         # the depth frame projects outside it, and the planted 0.1 m sample
         # lands behind the color camera
@@ -347,8 +383,10 @@ class TestAlignDepthToColor:
         assert np.count_nonzero(expected) > 1000
         out = align_depth_to_color(depth, depth_k, color_k, to_color)
         assert np.array_equal(out.data, expected)
+        out = align_in_blocks(monkeypatch, 5, depth, depth_k, color_k, to_color)
+        assert np.array_equal(out.data, expected)
 
-    def test_zbuffer_matches_reference_on_collisions_ties_and_zero_samples(self):
+    def test_zbuffer_matches_reference_on_collisions_ties_and_zero_samples(self, monkeypatch):
         # Up to 14 depth pixels land on one pixel of the coarse color frame,
         # in no depth order, and most tie with another of equal depth; 1 mm
         # samples move to 0.2 mm and round to 0, and more than half the
@@ -362,6 +400,8 @@ class TestAlignDepthToColor:
         expected = reference_align(depth, depth_k, color_k, to_color)
         assert set(np.unique(expected)) == {1, 2, 699}
         out = align_depth_to_color(depth, depth_k, color_k, to_color)
+        assert np.array_equal(out.data, expected)
+        out = align_in_blocks(monkeypatch, 5, depth, depth_k, color_k, to_color)
         assert np.array_equal(out.data, expected)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fruitgauge import geometry
 from fruitgauge.errors import InvalidSpec
 from fruitgauge.fileio import scene_from_dict
 from fruitgauge.geometry import (
@@ -18,7 +19,6 @@ from fruitgauge.geometry import (
     apply,
     apply_points,
     compose,
-    deproject,
     depth_units,
     invert,
     pixel_to_ray,
@@ -41,7 +41,7 @@ from fruitgauge.simulate import (
     render_scene,
 )
 
-from conftest import rotation_about, scene_to_dict
+from conftest import deproject, rotation_about, scene_to_dict
 from test_maskops import extremes, full
 from test_sizing import measure_one
 
@@ -261,39 +261,51 @@ RENDER_SCENES = {
 
 
 @pytest.mark.parametrize("name", RENDER_SCENES)
-def test_render_matches_point_array_reference(name):
+def test_render_matches_point_array_reference(monkeypatch, name):
+    # noise draws one normal per sample over the whole frame in the reference;
+    # the render draws block by block, with the default blocks and with blocks
+    # of 7 rows of a 640-wide frame (14 of a 320-wide one, 28 of a 160-wide one)
     spec = RENDER_SCENES[name]()
-    got = render_scene(spec).captures
+    assert spec.noise.sigma_at_1m > 0
     expected = ref_render_scene(spec)
-    assert len(got) == len(expected)
-    for cap, (samples, masks) in zip(got, expected):
-        assert np.array_equal(cap.depth.data, samples)
-        assert cap.masks == masks
     assert any(masks for _, masks in expected)
+    for block_pixels in (geometry.BLOCK_PIXELS, 7 * 640):
+        monkeypatch.setattr(geometry, "BLOCK_PIXELS", block_pixels)
+        got = render_scene(spec).captures
+        assert len(got) == len(expected)
+        for cap, (samples, masks) in zip(got, expected):
+            assert np.array_equal(cap.depth.data, samples)
+            assert cap.masks == masks
+    for cam in spec.rig:
+        rows = geometry.row_blocks(cam.intrinsics.height, cam.intrinsics.width)
+        assert len(rows) >= 3 and cam.intrinsics.height % (rows[0].stop - rows[0].start)
 
 
 def test_full_frame_render_and_alignment_peak_memory():
-    # one 1280x720 depth sensor of the orchard rig, 15 mm beside the middle
-    # color camera: the peak of what the render and then the alignment hold
+    # each 1280x720 depth sensor of the orchard rig, 15 mm beside its color
+    # camera: the peak of what the render and then the alignment hold. The
+    # render's z-buffer (t and winner) and depth frame take 11 bytes per
+    # pixel and the aligned frame 2; the rest is one block's temporaries.
     k = CameraIntrinsics(1280, 720, 920.0, 920.0, 639.5, 359.5)
     rig = paper_rig(k)
     spec = lab_scene(0, rig=rig, n_fruits=60, columns=10, pitch_x=0.07, pitch_y=0.075)
     to_color = translation_transform(-0.015, 0.0, 0.0)
-    spec = dataclasses.replace(spec, rig=[
-        RigCamera("middle", k, compose(rig[1].cam_to_world, to_color))])
-    tracemalloc.start()
-    try:
-        depth = render_scene(spec).captures[0].depth
-        render_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        align_depth_to_color(depth, k, k, to_color)
-        align_peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
     pixels = k.width * k.height
-    assert render_peak <= 20.0 * pixels
-    assert align_peak <= 14.0 * pixels
+    for cam in rig:
+        sensor = dataclasses.replace(spec, rig=[
+            RigCamera(cam.camera_id, k, compose(cam.cam_to_world, to_color))])
+        tracemalloc.start()
+        try:
+            depth = render_scene(sensor).captures[0].depth
+            render_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            align_depth_to_color(depth, k, k, to_color)
+            align_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert render_peak <= 15.0 * pixels, cam.camera_id
+        assert align_peak <= 7.0 * pixels, cam.camera_id
 
 
 def reference_hits(cam, fruit):
@@ -466,25 +478,25 @@ class TestAddDepthNoise:
 
     def test_zero_sigma_is_identity(self):
         units = self.units()
-        assert np.array_equal(_noisy_units(units, 0.001, 0.0, seed=9), units)
+        assert np.array_equal(_noisy_units(units, 0.001, 0.0, np.random.default_rng(9)), units)
 
     def test_same_seed_same_output(self):
         units = self.units()
-        a = _noisy_units(units, 0.001, 0.002, seed=42)
-        b = _noisy_units(units, 0.001, 0.002, seed=42)
+        a = _noisy_units(units, 0.001, 0.002, np.random.default_rng(42))
+        b = _noisy_units(units, 0.001, 0.002, np.random.default_rng(42))
         assert np.array_equal(a, b)
-        c = _noisy_units(units, 0.001, 0.002, seed=43)
+        c = _noisy_units(units, 0.001, 0.002, np.random.default_rng(43))
         assert not np.array_equal(a, c)
 
     def test_empirical_sigma_at_one_meter(self):
         # 10^5 samples at z = 1 m with sigma_at_1m = 2 mm
-        out = _noisy_units(self.units(1000, 400 * 250), 0.001, 0.002, seed=7)
+        out = _noisy_units(self.units(1000, 400 * 250), 0.001, 0.002, np.random.default_rng(7))
         sigma = (out.astype(float) - 1000).std() * 0.001
         assert sigma == pytest.approx(0.002, rel=0.05)
 
     def test_zeros_stay_zero(self, rng):
         data = np.where(rng.random((32, 32)) < 0.5, 800, 0).astype(np.uint16)
-        out = _noisy_units(data.ravel(), 0.001, 0.01, seed=3).reshape(data.shape)
+        out = _noisy_units(data.ravel(), 0.001, 0.01, np.random.default_rng(3)).reshape(data.shape)
         assert not out[data == 0].any()
         assert (out[data != 0] > 0).all()
         assert np.array_equal(out, ref_add_depth_noise(data, 0.001, 0.01, 3))
@@ -494,13 +506,26 @@ class TestAddDepthNoise:
         # all nonzero units take the path without a gather and a scatter
         data = rng.integers(1, 3000, size=(40, 50)).astype(np.uint16)
         data[rng.random(data.shape) < zero_share] = 0
-        out = _noisy_units(data.ravel(), 0.001, 0.01, seed=3).reshape(data.shape)
+        out = _noisy_units(data.ravel(), 0.001, 0.01, np.random.default_rng(3)).reshape(data.shape)
         assert np.array_equal(out, ref_add_depth_noise(data, 0.001, 0.01, 3))
+
+    def test_blocks_drawn_from_one_generator_match_one_draw(self, rng):
+        # blocks of 7 rows, one of them all zeros and one with none
+        data = rng.integers(1, 3000, size=(50, 40)).astype(np.uint16)
+        data[rng.random(data.shape) < 0.3] = 0
+        data[14:21] = 0
+        data[21:28] = 900
+        whole = _noisy_units(data.ravel(), 0.001, 0.01, np.random.default_rng(3))
+        noise = np.random.default_rng(3)
+        blocks = [_noisy_units(data[v0:v0 + 7].ravel(), 0.001, 0.01, noise)
+                  for v0 in range(0, 50, 7)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert np.array_equal(whole.reshape(data.shape), ref_add_depth_noise(data, 0.001, 0.01, 3))
 
     def test_sigma_grows_with_depth_squared(self):
         # remove the quantization variance (q^2/12) before comparing scales
         def noise_var(value):
-            out = _noisy_units(self.units(value, 300 * 300), 0.001, 0.002, seed=5)
+            out = _noisy_units(self.units(value, 300 * 300), 0.001, 0.002, np.random.default_rng(5))
             return (out.astype(float) - value).var() - 1.0 / 12.0
 
         ratio = math.sqrt(noise_var(2000) / noise_var(500))

@@ -27,14 +27,13 @@ from fruitgauge.geometry import (
     Point3,
     RigCamera,
     apply,
-    deproject,
     distance,
 )
 from fruitgauge.maskops import MAX_INVALID_EDGE_FRACTION, BinaryMask, extract_edges
 from fruitgauge.sizing import (COLLINEAR_TOL, ON_CIRCLE_TOL, FittedCircle, fill_ratio, fit_circle,
                                measure_fruit)
 
-from conftest import random_rigid
+from conftest import deproject, random_rigid
 from test_fuzz import FUZZ
 from test_maskops import (
     disc,
