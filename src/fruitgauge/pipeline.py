@@ -26,7 +26,7 @@ from .errors import (BundleIOError, EmptyMask, FruitGaugeError, LengthMismatch, 
                      UnknownCamera)
 from .evaluation import evaluate_run, format_report_text
 from .fileio import RecordTable
-from .fusion import deduplicate, estimate_metric_radius, localize
+from .fusion import WorldFruit, deduplicate, estimate_metric_radius, localize
 from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
 from .maskops import nearest_mask_depth
 from .simulate import CaptureBundle, render_scene
@@ -137,8 +137,9 @@ def cmd_measure(
     bundle_dir: Path,
     out_dir: Optional[Path] = None,
     rig_path: Optional[Path] = None,
-) -> dict:
-    """Measure every detection in a bundle; returns the records payload.
+) -> Tuple[RecordTable, List[dict]]:
+    """Measure every detection in a bundle; returns the table of records and
+    the warnings, which ``out_dir`` receives as ``records.json``.
 
     Every ingested detection lands either in ``records`` or, with its
     rejection reason, in ``warnings`` — nothing is dropped silently.
@@ -176,10 +177,9 @@ def cmd_measure(
         warnings += frame_warnings
 
     records = RecordTable.concat(frames)
-    payload = {"records": records.to_dicts(), "warnings": warnings}
     if out_dir is not None:
         out_dir = Path(out_dir)
-        fileio.dump_json(payload, out_dir / "records.json")
+        fileio.write_records(out_dir / "records.json", records, warnings)
         manifest = {
             "bundle": {"path": str(bundle_dir), "signature": _bundle_signature(bundle_dir)},
             "counts": {
@@ -194,33 +194,25 @@ def cmd_measure(
         fileio.dump_json(manifest, out_dir / "manifest.json")
     logger.info("measured %d/%d detections (%d rejected)",
                 len(records), n_detections, len(warnings))
-    return payload
+    return records, warnings
 
 
-def cmd_fuse(records_path: Path, rig_path: Path, out_path: Optional[Path] = None) -> dict:
-    """Dedup records across views by their stored world centers; pick the best view."""
+def cmd_fuse(records_path: Path, rig_path: Path,
+             out_path: Optional[Path] = None) -> List[WorldFruit]:
+    """Dedup records across views by their stored world centers; pick the best
+    view. Returns the fruits of ``deduplicate``, which ``out_path`` receives
+    as ``fused.json``."""
     camera_order = tuple(c.camera_id for c in fileio.read_rig(Path(rig_path)))
     records = fileio.read_records(Path(records_path))
     unknown = sorted(set(records.camera_id) - set(camera_order))
     if unknown:
         raise UnknownCamera(f"records reference cameras {unknown} absent from rig")
 
-    rows = records.to_dicts()
-    fruits = []
-    for f in deduplicate(records, camera_order=camera_order):
-        members = [rows[i] for i in f.members]
-        fruits.append({
-            "center_world_m": list(f.center_world),
-            "radius_m": f.radius_m,
-            "n_views": len(members),
-            "chosen": members[f.chosen],
-            "members": members,
-        })
-    result = {"fruits": fruits}
+    fruits = deduplicate(records, camera_order=camera_order)
     if out_path is not None:
-        fileio.dump_json(result, Path(out_path))
-    logger.info("fused %d records into %d fruits", len(records), len(result["fruits"]))
-    return result
+        fileio.write_fused(Path(out_path), fruits, records)
+    logger.info("fused %d records into %d fruits", len(records), len(fruits))
+    return fruits
 
 
 def cmd_evaluate(

@@ -48,6 +48,32 @@ def deproject(k: CameraIntrinsics, px: Pixel, depth_m: float) -> Point3:
     return Point3(float(xn) * depth_m, float(yn) * depth_m, depth_m)
 
 
+def record_dicts(table) -> list:
+    """Each row of a ``fileio.RecordTable`` as its ``records.json`` object,
+    keys in written order: the reference of the record writers."""
+    circles = [{"cu": cu, "cv": cv, "r_px": r_px} for cu, cv, r_px in table.circle.tolist()]
+    return [{"frame_id": frame_id, "camera_id": camera_id, "detection_index": index,
+             "class": class_name, "fruit_id": fruit_id, "height_mm": height_mm,
+             "width_mm": width_mm, "median_depth_m": median_depth_m,
+             "fill_ratio": fill_ratio, "circle": circle, "bbox": bbox,
+             "center_depth_m": center_depth_m, "radius_m": radius_m, "center_world_m": center}
+            for (frame_id, camera_id, index, class_name, fruit_id, height_mm, width_mm,
+                 median_depth_m, fill_ratio, circle, bbox, center_depth_m, radius_m, center)
+            in zip(table.frame_id, table.camera_id, table.detection_index, table.class_name,
+                   table.fruit_id, table.height_mm.tolist(), table.width_mm.tolist(),
+                   table.median_depth_m.tolist(), table.fill_ratio.tolist(), circles,
+                   table.bbox, table.center_depth_m.tolist(), table.radius_m.tolist(),
+                   table.center_world_m.tolist())]
+
+
+def fused_document(fruits, rows: list) -> dict:
+    """The ``fused.json`` document of ``fusion.deduplicate``'s ``fruits`` over
+    the record objects ``rows``: the reference of ``fileio.write_fused``."""
+    return {"fruits": [{"center_world_m": list(f.center_world), "radius_m": f.radius_m,
+                        "n_views": len(f.members), "chosen": rows[f.members[f.chosen]],
+                        "members": [rows[i] for i in f.members]} for f in fruits]}
+
+
 def scene_to_dict(spec: SceneSpec) -> dict:
     """The scene document (``simulate --scene``) that ``fileio.scene_from_dict`` reads."""
     return {

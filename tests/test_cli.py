@@ -19,7 +19,7 @@ from fruitgauge.geometry import DepthImage, compose, invert
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
 
-from conftest import rotation_about, scene_to_dict
+from conftest import fused_document, record_dicts, rotation_about, scene_to_dict
 from test_maskops import full
 
 OUTPUTS = ("records.json", "fused.json", "report.json")
@@ -113,6 +113,17 @@ class TestChain:
         assert sum(f["n_views"] for f in fruits) == len(records["records"])
         assert sorted(f["chosen"]["fruit_id"] for f in fruits) \
             == [f"fruit{i:02d}" for i in range(12)]
+
+    def test_outputs_are_dump_json_of_the_row_objects(self, runs, tmp_path):
+        # the commands write records as text, not through dump_json
+        bundle, out = runs[0] / "bundle", runs[0] / "out"
+        records, warnings = pipeline.cmd_measure(bundle)
+        rows = record_dicts(records)
+        dump_json({"records": rows, "warnings": warnings}, tmp_path / "records.json")
+        assert (tmp_path / "records.json").read_bytes() == (out / "records.json").read_bytes()
+        fruits = pipeline.cmd_fuse(out / "records.json", bundle / "rig.json")
+        dump_json(fused_document(fruits, rows), tmp_path / "fused.json")
+        assert (tmp_path / "fused.json").read_bytes() == (out / "fused.json").read_bytes()
 
     def test_fused_center_is_mean_of_stored_member_centers(self, runs):
         for fruit in load(runs[0] / "out" / "fused.json")["fruits"]:

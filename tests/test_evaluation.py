@@ -33,6 +33,7 @@ from fruitgauge.geometry import Point3
 from fruitgauge.pipeline import cmd_fuse
 from fruitgauge.simulate import paper_rig
 
+from conftest import record_dicts
 from test_fileio import ref_read
 from test_fusion import ORDER, clusters, ref_deduplicate
 
@@ -371,19 +372,21 @@ def test_table_pipeline_matches_the_row_references(work, with_ids, data):
     rows, truth = data.draw(views(with_ids))
     dump_json({"records": rows, "warnings": []}, work / "records.json")
     records, ref = read_records(work / "records.json"), ref_read(work / "records.json", "records")
-    assert records.to_dicts() == [r.to_dict() for r in ref] == rows
+    assert record_dicts(records) == [r.to_dict() for r in ref] == rows
 
     want = ref_deduplicate(ref, ORDER)
     assert clusters(deduplicate(records, ORDER)) == want
-    fused = cmd_fuse(work / "records.json", work / "rig.json", work / "fused.json")
-    assert fused["fruits"] == [
+    fruits = cmd_fuse(work / "records.json", work / "rig.json", work / "fused.json")
+    assert clusters(fruits) == want
+    dump_json({"fruits": [
         {"center_world_m": list(center), "radius_m": radius, "n_views": len(members),
          "chosen": ref[members[chosen]].to_dict(), "members": [ref[i].to_dict() for i in members]}
-        for members, chosen, center, radius in want]
+        for members, chosen, center, radius in want]}, work / "want_fused.json")
+    assert (work / "fused.json").read_bytes() == (work / "want_fused.json").read_bytes()
 
     chosen, ref_chosen = (read_fused_choices(work / "fused.json"),
                           ref_read(work / "fused.json", "fruits"))
-    assert chosen.to_dicts() == [r.to_dict() for r in ref_chosen]
+    assert record_dicts(chosen) == [r.to_dict() for r in ref_chosen]
     per_camera = {}
     for r in ref:
         per_camera.setdefault(r.camera_id, []).append(r)

@@ -1,11 +1,16 @@
+import gc
+import itertools
 import json
 import math
 import operator
 import re
+import tracemalloc
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fruitgauge.errors import (
     BundleIOError,
@@ -24,6 +29,7 @@ from fruitgauge.fileio import (
     DetectionFile,
     RecordTable,
     _object,
+    _record_blocks,
     _value,
     _values,
     dump_json,
@@ -39,9 +45,11 @@ from fruitgauge.fileio import (
     read_rig,
     write_depth,
     write_detections,
+    write_fused,
     write_ground_truth_csv,
     write_intrinsics,
     write_pgm16,
+    write_records,
     write_rig,
 )
 from fruitgauge.geometry import (
@@ -52,8 +60,13 @@ from fruitgauge.geometry import (
     RigidTransform,
     translation_transform,
 )
+from fruitgauge.fusion import WorldFruit
 from fruitgauge.maskops import BinaryMask
+from fruitgauge.pipeline import cmd_fuse
+from fruitgauge.simulate import paper_rig
 from fruitgauge.sizing import FittedCircle
+
+from conftest import fused_document, record_dicts
 
 
 class TestParsing:
@@ -315,7 +328,7 @@ SIZE_FIELDS = ("height_mm", "width_mm", "median_depth_m", "fill_ratio", "center_
 
 class RefRecord(NamedTuple):
     """One record as a row: how ``fileio`` held a record before its columns
-    became ``RecordTable``; the reference of the readers and of ``to_dicts``."""
+    became ``RecordTable``; the reference of the readers and of ``record_dicts``."""
 
     frame_id: str
     camera_id: str
@@ -422,14 +435,14 @@ def read_outcome(read, path):
         got = read(path)
     except FruitGaugeError as e:
         return type(e), str(e)
-    return got.to_dicts() if isinstance(got, RecordTable) else [r.to_dict() for r in got]
+    return record_dicts(got) if isinstance(got, RecordTable) else [r.to_dict() for r in got]
 
 
 def read_record(tmp_path, d):
     """The object written for the one record of a ``records.json`` in
     ``tmp_path`` that holds only ``d``."""
     dump_json({"records": [d], "warnings": []}, tmp_path / "r.json")
-    (record,) = read_records(tmp_path / "r.json").to_dicts()
+    (record,) = record_dicts(read_records(tmp_path / "r.json"))
     return record
 
 
@@ -447,7 +460,7 @@ class TestRecords:
         assert table.bbox == [[290, 210, 61, 61]]
         assert table.center_world_m.tolist() == [[0.01, -0.02, 0.62]]
         assert table.circle.tolist() == [[320.5, 240.0, 30.0]]
-        assert table.to_dicts() == [RECORD]
+        assert record_dicts(table) == [RECORD]
 
     def test_table_columns(self, tmp_path):
         records = [{**RECORD, "detection_index": n, "radius_m": 0.01 + n / 1000}
@@ -461,12 +474,12 @@ class TestRecords:
             assert column.dtype == np.float64 and column.shape == (5,)
             assert column.tolist() == [r[name] for r in records]
         assert table.circle.shape == table.center_world_m.shape == (5, 3)
-        assert table.to_dicts() == records
+        assert record_dicts(table) == records
 
     def test_empty_table(self, tmp_path):
         dump_json({"records": [], "warnings": []}, tmp_path / "records.json")
         for table in (read_records(tmp_path / "records.json"), RecordTable.concat([])):
-            assert len(table) == 0 and table.to_dicts() == []
+            assert len(table) == 0 and record_dicts(table) == []
             assert table.circle.shape == table.center_world_m.shape == (0, 3)
             assert table.radius_m.shape == (0,)
 
@@ -476,7 +489,7 @@ class TestRecords:
         for part in (records[:1], [], records[1:]):
             dump_json({"records": part, "warnings": []}, tmp_path / "records.json")
             tables.append(read_records(tmp_path / "records.json"))
-        assert RecordTable.concat(tables).to_dicts() == records
+        assert record_dicts(RecordTable.concat(tables)) == records
 
     @pytest.mark.parametrize("field,value,named", [
         ("circle", "x", "circle"), ("circle", {"cu": 1.0, "cv": 1.0}, "r_px"),
@@ -622,7 +635,7 @@ class TestRecords:
         chosen = {k: v for k, v in RECORD.items() if k != "center_world_m"}
         dump_json({"fruits": [{"center_world_m": [0.1, 0.2, 0.7], "chosen": chosen}]},
                   tmp_path / "fused.json")
-        assert read_fused_choices(tmp_path / "fused.json").to_dicts() == \
+        assert record_dicts(read_fused_choices(tmp_path / "fused.json")) == \
             [read_record(tmp_path, {**RECORD, "center_world_m": [0.1, 0.2, 0.7]})]
 
     def test_file_without_records_list_rejected(self, tmp_path):
@@ -630,6 +643,190 @@ class TestRecords:
         with pytest.raises(BundleIOError, match="records"):
             read_records(tmp_path / "records.json")
 
+
+def table_of(rows: list) -> RecordTable:
+    """The table whose rows are the ``records.json`` objects ``rows``."""
+    def floats(key):
+        return np.array([r[key] for r in rows], dtype=float)
+
+    def triples(values):
+        return np.array(values, dtype=float).reshape(-1, 3)
+
+    return RecordTable(
+        [r["frame_id"] for r in rows], [r["camera_id"] for r in rows],
+        [r["detection_index"] for r in rows], [r["class"] for r in rows],
+        [r["fruit_id"] for r in rows], floats("height_mm"), floats("width_mm"),
+        floats("median_depth_m"), floats("fill_ratio"),
+        triples([[r["circle"][k] for k in ("cu", "cv", "r_px")] for r in rows]),
+        [r["bbox"] for r in rows], floats("center_depth_m"), floats("radius_m"),
+        triples([r["center_world_m"] for r in rows]))
+
+
+# Values whose JSON text is easy to get wrong: NaN and infinities (JSON
+# extensions), a signed zero, subnormals, the float range's edge; quotes,
+# backslashes, control and non-ASCII characters and the writer's separators.
+EDGE_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e308, -1.7976931348623157e308])
+EDGE_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\n\t\x1f\x7f", ", ", "}, {", "], [", "%s", "é", "果实", "\ud800"])
+EDGE_INTS = st.integers() | st.sampled_from([2**63, -2**63 - 1, 2**70, -10**400])
+
+
+@st.composite
+def record_objects(draw):
+    floats = lambda n: draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+    height, width, median, fill, cu, cv, r_px, center_depth, radius = floats(9)
+    return {"frame_id": draw(EDGE_STRINGS), "camera_id": draw(EDGE_STRINGS),
+            "detection_index": draw(EDGE_INTS), "class": draw(EDGE_STRINGS),
+            "fruit_id": draw(st.none() | EDGE_STRINGS), "height_mm": height, "width_mm": width,
+            "median_depth_m": median, "fill_ratio": fill,
+            "circle": {"cu": cu, "cv": cv, "r_px": r_px},
+            "bbox": draw(st.lists(EDGE_INTS, min_size=4, max_size=4)),
+            "center_depth_m": center_depth, "radius_m": radius, "center_world_m": floats(3)}
+
+
+@st.composite
+def fruits_of(draw, n: int) -> list:
+    """Fruits over ``n`` rows: every row in one fruit, members in any order."""
+    order = draw(st.permutations(range(n)))
+    fruits = []
+    while order:
+        k = draw(st.integers(1, len(order)))
+        members, order = order[:k], order[k:]
+        center = draw(st.lists(EDGE_FLOATS, min_size=3, max_size=3))
+        fruits.append(WorldFruit(Point3(*center), draw(EDGE_FLOATS), members,
+                                 draw(st.integers(0, len(members) - 1))))
+    return fruits
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+GENERATED_FRUITS = 1000
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A ``records.json`` of 3,000 generated records, three views of each of
+    1,000 fruits on a 5 cm lattice, its record objects and a rig: more than
+    two blocks of rows."""
+    work = tmp_path_factory.mktemp("generated")
+    rng = np.random.default_rng(22)
+    lattice = np.indices((10, 10, 10)).reshape(3, -1).T * 0.05 + [0.0, 0.0, 0.5]
+    rows = []
+    for camera_id in ("top", "middle", "bottom"):
+        centers = (lattice + rng.normal(0.0, 0.002, lattice.shape)).tolist()
+        sizes = rng.uniform(0.3, 50.0, (GENERATED_FRUITS, 8)).tolist()
+        bboxes = rng.integers(0, 4000, (GENERATED_FRUITS, 4)).tolist()
+        for i, (center, size, bbox) in enumerate(zip(centers, sizes, bboxes)):
+            rows.append({"frame_id": "000", "camera_id": camera_id, "detection_index": i,
+                         "class": "fully_ripened", "fruit_id": f"fruit{i:04d}",
+                         "height_mm": size[0], "width_mm": size[1], "median_depth_m": size[2],
+                         "fill_ratio": size[3] / 50.0,
+                         "circle": {"cu": size[4], "cv": size[5], "r_px": size[6]},
+                         "bbox": bbox, "center_depth_m": size[7],
+                         "radius_m": 0.02 + size[0] / 1e4, "center_world_m": center})
+    dump_json({"records": rows, "warnings": []}, work / "records.json")
+    write_rig(work / "rig.json", paper_rig())
+    return work, rows
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak of the memory ``fn(*args)`` allocates, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordWriters:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(rows=st.lists(record_objects(), max_size=5))
+    @example(rows=[])
+    @example(rows=[RECORD])
+    def test_record_texts_are_json_dumps_of_the_row_objects(self, work, rows):
+        table = table_of(rows)
+        texts = list(itertools.chain.from_iterable(_record_blocks(table)))
+        assert texts == [json.dumps(row) for row in rows]
+        warnings = [{"frame_id": "000", "camera_id": "top", "detection_index": 3,
+                     "reason": "EmptyMask", "message": "cannot measure ', \" é'"}]
+        write_records(work / "records.json", table, warnings)
+        dump_json({"records": rows, "warnings": warnings}, work / "want.json")
+        assert (work / "records.json").read_bytes() == (work / "want.json").read_bytes()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fused_is_dump_json_of_the_fused_document(self, work, data):
+        rows = data.draw(st.lists(record_objects(), max_size=6))
+        fruits = data.draw(fruits_of(len(rows)))
+        write_fused(work / "fused.json", fruits, table_of(rows))
+        dump_json(fused_document(fruits, rows), work / "want.json")
+        assert (work / "fused.json").read_bytes() == (work / "want.json").read_bytes()
+
+    def test_writers_on_3000_records_give_the_dump_json_bytes(self, generated, tmp_path):
+        work, rows = generated
+        table = read_records(work / "records.json")
+        assert record_dicts(table) == rows
+        write_records(tmp_path / "records.json", table, [])
+        assert (tmp_path / "records.json").read_bytes() == (work / "records.json").read_bytes()
+        fruits = cmd_fuse(work / "records.json", work / "rig.json", tmp_path / "fused.json")
+        assert len(fruits) == GENERATED_FRUITS
+        dump_json(fused_document(fruits, rows), tmp_path / "want.json")
+        assert (tmp_path / "fused.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_fuse_holds_little_more_memory_than_reading_its_records(self, generated, tmp_path):
+        # fused.json streams out a fruit at a time. A writer that joined the
+        # whole document's text took 1.9 times the read's peak here.
+        work, _ = generated
+        read = traced_peak(read_records, work / "records.json")
+        fuse = traced_peak(cmd_fuse, work / "records.json", work / "rig.json",
+                           tmp_path / "fused.json")
+        assert fuse <= 1.25 * read, (fuse, read)
+
+    def test_take_gathers_rows_in_order(self):
+        rows = [{**RECORD, "detection_index": n, "height_mm": 30.0 + n} for n in range(4)]
+        assert record_dicts(table_of(rows).take([2, 0, 2])) == [rows[2], rows[0], rows[2]]
+        empty = table_of(rows).take([])
+        assert len(empty) == 0 and empty.circle.shape == empty.center_world_m.shape == (0, 3)
+
+
+class TestCollectorPause:
+    """The readers decode with the cyclic garbage collector paused and give
+    it back as they found it, also when a record is bad."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("read,document", [
+        (read_records, {"records": [RECORD], "warnings": []}),
+        (read_fused_choices, {"fruits": [{"center_world_m": [0.0, 0.0, 0.5], "chosen": RECORD}]}),
+    ], ids=["records", "fused"])
+    def test_state_restored_after_a_read(self, tmp_path, collector, read, document):
+        dump_json(document, tmp_path / "doc.json")
+        assert len(read(tmp_path / "doc.json")) == 1
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("read,document,named", [
+        (read_records, {"records": [RECORD, {**RECORD, "radius_m": 0.0}], "warnings": []},
+         r"#records\[1\]"),
+        (read_fused_choices, {"fruits": [{"center_world_m": [0.0, 0.0, 0.5], "chosen": RECORD},
+                                         {"center_world_m": [0.0, 0.0], "chosen": RECORD}]},
+         r"#fruits\[1\]"),
+    ], ids=["records", "fused"])
+    def test_state_restored_after_a_bad_record(self, tmp_path, collector, read, document, named):
+        dump_json(document, tmp_path / "doc.json")
+        with pytest.raises(BundleIOError, match=named):
+            read(tmp_path / "doc.json")
+        assert gc.isenabled() is collector
 
 class TestGroundTruthCsv:
     def test_roundtrip(self, tmp_path):

@@ -49,7 +49,7 @@ from fruitgauge.geometry import (
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
 
-from conftest import scene_to_dict
+from conftest import record_dicts, scene_to_dict
 from test_fileio import RECORD, read_outcome, ref_read
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -245,9 +245,9 @@ def test_undamaged_documents_parse(work, detections_doc, rig_doc):
     assert len(read_detections(work / "valid_detections.json").detections) == 2
     assert len(read_rig(work / "rig" / "valid.json")) == 2
     dump_json(RECORDS, work / "valid_records.json")
-    assert read_records(work / "valid_records.json").to_dicts() == RECORDS["records"]
+    assert record_dicts(read_records(work / "valid_records.json")) == RECORDS["records"]
     dump_json(FUSED, work / "valid_fused.json")
-    assert read_fused_choices(work / "valid_fused.json").to_dicts() == [RECORD]
+    assert record_dicts(read_fused_choices(work / "valid_fused.json")) == [RECORD]
     assert scene_to_dict(scene_from_dict(SCENE)) == SCENE
     dump_json(POSES, work / "valid_poses.json")
     assert read_board_poses(work / "valid_poses.json")[0] == "middle"

@@ -33,7 +33,7 @@ from fruitgauge.maskops import MAX_INVALID_EDGE_FRACTION, BinaryMask, extract_ed
 from fruitgauge.sizing import (COLLINEAR_TOL, ON_CIRCLE_TOL, FittedCircle, fill_ratio, fit_circle,
                                measure_fruit)
 
-from conftest import deproject, random_rigid
+from conftest import deproject, random_rigid, record_dicts
 from test_fuzz import FUZZ
 from test_maskops import (
     disc,
@@ -562,7 +562,7 @@ class TestBatchedKernel:
         assert warnings == want_warnings
         assert len(records) == len(want_records)
         inexact = ("circle", "radius_m", "center_world_m")
-        for got, want in zip(records.to_dicts(), want_records):
+        for got, want in zip(record_dicts(records), want_records):
             assert {key: got[key] for key in got if key not in inexact} == \
                 {key: want[key] for key in want if key not in inexact}
             assert list(got) == list(want)
