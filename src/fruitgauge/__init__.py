@@ -24,7 +24,7 @@ from .maskops import (
     median_edge_depth,
 )
 from .sizing import FittedCircle, FruitMeasurement, fill_ratio, fit_circle, measure_fruit
-from .fusion import WorldFruit, deduplicate, estimate_metric_radius, localize
+from .fusion import FruitTable, deduplicate, estimate_metric_radius, localize
 from .evaluation import (
     EvalReport,
     GroundTruthRecord,

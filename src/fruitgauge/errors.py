@@ -71,7 +71,7 @@ class InvalidSpec(FruitGaugeError):
 
 
 class UnknownCamera(FruitGaugeError):
-    """A record references a camera id absent from the rig."""
+    """A record references a camera id absent from the rig, or the fused row's id."""
 
 
 class InsufficientObservations(FruitGaugeError):

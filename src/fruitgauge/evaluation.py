@@ -17,6 +17,7 @@ from .errors import (
     AmbiguousMatch,
     EmptyInput,
     LengthMismatch,
+    UnknownCamera,
     UnmatchedMeasurement,
     ZeroMean,
 )
@@ -159,7 +160,8 @@ def evaluate_run(
     truth: Sequence[GroundTruthRecord],
 ) -> EvalReport:
     """One row per camera of ``records``, in order of first appearance, plus
-    one fused row from the selected measurements ``chosen``.
+    one fused row from the selected measurements ``chosen``. A camera whose
+    id is the fused row's, ``fused``, raises ``UnknownCamera``.
 
     Mean truth sizes are computed over the matched pairs of each row, so a
     camera that misses fruits is judged against what it saw; ``n`` makes the
@@ -168,6 +170,8 @@ def evaluate_run(
     per_camera: Dict[str, List[int]] = {}
     for i, camera_id in enumerate(records.camera_id):
         per_camera.setdefault(camera_id, []).append(i)
+    if "fused" in per_camera:
+        raise UnknownCamera("camera id 'fused' is taken by the fused report row")
     rows = [_make_row(camera_id, records, idx, truth) for camera_id, idx in per_camera.items()]
     rows.append(_make_row("fused", chosen, list(range(len(chosen))), truth))
     return EvalReport(rows)

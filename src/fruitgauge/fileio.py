@@ -32,18 +32,20 @@ in its own view. The package holds records as the columns of a
     center_world_m            [x, y, z] float, fruit center in the world frame
 
 A warning is ``{frame_id, camera_id, detection_index, reason, message}``.
-``fruitgauge fuse`` writes ``fused.json``: ``{"fruits": [...]}``, each fruit
-``{center_world_m, radius_m, n_views, chosen, members}``: member-mean center
-and radius (m), view count, the selected record and all member records.
+``fruitgauge fuse`` writes ``fused.json``: ``{"fruits": [...]}``, one entry
+per fruit of a ``fusion.FruitTable``, each ``{center_world_m, radius_m,
+n_views, chosen, members}``: member-mean center and radius (m), member
+count, the chosen record and every member record, in table order.
 
 ``write_records`` and ``write_fused`` write these two documents from a
-``RecordTable``, with the bytes ``dump_json`` gives for the same objects. No
-row becomes a dict: ``_record_blocks`` formats a block of rows at a time, a
-column at a time (one ``json.dumps`` for all the block's floats, split at its
-separators, one per distinct string and one for the bboxes), and fills one
-text template per row. The documents stream out one block, or one fruit, at a
-time, so no text of a whole document is held, and a fruit's chosen record
-reuses the text of its member.
+``RecordTable`` (and a ``FruitTable`` over its rows), with the bytes
+``dump_json`` gives for the same objects. No row becomes a dict:
+``_record_blocks`` formats a block of rows at a time, a column at a time
+(one ``json.dumps`` for all the block's floats, split at its separators, one
+per distinct string and one for the bboxes), and fills one text template per
+row. The documents stream out one block, or one fruit, at a time, so no text
+of a whole document is held, and a fruit's chosen record reuses the text of
+its member.
 
 A scene (``simulate --scene``) is ``{rig: [{camera_id, intrinsics,
 cam_to_world}], fruits: [{id, center_world, semi_axes}], occluders: [{corners}],
@@ -98,7 +100,7 @@ from .simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
 from .sizing import FittedCircle
 
 if TYPE_CHECKING:
-    from .fusion import WorldFruit
+    from .fusion import FruitTable
 
 # Raised by a value of the wrong type or shape, also in the circle and mask constructors,
 # and by JSON nested too deeply or a CSV field too long to decode.
@@ -185,6 +187,13 @@ def _read_bytes(path: Path) -> bytes:
         raise BundleIOError(f"cannot read {path}: {e.strerror or e}") from e
 
 
+def _json_file(path: Path):
+    """``path`` opened for writing a JSON document, its directory made."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w")
+
+
 def dump_json(obj, path: Path) -> None:
     """One line of JSON plus a newline, keys in insertion order.
 
@@ -192,9 +201,8 @@ def dump_json(obj, path: Path) -> None:
     to the pure-Python one, several times slower on large documents. No
     circular check: the package writes only trees it builds itself.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, check_circular=False) + "\n")
+    with _json_file(path) as fh:
+        fh.write(json.dumps(obj, check_circular=False) + "\n")
 
 
 def load_json(path: Path):
@@ -635,13 +643,6 @@ def _record_blocks(table: RecordTable) -> Iterator[List[str]]:
             *(x[k::12] for k in range(7)), bbox, *(x[k::12] for k in range(7, 12)))))
 
 
-def _json_file(path: Path):
-    """``path`` opened for writing as ``dump_json`` writes, its directory made."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w")
-
-
 def write_records(path: Path, records: RecordTable, warnings: List[dict]) -> None:
     """``records.json``: the bytes of ``dump_json({"records": <rows as
     objects>, "warnings": warnings})``, written a block of records at a time."""
@@ -652,20 +653,21 @@ def write_records(path: Path, records: RecordTable, warnings: List[dict]) -> Non
         fh.write(f'], "warnings": {json.dumps(warnings, check_circular=False)}}}\n')
 
 
-def write_fused(path: Path, fruits: Sequence[WorldFruit], records: RecordTable) -> None:
+def write_fused(path: Path, fruits: FruitTable, records: RecordTable) -> None:
     """``fused.json`` for ``fruits``, whose members index the rows of
     ``records``: the bytes ``dump_json`` gives for the document, written one
     fruit at a time. The members are taken in fruit order and formatted once,
     and the chosen record is its member's text."""
-    texts = itertools.chain.from_iterable(
-        _record_blocks(records.take([i for fruit in fruits for i in fruit.members])))
-    numbers = _float_texts([v for fruit in fruits for v in (*fruit.center_world, fruit.radius_m)])
+    texts = itertools.chain.from_iterable(_record_blocks(records.take(fruits.members.tolist())))
+    numbers = _float_texts(
+        np.column_stack([fruits.center_world_m, fruits.radius_m]).ravel().tolist())
     with _json_file(path) as fh:
         fh.write('{"fruits": [')
-        for i, fruit in enumerate(fruits):
-            members = list(itertools.islice(texts, len(fruit.members)))
-            fh.write(_FRUIT_TEXT % (", " if i else "", *numbers[4 * i:4 * i + 4], len(members),
-                                    members[fruit.chosen], ", ".join(members)))
+        for i, (size, chosen) in enumerate(zip(np.diff(fruits.starts).tolist(),
+                                               fruits.chosen.tolist())):
+            members = list(itertools.islice(texts, size))
+            fh.write(_FRUIT_TEXT % (", " if i else "", *numbers[4 * i:4 * i + 4], size,
+                                    members[chosen], ", ".join(members)))
         fh.write("]}\n")
 
 

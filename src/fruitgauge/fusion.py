@@ -14,28 +14,27 @@ candidates get the exact distance test. The work is near-linear in the
 record count instead of quadratic. The grid needs finite centers and finite
 positive radii; ``fileio.read_records`` rejects anything else.
 
-``deduplicate`` reads the columns of a ``fileio.RecordTable``: the center and
-radius arrays, and for the best view the fill ratios and the id columns. The
-rest of the cluster bookkeeping is numpy too. Components come from
+``deduplicate`` reads the columns of a ``fileio.RecordTable`` and returns
+its fruits as the columns of a ``FruitTable``. Components come from
 min-index label propagation with pointer jumping over the matching pairs, so
-a cluster's label is its smallest record index. Cluster means are taken per
-cluster size over ``(m, k)`` gathers of members, which adds each cluster's
-members in the same order as a mean over that cluster alone, so the values
-are bit-identical to it. Each record's best-view key (``_best_view_keys``)
-is computed once, and each cluster's view is the first member with the
-least key.
+a cluster's label is its smallest record index. Means are taken per cluster
+size over ``(m, k)`` gathers of members, which adds each cluster's members in
+the same order as a mean over that cluster alone, so the values are
+bit-identical to it. The paper keeps the view with the best fill ratio: the
+highest, ties going to the rig's earlier camera, then the lower frame id,
+detection index and member index. A first-to-last scan of each size group's
+k columns replaces the best so far only by a member that beats it, so a NaN
+fill ratio is chosen only as a cluster's first member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidDepth
-from .geometry import (CameraIntrinsics, Pixel, Point3, RigidTransform, apply_points,
-                       distance, pixel_to_ray)
+from .geometry import CameraIntrinsics, Pixel, RigidTransform, apply_points, distance, pixel_to_ray
 
 if TYPE_CHECKING:
     from .fileio import RecordTable
@@ -111,27 +110,6 @@ def _matching_pairs(centers: np.ndarray, radii: np.ndarray) -> tuple:
     return i[match], j[match]
 
 
-@dataclass
-class WorldFruit:
-    """One physical fruit: its records, as rows of the clustered table, plus
-    the selected view."""
-
-    center_world: Point3
-    radius_m: float
-    members: List[int]                  # rows of the table, in table order
-    chosen: int = 0                     # index into ``members``
-
-
-def _best_view_keys(records: RecordTable, camera_order: Sequence[str]) -> List[tuple]:
-    """Each record's best-view key; a cluster reports its first member with
-    the least key. Highest fill ratio wins; exact ties fall back to the rig's
-    camera order, then to the lowest frame id and detection index. Every
-    ``camera_id`` must be in ``camera_order``."""
-    rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
-    return list(zip((-records.fill_ratio).tolist(), map(rank.__getitem__, records.camera_id),
-                    records.frame_id, records.detection_index))
-
-
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Each node's component label, its smallest node index, for the edges
     ``(i, j)``: hook the larger label of every edge onto the smaller one, then
@@ -152,38 +130,53 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
             label = jumped
 
 
-def deduplicate(records: RecordTable, camera_order: Sequence[str]) -> List[WorldFruit]:
+class FruitTable(NamedTuple):
+    """The fruits of a record table as columns. Fruit f's members are the
+    table rows ``members[starts[f]:starts[f + 1]]``, in table order, and its
+    chosen view is the row ``members[starts[f] + chosen[f]]``."""
+
+    members: np.ndarray          # (n,) int: every table row, grouped by fruit
+    starts: np.ndarray           # (m + 1,) int: fruit f's first member; starts[m] is n
+    chosen: np.ndarray           # (m,) int: the chosen view's index among the members
+    center_world_m: np.ndarray   # (m, 3) float: mean member center
+    radius_m: np.ndarray         # (m,) float: mean member radius
+
+
+def deduplicate(records: RecordTable, camera_order: Sequence[str]) -> FruitTable:
     """Cluster the rows of a record table that view the same physical fruit.
 
-    Centers must be finite and radii finite and positive. Two records match
-    when their center distance does not exceed the larger of the two radii;
-    clusters are the connected components of the match graph, found from the
-    grid hash's candidate pairs. A cluster's members keep table order,
-    clusters are ordered by their first member, and cluster center and radius
-    are member means. The chosen member is the first with the least
-    ``_best_view_keys`` key.
+    Centers must be finite, radii finite and positive, and every
+    ``camera_id`` in ``camera_order``. Two records match when their center
+    distance does not exceed the larger of the two radii; fruits are the
+    connected components of the match graph, ordered by their first member.
+    The chosen view has the highest fill ratio; exact ties go to the earlier
+    camera in ``camera_order``, then the lower frame id, detection index and
+    member index. A NaN fill ratio neither beats nor is beaten, so a fruit
+    whose first member has one keeps it.
     """
     n = len(records)
-    if n == 0:
-        return []
-    centers, radii = records.center_world_m, records.radius_m
-    label = _components(n, *_matching_pairs(centers, radii))
+    centers, radii, fill = records.center_world_m, records.radius_m, records.fill_ratio
+    label = _components(n, *_matching_pairs(centers, radii)) if n else np.arange(0)
+    # Rows grouped by fruit in table order; fruits ordered by label, which is
+    # their first member.
+    members = np.argsort(label, kind="stable")
+    _, first, sizes = np.unique(label[members], return_index=True, return_counts=True)
+    # Each row's place in one stable sort of the tie-break keys.
+    camera_rank = {camera_id: i for i, camera_id in enumerate(camera_order)}
+    keys = list(zip(map(camera_rank.__getitem__, records.camera_id), records.frame_id,
+                    records.detection_index))
+    tie = np.argsort(sorted(range(n), key=keys.__getitem__))
 
-    # Members grouped by cluster in input order; clusters ordered by label,
-    # which is their first member.
-    by_cluster = np.argsort(label, kind="stable")
-    _, starts, sizes = np.unique(label[by_cluster], return_index=True, return_counts=True)
-    keys = _best_view_keys(records, camera_order)
-
-    fruits: List[WorldFruit] = [None] * len(starts)
-    # Means per cluster size, over (m, k) gathers, so that each mean adds
-    # its k members in the same order as a mean over that cluster alone.
+    center, radius, chosen = np.empty((len(sizes), 3)), np.empty(len(sizes)), np.zeros_like(sizes)
     for k in np.unique(sizes).tolist():
         of_size = np.flatnonzero(sizes == k)
-        members = by_cluster[starts[of_size, None] + np.arange(k)]
-        means = centers[members].mean(axis=1).tolist()
-        mean_radii = radii[members].mean(axis=1).tolist()
-        for c, idx, center, radius in zip(of_size.tolist(), members.tolist(), means, mean_radii):
-            chosen = min(range(k), key=[keys[i] for i in idx].__getitem__)
-            fruits[c] = WorldFruit(Point3._make(center), radius, idx, chosen)
-    return fruits
+        rows = members[first[of_size, None] + np.arange(k)]
+        center[of_size] = centers[rows].mean(axis=1)
+        radius[of_size] = radii[rows].mean(axis=1)
+        best = rows[:, 0]
+        for c in range(1, k):
+            row = rows[:, c]
+            better = (fill[row] > fill[best]) | (fill[row] == fill[best]) & (tie[row] < tie[best])
+            chosen[of_size[better]] = c
+            best = np.where(better, row, best)
+    return FruitTable(members, np.append(first, n), chosen, center, radius)

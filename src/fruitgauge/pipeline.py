@@ -26,7 +26,7 @@ from .errors import (BundleIOError, EmptyMask, FruitGaugeError, LengthMismatch, 
                      UnknownCamera)
 from .evaluation import evaluate_run, format_report_text
 from .fileio import RecordTable
-from .fusion import WorldFruit, deduplicate, estimate_metric_radius, localize
+from .fusion import FruitTable, deduplicate, estimate_metric_radius, localize
 from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
 from .maskops import nearest_mask_depth
 from .simulate import CaptureBundle, render_scene
@@ -198,10 +198,10 @@ def cmd_measure(
 
 
 def cmd_fuse(records_path: Path, rig_path: Path,
-             out_path: Optional[Path] = None) -> List[WorldFruit]:
+             out_path: Optional[Path] = None) -> FruitTable:
     """Dedup records across views by their stored world centers; pick the best
-    view. Returns the fruits of ``deduplicate``, which ``out_path`` receives
-    as ``fused.json``."""
+    view. Returns the fruit table of ``deduplicate``, which ``out_path``
+    receives as ``fused.json``."""
     camera_order = tuple(c.camera_id for c in fileio.read_rig(Path(rig_path)))
     records = fileio.read_records(Path(records_path))
     unknown = sorted(set(records.camera_id) - set(camera_order))
@@ -211,7 +211,7 @@ def cmd_fuse(records_path: Path, rig_path: Path,
     fruits = deduplicate(records, camera_order=camera_order)
     if out_path is not None:
         fileio.write_fused(Path(out_path), fruits, records)
-    logger.info("fused %d records into %d fruits", len(records), len(fruits))
+    logger.info("fused %d records into %d fruits", len(records), len(fruits.radius_m))
     return fruits
 
 

@@ -1,6 +1,7 @@
 import shutil
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -66,12 +67,30 @@ def record_dicts(table) -> list:
                    table.center_world_m.tolist())]
 
 
+class Fruit(NamedTuple):
+    """One fruit of a ``fusion.FruitTable``, as its own object."""
+
+    members: list                       # table rows, in table order
+    chosen: int                         # index into ``members``
+    center_world: Point3
+    radius_m: float
+
+
+def clusters(fruits) -> list:
+    """Each fruit of a ``fusion.FruitTable`` as a ``Fruit``, in table order."""
+    starts = fruits.starts.tolist()
+    return [Fruit(fruits.members[a:b].tolist(), chosen, Point3._make(center), radius)
+            for a, b, chosen, center, radius in zip(
+                starts, starts[1:], fruits.chosen.tolist(), fruits.center_world_m.tolist(),
+                fruits.radius_m.tolist())]
+
+
 def fused_document(fruits, rows: list) -> dict:
-    """The ``fused.json`` document of ``fusion.deduplicate``'s ``fruits`` over
+    """The ``fused.json`` document of the ``fusion.FruitTable`` ``fruits`` over
     the record objects ``rows``: the reference of ``fileio.write_fused``."""
     return {"fruits": [{"center_world_m": list(f.center_world), "radius_m": f.radius_m,
                         "n_views": len(f.members), "chosen": rows[f.members[f.chosen]],
-                        "members": [rows[i] for i in f.members]} for f in fruits]}
+                        "members": [rows[i] for i in f.members]} for f in clusters(fruits)]}
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:

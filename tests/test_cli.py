@@ -397,6 +397,22 @@ class TestMeasureIngest:
                      "--rig", str(bundle / "rig.json"), "-o", str(tmp_path / "f.json")]) == 1
         assert capsys.readouterr().err.count("['bottom']") == 2
 
+    def test_camera_named_fused_exits_1_at_evaluate(self, tmp_path, capsys):
+        # "fused" is the id of the report's fused row, which a camera row would duplicate
+        scene = scene_to_dict(lab_scene(0))
+        scene["rig"][0]["camera_id"] = "fused"
+        dump_json(scene, tmp_path / "scene.json")
+        bundle, out = tmp_path / "bundle", tmp_path / "out"
+        assert main(["simulate", "--scene", str(tmp_path / "scene.json"), "-o", str(bundle)]) == 0
+        assert main(["measure", "--bundle", str(bundle), "-o", str(out)]) == 0
+        assert main(["fuse", "--records", str(out / "records.json"),
+                     "--rig", str(bundle / "rig.json"), "-o", str(out / "fused.json")]) == 0
+        assert main(["evaluate", "--fused", str(out / "fused.json"),
+                     "--records", str(out / "records.json"),
+                     "--truth", str(bundle / "ground_truth.csv"), "-o", str(out / "report")]) == 1
+        assert "camera id 'fused'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("rel,field,value,message", [
         ("depth/top_000.json", "depth_scale", float("inf"), "depth_scale must be positive"),
         ("intrinsics/top.json", "fx", 0, "focal lengths must be positive"),

@@ -33,9 +33,9 @@ from fruitgauge.geometry import Point3
 from fruitgauge.pipeline import cmd_fuse
 from fruitgauge.simulate import paper_rig
 
-from conftest import record_dicts
+from conftest import clusters, record_dicts
 from test_fileio import ref_read
-from test_fusion import ORDER, clusters, ref_deduplicate
+from test_fusion import ORDER, ref_deduplicate
 
 # (rmse_mm, mean_mm, published accuracy) for every table row:
 # top, middle, bottom cameras and the fused fill-ratio selection

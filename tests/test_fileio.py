@@ -60,7 +60,7 @@ from fruitgauge.geometry import (
     RigidTransform,
     translation_transform,
 )
-from fruitgauge.fusion import WorldFruit
+from fruitgauge.fusion import FruitTable
 from fruitgauge.maskops import BinaryMask
 from fruitgauge.pipeline import cmd_fuse
 from fruitgauge.simulate import paper_rig
@@ -689,14 +689,15 @@ def record_objects(draw):
 def fruits_of(draw, n: int) -> list:
     """Fruits over ``n`` rows: every row in one fruit, members in any order."""
     order = draw(st.permutations(range(n)))
-    fruits = []
-    while order:
-        k = draw(st.integers(1, len(order)))
-        members, order = order[:k], order[k:]
-        center = draw(st.lists(EDGE_FLOATS, min_size=3, max_size=3))
-        fruits.append(WorldFruit(Point3(*center), draw(EDGE_FLOATS), members,
-                                 draw(st.integers(0, len(members) - 1))))
-    return fruits
+    starts, chosen, floats = [0], [], []
+    while starts[-1] < n:
+        k = draw(st.integers(1, n - starts[-1]))
+        starts.append(starts[-1] + k)
+        floats.append(draw(st.lists(EDGE_FLOATS, min_size=4, max_size=4)))
+        chosen.append(draw(st.integers(0, k - 1)))
+    floats = np.array(floats, dtype=float).reshape(-1, 4)
+    return FruitTable(np.array(order, dtype=np.intp), np.array(starts),
+                      np.array(chosen, dtype=np.intp), floats[:, :3], floats[:, 3])
 
 
 @pytest.fixture(scope="module")
@@ -775,7 +776,7 @@ class TestRecordWriters:
         write_records(tmp_path / "records.json", table, [])
         assert (tmp_path / "records.json").read_bytes() == (work / "records.json").read_bytes()
         fruits = cmd_fuse(work / "records.json", work / "rig.json", tmp_path / "fused.json")
-        assert len(fruits) == GENERATED_FRUITS
+        assert len(fruits.radius_m) == GENERATED_FRUITS
         dump_json(fused_document(fruits, rows), tmp_path / "want.json")
         assert (tmp_path / "fused.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fruitgauge.errors import InvalidDepth
 from fruitgauge import fusion
 from fruitgauge.fileio import RecordTable
+from fruitgauge.fileio import write_fused
 from fruitgauge.fusion import deduplicate, estimate_metric_radius, localize
 from fruitgauge.geometry import (
     CameraIntrinsics,
@@ -19,7 +20,7 @@ from fruitgauge.geometry import (
 )
 from fruitgauge.sizing import FittedCircle
 
-from conftest import deproject, random_rigid
+from conftest import clusters, deproject, random_rigid
 
 K500 = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
 ORDER = ("top", "middle", "bottom")  # the rig's camera order
@@ -79,10 +80,6 @@ def ref_deduplicate(records, camera_order):
     return fruits
 
 
-def clusters(fruits):
-    return [(f.members, f.chosen, f.center_world, f.radius_m) for f in fruits]
-
-
 def ref_select_best(members, camera_order):
     """The view a cluster reports, written out: the first member whose fill
     ratio no other member's beats, then the earliest camera in
@@ -104,7 +101,7 @@ def ref_select_best(members, camera_order):
 def chosen_view(members, camera_order=ORDER):
     """The index of the view that ``deduplicate`` reports for co-located
     ``members``, which form one cluster."""
-    fruit, = deduplicate(table(members), camera_order)
+    fruit, = clusters(deduplicate(table(members), camera_order))
     return fruit.chosen
 
 
@@ -157,25 +154,28 @@ class TestLocalize:
 
 class TestDeduplicate:
     def test_close_pair_merges(self):
-        fruits = deduplicate(table([det(0, 0, 0.6), det(0.010, 0, 0.6)]), ORDER)
+        fruits = clusters(deduplicate(table([det(0, 0, 0.6), det(0.010, 0, 0.6)]), ORDER))
         assert len(fruits) == 1 and fruits[0].members == [0, 1]
 
     def test_far_pair_stays_apart(self):
-        fruits = deduplicate(table([det(0, 0, 0.6), det(0.100, 0, 0.6)]), ORDER)
+        fruits = clusters(deduplicate(table([det(0, 0, 0.6), det(0.100, 0, 0.6)]), ORDER))
         assert [f.members for f in fruits] == [[0], [1]]
 
     def test_chain_merges_transitively(self):
         # a-b and b-c within radius, a-c not: one cluster of three
-        fruits = deduplicate(table([det(0, 0, 0.6), det(0.020, 0, 0.6), det(0.040, 0, 0.6)]),
-                             ORDER)
+        fruits = clusters(deduplicate(
+            table([det(0, 0, 0.6), det(0.020, 0, 0.6), det(0.040, 0, 0.6)]), ORDER))
         assert len(fruits) == 1 and len(fruits[0].members) == 3
 
-    def test_empty_input(self):
-        assert deduplicate(table([]), ORDER) == []
+    def test_empty_input(self, tmp_path):
+        fruits = deduplicate(table([]), ORDER)
+        assert fruits.starts.tolist() == [0]
+        write_fused(tmp_path / "fused.json", fruits, table([]))
+        assert (tmp_path / "fused.json").read_text() == '{"fruits": []}\n'
 
     def test_cluster_center_and_radius_are_means(self):
-        fruits = deduplicate(table([det(0, 0, 0.6, r=0.020), det(0.01, 0, 0.6, r=0.030)]), ORDER)
-        f = fruits[0]
+        f, = clusters(deduplicate(table([det(0, 0, 0.6, r=0.020), det(0.01, 0, 0.6, r=0.030)]),
+                                  ORDER))
         assert f.center_world.x == pytest.approx(0.005)
         assert f.radius_m == pytest.approx(0.025)
 
@@ -183,12 +183,12 @@ class TestDeduplicate:
         base = [det(*rng.uniform(-0.3, 0.3, size=2), 0.6 + rng.uniform(-0.05, 0.05),
                     r=rng.uniform(0.015, 0.03), index=i) for i in range(20)]
         reference = {frozenset(base[i].detection_index for i in f.members)
-                     for f in deduplicate(table(base), ORDER)}
+                     for f in clusters(deduplicate(table(base), ORDER))}
         for _ in range(10):
             perm = list(base)
             rng.shuffle(perm)
             got = {frozenset(perm[i].detection_index for i in f.members)
-                   for f in deduplicate(table(perm), ORDER)}
+                   for f in clusters(deduplicate(table(perm), ORDER))}
             assert got == reference
 
     def test_cluster_count_monotone_in_radius(self, rng):
@@ -197,12 +197,12 @@ class TestDeduplicate:
         counts = []
         for scale in (1, 5, 20, 60, 200):
             scaled = [replace(p, radius_m=p.radius_m * scale) for p in pts]
-            counts.append(len(deduplicate(table(scaled), ORDER)))
+            counts.append(len(clusters(deduplicate(table(scaled), ORDER))))
         assert counts == sorted(counts, reverse=True)
 
     def test_larger_radius_decides_a_match(self):
         pair = [det(0, 0, 0.6, r=0.005), det(0.010, 0, 0.6, r=0.030)]
-        assert len(deduplicate(table(pair), ORDER)) == 1
+        assert len(clusters(deduplicate(table(pair), ORDER))) == 1
 
 
 class TestSelectBest:
@@ -228,7 +228,7 @@ class TestSelectBest:
     def test_chosen_attribute_on_clusters(self):
         records = [det(0, 0, 0.6, fill=0.73, cam="top"),
                    det(0.005, 0, 0.6, fill=0.94, cam="bottom", index=1)]
-        fruits = deduplicate(table(records), ORDER)
+        fruits = clusters(deduplicate(table(records), ORDER))
         chosen = records[fruits[0].members[fruits[0].chosen]]
         assert chosen.fill_ratio == 0.94
         assert all(chosen.fill_ratio >= records[i].fill_ratio for i in fruits[0].members)
@@ -242,7 +242,7 @@ class TestSelectBest:
         views = [det(0, 0, 0.6 + i / 1000, fill=f, cam=cam, index=i)
                  for i, (f, cam) in enumerate(zip(fills, ORDER))]
         records = views + [det(1, 1, 1, fill=0.7, index=3)]
-        fruit, _ = deduplicate(table(records), ORDER)
+        fruit, _ = clusters(deduplicate(table(records), ORDER))
         assert fruit.chosen == ref_select_best([records[i] for i in fruit.members], ORDER)
 
 
@@ -321,7 +321,12 @@ def record_rows(draw):
 def test_grid_dedup_matches_all_pairs_reference(rows):
     records = [det(x, y, z, r=r, fill=0.5 + (i % 7) / 20, cam=ORDER[i % 3], index=i)
                for i, (x, y, z, r) in enumerate(rows)]
-    got = clusters(deduplicate(table(records), ORDER))
+    fruits = deduplicate(table(records), ORDER)
+    sizes = np.diff(fruits.starts)
+    assert sorted(fruits.members.tolist()) == list(range(len(rows)))
+    assert fruits.starts[0] == 0 and fruits.starts[-1] == len(rows) and (sizes > 0).all()
+    assert ((0 <= fruits.chosen) & (fruits.chosen < sizes)).all()
+    got = clusters(fruits)
     assert got == all_pairs_dedup(records)
     assert got == ref_deduplicate(records, ORDER)
 
@@ -338,4 +343,4 @@ def test_pair_one_radius_apart_across_a_cell_boundary_merges(axis, start, r):
     a[axis], b[axis] = start, start + r
     assert np.linalg.norm(np.subtract([b], [a]), axis=1)[0] == r
     fruits = deduplicate(table([det(*a, r=r), det(*b, r=r / 4, index=1)]), ORDER)
-    assert [f.members for f in fruits] == [[0, 1]]
+    assert [f.members for f in clusters(fruits)] == [[0, 1]]
