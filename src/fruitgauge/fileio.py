@@ -72,13 +72,20 @@ keeps its type (CLI exit 1) and names the file.
 
 All JSON emitted by the pipeline is written with a fixed key order and a
 trailing newline so identical inputs produce byte-identical files.
+
+Every reader gets a file's bytes from ``_read_bytes``. Inside ``input_hashes``
+it also takes their sha256, which ``measure`` lists in its manifest, so no
+input is read twice; outside, it hashes nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import functools
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -88,7 +95,7 @@ import re
 import reprlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,11 +187,31 @@ def _values(d: dict, key: str, shape: tuple, types: tuple = _NUMBER) -> list:
                     f"got {reprlib.repr(value)}")
 
 
+# The dict of the innermost ``input_hashes`` of the calling context: context
+# state, so that no reader takes an argument for it and no other thread sees it.
+_digests = contextvars.ContextVar("digests", default=None)
+
+
+@contextlib.contextmanager
+def input_hashes() -> Iterator[Dict[str, str]]:
+    """Each file read inside the block, by its path as opened, to its hex sha256."""
+    digests: Dict[str, str] = {}
+    token = _digests.set(digests)
+    try:
+        yield digests
+    finally:
+        _digests.reset(token)
+
+
 def _read_bytes(path: Path) -> bytes:
     try:
-        return path.read_bytes()
+        data = path.read_bytes()
     except OSError as e:
         raise BundleIOError(f"cannot read {path}: {e.strerror or e}") from e
+    digests = _digests.get()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _json_file(path: Path):
@@ -317,7 +344,8 @@ def write_rig(path: Path, cameras: List[RigCamera]) -> None:
     dump_json({"cameras": entries}, path)
 
 
-def read_rig(path: Path) -> List[RigCamera]:
+def _rig(path: Path, intrinsics: Callable[[Path], Optional[CameraIntrinsics]]) -> List[RigCamera]:
+    """A rig file's cameras, each entry checked, its intrinsics files read by ``intrinsics``."""
     path = Path(path)
     doc = load_json(path)
     cameras = []
@@ -328,7 +356,7 @@ def read_rig(path: Path) -> List[RigCamera]:
                 raise BundleIOError(f"rig {path} lists camera {cam_id!r} twice")
             pose = transform_from_dict(_value(entry, "cam_to_world", _OBJECT), f"{path}:{cam_id}")
             intr, depth_intr = (
-                None if name is None else read_intrinsics(path.parent / name)
+                None if name is None else intrinsics(path.parent / name)
                 for name in (_value(entry, key, (str, _NULL), None)
                              for key in ("intrinsics_file", "depth_intrinsics_file")))
             depth_to_color = _value(entry, "depth_to_color", (dict, _NULL), None)
@@ -338,6 +366,15 @@ def read_rig(path: Path) -> List[RigCamera]:
     if not cameras:
         raise BundleIOError(f"rig {path} lists no cameras")
     return cameras
+
+
+def read_rig(path: Path) -> List[RigCamera]:
+    return _rig(path, read_intrinsics)
+
+
+def read_camera_order(path: Path) -> Tuple[str, ...]:
+    """A rig file's camera ids in order, checked as by ``read_rig``; opens no intrinsics file."""
+    return tuple(cam.camera_id for cam in _rig(path, lambda intrinsics_path: None))
 
 
 # -- calibration board poses ---------------------------------------------------
@@ -703,17 +740,27 @@ def write_ground_truth_csv(path: Path, records: List[GroundTruthRecord]) -> None
 
 
 def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
+    """The rows as ``csv.DictReader`` reads them (no blank row, a short row's
+    missing fields None, a repeated name's last column), columns looked up once."""
     path = Path(path)
     with parsing(f"ground truth {path}"):
-        rows = list(csv.DictReader(io.StringIO(_read_bytes(path).decode(), newline="")))
+        reader = csv.reader(io.StringIO(_read_bytes(path).decode(), newline=""))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    at = {name: i for i, name in enumerate(header)}
+    # a getter per column; of an absent one, no x_m or a dict row's KeyError
+    fruit_id, height_mm, width_mm, x_m, y_m, z_m = (
+        operator.itemgetter(at[name]) if name in at else (lambda row: None) if name == "x_m"
+        else lambda row, name=name: {}[name] for name in TRUTH_HEADER)
     records = []
     with parsing(_Entry("ground-truth row ", records, f" in {path}", first=1)):
         for row in rows:
-            center = None
-            if row.get("x_m") not in (None, ""):
-                center = Point3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"]))
-            records.append(GroundTruthRecord(row["fruit_id"], float(row["height_mm"]),
-                                             float(row["width_mm"]), center))
+            row += [None] * (len(header) - len(row))
+            x, center = x_m(row), None
+            if x not in (None, ""):
+                center = Point3(float(x), float(y_m(row)), float(z_m(row)))
+            records.append(GroundTruthRecord(fruit_id(row), float(height_mm(row)),
+                                             float(width_mm(row)), center))
     return records
 
 

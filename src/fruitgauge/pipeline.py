@@ -4,6 +4,10 @@ Every command reads and writes the plain-file formats from ``fileio``; all
 canonical outputs (records, fused fruits, reports, bundles) are byte-stable
 for identical inputs. Timing lives only in the manifest.
 
+``measure``'s manifest maps each file it read (rig, intrinsics, detections,
+depth and sidecars) to its sha256, which ``fileio._read_bytes`` takes from the
+bytes it read. ``fuse`` and ``evaluate`` hash nothing.
+
 Each view is sized and localized once, at measure time: a record carries its
 world-frame center and metric radius, and fusion clusters on those stored
 values.
@@ -11,7 +15,6 @@ values.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import time
 from dataclasses import asdict
@@ -33,17 +36,6 @@ from .simulate import CaptureBundle, render_scene
 from .sizing import measure_fruit
 
 logger = logging.getLogger(__name__)
-
-
-def _bundle_signature(bundle_dir: Path) -> str:
-    """sha256 over every file's relative path and bytes, in path order."""
-    digest = hashlib.sha256()
-    for path in sorted(p for p in bundle_dir.rglob("*") if p.is_file()):
-        name = path.relative_to(bundle_dir).as_posix().encode()
-        data = path.read_bytes()
-        digest.update(b"%d:%s%d:" % (len(name), name, len(data)))
-        digest.update(data)
-    return digest.hexdigest()[:16]
 
 
 def write_bundle(bundle: CaptureBundle, out_dir: Path) -> Path:
@@ -147,41 +139,44 @@ def cmd_measure(
     t0 = time.perf_counter()
     bundle_dir = Path(bundle_dir)
     rig_path = Path(rig_path) if rig_path else bundle_dir / "rig.json"
-    cameras = {c.camera_id: c for c in fileio.read_rig(rig_path)}
+    with fileio.input_hashes() as inputs:
+        cameras = {c.camera_id: c for c in fileio.read_rig(rig_path)}
 
-    det_dir = bundle_dir / "detections"
-    if not det_dir.is_dir():
-        raise BundleIOError(f"bundle has no detections directory: {det_dir}")
-    det_files = [fileio.read_detections(p) for p in sorted(det_dir.glob("*.json"))]
+        det_dir = bundle_dir / "detections"
+        if not det_dir.is_dir():
+            raise BundleIOError(f"bundle has no detections directory: {det_dir}")
+        det_files = [fileio.read_detections(p) for p in sorted(det_dir.glob("*.json"))]
 
-    frames: List[RecordTable] = []
-    warnings: List[dict] = []
-    n_detections = 0
-    unknown = sorted({f.camera_id for f in det_files} - set(cameras))
-    if unknown:
-        raise UnknownCamera(f"detections reference cameras {unknown} absent from rig")
-    camera_order = list(cameras)
-    for det_file in sorted(det_files, key=lambda f: (camera_order.index(f.camera_id), f.frame_id)):
-        cam = cameras[det_file.camera_id]
-        if cam.intrinsics is None:
-            raise BundleIOError(f"rig entry {cam.camera_id!r} has no intrinsics file")
-        depth_path = bundle_dir / "depth" / f"{det_file.camera_id}_{det_file.frame_id}.pgm"
-        depth = fileio.read_depth(depth_path)
-        if cam.depth_intrinsics is not None and cam.depth_to_color is not None:
-            depth = align_depth_to_color(depth, cam.depth_intrinsics,
-                                         cam.intrinsics, cam.depth_to_color)
+        frames: List[RecordTable] = []
+        warnings: List[dict] = []
+        n_detections = 0
+        unknown = sorted({f.camera_id for f in det_files} - set(cameras))
+        if unknown:
+            raise UnknownCamera(f"detections reference cameras {unknown} absent from rig")
+        camera_order = list(cameras)
+        for det_file in sorted(det_files,
+                               key=lambda f: (camera_order.index(f.camera_id), f.frame_id)):
+            cam = cameras[det_file.camera_id]
+            if cam.intrinsics is None:
+                raise BundleIOError(f"rig entry {cam.camera_id!r} has no intrinsics file")
+            depth_path = bundle_dir / "depth" / f"{det_file.camera_id}_{det_file.frame_id}.pgm"
+            depth = fileio.read_depth(depth_path)
+            if cam.depth_intrinsics is not None and cam.depth_to_color is not None:
+                depth = align_depth_to_color(depth, cam.depth_intrinsics,
+                                             cam.intrinsics, cam.depth_to_color)
 
-        n_detections += len(det_file.detections)
-        frame_records, frame_warnings = _measure_frame(det_file, depth, cam)
-        frames.append(frame_records)
-        warnings += frame_warnings
+            n_detections += len(det_file.detections)
+            frame_records, frame_warnings = _measure_frame(det_file, depth, cam)
+            frames.append(frame_records)
+            warnings += frame_warnings
 
     records = RecordTable.concat(frames)
     if out_dir is not None:
         out_dir = Path(out_dir)
         fileio.write_records(out_dir / "records.json", records, warnings)
         manifest = {
-            "bundle": {"path": str(bundle_dir), "signature": _bundle_signature(bundle_dir)},
+            "bundle": {"path": str(bundle_dir)},
+            "inputs": inputs,
             "counts": {
                 "frames": len(det_files),
                 "detections": n_detections,
@@ -202,7 +197,7 @@ def cmd_fuse(records_path: Path, rig_path: Path,
     """Dedup records across views by their stored world centers; pick the best
     view. Returns the fruit table of ``deduplicate``, which ``out_path``
     receives as ``fused.json``."""
-    camera_order = tuple(c.camera_id for c in fileio.read_rig(Path(rig_path)))
+    camera_order = fileio.read_camera_order(Path(rig_path))
     records = fileio.read_records(Path(records_path))
     unknown = sorted(set(records.camera_id) - set(camera_order))
     if unknown:

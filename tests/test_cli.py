@@ -1,12 +1,14 @@
 """End-to-end tests of the five ``fruitgauge`` commands through ``cli.main``."""
 
+import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fruitgauge import fusion, pipeline
+from fruitgauge import fileio, fusion, pipeline
 from fruitgauge.cli import main
 from fruitgauge.fileio import (
     dump_json,
@@ -436,26 +438,82 @@ class TestMeasureIngest:
 
 
 class TestManifest:
-    def test_bundle_signature_hashes_file_contents(self, runs, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        shutil.copytree(runs[0] / "bundle", a)
-        shutil.copytree(runs[1] / "bundle", b)
-        signature = pipeline._bundle_signature
-        assert signature(a) == signature(b)
-        depth = b / "depth" / "middle_000.pgm"
-        data = bytearray(depth.read_bytes())
-        data[-1] ^= 1  # one depth byte flipped, same size
-        depth.write_bytes(bytes(data))
-        assert signature(a) != signature(b)
-        depth.write_bytes((a / "depth" / "middle_000.pgm").read_bytes())
-        assert signature(a) == signature(b)
-        depth.rename(b / "depth" / "middle_001.pgm")  # same bytes under another name
-        assert signature(a) != signature(b)
-
-    def test_measure_manifest_records_the_signature(self, runs):
+    def test_lists_every_file_measure_read_with_its_sha256(self, runs):
+        bundle = runs[0] / "bundle"
         manifest = load(runs[0] / "out" / "manifest.json")
-        assert set(manifest) == {"bundle", "counts", "warnings", "timings_s"}
-        assert manifest["bundle"]["signature"] == pipeline._bundle_signature(runs[0] / "bundle")
+        assert set(manifest) == {"bundle", "inputs", "counts", "warnings", "timings_s"}
+        assert manifest["bundle"] == {"path": str(bundle)}
+        assert sorted(manifest["inputs"]) == sorted(
+            str(p) for p in bundle.rglob("*") if p.is_file() and p.name != "ground_truth.csv")
+        for path, digest in manifest["inputs"].items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("rel", ["rig.json", "intrinsics/middle.json",
+                                     "detections/middle_000.json", "depth/middle_000.pgm",
+                                     "depth/middle_000.json", "ground_truth.csv"])
+    def test_one_changed_byte_changes_only_that_files_hash(self, runs, tmp_path, rel):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+
+        def inputs(out):
+            assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / out)]) == 0
+            return load(tmp_path / out / "manifest.json")["inputs"]
+
+        before = inputs("before")
+        data = bytearray((bundle / rel).read_bytes())
+        if rel.endswith(".json"):
+            data[data.index(b" ")] = ord("\n")   # still the same JSON document
+        else:
+            data[-2] ^= 1   # a depth sample, or a digit of the last truth center
+        (bundle / rel).write_bytes(bytes(data))
+        after = inputs("after")
+        changed = [path for path in before if before[path] != after[path]]
+        assert list(after) == list(before)
+        assert changed == ([] if rel == "ground_truth.csv" else [str(bundle / rel)])
+
+    def test_each_command_reads_only_its_inputs_and_each_once(self, runs, tmp_path,
+                                                                monkeypatch):
+        """Measure reads every file it lists once, hashing each; fuse reads
+        the rig file and the records, evaluate its three inputs, and neither hashes."""
+        reads = []
+        read_bytes = fileio._read_bytes
+
+        def counted(path):
+            reads.append((str(path), fileio._digests.get() is not None))
+            return read_bytes(path)
+
+        monkeypatch.setattr(fileio, "_read_bytes", counted)
+        bundle, out = runs[0] / "bundle", tmp_path / "out"
+        measure_fuse_evaluate(bundle, out)
+        assert reads == [(path, True) for path in load(out / "manifest.json")["inputs"]] + [
+            (str(bundle / "rig.json"), False), (str(out / "records.json"), False),
+            (str(bundle / "ground_truth.csv"), False), (str(out / "records.json"), False),
+            (str(out / "fused.json"), False)]
+
+
+class TestFuseRig:
+    def test_fuse_reads_no_intrinsics_file(self, runs, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        shutil.rmtree(bundle / "intrinsics")
+        assert main(["fuse", "--records", str(runs[0] / "out" / "records.json"),
+                     "--rig", str(bundle / "rig.json"), "-o", str(tmp_path / "fused.json")]) == 0
+        assert (tmp_path / "fused.json").read_bytes() == \
+            (runs[0] / "out" / "fused.json").read_bytes()
+
+    @pytest.mark.parametrize("damage,named", [
+        (lambda d: d["cameras"][1].update(id=d["cameras"][0]["id"]), "lists camera 'top' twice"),
+        (lambda d: d["cameras"][0].update(id=7), "id must be str, got 7"),
+        (lambda d: d.update(cameras=[]), "lists no cameras"),
+        (lambda d: d["cameras"][0]["cam_to_world"].update(
+            rotation=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "rotation must be"),
+    ], ids=["duplicate-id", "int-id", "no-cameras", "string-rotation"])
+    def test_damaged_rig_fails_naming_it(self, runs, tmp_path, capsys, damage, named):
+        rig = damage_copy(runs[0] / "bundle" / "rig.json", tmp_path / "rig.json", damage)
+        code = main(["fuse", "--records", str(runs[0] / "out" / "records.json"),
+                     "--rig", str(rig), "-o", str(tmp_path / "fused.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and str(rig) in err[0] and named in err[0], err
 
 
 def damage_copy(source, target, damage):

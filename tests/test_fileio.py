@@ -829,6 +829,9 @@ class TestCollectorPause:
             read(tmp_path / "doc.json")
         assert gc.isenabled() is collector
 
+GT_HEADER = "fruit_id,height_mm,width_mm,x_m,y_m,z_m\n"
+
+
 class TestGroundTruthCsv:
     def test_roundtrip(self, tmp_path):
         records = [
@@ -864,6 +867,34 @@ class TestGroundTruthCsv:
             "fruit_id,height_mm,width_mm,x_m,y_m,z_m\n" + "f" * 200_000 + ",40,47,,,\n")
         with pytest.raises(BundleIOError, match="gt.csv"):
             read_ground_truth_csv(tmp_path / "gt.csv")
+
+    @pytest.mark.parametrize("text, message", [
+        # a missing column fails the first row that reads it, naming the column
+        ("fruit_id,width_mm,x_m,y_m,z_m\nf0,47,0.1,0.2,0.6\n",
+         "ground-truth row 1 in {path} missing field 'height_mm'"),
+        ("fruit_id,height_mm,width_mm,x_m,z_m\nf0,40,47,,\nf1,40,47,0.1,0.6\n",
+         "ground-truth row 2 in {path} missing field 'y_m'"),
+        # a short row's missing fields read as None
+        (GT_HEADER + "f0,40,47,,,\nf1,40\n",
+         "malformed ground-truth row 2 in {path}: "
+         "float() argument must be a string or a real number, not 'NoneType'"),
+        # a bad value names its row; blank lines are not rows
+        (GT_HEADER + "f0,40,47,,,\n\nf1,not_a_number,47,,,\n",
+         "malformed ground-truth row 2 in {path}: could not convert string to float: "
+         "'not_a_number'"),
+        (GT_HEADER + "f0,40,47,,,\nf1,40,47,0.1,0.2,nan\n",
+         "malformed ground-truth row 2 in {path}: "
+         "ground-truth sizes must be finite and positive, the center finite"),
+        # an overlong field names the file
+        (GT_HEADER + "f" * 200_000 + ",40,47,,,\n",
+         "malformed ground truth {path}: field larger than field limit (131072)"),
+    ], ids=["missing-column", "missing-center-column", "short-row", "bad-value",
+            "non-finite-center", "overlong-field"])
+    def test_error_texts(self, tmp_path, text, message):
+        (tmp_path / "gt.csv").write_text(text)
+        with pytest.raises(BundleIOError) as raised:
+            read_ground_truth_csv(tmp_path / "gt.csv")
+        assert str(raised.value) == message.format(path=tmp_path / "gt.csv")
 
     def test_bad_row_reports_location(self, tmp_path):
         # a size that is not a finite positive number, or a center that is not finite

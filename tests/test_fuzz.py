@@ -10,23 +10,29 @@ and write no example database, so they are repeatable.
 """
 
 import copy
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fruitgauge.errors import BundleIOError, FruitGaugeError
+from fruitgauge.evaluation import GroundTruthRecord
 from fruitgauge.fileio import (
     Detection,
     DetectionFile,
     dump_json,
     intrinsics_to_dict,
     read_board_poses,
+    read_camera_order,
     read_depth,
     read_detections,
+    parsing,
     read_fused_choices,
+    read_ground_truth_csv,
     read_intrinsics,
     read_pgm16,
     read_records,
@@ -169,6 +175,26 @@ def test_read_rig(work, rig_doc, data):
     only_fruitgauge_errors(read_rig, work / "rig" / "damaged.json")
 
 
+@FUZZ
+@given(st.data())
+def test_read_camera_order(work, rig_doc, data):
+    """The camera order reader fails only as ``read_rig`` fails, and where
+    ``read_rig`` reads the rig, gives its camera ids."""
+    dump_json(data.draw(damaged(rig_doc)), work / "rig" / "damaged.json")
+
+    def outcome(read):
+        try:
+            return True, read(work / "rig" / "damaged.json")
+        except FruitGaugeError as e:
+            return False, (type(e), str(e))
+
+    (order_read, order), (rig_read, rig) = outcome(read_camera_order), outcome(read_rig)
+    if not order_read:
+        assert (rig_read, rig) == (False, order)
+    elif rig_read:
+        assert order == tuple(cam.camera_id for cam in rig)
+
+
 RECORDS = {"records": [RECORD, {**RECORD, "camera_id": "middle", "fruit_id": "fruit00"}],
            "warnings": []}
 FUSED = {"fruits": [{"center_world_m": [0.01, -0.02, 0.62], "radius_m": 0.0215, "n_views": 2,
@@ -205,6 +231,46 @@ def test_read_fused_choices_matches_the_row_reference(work, data):
     dump_json(data.draw(damaged(FUSED)), work / "fused.json")
     assert read_outcome(read_fused_choices, work / "fused.json") == \
         read_outcome(lambda path: ref_read(path, "fruits"), work / "fused.json")
+
+
+def ref_read_ground_truth_csv(path):
+    """``read_ground_truth_csv`` through ``csv.DictReader``, a dict per row."""
+    with parsing(f"ground truth {path}"):
+        rows = list(csv.DictReader(io.StringIO(path.read_bytes().decode(), newline="")))
+    records = []
+    for i, row in enumerate(rows, 1):
+        with parsing(f"ground-truth row {i} in {path}"):
+            center = None
+            if row.get("x_m") not in (None, ""):
+                center = Point3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"]))
+            records.append(GroundTruthRecord(row["fruit_id"], float(row["height_mm"]),
+                                             float(row["width_mm"]), center))
+    return records
+
+
+TRUTH_NAMES = ("fruit_id", "height_mm", "width_mm", "x_m", "y_m", "z_m", "note")
+TRUTH_FIELDS = st.sampled_from(["", "40", "0.1", "-0.2", "nan", "0", "f0", '"4,7"'])
+
+
+@FUZZ
+@given(st.lists(st.sampled_from(TRUTH_NAMES), max_size=8),
+       st.lists(st.lists(TRUTH_FIELDS, max_size=8), max_size=4))
+@example(list(TRUTH_NAMES[:6]), [["f0", "40", "47"], ["f0", "40", "47", "0.1", "0", "0", "x"]])
+@example(["fruit_id", "height_mm", "height_mm", "width_mm"], [["f0", "1", "40", "47"]])
+@example([], [])
+def test_read_ground_truth_csv_matches_the_dict_reader_reference(work, header, rows):
+    """Absent, repeated and extra columns, short, long and blank rows, and bad
+    values: the same records, or the same error naming the same row."""
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    (work / "truth.csv").write_text(text)
+
+    def outcome(read):
+        try:
+            return read(work / "truth.csv")
+        except FruitGaugeError as e:
+            return type(e), str(e)
+
+    assert outcome(read_ground_truth_csv) == outcome(ref_read_ground_truth_csv)
 
 
 SCENE = scene_to_dict(SceneSpec(
