@@ -345,8 +345,10 @@ def write_rig(path: Path, cameras: List[RigCamera]) -> None:
 
 
 def _rig(path: Path, intrinsics: Callable[[Path], Optional[CameraIntrinsics]]) -> List[RigCamera]:
-    """A rig file's cameras, each entry checked, its intrinsics files read by ``intrinsics``."""
+    """A rig file's cameras, each entry checked, each distinct intrinsics file
+    read once by ``intrinsics``; cameras that name one file share its result."""
     path = Path(path)
+    intrinsics = functools.cache(intrinsics)
     doc = load_json(path)
     cameras = []
     with parsing(f"rig {path}"):

@@ -490,6 +490,38 @@ class TestManifest:
             (str(bundle / "ground_truth.csv"), False), (str(out / "records.json"), False),
             (str(out / "fused.json"), False)]
 
+    def test_intrinsics_file_shared_by_every_camera_is_read_once(self, runs, tmp_path,
+                                                                 monkeypatch):
+        # every lab camera has the same intrinsics, so pointing all three rig
+        # entries at top.json changes no record
+        def share_top(doc):
+            for cam in doc["cameras"]:
+                cam["intrinsics_file"] = "intrinsics/top.json"
+
+        def counted(path):
+            reads.append(str(path))
+            return read_bytes(path)
+
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        damage_copy(bundle / "rig.json", bundle / "rig.json", share_top)
+        reads = []
+        read_bytes = fileio._read_bytes
+        monkeypatch.setattr(fileio, "_read_bytes", counted)
+        out = tmp_path / "out"
+        assert main(["measure", "--bundle", str(bundle), "-o", str(out)]) == 0
+        shared = str(bundle / "intrinsics" / "top.json")
+        assert reads.count(shared) == 1
+        inputs = load(out / "manifest.json")["inputs"]
+        assert list(inputs) == reads
+        assert sorted(inputs) == sorted(
+            str(p) for p in bundle.rglob("*") if p.is_file() and p.name != "ground_truth.csv"
+            and p.name not in ("middle.json", "bottom.json"))
+        assert inputs[shared] == hashlib.sha256((bundle / "intrinsics" / "top.json")
+                                                .read_bytes()).hexdigest()
+        assert (out / "records.json").read_bytes() == \
+            (runs[0] / "out" / "records.json").read_bytes()
+
 
 class TestFuseRig:
     def test_fuse_reads_no_intrinsics_file(self, runs, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fruitgauge import geometry
+from fruitgauge import geometry, simulate
 from fruitgauge.errors import InvalidSpec
 from fruitgauge.fileio import scene_from_dict
 from fruitgauge.geometry import (
@@ -28,12 +29,14 @@ from fruitgauge.geometry import (
 from fruitgauge.maskops import BinaryMask, Pixel
 from fruitgauge.simulate import (
     CAMERA_HEIGHTS_M,
+    DEFAULT_INTRINSICS,
     RIG_TARGET,
     FruitSpec,
     NoiseSpec,
     QuadOccluder,
     SceneSpec,
     _camera_noise_seed,
+    _chord_coordinates,
     _noisy_units,
     _windows,
     lab_scene,
@@ -195,6 +198,85 @@ def ref_render_scene(spec):
                                           _camera_noise_seed(spec.seed, ci))
         out.append((samples, masks))
     return out
+
+
+# -- the per-fruit lab_scene the package used before it built the scene in --
+# -- array passes, with its 60-step bisection per cut; kept as the reference -
+
+def ref_chord_coordinate(fraction):
+    """q such that the unit-disc area with coordinate >= q equals fraction."""
+    if not 0 < fraction < 1:
+        raise InvalidSpec(f"cut fraction must be in (0,1), got {fraction}")
+    lo, hi = -1.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        area = (math.acos(mid) - mid * math.sqrt(1 - mid * mid)) / math.pi
+        if area > fraction:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ref_window_quad(cam, u_range, v_range):
+    us = np.array([u_range[0], u_range[1], u_range[1], u_range[0]])
+    vs = np.array([v_range[0], v_range[0], v_range[1], v_range[1]])
+    xn, yn = pixel_to_ray(cam.intrinsics, us, vs)
+    corners_cam = np.column_stack([xn, yn, np.ones(4)]) * simulate.LEAF_DEPTH_M
+    return QuadOccluder(apply_points(cam.cam_to_world, corners_cam))
+
+
+def ref_leaves_for_fruit(fruit, cam, cut, fraction):
+    k = cam.intrinsics
+    c_cam = apply(invert(cam.cam_to_world), fruit.center_world).to_array()
+    if c_cam[2] <= 0:
+        raise InvalidSpec("occluded fruit is behind the occluded camera")
+    u0, v0 = ray_to_pixel(k, c_cam[0] / c_cam[2], c_cam[1] / c_cam[2])
+    ax, ay, az = fruit.semi_axes
+    view_world = cam.cam_to_world.rotation @ (c_cam / np.linalg.norm(c_cam))
+    sin_elev = abs(float(view_world[1]))
+    cos_elev = math.sqrt(max(1.0 - sin_elev * sin_elev, 0.0))
+    s_vert = math.sqrt((ay * cos_elev) ** 2 + (az * sin_elev) ** 2)
+    rho_u = k.fx * ax / c_cam[2]
+    rho_v = k.fy * s_vert / c_cam[2]
+    margin = simulate.LEAF_MARGIN
+    full_u = (u0 - margin * rho_u, u0 + margin * rho_u)
+    full_v = (v0 - margin * rho_v, v0 + margin * rho_v)
+    if cut == "left":
+        q = ref_chord_coordinate(fraction)
+        windows = [((full_u[0], u0 - q * rho_u), full_v)]
+    elif cut == "right":
+        q = ref_chord_coordinate(fraction)
+        windows = [((u0 + q * rho_u, full_u[1]), full_v)]
+    else:
+        q = ref_chord_coordinate(fraction / 2.0)
+        windows = [(full_u, (full_v[0], v0 - q * rho_v)), (full_u, (v0 + q * rho_v, full_v[1]))]
+    return [ref_window_quad(cam, ur, vr) for ur, vr in windows]
+
+
+def ref_lab_scene(seed=0, *, rig=None, n_fruits=12, columns=6, pitch_x=0.09, pitch_y=0.11):
+    rig = rig if rig is not None else paper_rig()
+    bottom = next(c for c in rig if c.camera_id == "bottom")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE2E]))
+    rows = math.ceil(n_fruits / columns)
+    fruits = []
+    for i in range(n_fruits):
+        r, c = divmod(i, columns)
+        x = (c - (columns - 1) / 2.0) * pitch_x
+        y = (r - (rows - 1) / 2.0) * pitch_y
+        z = RIG_TARGET.z + rng.uniform(-simulate.Z_JITTER_M, simulate.Z_JITTER_M)
+        h = rng.uniform(*simulate.HEIGHT_RANGE_MM) / 1000.0
+        w = rng.uniform(*simulate.WIDTH_RANGE_MM) / 1000.0
+        fruits.append(FruitSpec(f"fruit{i:02d}", Point3(x, y, z), np.array([w / 2, h / 2, w / 2])))
+    occluders = []
+    lo, hi = simulate.OCCLUDED_FRACTION
+    for i, fruit in enumerate(fruits):
+        kind = ("left", "band", "right", "band")[i % 4]
+        fraction = rng.uniform(max(lo, hi - 0.3 * (hi - lo)), hi) \
+            if kind == "band" else rng.uniform(lo, hi)
+        occluders.extend(ref_leaves_for_fruit(fruit, bottom, kind, fraction))
+    return SceneSpec(fruits=fruits, occluders=occluders, rig=rig,
+                     noise=NoiseSpec(sigma_at_1m=0.002), seed=seed)
 
 
 SMALL_K = CameraIntrinsics(160, 120, 115.0, 115.0, 79.5, 59.5)
@@ -609,6 +691,96 @@ class TestLabScene:
     def test_rig_without_bottom_camera_rejected(self):
         with pytest.raises(InvalidSpec, match="bottom"):
             lab_scene(0, rig=[c for c in paper_rig() if c.camera_id != "bottom"])
+
+
+ORCHARD_K = CameraIntrinsics(1280, 720, 920.0, 920.0, 639.5, 359.5)
+ORCHARD_GRID = dict(n_fruits=60, columns=10, pitch_x=0.07, pitch_y=0.075)
+
+
+def disc_area_above(q):
+    """Share of the unit disc's area at coordinate >= q."""
+    return (math.acos(q) - q * math.sqrt(1 - q * q)) / math.pi
+
+
+class TestChordCoordinates:
+    def test_matches_the_bisection(self):
+        ends = np.geomspace(1e-6, 1e-3, 200)
+        fractions = np.concatenate([ends, np.linspace(1e-6, 1 - 1e-6, 2001), 1 - ends,
+                                    np.linspace(1e-3, 0.9, 2001)])
+        q = _chord_coordinates(fractions)
+        error = np.abs(q - [ref_chord_coordinate(f) for f in fractions.tolist()])
+        # both solve the same rounded area; near the ends a step of f moves q
+        # by up to pi / (2 sqrt(1 - q^2)) times as much
+        assert error.max() <= 1e-13
+        assert error[(fractions >= 1e-3) & (fractions <= 0.9)].max() <= 6e-16
+        assert max(abs(disc_area_above(qi) - f)
+                   for qi, f in zip(q.tolist(), fractions.tolist())) <= 1e-15
+
+    def test_fractions_too_near_the_ends_stay_inside_the_disc(self):
+        q = _chord_coordinates(np.array([5e-324, 1e-300, 1e-20, 1 - 2 ** -53]))
+        assert (np.abs(q) < 1).all()
+        assert q[:3] == pytest.approx(1.0, abs=1e-13) and q[3] == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan])
+    def test_fraction_outside_the_open_interval_rejected(self, fraction):
+        text = re.escape(f"cut fraction must be in (0,1), got {fraction}")
+        with pytest.raises(InvalidSpec, match=text):
+            ref_chord_coordinate(fraction)
+        with pytest.raises(InvalidSpec, match=text):
+            _chord_coordinates(np.array([0.3, fraction, 0.5]))
+
+
+def assert_same_scene(spec, ref):
+    """Fruits bitwise equal, leaf corners within 1e-15 m, the rest equal."""
+    assert [f.fruit_id for f in spec.fruits] == [f.fruit_id for f in ref.fruits]
+    for got, want in zip(spec.fruits, ref.fruits):
+        assert np.array(got.center_world).tobytes() == np.array(want.center_world).tobytes()
+        assert got.semi_axes.tobytes() == want.semi_axes.tobytes()
+    assert len(spec.occluders) == len(ref.occluders)
+    for got, want in zip(spec.occluders, ref.occluders):
+        assert np.abs(got.corners - want.corners).max() <= 1e-15
+    assert (spec.noise, spec.seed, spec.depth_scale) == (ref.noise, ref.seed, ref.depth_scale)
+    for got, want in zip(spec.rig, ref.rig, strict=True):
+        assert (got.camera_id, got.intrinsics) == (want.camera_id, want.intrinsics)
+        assert np.array_equal(got.cam_to_world.rotation, want.cam_to_world.rotation)
+        assert np.array_equal(got.cam_to_world.translation, want.cam_to_world.translation)
+
+
+class TestLabSceneArrayPasses:
+    """``lab_scene`` against the per-fruit reference it replaced."""
+
+    @pytest.mark.parametrize("seed,orchard,render", [
+        (0, False, True), (1, False, True), (2, False, True), (3, False, True),
+        (0, True, True), (1, True, False),
+    ], ids=["lab0", "lab1", "lab2", "lab3", "orchard0", "orchard1"])
+    def test_matches_the_per_fruit_reference(self, seed, orchard, render):
+        kwargs = dict(rig=paper_rig(ORCHARD_K), **ORCHARD_GRID) if orchard else {}
+        spec, ref = lab_scene(seed, **kwargs), ref_lab_scene(seed, **kwargs)
+        assert_same_scene(spec, ref)
+        if not render:
+            return
+        for got, want in zip(render_scene(spec).captures, render_scene(ref).captures):
+            assert got.depth.data.tobytes() == want.depth.data.tobytes()
+            assert got.masks == want.masks
+
+    @pytest.mark.parametrize("n_fruits,columns", [(0, 6), (1, 6), (1, 1), (5, 8), (7, 3)])
+    def test_small_and_ragged_grids(self, n_fruits, columns):
+        spec = lab_scene(4, n_fruits=n_fruits, columns=columns)
+        assert_same_scene(spec, ref_lab_scene(4, n_fruits=n_fruits, columns=columns))
+        assert len(spec.fruits) == n_fruits
+        assert len(spec.occluders) == n_fruits + n_fruits // 2   # every odd fruit has a band
+
+    @pytest.mark.parametrize("kwargs", [
+        # the second row sits 1 m below the target, behind the upturned camera
+        dict(pitch_y=2.0),
+        # a bottom camera turned to look away from the grid
+        dict(rig=[RigCamera("bottom", DEFAULT_INTRINSICS,
+                            RigidTransform(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)))]),
+    ], ids=["one_row_behind", "all_behind"])
+    def test_fruit_behind_the_bottom_camera_rejected(self, kwargs):
+        for build in (lab_scene, ref_lab_scene):
+            with pytest.raises(InvalidSpec, match="occluded fruit is behind the occluded camera"):
+                build(0, **kwargs)
 
 
 class TestSceneValidation:
