@@ -23,11 +23,12 @@ from .maskops import (
     extreme_points,
     median_edge_depth,
 )
-from .sizing import FittedCircle, FruitMeasurement, fill_ratio, fit_circle, measure_fruit
+from .sizing import FruitMeasurement, fill_ratio, fit_circle, measure_fruit
 from .fusion import FruitTable, deduplicate, estimate_metric_radius, localize
 from .evaluation import (
     EvalReport,
     GroundTruthRecord,
+    TruthTable,
     accuracy,
     evaluate_run,
     relative_error,

@@ -3,6 +3,13 @@
 Accuracy is reported as 1 - RMSE/mean_truth (the reading consistent with the
 published per-camera result tables); the raw ratio RMSE/mean_truth is kept
 alongside as ``relative_error``.
+
+Each report row matches its records to rows of a ``TruthTable``: by
+``fruit_id`` when every record of the row carries one, else each to the
+nearest truth center, ties to the lower truth row. Distances are those of
+``np.linalg.norm``, taken for a block of records at a time (``row_blocks`` of
+records by truth centers); the first record in row order whose second-nearest
+center is at most twice as far as its nearest raises ``AmbiguousMatch``.
 """
 
 from __future__ import annotations
@@ -13,31 +20,44 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    AmbiguousMatch,
-    EmptyInput,
-    LengthMismatch,
-    UnknownCamera,
-    UnmatchedMeasurement,
-    ZeroMean,
-)
-from .geometry import Point3
+from .errors import (AmbiguousMatch, EmptyInput, LengthMismatch, UnknownCamera,
+                     UnmatchedMeasurement, ZeroMean)
+from .geometry import Point3, row_blocks
 
 if TYPE_CHECKING:
     from .fileio import RecordTable
 
 
+def check_truth(height_mm: float, width_mm: float, center: Sequence[float] = ()) -> None:
+    """Raises ``ValueError`` unless both sizes are finite and positive and
+    every coordinate of ``center`` is finite."""
+    if not (0 < height_mm < math.inf and 0 < width_mm < math.inf
+            and all(map(math.isfinite, center))):
+        raise ValueError("ground-truth sizes must be finite and positive, the center finite")
+
+
 @dataclass(frozen=True)
 class GroundTruthRecord:
+    """One truth fruit, as the simulator emits it and ``write_ground_truth_csv`` writes it."""
+
     fruit_id: str
     height_mm: float
     width_mm: float
     center_world: Optional[Point3] = None
 
     def __post_init__(self):
-        if not (0 < self.height_mm < math.inf and 0 < self.width_mm < math.inf
-                and all(map(math.isfinite, self.center_world or ()))):
-            raise ValueError("ground-truth sizes must be finite and positive, the center finite")
+        check_truth(self.height_mm, self.width_mm, self.center_world or ())
+
+
+@dataclass(eq=False)
+class TruthTable:
+    """Truth fruits as columns, row i holding fruit i; ``center_world_m`` is
+    (n, 3), NaN in the row of a fruit without a center."""
+
+    fruit_id: List[str]
+    height_mm: np.ndarray
+    width_mm: np.ndarray
+    center_world_m: np.ndarray
 
 
 def rmse(measured: Sequence[float], truth: Sequence[float]) -> float:
@@ -65,45 +85,46 @@ def relative_error(rmse_mm: float, mean_truth_mm: float) -> float:
     return rmse_mm / mean_truth_mm
 
 
-def match_measurements(
-    measurements: RecordTable,
-    rows: Sequence[int],
-    truth: Sequence[GroundTruthRecord],
-) -> List[GroundTruthRecord]:
-    """The one truth record that each of ``rows`` of the table matches.
-
-    ``fruit_id`` matching is used when every one of the rows carries an id;
-    otherwise each is matched to the nearest truth center, rejected as
-    ambiguous unless the second-nearest center is more than twice as far.
-    """
+def match_measurements(measurements: RecordTable, rows: Sequence[int],
+                       truth: TruthTable) -> np.ndarray:
+    """The truth row that each of ``rows`` of the table matches, by
+    ``fruit_id`` or by nearest center as the module docstring sets out."""
     ids = [measurements.fruit_id[i] for i in rows]
     if all(ids):
-        by_id = {t.fruit_id: t for t in truth}
+        by_id = {fruit_id: t for t, fruit_id in enumerate(truth.fruit_id)}
         try:
-            return [by_id[fruit_id] for fruit_id in ids]
+            return np.array([by_id[fruit_id] for fruit_id in ids], dtype=np.intp)
         except KeyError as e:
             row = rows[ids.index(e.args[0])]
             raise UnmatchedMeasurement(f"no ground truth for fruit_id {e.args[0]!r} "
                                        f"(camera {measurements.camera_id[row]})") from None
 
-    with_centers = [t for t in truth if t.center_world is not None]
-    if not with_centers:
+    with_centers = np.flatnonzero(~np.isnan(truth.center_world_m[:, 0]))
+    if not len(with_centers):
         raise UnmatchedMeasurement("center matching needs truth world centers")
-    centers = np.array([t.center_world.to_array() for t in with_centers])
-    matched = []
-    for i in rows:
-        d = np.linalg.norm(centers - measurements.center_world_m[i], axis=1)
-        order = np.argsort(d, kind="stable")
-        nearest = float(d[order[0]])
-        if len(d) > 1:
-            second = float(d[order[1]])
-            if second <= 2.0 * nearest:
-                raise AmbiguousMatch(
-                    f"measurement at {Point3._make(measurements.center_world_m[i].tolist())} "
-                    f"is {nearest:.4f} m from {with_centers[order[0]].fruit_id} but "
-                    f"{second:.4f} m from {with_centers[order[1]].fruit_id}"
-                )
-        matched.append(with_centers[order[0]])
+    cx, cy, cz = truth.center_world_m[with_centers].T
+    points = measurements.center_world_m[rows]
+    matched = np.empty(len(rows), dtype=np.intp)
+    for block in row_blocks(len(rows), len(with_centers)):
+        x, y, z = points[block].T[..., None]
+        d = np.sqrt((cx - x) ** 2 + (cy - y) ** 2 + (cz - z) ** 2)
+        nearest = d.argmin(axis=1)
+        matched[block] = with_centers[nearest]
+        if len(with_centers) == 1:
+            continue
+        at = np.arange(len(d))
+        near = d[at, nearest]
+        d[at, nearest] = np.inf
+        second = d.argmin(axis=1)
+        second[second == nearest] = 1   # every distance infinite: the nearest is 0
+        far = d[at, second]
+        ambiguous = np.flatnonzero(far <= 2.0 * near)
+        if len(ambiguous):
+            i = ambiguous[0]
+            raise AmbiguousMatch(
+                f"measurement at {Point3._make(points[block][i].tolist())} is {near[i]:.4f} m "
+                f"from {truth.fruit_id[with_centers[nearest[i]]]} but {far[i]:.4f} m from "
+                f"{truth.fruit_id[with_centers[second[i]]]}")
     return matched
 
 
@@ -129,36 +150,24 @@ class EvalReport:
     rows: List[CameraRow]
 
 
-def _dimension_stats(measured: Sequence[float], truths: List[float]) -> DimensionStats:
+def _dimension_stats(measured: Sequence[float], truths: Sequence[float]) -> DimensionStats:
     e = rmse(measured, truths)
     mean_truth = float(np.mean(truths))
-    return DimensionStats(
-        rmse_mm=e,
-        accuracy=accuracy(e, mean_truth),
-        relative_error=relative_error(e, mean_truth),
-        mean_truth_mm=mean_truth,
-    )
+    return DimensionStats(e, accuracy(e, mean_truth), relative_error(e, mean_truth),
+                          mean_truth)
 
 
 def _make_row(camera_id: str, records: RecordTable, rows: List[int],
-              truth: Sequence[GroundTruthRecord]) -> CameraRow:
+              truth: TruthTable) -> CameraRow:
     if not rows:
         return CameraRow(camera_id, 0, None, None, None)
     matched = match_measurements(records, rows, truth)
-    return CameraRow(
-        camera_id=camera_id,
-        n=len(rows),
-        mean_fill_ratio=float(np.mean(records.fill_ratio[rows])),
-        height=_dimension_stats(records.height_mm[rows], [t.height_mm for t in matched]),
-        width=_dimension_stats(records.width_mm[rows], [t.width_mm for t in matched]),
-    )
+    return CameraRow(camera_id, len(rows), float(np.mean(records.fill_ratio[rows])),
+                     _dimension_stats(records.height_mm[rows], truth.height_mm[matched]),
+                     _dimension_stats(records.width_mm[rows], truth.width_mm[matched]))
 
 
-def evaluate_run(
-    chosen: RecordTable,
-    records: RecordTable,
-    truth: Sequence[GroundTruthRecord],
-) -> EvalReport:
+def evaluate_run(chosen: RecordTable, records: RecordTable, truth: TruthTable) -> EvalReport:
     """One row per camera of ``records``, in order of first appearance, plus
     one fused row from the selected measurements ``chosen``. A camera whose
     id is the fused row's, ``fused``, raises ``UnknownCamera``.

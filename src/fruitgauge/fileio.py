@@ -47,6 +47,11 @@ row. The documents stream out one block, or one fruit, at a time, so no text
 of a whole document is held, and a fruit's chosen record reuses the text of
 its member.
 
+``ground_truth.csv`` has the columns ``TRUTH_HEADER``, one fruit per row, the
+center blank if unknown. ``read_ground_truth_csv`` reads it into the columns of
+an ``evaluation.TruthTable``: ``fruit_id`` (none repeated), ``height_mm`` and
+``width_mm`` (finite, positive) and ``center_world_m`` (n, 3; finite, or NaN).
+
 A scene (``simulate --scene``) is ``{rig: [{camera_id, intrinsics,
 cam_to_world}], fruits: [{id, center_world, semi_axes}], occluders: [{corners}],
 noise: {sigma_at_1m, model}, seed, depth_scale}``; a board-pose file (``calibrate
@@ -99,20 +104,19 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from .errors import BundleIOError, DegenerateCircle, FruitGaugeError, LengthMismatch
-from .evaluation import GroundTruthRecord
+from .errors import BundleIOError, FruitGaugeError, LengthMismatch
+from .evaluation import GroundTruthRecord, TruthTable, check_truth
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
 from .simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
-from .sizing import FittedCircle
 
 if TYPE_CHECKING:
     from .fusion import FruitTable
 
-# Raised by a value of the wrong type or shape, also in the circle and mask constructors,
-# and by JSON nested too deeply or a CSV field too long to decode.
+# Raised by a value of the wrong type or shape, also in the mask constructors, and
+# by JSON nested too deeply or a CSV field too long to decode.
 _MALFORMED = (TypeError, ValueError, IndexError, AttributeError, OverflowError,
-              RecursionError, csv.Error, DegenerateCircle, LengthMismatch)
+              RecursionError, csv.Error, LengthMismatch)
 
 
 class parsing:
@@ -581,7 +585,9 @@ def _check_record(d: dict, center) -> None:
              if not math.isfinite(value)]
     if wrong:
         raise ValueError(f"{', '.join(wrong)} must be finite")
-    FittedCircle(*map(float, _circle_fields(circle)))
+    cu, cv, r_px = map(float, _circle_fields(circle))
+    if not (math.isfinite(cu) and math.isfinite(cv) and 0 < r_px < math.inf):
+        raise ValueError(f"invalid circle (cu={cu}, cv={cv}, r_px={r_px})")
 
 
 def _entries(path: Path, key: str) -> list:
@@ -712,18 +718,6 @@ def write_fused(path: Path, fruits: FruitTable, records: RecordTable) -> None:
 
 # -- ground truth ------------------------------------------------------------
 
-class _Entry:
-    """The source that one ``parsing`` around a whole list names when an
-    entry fails: ``before``, the entry's number, ``after``. The number is that
-    of the entries parsed so far, plus ``first``."""
-
-    def __init__(self, before: str, parsed: list, after: str = "", first: int = 0):
-        self.before, self.parsed, self.after, self.first = before, parsed, after, first
-
-    def __str__(self) -> str:
-        return f"{self.before}{len(self.parsed) + self.first}{self.after}"
-
-
 TRUTH_HEADER = ["fruit_id", "height_mm", "width_mm", "x_m", "y_m", "z_m"]
 
 
@@ -741,7 +735,7 @@ def write_ground_truth_csv(path: Path, records: List[GroundTruthRecord]) -> None
             ])
 
 
-def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
+def read_ground_truth_csv(path: Path) -> TruthTable:
     """The rows as ``csv.DictReader`` reads them (no blank row, a short row's
     missing fields None, a repeated name's last column), columns looked up once."""
     path = Path(path)
@@ -754,16 +748,25 @@ def read_ground_truth_csv(path: Path) -> List[GroundTruthRecord]:
     fruit_id, height_mm, width_mm, x_m, y_m, z_m = (
         operator.itemgetter(at[name]) if name in at else (lambda row: None) if name == "x_m"
         else lambda row, name=name: {}[name] for name in TRUTH_HEADER)
-    records = []
-    with parsing(_Entry("ground-truth row ", records, f" in {path}", first=1)):
-        for row in rows:
+    row_of: Dict[Optional[str], int] = {}   # each fruit_id's row, in row order
+    sizes, centers = [], []
+    try:
+        for n, row in enumerate(rows, 1):
             row += [None] * (len(header) - len(row))
-            x, center = x_m(row), None
+            x, center = x_m(row), ()
             if x not in (None, ""):
-                center = Point3(float(x), float(y_m(row)), float(z_m(row)))
-            records.append(GroundTruthRecord(fruit_id(row), float(height_mm(row)),
-                                             float(width_mm(row)), center))
-    return records
+                center = (float(x), float(y_m(row)), float(z_m(row)))
+            fruit, size = fruit_id(row), (float(height_mm(row)), float(width_mm(row)))
+            check_truth(*size, center)
+            if row_of.setdefault(fruit, n) != n:
+                raise ValueError(f"fruit_id {fruit!r} repeats row {row_of[fruit]}")
+            sizes.append(size)
+            centers.append(center or (math.nan,) * 3)
+    except Exception:
+        with parsing(f"ground-truth row {n} in {path}"):
+            raise
+    return TruthTable(list(row_of), *np.array(sizes, dtype=float).reshape(-1, 2).T,
+                      np.array(centers, dtype=float).reshape(-1, 3))
 
 
 # -- simulator scenes ----------------------------------------------------------

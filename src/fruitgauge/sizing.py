@@ -15,7 +15,6 @@ window on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,19 +29,6 @@ COLLINEAR_TOL = 1e-9
 # from the center is at most r^2 (1 + ON_CIRCLE_TOL), so a center on the circle
 # counts as inside whatever the last bits of the fitted circle.
 ON_CIRCLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FittedCircle:
-    cu: float       # center column, pixels
-    cv: float       # center row, pixels
-    r_px: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.cu) and math.isfinite(self.cv) and 0 < self.r_px < math.inf):
-            raise DegenerateCircle(
-                f"invalid circle (cu={self.cu}, cv={self.cv}, r_px={self.r_px})"
-            )
 
 
 class FruitMeasurement(NamedTuple):

@@ -1,5 +1,7 @@
+import math
 import shutil
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from fruitgauge.errors import InvalidDepth, InvalidPose, OutOfBounds
+from fruitgauge.errors import DegenerateCircle, InvalidDepth, InvalidPose, OutOfBounds
+from fruitgauge.evaluation import GroundTruthRecord, TruthTable
 from fruitgauge.fileio import intrinsics_to_dict, transform_to_dict
 from fruitgauge.geometry import CameraIntrinsics, Pixel, Point3, RigidTransform, pixel_to_ray
 from fruitgauge.simulate import SceneSpec
@@ -23,6 +26,41 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     shutil.rmtree(config.hypothesis_home, ignore_errors=True)
+
+
+@dataclass(frozen=True)
+class FittedCircle:
+    """A circle in pixels, checked as a record's ``circle`` is: the
+    reference's value for a fitted circle, which the package holds as a row
+    of cu, cv, r_px."""
+
+    cu: float       # center column, pixels
+    cv: float       # center row, pixels
+    r_px: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.cu) and math.isfinite(self.cv) and 0 < self.r_px < math.inf):
+            raise DegenerateCircle(
+                f"invalid circle (cu={self.cu}, cv={self.cv}, r_px={self.r_px})"
+            )
+
+
+def truth_table(records) -> TruthTable:
+    """The ``TruthTable`` of ``GroundTruthRecord``s, in order, a NaN row for a missing center."""
+    return TruthTable([t.fruit_id for t in records],
+                      np.array([t.height_mm for t in records], dtype=float),
+                      np.array([t.width_mm for t in records], dtype=float),
+                      np.array([t.center_world or (math.nan,) * 3 for t in records],
+                               dtype=float).reshape(-1, 3))
+
+
+def truth_records(table: TruthTable) -> list:
+    """Each row of a ``TruthTable`` as a ``GroundTruthRecord``, None for a NaN center."""
+    return [GroundTruthRecord(fruit_id, height, width,
+                              None if math.isnan(center[0]) else Point3._make(center))
+            for fruit_id, height, width, center in zip(
+                table.fruit_id, table.height_mm.tolist(), table.width_mm.tolist(),
+                table.center_world_m.tolist())]
 
 
 def rotation_about(axis, angle_rad: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform:

@@ -213,7 +213,7 @@ class TestChain:
 
 
 class TestMalformedRecords:
-    """A damaged records.json or fused.json is an i/o error (exit 2)."""
+    """A damaged records.json, fused.json or truth CSV is an i/o error (exit 2)."""
 
     def damaged(self, runs, tmp_path, damage):
         doc = load(runs[0] / "out" / "records.json")
@@ -271,6 +271,18 @@ class TestMalformedRecords:
                      "--records", str(out / "records.json"),
                      "--truth", str(runs[0] / "bundle" / "ground_truth.csv"),
                      "-o", str(tmp_path / "report")]) == 2
+
+    def test_evaluate_truth_with_a_repeated_fruit_id(self, runs, tmp_path, capsys):
+        # the last row of a truth file listed twice would otherwise score the id
+        lines = (runs[0] / "bundle" / "ground_truth.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "gt.csv").write_text("".join([*lines, *lines[1:2]]))
+        out = runs[0] / "out"
+        assert main(["evaluate", "--fused", str(out / "fused.json"),
+                     "--records", str(out / "records.json"), "--truth", str(tmp_path / "gt.csv"),
+                     "-o", str(tmp_path / "report")]) == 2
+        assert (f"ground-truth row {len(lines)} in {tmp_path / 'gt.csv'}: fruit_id "
+                f"{lines[1].split(',')[0]!r} repeats row 1") in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestMeasureIngest:

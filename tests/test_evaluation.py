@@ -29,11 +29,11 @@ from fruitgauge.evaluation import (
 from fruitgauge.fileio import (RecordTable, dump_json, read_fused_choices, read_records,
                                write_rig)
 from fruitgauge.fusion import deduplicate
-from fruitgauge.geometry import Point3
+from fruitgauge.geometry import BLOCK_PIXELS, Point3
 from fruitgauge.pipeline import cmd_fuse
 from fruitgauge.simulate import paper_rig
 
-from conftest import clusters, record_dicts
+from conftest import clusters, record_dicts, truth_table
 from test_fileio import ref_read
 from test_fusion import ORDER, ref_deduplicate
 
@@ -137,13 +137,16 @@ def table(records) -> RecordTable:
 
 
 def match(records, truth):
-    return match_measurements(table(records), list(range(len(records))), truth)
+    """The truth record of each of ``records`` by ``match_measurements``."""
+    rows = match_measurements(table(records), list(range(len(records))), truth_table(truth))
+    return [truth[i] for i in rows]
 
 
 def run(chosen, per_cam, truth):
     """``evaluate_run`` on the table of ``chosen`` and that of every camera's
-    records, cameras in ``per_cam``'s order."""
-    return evaluate_run(table(chosen), table([m for ms in per_cam.values() for m in ms]), truth)
+    records, cameras in ``per_cam``'s order, against the table of ``truth``."""
+    return evaluate_run(table(chosen), table([m for ms in per_cam.values() for m in ms]),
+                        truth_table(truth))
 
 
 def truth_12(mean_h=39.4, mean_w=46.7):
@@ -163,8 +166,8 @@ class TestMatchMeasurements:
 
     def test_rows_select_the_measurements(self):
         records = table([meas("top", 40, 47, fruit_id=f"f{i:02d}") for i in (4, 7, 2)])
-        got = match_measurements(records, [2, 0], truth_12())
-        assert [t.fruit_id for t in got] == ["f02", "f04"]
+        got = match_measurements(records, [2, 0], truth_table(truth_12()))
+        assert got.tolist() == [2, 4]
 
     def test_center_matching_with_guard(self):
         truth = [
@@ -229,7 +232,7 @@ class TestEvaluateRun:
         truth = truth_12()
         records = [meas(cam, 40, 47, fruit_id=truth[i].fruit_id)
                    for i, cam in enumerate(["bottom", "top", "bottom", "middle", "top"])]
-        report = evaluate_run(table(records[:1]), table(records), truth)
+        report = evaluate_run(table(records[:1]), table(records), truth_table(truth))
         assert [(row.camera_id, row.n) for row in report.rows] == \
             [("bottom", 2), ("top", 2), ("middle", 1), ("fused", 1)]
 
@@ -390,6 +393,50 @@ def test_table_pipeline_matches_the_row_references(work, with_ids, data):
     per_camera = {}
     for r in ref:
         per_camera.setdefault(r.camera_id, []).append(r)
-    got = outcome(evaluate_run, chosen, records, truth)
+    got = outcome(evaluate_run, chosen, records, truth_table(truth))
     event(got[0].__name__ if type(got) is tuple else "report")
     assert got == outcome(ref_evaluate_run, ref_chosen, per_camera, truth)
+
+
+def grid_truth(rng, n=200, pitch=0.05):
+    """``n`` truth fruits on a jittered grid of ``pitch`` metres, every tenth
+    without a center, which center matching skips."""
+    cells = [(ix, iy, iz) for iz in range(4) for iy in range(8) for ix in range(8)][:n]
+    return [GroundTruthRecord(f"g{i:03d}", float(rng.uniform(35, 44)), float(rng.uniform(42, 52)),
+                              None if i % 10 == 3 else Point3(
+                                  *(float(c * pitch + rng.uniform(-0.005, 0.005)) for c in cell)))
+            for i, cell in enumerate(cells)]
+
+
+@pytest.mark.parametrize("damage", ["none", "ambiguous", "tie"])
+def test_center_matching_in_blocks_matches_the_row_reference(rng, damage):
+    """3,200 records matched by centers, over many blocks: the truth fruit of
+    each, or the error naming the first ambiguous record, past the first
+    block, as the per-row reference gives them. In an exact tie of two truth
+    centers the error names the lower truth row first."""
+    truth = grid_truth(rng)
+    if damage == "tie":   # rows 7 and 20 exactly 0.125 m either side of (1, 2, 0.5)
+        truth[7], truth[20] = (GroundTruthRecord(truth[i].fruit_id, 40, 47, Point3(x, 2.0, 0.5))
+                               for i, x in ((7, 1.125), (20, 0.875)))
+    centered = [t for t in truth if t.center_world is not None]
+    assert BLOCK_PIXELS // len(centered) < 2999   # rows 2999 on are past the first block
+    records = []
+    for fruit in (centered[i] for i in rng.integers(len(centered), size=3200)):
+        center = Point3(*(c + float(rng.uniform(-0.003, 0.003)) for c in fruit.center_world))
+        records.append(meas("top", fruit.height_mm, fruit.width_mm, center=center))
+    if damage == "ambiguous":   # 0.4 and 0.5 of the way from row 6's center to row 7's
+        a, b = (truth[i].center_world.to_array() for i in (6, 7))
+        for row, f in ((2999, 0.4), (3100, 0.5)):
+            records[row] = meas("top", 40, 47, center=Point3._make((a + f * (b - a)).tolist()))
+    elif damage == "tie":
+        records[3010] = meas("top", 40, 47, center=Point3(1.0, 2.0, 0.5))
+
+    got = outcome(match, records, truth)
+    want = outcome(lambda *args: [t for _, t in ref_match_measurements(*args)], records, truth)
+    assert got == want
+    if damage != "none":
+        row = {"ambiguous": 2999, "tie": 3010}[damage]
+        assert got[0] is AmbiguousMatch
+        assert got[1].startswith(f"measurement at {records[row].center_world_m} is ")
+    if damage == "tie":
+        assert got[1].endswith("0.1250 m from g007 but 0.1250 m from g020")

@@ -1,3 +1,4 @@
+import csv
 import gc
 import itertools
 import json
@@ -64,9 +65,8 @@ from fruitgauge.fusion import FruitTable
 from fruitgauge.maskops import BinaryMask
 from fruitgauge.pipeline import cmd_fuse
 from fruitgauge.simulate import paper_rig
-from fruitgauge.sizing import FittedCircle
 
-from conftest import fused_document, record_dicts
+from conftest import FittedCircle, fused_document, record_dicts, truth_records
 
 
 class TestParsing:
@@ -77,7 +77,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("error", [TypeError("t"), ValueError("v"), IndexError("i"),
                                        AttributeError("a"), OverflowError("o"),
-                                       RecursionError("r"), DegenerateCircle("d"),
+                                       RecursionError("r"), csv.Error("c"),
                                        LengthMismatch("l")])
     def test_malformed_value_names_source(self, error):
         with pytest.raises(BundleIOError, match=f"^malformed doc.json: {error}$"):
@@ -406,9 +406,12 @@ def ref_record(d: dict, center: list) -> RefRecord:
                  if not math.isfinite(value)]
         if wrong:
             raise ValueError(f"{', '.join(wrong)} must be finite")
+    try:
+        circle = FittedCircle(float(cu), float(cv), float(r_px))
+    except DegenerateCircle as e:   # a malformed value of the record
+        raise ValueError(str(e)) from None
     return RefRecord(frame_id, camera_id, detection_index, class_name, fruit_id,
-                     height_mm, width_mm, median_depth_m, fill_ratio,
-                     FittedCircle(float(cu), float(cv), float(r_px)), tuple(bbox),
+                     height_mm, width_mm, median_depth_m, fill_ratio, circle, tuple(bbox),
                      center_depth_m, radius, Point3(x, y, z))
 
 
@@ -840,16 +843,16 @@ class TestGroundTruthCsv:
         ]
         write_ground_truth_csv(tmp_path / "gt.csv", records)
         back = read_ground_truth_csv(tmp_path / "gt.csv")
-        assert back[0].center_world == Point3(0.1, -0.2, 0.6)
-        assert back[1].center_world is None
-        assert back[1].height_mm == 41.0
+        assert truth_records(back) == records
+        assert back.fruit_id == ["f00", "f01"] and back.center_world_m.shape == (2, 3)
+        assert np.isnan(back.center_world_m[1]).all()
 
     def test_roundtrip_numpy_scalars(self, tmp_path):
         records = [GroundTruthRecord("f00", np.float64(40.0), np.float32(46.5),
                                      Point3(*np.array([0.1, -0.2, 0.6])))]
         write_ground_truth_csv(tmp_path / "gt.csv", records)
         assert "np." not in (tmp_path / "gt.csv").read_text()
-        (back,) = read_ground_truth_csv(tmp_path / "gt.csv")
+        (back,) = truth_records(read_ground_truth_csv(tmp_path / "gt.csv"))
         assert (back.height_mm, back.width_mm) == (40.0, 46.5)
         assert back.center_world == Point3(0.1, -0.2, 0.6)
 
@@ -888,8 +891,11 @@ class TestGroundTruthCsv:
         # an overlong field names the file
         (GT_HEADER + "f" * 200_000 + ",40,47,,,\n",
          "malformed ground truth {path}: field larger than field limit (131072)"),
+        # a repeated fruit_id names its second row and its first
+        (GT_HEADER + "f00,40,47,,,\nf01,40,47,,,\n\nf01,30,47,,,\n",
+         "malformed ground-truth row 3 in {path}: fruit_id 'f01' repeats row 2"),
     ], ids=["missing-column", "missing-center-column", "short-row", "bad-value",
-            "non-finite-center", "overlong-field"])
+            "non-finite-center", "overlong-field", "repeated-fruit-id"])
     def test_error_texts(self, tmp_path, text, message):
         (tmp_path / "gt.csv").write_text(text)
         with pytest.raises(BundleIOError) as raised:

@@ -18,9 +18,8 @@ from fruitgauge.geometry import (
     apply,
     translation_transform,
 )
-from fruitgauge.sizing import FittedCircle
 
-from conftest import clusters, deproject, random_rigid
+from conftest import FittedCircle, clusters, deproject, random_rigid
 
 K500 = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
 ORDER = ("top", "middle", "bottom")  # the rig's camera order

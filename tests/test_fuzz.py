@@ -55,7 +55,7 @@ from fruitgauge.geometry import (
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
 from fruitgauge.simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
 
-from conftest import record_dicts, scene_to_dict
+from conftest import record_dicts, scene_to_dict, truth_records
 from test_fileio import RECORD, read_outcome, ref_read
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -234,10 +234,11 @@ def test_read_fused_choices_matches_the_row_reference(work, data):
 
 
 def ref_read_ground_truth_csv(path):
-    """``read_ground_truth_csv`` through ``csv.DictReader``, a dict per row."""
+    """``read_ground_truth_csv`` through ``csv.DictReader``, a ``GroundTruthRecord``
+    per row, and no fruit_id in two rows."""
     with parsing(f"ground truth {path}"):
         rows = list(csv.DictReader(io.StringIO(path.read_bytes().decode(), newline="")))
-    records = []
+    records, first_row = [], {}
     for i, row in enumerate(rows, 1):
         with parsing(f"ground-truth row {i} in {path}"):
             center = None
@@ -245,6 +246,10 @@ def ref_read_ground_truth_csv(path):
                 center = Point3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"]))
             records.append(GroundTruthRecord(row["fruit_id"], float(row["height_mm"]),
                                              float(row["width_mm"]), center))
+            if row["fruit_id"] in first_row:
+                raise ValueError(f"fruit_id {row['fruit_id']!r} repeats row "
+                                 f"{first_row[row['fruit_id']]}")
+            first_row[row["fruit_id"]] = i
     return records
 
 
@@ -257,10 +262,12 @@ TRUTH_FIELDS = st.sampled_from(["", "40", "0.1", "-0.2", "nan", "0", "f0", '"4,7
        st.lists(st.lists(TRUTH_FIELDS, max_size=8), max_size=4))
 @example(list(TRUTH_NAMES[:6]), [["f0", "40", "47"], ["f0", "40", "47", "0.1", "0", "0", "x"]])
 @example(["fruit_id", "height_mm", "height_mm", "width_mm"], [["f0", "1", "40", "47"]])
+@example(list(TRUTH_NAMES[:3]), [["f0", "40", "47"], ["f1", "40", "47"], ["f0", "nan", "47"]])
 @example([], [])
 def test_read_ground_truth_csv_matches_the_dict_reader_reference(work, header, rows):
-    """Absent, repeated and extra columns, short, long and blank rows, and bad
-    values: the same records, or the same error naming the same row."""
+    """Absent, repeated and extra columns, short, long and blank rows, bad
+    values and repeated ids: the same records, or the same error naming the
+    same row."""
     text = "".join(",".join(row) + "\n" for row in [header, *rows])
     (work / "truth.csv").write_text(text)
 
@@ -270,7 +277,8 @@ def test_read_ground_truth_csv_matches_the_dict_reader_reference(work, header, r
         except FruitGaugeError as e:
             return type(e), str(e)
 
-    assert outcome(read_ground_truth_csv) == outcome(ref_read_ground_truth_csv)
+    assert outcome(lambda path: truth_records(read_ground_truth_csv(path))) == \
+        outcome(ref_read_ground_truth_csv)
 
 
 SCENE = scene_to_dict(SceneSpec(

@@ -18,7 +18,9 @@ from fruitgauge.maskops import (
     median_edge_depth,
     nearest_mask_depth,
 )
-from fruitgauge.sizing import ON_CIRCLE_TOL, FittedCircle, fill_ratio, measure_fruit
+from fruitgauge.sizing import ON_CIRCLE_TOL, fill_ratio, measure_fruit
+
+from conftest import FittedCircle
 
 
 def full(mask: BinaryMask) -> np.ndarray:

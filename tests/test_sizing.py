@@ -30,10 +30,9 @@ from fruitgauge.geometry import (
     distance,
 )
 from fruitgauge.maskops import MAX_INVALID_EDGE_FRACTION, BinaryMask, extract_edges
-from fruitgauge.sizing import (COLLINEAR_TOL, ON_CIRCLE_TOL, FittedCircle, fill_ratio, fit_circle,
-                               measure_fruit)
+from fruitgauge.sizing import COLLINEAR_TOL, ON_CIRCLE_TOL, fill_ratio, fit_circle, measure_fruit
 
-from conftest import deproject, random_rigid, record_dicts
+from conftest import FittedCircle, deproject, random_rigid, record_dicts
 from test_fuzz import FUZZ
 from test_maskops import (
     disc,
