@@ -38,7 +38,6 @@ from .fileio import RecordTable
 from .simulate import (
     CaptureBundle,
     FruitSpec,
-    NoiseSpec,
     QuadOccluder,
     SceneSpec,
     lab_scene,

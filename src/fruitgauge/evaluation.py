@@ -38,7 +38,8 @@ def check_truth(height_mm: float, width_mm: float, center: Sequence[float] = ())
 
 @dataclass(frozen=True)
 class GroundTruthRecord:
-    """One truth fruit, as the simulator emits it and ``write_ground_truth_csv`` writes it."""
+    """A hand-made truth fruit, as fuse_8k's generator builds them; the
+    simulator's truth rows are its scene's ``FruitSpec``s."""
 
     fruit_id: str
     height_mm: float

@@ -52,11 +52,18 @@ center blank if unknown. ``read_ground_truth_csv`` reads it into the columns of
 an ``evaluation.TruthTable``: ``fruit_id`` (none repeated), ``height_mm`` and
 ``width_mm`` (finite, positive) and ``center_world_m`` (n, 3; finite, or NaN).
 
+A rig (``rig.json``) is ``{cameras: [{id, intrinsics_file, cam_to_world,
+depth_intrinsics_file, depth_to_color}]}``, the files relative to it. A camera
+whose depth frames are not registered to its color image gives both depth-sensor
+keys, and ``measure`` aligns its frames; any other gives neither (or null), and
+an entry that gives only one is a ``BundleIOError``.
+
 A scene (``simulate --scene``) is ``{rig: [{camera_id, intrinsics,
 cam_to_world}], fruits: [{id, center_world, semi_axes}], occluders: [{corners}],
-noise: {sigma_at_1m, model}, seed, depth_scale}``; a board-pose file (``calibrate
---poses``) is ``{anchor, observations: [{poses: {camera_id: transform}}],
-intrinsics_files: {camera_id: path}}``; a transform is ``{rotation, translation}``.
+noise: {sigma_at_1m, model}, seed, depth_scale}``, ``model`` being ``"z2"`` if
+given; a board-pose file (``calibrate --poses``) is ``{anchor, observations:
+[{poses: {camera_id: transform}}], intrinsics_files: {camera_id: path}}``; a
+transform is ``{rotation, translation}``.
 
 One rule covers malformed input. Every field of every JSON document has an
 exact JSON type, and a list field an exact shape: a number is never a bool, an
@@ -104,11 +111,11 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from .errors import BundleIOError, FruitGaugeError, LengthMismatch
+from .errors import BundleIOError, FruitGaugeError, InvalidSpec, LengthMismatch
 from .evaluation import GroundTruthRecord, TruthTable, check_truth
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
-from .simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
+from .simulate import FruitSpec, QuadOccluder, SceneSpec
 
 if TYPE_CHECKING:
     from .fusion import FruitTable
@@ -349,8 +356,9 @@ def write_rig(path: Path, cameras: List[RigCamera]) -> None:
 
 
 def _rig(path: Path, intrinsics: Callable[[Path], Optional[CameraIntrinsics]]) -> List[RigCamera]:
-    """A rig file's cameras, each entry checked, each distinct intrinsics file
-    read once by ``intrinsics``; cameras that name one file share its result."""
+    """A rig file's cameras, each entry checked before its intrinsics files
+    are read, each distinct file read once by ``intrinsics``; cameras that
+    name one file share its result."""
     path = Path(path)
     intrinsics = functools.cache(intrinsics)
     doc = load_json(path)
@@ -361,13 +369,16 @@ def _rig(path: Path, intrinsics: Callable[[Path], Optional[CameraIntrinsics]]) -
             if any(cam.camera_id == cam_id for cam in cameras):
                 raise BundleIOError(f"rig {path} lists camera {cam_id!r} twice")
             pose = transform_from_dict(_value(entry, "cam_to_world", _OBJECT), f"{path}:{cam_id}")
-            intr, depth_intr = (
-                None if name is None else intrinsics(path.parent / name)
-                for name in (_value(entry, key, (str, _NULL), None)
-                             for key in ("intrinsics_file", "depth_intrinsics_file")))
+            names = [_value(entry, key, (str, _NULL), None)
+                     for key in ("intrinsics_file", "depth_intrinsics_file")]
             depth_to_color = _value(entry, "depth_to_color", (dict, _NULL), None)
             if depth_to_color is not None:
                 depth_to_color = transform_from_dict(depth_to_color, str(path))
+            if (names[1] is None) != (depth_to_color is None):
+                raise BundleIOError(f"rig {path} camera {cam_id!r} gives only one of "
+                                    "depth_intrinsics_file and depth_to_color")
+            intr, depth_intr = (None if name is None else intrinsics(path.parent / name)
+                                for name in names)
             cameras.append(RigCamera(cam_id, intr, pose, depth_intr, depth_to_color))
     if not cameras:
         raise BundleIOError(f"rig {path} lists no cameras")
@@ -721,7 +732,7 @@ def write_fused(path: Path, fruits: FruitTable, records: RecordTable) -> None:
 TRUTH_HEADER = ["fruit_id", "height_mm", "width_mm", "x_m", "y_m", "z_m"]
 
 
-def write_ground_truth_csv(path: Path, records: List[GroundTruthRecord]) -> None:
+def write_ground_truth_csv(path: Path, records: Sequence[GroundTruthRecord | FruitSpec]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -789,12 +800,13 @@ def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
         occluders = [QuadOccluder(_values(o, "corners", (4, 3)))
                      for o in _objects(doc, "occluders", [])]
         noise = _value(doc, "noise", _OBJECT, {})
+        if (model := _value(noise, "model", _STRING, "z2")) != "z2":
+            raise InvalidSpec(f"unknown noise model {model!r}")
         return SceneSpec(
             fruits=fruits,
             occluders=occluders,
             rig=rig,
-            noise=NoiseSpec(float(_value(noise, "sigma_at_1m", _NUMBER, 0.0)),
-                            _value(noise, "model", _STRING, "z2")),
+            sigma_at_1m=float(_value(noise, "sigma_at_1m", _NUMBER, 0.0)),
             seed=_value(doc, "seed", _INT, 0),
             depth_scale=float(_value(doc, "depth_scale", _NUMBER, 0.001)),
         )

@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BehindCamera, InvalidDepth, InvalidPose
+from .errors import BehindCamera, InvalidDepth, InvalidPose, LengthMismatch
 
 ORTHONORMAL_TOL = 1e-6     # accepted on ingest
 DRIFT_REPAIR_TOL = 1e-9    # re-orthonormalize composition results beyond this
@@ -345,7 +345,11 @@ def align_depth_to_color(
     pixels stay 0. The samples go through in blocks of ``BLOCK_PIXELS``
     depth pixels, whole rows each, and every block is z-buffered into the
     one output frame: nearest wins is a minimum, whatever the block order.
+    A frame of another size than ``depth_k``'s raises ``LengthMismatch``.
     """
+    if depth.data.shape != (depth_k.height, depth_k.width):
+        raise LengthMismatch(f"depth {depth.data.shape} differs from the "
+                             f"{depth_k.height}x{depth_k.width} depth sensor image")
     out = np.zeros(color_k.height * color_k.width, dtype=np.uint16)
     for rows in row_blocks(depth.height, depth.width):
         flat, samples = _color_samples(depth, rows, depth_k, color_k, depth_to_color)

@@ -19,7 +19,7 @@ import logging
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .fileio import RecordTable
 from .fusion import FruitTable, deduplicate, estimate_metric_radius, localize
 from .geometry import DepthImage, Pixel, RigCamera, align_depth_to_color
 from .maskops import nearest_mask_depth
-from .simulate import CaptureBundle, render_scene
+from .simulate import DEFAULT_FRAME_ID, CaptureBundle, render_scene
 from .sizing import measure_fruit
 
 logger = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ def write_bundle(bundle: CaptureBundle, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
     fileio.write_rig(out_dir / "rig.json", [c.camera for c in bundle.captures])
     for cap in bundle.captures:
-        stem = f"{cap.camera.camera_id}_{bundle.frame_id}"
+        stem = f"{cap.camera.camera_id}_{DEFAULT_FRAME_ID}"
         fileio.write_depth(out_dir / "depth" / f"{stem}.pgm", cap.depth)
         detections = [
             fileio.Detection(
@@ -57,7 +57,7 @@ def write_bundle(bundle: CaptureBundle, out_dir: Path) -> Path:
         ]
         fileio.write_detections(
             out_dir / "detections" / f"{stem}.json",
-            fileio.DetectionFile(bundle.frame_id, cap.camera.camera_id, detections),
+            fileio.DetectionFile(DEFAULT_FRAME_ID, cap.camera.camera_id, detections),
         )
     fileio.write_ground_truth_csv(out_dir / "ground_truth.csv", bundle.truth)
     return out_dir
@@ -67,14 +67,29 @@ def cmd_simulate(scene_path: Path, out_dir: Path) -> Path:
     return write_bundle(render_scene(fileio.read_scene(Path(scene_path))), out_dir)
 
 
+def _warnings(det_file: fileio.DetectionFile,
+              rejections: List[Optional[FruitGaugeError]]) -> List[dict]:
+    """The warning of each detection of ``det_file`` that has a rejection."""
+    return [{"frame_id": det_file.frame_id, "camera_id": det_file.camera_id,
+             "detection_index": i, "reason": type(e).__name__, "message": str(e)}
+            for i, e in enumerate(rejections) if e is not None]
+
+
 def _measure_frame(det_file: fileio.DetectionFile, depth: DepthImage,
                    cam: RigCamera) -> Tuple[RecordTable, List[dict]]:
     """Size and localize every detection of one frame, all its masks in one
     ``measure_fruit`` call: the table of records and the warnings, in detection
-    order. A warning names the first failed check of ``LengthMismatch``,
-    ``OutOfBounds`` (mask outside its bbox), ``EmptyMask``, those of
-    ``measure_fruit`` and ``OutOfBounds`` (bbox center outside the image)."""
+    order. A frame from a depth sensor apart from the color camera is aligned
+    first; if it is not that sensor's size, every detection is a
+    ``LengthMismatch``. Otherwise a warning names the first failed check of
+    ``LengthMismatch``, ``OutOfBounds`` (mask outside its bbox), ``EmptyMask``,
+    those of ``measure_fruit`` and ``OutOfBounds`` (bbox center outside the image)."""
     k, dets = cam.intrinsics, det_file.detections
+    if cam.depth_intrinsics is not None and cam.depth_to_color is not None:
+        try:
+            depth = align_depth_to_color(depth, cam.depth_intrinsics, k, cam.depth_to_color)
+        except LengthMismatch as e:
+            return RecordTable.concat([]), _warnings(det_file, [e] * len(dets))
     rejections: List[Optional[FruitGaugeError]] = [None] * len(dets)
     for i, det in enumerate(dets):
         x, y, w, h = det.bbox
@@ -106,9 +121,7 @@ def _measure_frame(det_file: fileio.DetectionFile, depth: DepthImage,
             centers.append((u2 / 2, v2 / 2))
             # The front surface: the sampled mask pixel nearest the bbox center rounded half up.
             front.append(nearest_mask_depth(dets[i].mask, depth, Pixel(x + w // 2, y + h // 2)))
-    warnings = [{"frame_id": det_file.frame_id, "camera_id": det_file.camera_id,
-                 "detection_index": i, "reason": type(e).__name__, "message": str(e)}
-                for i, e in enumerate(rejections) if e is not None]
+    warnings = _warnings(det_file, rejections)
     if not accepted:
         return RecordTable.concat([]), warnings
 
@@ -145,7 +158,14 @@ def cmd_measure(
         det_dir = bundle_dir / "detections"
         if not det_dir.is_dir():
             raise BundleIOError(f"bundle has no detections directory: {det_dir}")
-        det_files = [fileio.read_detections(p) for p in sorted(det_dir.glob("*.json"))]
+        paths = sorted(det_dir.glob("*.json"))
+        det_files = [fileio.read_detections(p) for p in paths]
+        file_of: Dict[Tuple[str, str], Path] = {}
+        for path, f in zip(paths, det_files):
+            seen = file_of.setdefault((f.camera_id, f.frame_id), path)
+            if seen != path:
+                raise BundleIOError(f"detections {seen} and {path} are both camera "
+                                    f"{f.camera_id!r} frame {f.frame_id!r}")
 
         frames: List[RecordTable] = []
         warnings: List[dict] = []
@@ -161,10 +181,6 @@ def cmd_measure(
                 raise BundleIOError(f"rig entry {cam.camera_id!r} has no intrinsics file")
             depth_path = bundle_dir / "depth" / f"{det_file.camera_id}_{det_file.frame_id}.pgm"
             depth = fileio.read_depth(depth_path)
-            if cam.depth_intrinsics is not None and cam.depth_to_color is not None:
-                depth = align_depth_to_color(depth, cam.depth_intrinsics,
-                                             cam.intrinsics, cam.depth_to_color)
-
             n_detections += len(det_file.detections)
             frame_records, frame_warnings = _measure_frame(det_file, depth, cam)
             frames.append(frame_records)

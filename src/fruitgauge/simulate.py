@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidSpec
-from .evaluation import GroundTruthRecord
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -71,6 +70,8 @@ class FruitSpec:
             raise InvalidSpec(f"fruit {self.fruit_id!r}: needs a finite center and "
                               "3 positive finite semi-axes")
         object.__setattr__(self, "semi_axes", s)
+        if not max(self.height_mm, self.width_mm) < math.inf:   # the truth CSV's sizes
+            raise InvalidSpec(f"fruit {self.fruit_id!r}: height and width in mm must be finite")
 
     @property
     def height_mm(self) -> float:
@@ -99,27 +100,17 @@ class QuadOccluder:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    sigma_at_1m: float = 0.0   # meters of std-dev at 1 m; sigma(z) grows as z^2
-    model: str = "z2"
-
-    def __post_init__(self):
-        if not 0 <= self.sigma_at_1m < math.inf:
-            raise InvalidSpec("noise sigma must be finite and >= 0")
-        if self.model != "z2":
-            raise InvalidSpec(f"unknown noise model {self.model!r}")
-
-
-@dataclass(frozen=True)
 class SceneSpec:
     fruits: List[FruitSpec]
     occluders: List[QuadOccluder]
     rig: List[RigCamera]
-    noise: NoiseSpec = NoiseSpec()
+    sigma_at_1m: float = 0.0   # depth noise, meters of std-dev at 1 m; sigma(z) grows as z^2
     seed: int = 0
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        if not 0 <= self.sigma_at_1m < math.inf:
+            raise InvalidSpec("noise sigma must be finite and >= 0")
         if not self.rig:
             raise InvalidSpec("scene needs at least one camera")
         for cam in self.rig:
@@ -137,12 +128,6 @@ class SceneSpec:
                 repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
                 raise InvalidSpec(f"repeated {kind} id {repeated!r}")
 
-    def ground_truth(self) -> List[GroundTruthRecord]:
-        return [
-            GroundTruthRecord(f.fruit_id, f.height_mm, f.width_mm, f.center_world)
-            for f in self.fruits
-        ]
-
 
 @dataclass
 class CameraCapture:
@@ -154,8 +139,7 @@ class CameraCapture:
 @dataclass
 class CaptureBundle:
     captures: List[CameraCapture]
-    truth: List[GroundTruthRecord]
-    frame_id: str = DEFAULT_FRAME_ID
+    truth: List[FruitSpec]   # the rows of write_ground_truth_csv
 
 
 Vec3 = Sequence[float]
@@ -366,7 +350,7 @@ def _render_camera(cam: RigCamera, spec: SceneSpec, noise: Optional[np.random.Ge
         hit = winner[rows] >= 0
         units = depth_units(best_t[rows][hit], spec.depth_scale)
         if noise is not None:
-            units = _noisy_units(units, spec.depth_scale, spec.noise.sigma_at_1m, noise)
+            units = _noisy_units(units, spec.depth_scale, spec.sigma_at_1m, noise)
         data[rows][hit] = units
 
     # a fruit can only win pixels inside its own window
@@ -405,14 +389,14 @@ def _camera_noise_seed(scene_seed: int, camera_index: int) -> int:
 
 
 def render_scene(spec: SceneSpec) -> CaptureBundle:
-    """Deterministic render of all cameras: depth, per-fruit masks, truth."""
+    """Deterministic render of all cameras: depth, per-fruit masks; the fruits are the truth."""
     captures = []
     for ci, cam in enumerate(spec.rig):
         noise = (np.random.default_rng(_camera_noise_seed(spec.seed, ci))
-                 if spec.noise.sigma_at_1m > 0 else None)
+                 if spec.sigma_at_1m > 0 else None)
         data, masks = _render_camera(cam, spec, noise)
         captures.append(CameraCapture(cam, DepthImage(data, spec.depth_scale), masks))
-    return CaptureBundle(captures, spec.ground_truth())
+    return CaptureBundle(captures, spec.fruits)
 
 
 # -- rig and scene construction ----------------------------------------------
@@ -572,5 +556,4 @@ def lab_scene(
     corners = apply_points(cam_to_world, corners_cam.reshape(-1, 3)).reshape(-1, 4, 3)
     occluders = [QuadOccluder(quad) for quad in corners]
 
-    return SceneSpec(fruits=fruits, occluders=occluders, rig=rig,
-                     noise=NoiseSpec(sigma_at_1m=0.002), seed=seed)
+    return SceneSpec(fruits=fruits, occluders=occluders, rig=rig, sigma_at_1m=0.002, seed=seed)

@@ -136,7 +136,7 @@ def scene_to_dict(spec: SceneSpec) -> dict:
     return {
         "seed": spec.seed,
         "depth_scale": spec.depth_scale,
-        "noise": {"sigma_at_1m": spec.noise.sigma_at_1m, "model": spec.noise.model},
+        "noise": {"sigma_at_1m": spec.sigma_at_1m, "model": "z2"},
         "rig": [
             {
                 "camera_id": cam.camera_id,

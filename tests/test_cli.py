@@ -1,5 +1,6 @@
 """End-to-end tests of the five ``fruitgauge`` commands through ``cli.main``."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -17,9 +18,11 @@ from fruitgauge.fileio import (
     transform_to_dict,
     write_depth,
 )
-from fruitgauge.geometry import DepthImage, compose, invert
+from fruitgauge.geometry import (CameraIntrinsics, DepthImage, RigCamera, compose, invert,
+                                 translation_transform)
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
-from fruitgauge.simulate import RIG_TARGET, lab_scene, paper_rig
+from fruitgauge.simulate import (RIG_TARGET, CameraCapture, CaptureBundle, lab_scene, paper_rig,
+                                 render_scene)
 
 from conftest import fused_document, record_dicts, rotation_about, scene_to_dict
 from test_maskops import full
@@ -411,6 +414,19 @@ class TestMeasureIngest:
                      "--rig", str(bundle / "rig.json"), "-o", str(tmp_path / "f.json")]) == 1
         assert capsys.readouterr().err.count("['bottom']") == 2
 
+    def test_two_detections_files_for_one_frame_exit_2(self, runs, tmp_path, capsys):
+        # a frame's depth is found by the camera and frame ids inside its
+        # detections file, so a copy under another name would measure it twice
+        bundle = tmp_path / "bundle"
+        shutil.copytree(runs[0] / "bundle", bundle)
+        original, copy = bundle / "detections" / "top_000.json", bundle / "detections" / "zz.json"
+        shutil.copy(original, copy)
+        assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 2
+        err, = capsys.readouterr().err.splitlines()
+        assert err == (f"fruitgauge: i/o error: detections {original} and {copy} are both "
+                       "camera 'top' frame '000'")
+        assert not (tmp_path / "out").exists()
+
     def test_camera_named_fused_exits_1_at_evaluate(self, tmp_path, capsys):
         # "fused" is the id of the report's fused row, which a camera row would duplicate
         scene = scene_to_dict(lab_scene(0))
@@ -447,6 +463,71 @@ class TestMeasureIngest:
         rig["cameras"][0]["cam_to_world"]["rotation"][0][0] = 3.0
         dump_json(rig, bundle / "rig.json")
         assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 1
+
+
+@pytest.fixture(scope="module")
+def aligned_bundle(tmp_path_factory):
+    """A 640x360 bundle of ten fruits whose depth sensor sits 15 mm beside
+    each color camera, so that ``measure`` aligns every frame."""
+    k = CameraIntrinsics(640, 360, 460.0, 460.0, 319.5, 179.5)
+    depth_to_color = translation_transform(-0.015, 0.0, 0.0)
+    color_rig = paper_rig(k)
+    spec = lab_scene(0, rig=color_rig, n_fruits=10, columns=5, pitch_x=0.07, pitch_y=0.075)
+    depth_rig = [RigCamera(c.camera_id, k, compose(c.cam_to_world, depth_to_color))
+                 for c in color_rig]
+    color, depth = render_scene(spec), render_scene(dataclasses.replace(spec, rig=depth_rig))
+    captures = [CameraCapture(RigCamera(c.camera_id, k, c.cam_to_world, k, depth_to_color),
+                              d.depth, cc.masks)
+                for c, cc, d in zip(color_rig, color.captures, depth.captures)]
+    return pipeline.write_bundle(CaptureBundle(captures, color.truth),
+                                 tmp_path_factory.mktemp("aligned") / "bundle")
+
+
+class TestAlignedBundle:
+    def test_bottom_frames_are_aligned(self, aligned_bundle):
+        # the sensor's parallax behind the bottom camera's near leaves leaves
+        # some mask edges without depth
+        records, warnings = pipeline.cmd_measure(aligned_bundle)
+        assert records.camera_id.count("bottom") == 5
+        assert [w["reason"] for w in warnings if w["camera_id"] == "bottom"] == \
+            ["NoValidDepth"] * 5
+
+    @pytest.mark.parametrize("key", ["depth_to_color", "depth_intrinsics_file"])
+    def test_half_given_depth_sensor_exits_2(self, aligned_bundle, tmp_path, capsys, key):
+        # with one key gone the bottom frames would be read as registered
+        bundle = tmp_path / "bundle"
+        shutil.copytree(aligned_bundle, bundle)
+        damage_copy(bundle / "rig.json", bundle / "rig.json",
+                    lambda d: d["cameras"][2].pop(key) and None)
+        assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 2
+        # fuse reads the rig's camera order before any record
+        assert main(["fuse", "--records", str(tmp_path / "records.json"),
+                     "--rig", str(bundle / "rig.json"), "-o", str(tmp_path / "f.json")]) == 2
+        want = (f"fruitgauge: i/o error: rig {bundle / 'rig.json'} camera 'bottom' gives only "
+                "one of depth_intrinsics_file and depth_to_color")
+        assert capsys.readouterr().err.splitlines() == [want, want]
+
+    @pytest.mark.parametrize("resize", [lambda d: d[::2, ::2],
+                                        lambda d: d.repeat(2, axis=0).repeat(2, axis=1)],
+                             ids=["smaller", "larger"])
+    def test_frame_of_another_size_than_its_depth_sensor(self, aligned_bundle, tmp_path, resize):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(aligned_bundle, bundle)
+        pgm = bundle / "depth" / "bottom_000.pgm"
+        data = resize(read_depth(pgm).data)
+        write_depth(pgm, DepthImage(data))
+        records, warnings = pipeline.cmd_measure(bundle)
+        want_records, want_warnings = pipeline.cmd_measure(aligned_bundle)
+        message = f"depth {data.shape} differs from the 360x640 depth sensor image"
+        assert [(w["detection_index"], w["reason"], w["message"]) for w in warnings
+                if w["camera_id"] == "bottom"] == [(i, "LengthMismatch", message)
+                                                   for i in range(10)]
+        # the other cameras are measured as before
+        assert record_dicts(records) == [r for r in record_dicts(want_records)
+                                         if r["camera_id"] != "bottom"]
+        assert [w for w in warnings if w["camera_id"] != "bottom"] == \
+            [w for w in want_warnings if w["camera_id"] != "bottom"]
+        assert main(["measure", "--bundle", str(bundle), "-o", str(tmp_path / "out")]) == 0
 
 
 class TestManifest:
@@ -720,6 +801,17 @@ class TestDamagedDocuments:
                      "--truth", str(runs[0] / "bundle" / "ground_truth.csv"),
                      "-o", str(tmp_path / "report")])
         self.assert_io_error(code, capsys, damaged, named)
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["width", "height"])
+    def test_simulate_fruit_too_large_in_mm_exits_1(self, scene_path, tmp_path, capsys, axis):
+        # the fruit is its truth row, and 2000 x 1e305 m has no float in mm
+        scene = damage_copy(scene_path, tmp_path / "scene.json",
+                            lambda d: d["fruits"][3]["semi_axes"].__setitem__(axis, 1e305))
+        code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"fruitgauge: scene {scene}: fruit 'fruit03': height and width in mm must be finite"]
+        assert not (tmp_path / "bundle").exists()
 
     def test_simulate_scaled_rotation_exits_1_naming_the_file(self, scene_path, tmp_path,
                                                               capsys):

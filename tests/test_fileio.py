@@ -64,7 +64,7 @@ from fruitgauge.geometry import (
 from fruitgauge.fusion import FruitTable
 from fruitgauge.maskops import BinaryMask
 from fruitgauge.pipeline import cmd_fuse
-from fruitgauge.simulate import paper_rig
+from fruitgauge.simulate import lab_scene, paper_rig
 
 from conftest import FittedCircle, fused_document, record_dicts, truth_records
 
@@ -855,6 +855,15 @@ class TestGroundTruthCsv:
         (back,) = truth_records(read_ground_truth_csv(tmp_path / "gt.csv"))
         assert (back.height_mm, back.width_mm) == (40.0, 46.5)
         assert back.center_world == Point3(0.1, -0.2, 0.6)
+
+    def test_scene_fruits_written_as_their_truth_records(self, tmp_path):
+        # the simulator's truth rows are its scene's FruitSpecs
+        fruits = lab_scene(2).fruits
+        write_ground_truth_csv(tmp_path / "fruits.csv", fruits)
+        write_ground_truth_csv(tmp_path / "records.csv", [
+            GroundTruthRecord(f.fruit_id, f.height_mm, f.width_mm, f.center_world)
+            for f in fruits])
+        assert (tmp_path / "fruits.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
 
     def test_plain_floats_written_as_repr(self, tmp_path):
         write_ground_truth_csv(tmp_path / "gt.csv",

@@ -53,7 +53,7 @@ from fruitgauge.geometry import (
     translation_transform,
 )
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
-from fruitgauge.simulate import FruitSpec, NoiseSpec, QuadOccluder, SceneSpec
+from fruitgauge.simulate import FruitSpec, QuadOccluder, SceneSpec
 
 from conftest import record_dicts, scene_to_dict, truth_records
 from test_fileio import RECORD, read_outcome, ref_read
@@ -286,7 +286,7 @@ SCENE = scene_to_dict(SceneSpec(
     occluders=[QuadOccluder(np.array([[0, 0, 0.3], [0.01, 0, 0.3], [0.01, 0.01, 0.3],
                                       [0, 0.01, 0.3]]))],
     rig=[RigCamera("middle", K, RigidTransform.identity())],
-    noise=NoiseSpec(0.002), seed=4,
+    sigma_at_1m=0.002, seed=4,
 ))
 
 

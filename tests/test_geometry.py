@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import fruitgauge
 
 from fruitgauge import geometry
-from fruitgauge.errors import BehindCamera, InvalidDepth, InvalidPose, OutOfBounds
+from fruitgauge.errors import BehindCamera, InvalidDepth, InvalidPose, LengthMismatch, OutOfBounds
 from fruitgauge.geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -317,6 +318,15 @@ class TestAlignDepthToColor:
         out = align_depth_to_color(DepthImage(data), k, k, RigidTransform.identity())
         assert np.array_equal(out.data, data)
 
+    # a PGM may declare a frame 0 samples wide, which no depth sensor is
+    @pytest.mark.parametrize("shape", [(24, 32), (96, 128), (48, 63), (48, 0)])
+    def test_frame_of_another_size_than_the_depth_sensor_rejected(self, shape):
+        k = CameraIntrinsics(64, 48, 60.0, 60.0, 32.0, 24.0)
+        depth = DepthImage(np.full(shape, 1000, dtype=np.uint16))
+        with pytest.raises(LengthMismatch, match=re.escape(
+                f"depth {shape} differs from the 48x64 depth sensor image")):
+            align_depth_to_color(depth, k, k, RigidTransform.identity())
+
     def test_translated_sample_lands_25px_right(self):
         # fx * 0.05 / 1.0 = 25 px shift for a 5 cm x-translation at 1 m
         k = CameraIntrinsics(1280, 720, 500.0, 500.0, 640.0, 360.0)
@@ -328,13 +338,10 @@ class TestAlignDepthToColor:
         assert out.data.sum() == 1000
 
     def test_all_zero_stays_zero(self):
-        # a PGM may declare a frame 0 samples wide
         k = CameraIntrinsics(32, 32, 30.0, 30.0, 16.0, 16.0)
-        for width in (32, 0):
-            out = align_depth_to_color(
-                DepthImage(np.zeros((32, width), dtype=np.uint16)), k, k,
-                RigidTransform.identity())
-            assert out.data.shape == (32, 32) and not out.data.any()
+        out = align_depth_to_color(DepthImage(np.zeros((32, 32), dtype=np.uint16)), k, k,
+                                   RigidTransform.identity())
+        assert out.data.shape == (32, 32) and not out.data.any()
 
     def test_samples_all_behind_color_camera_leave_no_depth(self):
         k = CameraIntrinsics(32, 32, 30.0, 30.0, 16.0, 16.0)

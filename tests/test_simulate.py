@@ -32,7 +32,6 @@ from fruitgauge.simulate import (
     DEFAULT_INTRINSICS,
     RIG_TARGET,
     FruitSpec,
-    NoiseSpec,
     QuadOccluder,
     SceneSpec,
     _camera_noise_seed,
@@ -60,7 +59,7 @@ def sphere_scene(diameter_m=0.0467, z=0.6, k=None, noise=0.0, occluders=(), seed
         fruits=[FruitSpec("s0", Point3(0, 0, z), np.array([r, r, r]))],
         occluders=list(occluders),
         rig=[single_camera(k)],
-        noise=NoiseSpec(noise),
+        sigma_at_1m=noise,
         seed=seed,
     )
 
@@ -193,8 +192,8 @@ def ref_render_scene(spec):
     out = []
     for ci, cam in enumerate(spec.rig):
         samples, masks = ref_render_camera(cam, spec)
-        if spec.noise.sigma_at_1m > 0:
-            samples = ref_add_depth_noise(samples, spec.depth_scale, spec.noise.sigma_at_1m,
+        if spec.sigma_at_1m > 0:
+            samples = ref_add_depth_noise(samples, spec.depth_scale, spec.sigma_at_1m,
                                           _camera_noise_seed(spec.seed, ci))
         out.append((samples, masks))
     return out
@@ -276,7 +275,7 @@ def ref_lab_scene(seed=0, *, rig=None, n_fruits=12, columns=6, pitch_x=0.09, pit
             if kind == "band" else rng.uniform(lo, hi)
         occluders.extend(ref_leaves_for_fruit(fruit, bottom, kind, fraction))
     return SceneSpec(fruits=fruits, occluders=occluders, rig=rig,
-                     noise=NoiseSpec(sigma_at_1m=0.002), seed=seed)
+                     sigma_at_1m=0.002, seed=seed)
 
 
 SMALL_K = CameraIntrinsics(160, 120, 115.0, 115.0, 79.5, 59.5)
@@ -308,7 +307,7 @@ def one_fruit_scene(center, semi) -> SceneSpec:
     fruits = [FruitSpec("odd", Point3(*center), np.array(semi)),
               FruitSpec("target", RIG_TARGET, np.array([0.03, 0.025, 0.03]))]
     return SceneSpec(fruits=fruits, occluders=[], rig=paper_rig(SMALL_K),
-                     noise=NoiseSpec(0.002), seed=3)
+                     sigma_at_1m=0.002, seed=3)
 
 
 # crosses the middle camera's z = 0 plane; its far edge, at y/z = 0.1, lies
@@ -321,7 +320,7 @@ def leaf_scene(corners) -> SceneSpec:
     """The normal fruit at the rig target and one leaf, seen by a small paper rig."""
     return SceneSpec(fruits=[FruitSpec("target", RIG_TARGET, np.array([0.03, 0.025, 0.03]))],
                      occluders=[QuadOccluder(np.array(corners))], rig=paper_rig(SMALL_K),
-                     noise=NoiseSpec(0.002), seed=3)
+                     sigma_at_1m=0.002, seed=3)
 
 
 RENDER_SCENES = {
@@ -348,7 +347,7 @@ def test_render_matches_point_array_reference(monkeypatch, name):
     # the render draws block by block, with the default blocks and with blocks
     # of 7 rows of a 640-wide frame (14 of a 320-wide one, 28 of a 160-wide one)
     spec = RENDER_SCENES[name]()
-    assert spec.noise.sigma_at_1m > 0
+    assert spec.sigma_at_1m > 0
     expected = ref_render_scene(spec)
     assert any(masks for _, masks in expected)
     for block_pixels in (geometry.BLOCK_PIXELS, 7 * 640):
@@ -498,8 +497,8 @@ class TestRenderScene:
 
     def test_occluder_never_adds_mask_pixels(self):
         spec = lab_scene(seed=4)
-        clean = dataclasses.replace(spec, occluders=[], noise=NoiseSpec(0.0))
-        occluded = dataclasses.replace(spec, noise=NoiseSpec(0.0))
+        clean = dataclasses.replace(spec, occluders=[], sigma_at_1m=0.0)
+        occluded = dataclasses.replace(spec, sigma_at_1m=0.0)
         for cap_c, cap_o in zip(render_scene(clean).captures, render_scene(occluded).captures):
             for fid, mask_c in cap_c.masks.items():
                 mask_o = cap_o.masks.get(fid)
@@ -508,7 +507,7 @@ class TestRenderScene:
 
     def test_empty_scene(self):
         spec = SceneSpec(fruits=[], occluders=[], rig=[single_camera()],
-                         noise=NoiseSpec(0.0), seed=0)
+                         sigma_at_1m=0.0, seed=0)
         bundle = render_scene(spec)
         assert bundle.captures[0].masks == {}
         assert not bundle.captures[0].depth.data.any()
@@ -538,14 +537,13 @@ class TestRenderScene:
     def test_ground_truth_covers_every_fruit(self):
         spec = lab_scene(seed=1)
         bundle = render_scene(spec)
-        assert {t.fruit_id for t in bundle.truth} == {f.fruit_id for f in spec.fruits}
-        by_id = {t.fruit_id: t for t in bundle.truth}
+        assert bundle.truth == spec.fruits
         for f in spec.fruits:
-            assert by_id[f.fruit_id].height_mm == pytest.approx(2000 * f.semi_axes[1])
-            assert by_id[f.fruit_id].width_mm == pytest.approx(2000 * f.semi_axes[0])
+            assert f.height_mm == pytest.approx(2000 * f.semi_axes[1])
+            assert f.width_mm == pytest.approx(2000 * f.semi_axes[0])
 
     def test_mask_pixels_have_depth(self):
-        bundle = render_scene(dataclasses.replace(lab_scene(seed=0), noise=NoiseSpec(0.0)))
+        bundle = render_scene(dataclasses.replace(lab_scene(seed=0), sigma_at_1m=0.0))
         for cap in bundle.captures:
             for mask in cap.masks.values():
                 assert (cap.depth.data[full(mask)] > 0).all()
@@ -553,7 +551,7 @@ class TestRenderScene:
 
 class TestAddDepthNoise:
     """``_noisy_units``, the one depth-noise path of ``render_scene``. A bad
-    sigma is rejected when the scene's ``NoiseSpec`` is built."""
+    sigma is rejected when the ``SceneSpec`` is built."""
 
     def units(self, value=1000, n=64 * 64):
         return np.full(n, value, dtype=np.uint16)
@@ -667,8 +665,8 @@ class TestLabScene:
 
     def test_occlusion_hits_bottom_camera_only_and_in_band(self):
         spec = lab_scene(seed=8)
-        clean = dataclasses.replace(spec, occluders=[], noise=NoiseSpec(0.0))
-        occluded = dataclasses.replace(spec, noise=NoiseSpec(0.0))
+        clean = dataclasses.replace(spec, occluders=[], sigma_at_1m=0.0)
+        occluded = dataclasses.replace(spec, sigma_at_1m=0.0)
         caps = {c.camera.camera_id: c for c in render_scene(occluded).captures}
         caps_clean = {c.camera.camera_id: c for c in render_scene(clean).captures}
         coverages = []
@@ -684,7 +682,7 @@ class TestLabScene:
         assert 0.20 <= np.mean(coverages) <= 0.40
 
     def test_every_fruit_visible_in_every_camera(self):
-        spec = dataclasses.replace(lab_scene(seed=9), occluders=[], noise=NoiseSpec(0.0))
+        spec = dataclasses.replace(lab_scene(seed=9), occluders=[], sigma_at_1m=0.0)
         for cap in render_scene(spec).captures:
             assert len(cap.masks) == 12
 
@@ -739,7 +737,8 @@ def assert_same_scene(spec, ref):
     assert len(spec.occluders) == len(ref.occluders)
     for got, want in zip(spec.occluders, ref.occluders):
         assert np.abs(got.corners - want.corners).max() <= 1e-15
-    assert (spec.noise, spec.seed, spec.depth_scale) == (ref.noise, ref.seed, ref.depth_scale)
+    assert (spec.sigma_at_1m, spec.seed, spec.depth_scale) == (ref.sigma_at_1m, ref.seed,
+                                                               ref.depth_scale)
     for got, want in zip(spec.rig, ref.rig, strict=True):
         assert (got.camera_id, got.intrinsics) == (want.camera_id, want.intrinsics)
         assert np.array_equal(got.cam_to_world.rotation, want.cam_to_world.rotation)
@@ -798,6 +797,13 @@ class TestSceneValidation:
         with pytest.raises(InvalidSpec):
             FruitSpec("f", center, np.array(semi))
 
+    @pytest.mark.parametrize("semi", [[0.02, 1e305, 0.02], [1e305, 0.02, 0.02]],
+                             ids=["height", "width"])
+    def test_size_past_the_float_range_in_mm_rejected(self, semi):
+        # the fruit is its own truth row, whose sizes are 2000 x a semi-axis in mm
+        with pytest.raises(InvalidSpec, match="fruit 'f': height and width in mm must be finite"):
+            FruitSpec("f", Point3(0, 0, 0.6), np.array(semi))
+
     @pytest.mark.parametrize("field,value", [("seed", -1), ("depth_scale", math.nan),
                                              ("depth_scale", math.inf)])
     def test_bad_seed_or_depth_scale_rejected(self, field, value):
@@ -806,7 +812,7 @@ class TestSceneValidation:
 
     def test_empty_rig_rejected(self):
         with pytest.raises(InvalidSpec):
-            SceneSpec(fruits=[], occluders=[], rig=[], noise=NoiseSpec(0.0), seed=0)
+            SceneSpec(fruits=[], occluders=[], rig=[], sigma_at_1m=0.0, seed=0)
 
     @pytest.mark.parametrize("field,repeated", [("fruits", "fruit01"), ("rig", "middle")])
     def test_repeated_id_rejected(self, field, repeated):
@@ -820,16 +826,23 @@ class TestSceneValidation:
                              distortion=[0.1, 0, 0, 0, 0])
         with pytest.raises(InvalidSpec):
             SceneSpec(fruits=[], occluders=[], rig=[RigCamera("c", k, RigidTransform.identity())],
-                      noise=NoiseSpec(0.0), seed=0)
+                      sigma_at_1m=0.0, seed=0)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidSpec):
-            NoiseSpec(-0.001)
+            SceneSpec(fruits=[], occluders=[], rig=[single_camera()], sigma_at_1m=-0.001)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     def test_nan_sigma_rejected(self, sigma):
         with pytest.raises(InvalidSpec):
-            NoiseSpec(sigma)
+            SceneSpec(fruits=[], occluders=[], rig=[single_camera()], sigma_at_1m=sigma)
+
+    @pytest.mark.parametrize("model", ["z3", ""], ids=["z3", "empty"])
+    def test_unknown_noise_model_rejected(self, model):
+        doc = scene_to_dict(lab_scene(0))
+        doc["noise"]["model"] = model
+        with pytest.raises(InvalidSpec, match=f"^scene <inline>: unknown noise model {model!r}$"):
+            scene_from_dict(doc)
 
     @pytest.mark.parametrize("corners", [
         np.zeros((3, 3)),
