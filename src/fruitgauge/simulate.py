@@ -6,22 +6,24 @@ ray through its center; the nearest hit wins, which makes per-fruit masks a
 partition, exactly like instance segmentation behaves under occlusion. Depth
 is the camera-frame z of the hit, quantized by the depth scale.
 
-Rays are cast only inside each object's window: the pixel bbox, plus 2 px,
-of a fruit's exact silhouette (from the ellipsoid's dual conic) or of a
-leaf's corners. The renderer models no lens distortion, so the ray through
+A scene holds its fruits and leaves as columns, ``SceneFruits`` and
+``SceneLeaves``, checked once when it is built; the renderer and the truth
+CSV read the columns. Rays are cast only inside each object's window: the
+pixel bbox, plus 2 px, of a fruit's exact silhouette (from the ellipsoid's
+dual conic) or of a leaf's corners. The z-buffer covers the box that bounds
+the windows. The renderer models no lens distortion, so the ray through
 pixel (x, y) has the world direction R (x, y, 1), with x depending on the
 column only and y on the row only. Every term of a hit test is then a
 linear or quadratic form in (x, y, 1): a window's tests are broadcasts of
 its row of xs and column of ys, and no per-pixel direction is built. The
 hit samples are quantized, noised and written into the frame one block of
-rows at a time (``geometry.BLOCK_PIXELS``), top to bottom. Depth noise
-draws one normal per nonzero depth sample from the camera's one generator:
-the k-th nonzero sample in row-major order takes the k-th normal.
+the box's rows at a time (``geometry.BLOCK_PIXELS``), top to bottom. Depth
+noise draws one normal per nonzero depth sample from the camera's one
+generator: the k-th nonzero sample in row-major order takes the k-th normal.
 
 ``lab_scene`` builds the paper's lab: a fruit grid whose leaves hide part of
-each fruit from the bottom camera. It takes one random draw for every
-fruit's jitter and size, one for every leaf's hidden fraction and one Newton
-solve for every leaf's cut, and places every leaf in one array pass.
+each fruit from the bottom camera, built as the scene's columns in array
+passes.
 
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,19 +61,11 @@ DEFAULT_FRAME_ID = "000"
 # eq=False: == and hash() go by identity; generated ones would compare arrays.
 @dataclass(frozen=True, eq=False)
 class FruitSpec:
+    """A fruit, a row of ``SceneFruits``, which checks it."""
+
     fruit_id: str
     center_world: Point3
     semi_axes: np.ndarray  # (ax, ay, az) meters; y is the vertical axis
-
-    def __post_init__(self):
-        s = np.asarray(self.semi_axes, dtype=float).reshape(-1)
-        if s.shape != (3,) or not (0 < s.min() and s.max() < math.inf
-                                   and all(map(math.isfinite, self.center_world))):
-            raise InvalidSpec(f"fruit {self.fruit_id!r}: needs a finite center and "
-                              "3 positive finite semi-axes")
-        object.__setattr__(self, "semi_axes", s)
-        if not max(self.height_mm, self.width_mm) < math.inf:   # the truth CSV's sizes
-            raise InvalidSpec(f"fruit {self.fruit_id!r}: height and width in mm must be finite")
 
     @property
     def height_mm(self) -> float:
@@ -89,26 +83,91 @@ class QuadOccluder:
 
     corners: np.ndarray  # (4, 3) world meters
 
+
+# Fruit semi-axes and center coordinates (m) that keep window and hit-test terms finite
+SEMI_AXIS_RANGE_M = (1e-6, 1e3)
+CENTER_REACH_M = 1e3
+
+
+@dataclass(frozen=True, eq=False)
+class SceneFruits:
+    """A scene's fruits as columns, row i holding fruit i, checked once when
+    built; the first bad fruit is named by its id and the first rule it
+    breaks. Iterating gives ``FruitSpec`` rows."""
+
+    fruit_id: List[str]
+    center_world_m: np.ndarray  # (n, 3)
+    semi_axes: np.ndarray       # (n, 3) meters
+
     def __post_init__(self):
-        c = np.asarray(self.corners, dtype=float)
-        if c.shape != (4, 3) or not np.isfinite(c).all():
-            raise InvalidSpec("occluder needs 4 finite 3D corners")
-        if not _is_planar_convex(c.tolist()):
-            raise InvalidSpec("occluder corners must bound a planar convex quad "
-                              "of nonzero area")
+        for name in ("center_world_m", "semi_axes"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float).reshape(-1, 3))
+        c, s = self.center_world_m, self.semi_axes
+        (lo, hi), reach = SEMI_AXIS_RANGE_M, CENTER_REACH_M
+        with np.errstate(over="ignore"):   # 2000 x a semi-axis past 9e304 m
+            fails = ~np.column_stack([((s > 0) & (s < math.inf)).all(1) & np.isfinite(c).all(1),
+                                      (2000.0 * s[:, :2] < math.inf).all(1),
+                                      ((lo <= s) & (s <= hi) & (np.abs(c) <= reach)).all(1)])
+        if fails.any():
+            i, rule = divmod(int(fails.argmax()), 3)
+            raise InvalidSpec(f"fruit {self.fruit_id[i]!r}: " + (
+                "needs a finite center and 3 positive finite semi-axes",
+                "height and width in mm must be finite",
+                f"semi-axes must lie in [{lo:g}, {hi:g}] m and center coordinates in "
+                f"[-{reach:g}, {reach:g}] m")[rule])
+
+    def __len__(self) -> int:
+        return len(self.fruit_id)
+
+    def __iter__(self) -> Iterator[FruitSpec]:
+        return map(FruitSpec, self.fruit_id, map(Point3._make, self.center_world_m.tolist()),
+                   self.semi_axes)
+
+
+@dataclass(frozen=True, eq=False)
+class SceneLeaves:
+    """A scene's leaves as one (m, 4, 3) array of corners, checked once when
+    built; the first bad leaf is named by its index and the rule it breaks."""
+
+    corners: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.corners, dtype=float).reshape(-1, 4, 3)
         object.__setattr__(self, "corners", c)
+        finite = np.isfinite(c).all(axis=(1, 2))
+        fails = ~np.column_stack([finite, finite & _planar_convex(c)])
+        if fails.any():
+            i, rule = divmod(int(fails.argmax()), 2)
+            raise InvalidSpec(f"occluder {i} " + ("needs 4 finite 3D corners", "corners must bound "
+                                                  "a planar convex quad of nonzero area")[rule])
+
+
+def _floats(values, shape: tuple) -> np.ndarray:
+    """``values`` as floats if they have ``shape``, else NaN, which fails the column checks."""
+    a = np.asarray(values, dtype=float)
+    return a if a.shape == shape else np.full(shape, math.nan)
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    fruits: List[FruitSpec]
-    occluders: List[QuadOccluder]
+    """Sequences of ``FruitSpec`` and ``QuadOccluder`` become columns, checked,
+    once: ``dataclasses.replace`` of another field checks them no more."""
+
+    fruits: SceneFruits
+    occluders: SceneLeaves
     rig: List[RigCamera]
     sigma_at_1m: float = 0.0   # depth noise, meters of std-dev at 1 m; sigma(z) grows as z^2
     seed: int = 0
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        if not isinstance(fruits := self.fruits, SceneFruits):
+            object.__setattr__(self, "fruits", SceneFruits(
+                [f.fruit_id for f in fruits], [tuple(f.center_world) for f in fruits],
+                [_floats(np.ravel(f.semi_axes), (3,)) for f in fruits]))
+        if not isinstance(self.occluders, SceneLeaves):
+            object.__setattr__(self, "occluders", SceneLeaves(
+                [_floats(o.corners, (4, 3)) for o in self.occluders]))
         if not 0 <= self.sigma_at_1m < math.inf:
             raise InvalidSpec("noise sigma must be finite and >= 0")
         if not self.rig:
@@ -122,7 +181,7 @@ class SceneSpec:
             raise InvalidSpec("depth_scale must be positive and finite")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
-        for kind, ids in (("fruit", [f.fruit_id for f in self.fruits]),
+        for kind, ids in (("fruit", self.fruits.fruit_id),
                           ("camera", [c.camera_id for c in self.rig])):
             if len(set(ids)) < len(ids):
                 repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
@@ -139,7 +198,7 @@ class CameraCapture:
 @dataclass
 class CaptureBundle:
     captures: List[CameraCapture]
-    truth: List[FruitSpec]   # the rows of write_ground_truth_csv
+    truth: Sequence[FruitSpec]   # write_ground_truth_csv's rows; render_scene's: SceneFruits
 
 
 Vec3 = Sequence[float]
@@ -158,23 +217,27 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _is_planar_convex(corners: Sequence[Vec3]) -> bool:
-    """True when four corners, in order, bound a planar convex polygon of
-    nonzero area.
+def _planar_convex(corners: np.ndarray) -> np.ndarray:
+    """Whether each quad of an (m, 4, 3) array of corners, in order, bounds a
+    planar convex polygon of nonzero area.
 
     A quad is convex exactly when its diagonals d1 = c2 - c0 and
     d2 = c3 - c1 cross inside both: c0 + l d1 = c1 + m d2 with 0 < l, m < 1.
     With e = c1 - c0 and S = d1 x d2, twice the vector area, l |S|^2 =
     (e x d2) . S and m |S|^2 = (e x d1) . S; S = 0 fails both. The quad is
     planar when the twist e . S, six times the volume of the tetrahedron of
-    the corners, is zero to 1e-9 of |e| |S|.
+    the corners, is zero to 1e-9 of |e| |S|. Each term is a component array
+    over the quads, in the order of operations of the scalar formulas, so a
+    term that overflows decides as it does in Python floats.
     """
-    d1, d2 = _sub(corners[2], corners[0]), _sub(corners[3], corners[1])
-    e = _sub(corners[1], corners[0])
-    s = _cross(d1, d2)
-    ss, twist = _dot(s, s), _dot(e, s)
-    return (0 < _dot(_cross(e, d2), s) < ss and 0 < _dot(_cross(e, d1), s) < ss
-            and twist * twist <= 1e-18 * _dot(e, e) * ss)
+    c = corners.transpose(1, 2, 0)   # corner, axis, quad
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2, e = _sub(c[2], c[0]), _sub(c[3], c[1]), _sub(c[1], c[0])
+        s = _cross(d1, d2)
+        ss, twist = _dot(s, s), _dot(e, s)
+        l_ss, m_ss = _dot(_cross(e, d2), s), _dot(_cross(e, d1), s)
+        return ((0 < l_ss) & (l_ss < ss) & (0 < m_ss) & (m_ss < ss)
+                & (twist * twist <= 1e-18 * _dot(e, e) * ss))
 
 
 def _image_form(axes: Sequence[Vec3], w: Vec3) -> Vec3:
@@ -253,8 +316,8 @@ Window = Tuple[int, int, int, int]   # (u0, u1, v0, v1), inclusive pixel bounds
 WINDOW_MARGIN_PX = 2
 
 
-def _windows(fruits: Sequence[FruitSpec], occluders: Sequence[QuadOccluder],
-             world_to_cam: RigidTransform, k: CameraIntrinsics) -> List[Optional[Window]]:
+def _windows(fruits: SceneFruits, leaves: SceneLeaves, world_to_cam: RigidTransform,
+             k: CameraIntrinsics) -> List[Optional[Window]]:
     """The window of every fruit, then of every leaf: the pixel bbox, plus
     ``WINDOW_MARGIN_PX`` and clipped to the image, of a fruit's exact
     silhouette or of a leaf's corners (it is convex). None when the object
@@ -278,15 +341,15 @@ def _windows(fruits: Sequence[FruitSpec], occluders: Sequence[QuadOccluder],
         return [ri[0] * p[..., 0] + ri[1] * p[..., 1] + ri[2] * p[..., 2] + ti
                 for ri, ti in zip(r, shift)]
 
-    c = camera_frame(np.array([f.center_world for f in fruits]).reshape(-1, 3))
-    s2 = np.array([f.semi_axes for f in fruits]).reshape(-1, 3) ** 2
+    c = camera_frame(fruits.center_world_m)
+    s2 = fruits.semi_axes ** 2
 
     def n(i: int, j: int) -> np.ndarray:
         return c[i] * c[j] - (r[i][0] * r[j][0] * s2[:, 0] + r[i][1] * r[j][1] * s2[:, 1]
                               + r[i][2] * r[j][2] * s2[:, 2])
 
     n22 = n(2, 2)
-    qx, qy, qz = camera_frame(np.array([o.corners for o in occluders]).reshape(-1, 4, 3))
+    qx, qy, qz = camera_frame(leaves.corners)
     with np.errstate(divide="ignore", invalid="ignore"):
         ends = []
         for i in (0, 1):
@@ -304,17 +367,19 @@ def _windows(fruits: Sequence[FruitSpec], occluders: Sequence[QuadOccluder],
     np.maximum(v0, 0, out=v0)
     np.minimum(v1, k.height - 1, out=v1)
     reaches = np.concatenate([n22 <= 0, (qz <= 1e-6).any(axis=1)])
-    shown = np.concatenate([c[2] > 0, np.ones(len(occluders), bool)]) & (u0 <= u1) & (v0 <= v1)
+    shown = np.concatenate([c[2] > 0, np.ones(len(leaves.corners), bool)]) & (u0 <= u1) & (v0 <= v1)
     whole = (0, k.width - 1, 0, k.height - 1)
     boxes = zip(u0.tolist(), u1.tolist(), v0.tolist(), v1.tolist())
     return [whole if reach else tuple(map(int, box)) if show else None
             for reach, show, box in zip(reaches.tolist(), shown.tolist(), boxes)]
 
 
-def _render_camera(cam: RigCamera, spec: SceneSpec, noise: Optional[np.random.Generator]
+def _render_camera(cam: RigCamera, spec: SceneSpec, shapes: Sequence[list],
+                   noise: Optional[np.random.Generator]
                    ) -> Tuple[np.ndarray, Dict[str, BinaryMask]]:
     """Ray-cast one camera: its depth samples, noised from ``noise`` unless
-    that is None, and the masks of the fruits that win a pixel."""
+    that is None, and the masks of the fruits that win a pixel. ``shapes``
+    holds each fruit's (center, semi-axes), then each leaf's corners, as lists."""
     k = cam.intrinsics
     world_to_cam = invert(cam.cam_to_world)
     origin = cam.cam_to_world.translation.tolist()
@@ -322,46 +387,55 @@ def _render_camera(cam: RigCamera, spec: SceneSpec, noise: Optional[np.random.Ge
     # SceneSpec refuses distortion, so a pixel's normalized ray is separable:
     # its x depends on the column only and its y on the row only.
     xs, ys = pixel_to_ray(k, np.arange(k.width), np.arange(k.height)[:, None])
-
-    objects: List[object] = [*spec.fruits, *spec.occluders]
-    # ray parameter t equals camera-frame z because the rays (x, y, 1) have z 1;
-    # the winning object's index, or -1, takes the narrowest signed type
-    best_t = np.full((k.height, k.width), np.inf)
-    winner = np.full((k.height, k.width), -1, dtype=np.min_scalar_type(-len(objects) - 1))
+    data = np.zeros((k.height, k.width), dtype=np.uint16)
     windows = _windows(spec.fruits, spec.occluders, world_to_cam, k)
-    for idx, (obj, window) in enumerate(zip(objects, windows)):
-        if window is None:
-            continue
-        u0, u1, v0, v1 = window
+    shown = [(idx, window) for idx, window in enumerate(windows) if window is not None]
+    if not shown:
+        return data, {}
+    u_lo, u_hi, v_lo, v_hi = zip(*(window for _, window in shown))
+    bu, bv = min(u_lo), min(v_lo)
+    box = data[bv:max(v_hi) + 1, bu:max(u_hi) + 1]
+
+    # ray parameter t equals camera-frame z because the rays (x, y, 1) have z 1;
+    # the winning object's index, or -1, takes the narrowest signed type.
+    # best_t takes a frame's size but only the box is touched, so it holds no
+    # more memory, and freeing it raises glibc's mmap threshold past a frame of
+    # floats: later frame-sized buffers then reuse heap pages (without it, a
+    # lab_stream op took 420 more page faults)
+    best_t = np.empty(k.height * k.width)[:box.size].reshape(box.shape)
+    best_t.fill(np.inf)
+    winner = np.full(box.shape, -1, dtype=np.min_scalar_type(-len(shapes) - 1))
+    n_fruits = len(spec.fruits)
+    for idx, (u0, u1, v0, v1) in shown:
         x, y = xs[u0:u1 + 1], ys[v0:v1 + 1]
-        if isinstance(obj, FruitSpec):
-            t, better = _ellipsoid_ts(origin, axes, x, y, obj.center_world,
-                                      obj.semi_axes.tolist())
+        if idx < n_fruits:
+            t, better = _ellipsoid_ts(origin, axes, x, y, *shapes[idx])
         else:
-            t, better = _quad_ts(origin, axes, x, y, obj.corners.tolist())
-        region_t = best_t[v0:v1 + 1, u0:u1 + 1]
+            t, better = _quad_ts(origin, axes, x, y, shapes[idx])
+        region = np.s_[v0 - bv:v1 - bv + 1, u0 - bu:u1 - bu + 1]
+        region_t = best_t[region]
         better &= t < region_t
         np.copyto(region_t, t, where=better)
-        np.copyto(winner[v0:v1 + 1, u0:u1 + 1], idx, where=better)
+        np.copyto(winner[region], idx, where=better)
 
-    # row-major blocks, so the k-th nonzero sample still takes the k-th normal
-    data = np.zeros((k.height, k.width), dtype=np.uint16)
-    for rows in row_blocks(k.height, k.width):
+    # row-major blocks of the box, which holds every hit, so the k-th
+    # nonzero sample of the frame still takes the k-th normal
+    for rows in row_blocks(*box.shape):
         hit = winner[rows] >= 0
         units = depth_units(best_t[rows][hit], spec.depth_scale)
         if noise is not None:
             units = _noisy_units(units, spec.depth_scale, spec.sigma_at_1m, noise)
-        data[rows][hit] = units
+        box[rows][hit] = units
 
     # a fruit can only win pixels inside its own window
     masks: Dict[str, BinaryMask] = {}
-    for idx, (fruit, window) in enumerate(zip(spec.fruits, windows)):
-        if window is None:
-            continue
-        u0, u1, v0, v1 = window
-        m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
+    for idx, (u0, u1, v0, v1) in shown:
+        if idx >= n_fruits:
+            break
+        m = BinaryMask(winner[v0 - bv:v1 - bv + 1, u0 - bu:u1 - bu + 1] == idx, u0, v0,
+                       data.shape)
         if not m.is_empty():
-            masks[fruit.fruit_id] = m
+            masks[spec.fruits.fruit_id[idx]] = m
     return data, masks
 
 
@@ -390,11 +464,14 @@ def _camera_noise_seed(scene_seed: int, camera_index: int) -> int:
 
 def render_scene(spec: SceneSpec) -> CaptureBundle:
     """Deterministic render of all cameras: depth, per-fruit masks; the fruits are the truth."""
+    fruits = spec.fruits
+    shapes = [*zip(fruits.center_world_m.tolist(), fruits.semi_axes.tolist()),
+              *spec.occluders.corners.tolist()]
     captures = []
     for ci, cam in enumerate(spec.rig):
         noise = (np.random.default_rng(_camera_noise_seed(spec.seed, ci))
                  if spec.sigma_at_1m > 0 else None)
-        data, masks = _render_camera(cam, spec, noise)
+        data, masks = _render_camera(cam, spec, shapes, noise)
         captures.append(CameraCapture(cam, DepthImage(data, spec.depth_scale), masks))
     return CaptureBundle(captures, spec.fruits)
 
@@ -496,10 +573,10 @@ def lab_scene(
     The leaves are rectangles in the bottom camera's image whose edges cut
     the fruit's projected outline at the fraction, placed ``LEAF_DEPTH_M``
     in front of that camera so that no other camera's rays to a fruit meet
-    them. The scene is built in array passes: one uniform draw of every
-    fruit's (z jitter, height, width) in fruit order, one of every leaf
-    fraction, one Newton solve for every cut, and one pass that moves every
-    center into the bottom camera's frame and projects every leaf's corners.
+    them. The scene is built as columns in array passes: one uniform draw of
+    every fruit's (z jitter, height, width) in fruit order, one of every leaf
+    fraction, one Newton solve for every cut, and one pass that projects every
+    leaf's corners. The scene checks the columns once; no object is built.
     """
     rig = rig if rig is not None else paper_rig()
     bottom = next((c for c in rig if c.camera_id == "bottom"), None)
@@ -507,7 +584,7 @@ def lab_scene(
         raise InvalidSpec("rig has no camera 'bottom'")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE2E]))
     rows = math.ceil(n_fruits / columns)
-    ids = range(n_fruits)
+    ids = [f"fruit{i:02d}" for i in range(n_fruits)]
     n = len(ids)
     bounds = np.array([(-Z_JITTER_M, Z_JITTER_M), HEIGHT_RANGE_MM, WIDTH_RANGE_MM]).T
     draws = rng.uniform(*bounds, (n, 3))
@@ -515,8 +592,7 @@ def lab_scene(
     centers = np.column_stack([(c - (columns - 1) / 2.0) * pitch_x,
                                (r - (rows - 1) / 2.0) * pitch_y, RIG_TARGET.z + draws[:, 0]])
     semi = draws[:, [2, 1, 2]] / 2000.0   # (width, height, width) / 2, in meters
-    fruits = [FruitSpec(f"fruit{i:02d}", Point3(*center), s)
-              for i, center, s in zip(ids, centers.tolist(), semi)]
+    fruits = SceneFruits(ids, centers, semi)
 
     cuts = np.arange(n) % 4   # left, band, right, band
     band = cuts % 2 == 1
@@ -554,6 +630,5 @@ def lab_scene(
                           np.stack([w_v0, w_v0, w_v1, w_v1], axis=-1))
     corners_cam = np.stack([xn, yn, np.ones_like(xn)], axis=-1) * LEAF_DEPTH_M
     corners = apply_points(cam_to_world, corners_cam.reshape(-1, 3)).reshape(-1, 4, 3)
-    occluders = [QuadOccluder(quad) for quad in corners]
-
-    return SceneSpec(fruits=fruits, occluders=occluders, rig=rig, sigma_at_1m=0.002, seed=seed)
+    return SceneSpec(fruits=fruits, occluders=SceneLeaves(corners), rig=rig, sigma_at_1m=0.002,
+                     seed=seed)

@@ -154,8 +154,8 @@ def scene_to_dict(spec: SceneSpec) -> dict:
             for f in spec.fruits
         ],
         "occluders": [
-            {"corners": [[float(x) for x in corner] for corner in occ.corners]}
-            for occ in spec.occluders
+            {"corners": [[float(x) for x in corner] for corner in corners]}
+            for corners in spec.occluders.corners
         ],
     }
 

@@ -813,6 +813,19 @@ class TestDamagedDocuments:
             f"fruitgauge: scene {scene}: fruit 'fruit03': height and width in mm must be finite"]
         assert not (tmp_path / "bundle").exists()
 
+    @pytest.mark.parametrize("semi", [[0.02, 1e100, 0.02], [1e100, 1e100, 1e100],
+                                      [1e-200, 1e-200, 1e-200]], ids=["tall", "huge", "tiny"])
+    def test_simulate_absurd_semi_axes_exit_1(self, scene_path, tmp_path, capsys, semi):
+        # each overflowed in the render, with a RuntimeWarning, before the range rule
+        scene = damage_copy(scene_path, tmp_path / "scene.json",
+                            lambda d: d["fruits"][3].update(semi_axes=semi))
+        code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"fruitgauge: scene {scene}: fruit 'fruit03': semi-axes must lie in [1e-06, 1000] m "
+            "and center coordinates in [-1000, 1000] m"]
+        assert not (tmp_path / "bundle").exists()
+
     def test_simulate_scaled_rotation_exits_1_naming_the_file(self, scene_path, tmp_path,
                                                               capsys):
         def scale_top_rotation(doc):

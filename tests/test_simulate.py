@@ -33,6 +33,8 @@ from fruitgauge.simulate import (
     RIG_TARGET,
     FruitSpec,
     QuadOccluder,
+    SceneFruits,
+    SceneLeaves,
     SceneSpec,
     _camera_noise_seed,
     _chord_coordinates,
@@ -144,7 +146,7 @@ def ref_render_camera(cam, spec):
     best_t = np.full((k.height, k.width), np.inf)
     winner = np.full((k.height, k.width), -1, dtype=np.int32)
     objects = [(f.center_world.to_array() + _CUBE_SIGNS * f.semi_axes, f) for f in spec.fruits]
-    objects += [(occ.corners, occ) for occ in spec.occluders]
+    objects += [(corners, QuadOccluder(corners)) for corners in spec.occluders.corners]
     windows = [ref_object_window(corners, world_to_cam, k) for corners, _ in objects]
     for idx, ((_, obj), window) in enumerate(zip(objects, windows)):
         if window is None:
@@ -409,7 +411,8 @@ def test_fruit_window_contains_every_hit(cam_index, center, semi):
     cam = paper_rig(SMALL_K)[cam_index]
     fruit = FruitSpec("f", Point3(*center), np.array(semi))
     world_to_cam = invert(cam.cam_to_world)
-    (window,) = _windows([fruit], [], world_to_cam, SMALL_K)
+    (window,) = _windows(SceneFruits(["f"], [center], [semi]), SceneLeaves([]), world_to_cam,
+                         SMALL_K)
     hits = reference_hits(cam, fruit)
     if window is None:
         assert not hits.any()
@@ -438,8 +441,8 @@ def test_fruit_window_is_whole_image_unless_wholly_in_front(center, window):
     # plane (one contains the camera) and get the whole image; the third is
     # wholly behind it and gets no window, like a fruit outside the frame
     cam = single_camera(SMALL_K)
-    fruit = FruitSpec("f", Point3(*center), np.array([0.03, 0.04, 0.05]))
-    assert _windows([fruit], [], invert(cam.cam_to_world), SMALL_K) == [window]
+    fruits = SceneFruits(["f"], [center], [[0.03, 0.04, 0.05]])
+    assert _windows(fruits, SceneLeaves([]), invert(cam.cam_to_world), SMALL_K) == [window]
 
 
 class TestRenderScene:
@@ -476,8 +479,8 @@ class TestRenderScene:
         bundle = render_scene(spec)
         cap = bundle.captures[0]
         k = cap.camera.intrinsics
-        center = spec.fruits[0].center_world.to_array()
-        radius = float(spec.fruits[0].semi_axes[0])
+        center = spec.fruits.center_world_m[0]
+        radius = float(spec.fruits.semi_axes[0, 0])
         vs, us = np.nonzero(full(cap.masks["s0"]))
         pick = rng.choice(len(us), size=min(200, len(us)), replace=False)
         for i in pick:
@@ -734,9 +737,8 @@ def assert_same_scene(spec, ref):
     for got, want in zip(spec.fruits, ref.fruits):
         assert np.array(got.center_world).tobytes() == np.array(want.center_world).tobytes()
         assert got.semi_axes.tobytes() == want.semi_axes.tobytes()
-    assert len(spec.occluders) == len(ref.occluders)
-    for got, want in zip(spec.occluders, ref.occluders):
-        assert np.abs(got.corners - want.corners).max() <= 1e-15
+    assert spec.occluders.corners.shape == ref.occluders.corners.shape
+    assert np.abs(spec.occluders.corners - ref.occluders.corners).max(initial=0.0) <= 1e-15
     assert (spec.sigma_at_1m, spec.seed, spec.depth_scale) == (ref.sigma_at_1m, ref.seed,
                                                                ref.depth_scale)
     for got, want in zip(spec.rig, ref.rig, strict=True):
@@ -767,7 +769,7 @@ class TestLabSceneArrayPasses:
         spec = lab_scene(4, n_fruits=n_fruits, columns=columns)
         assert_same_scene(spec, ref_lab_scene(4, n_fruits=n_fruits, columns=columns))
         assert len(spec.fruits) == n_fruits
-        assert len(spec.occluders) == n_fruits + n_fruits // 2   # every odd fruit has a band
+        assert len(spec.occluders.corners) == n_fruits + n_fruits // 2   # odd fruits have a band
 
     @pytest.mark.parametrize("kwargs", [
         # the second row sits 1 m below the target, behind the upturned camera
@@ -782,10 +784,54 @@ class TestLabSceneArrayPasses:
                 build(0, **kwargs)
 
 
+# -- the checks FruitSpec and QuadOccluder ran on themselves before a scene --
+# -- held its fruits and leaves as columns, kept as the reference; a leaf's --
+# -- text now names its index, and the fruit range rule is new -------------
+
+def ref_is_planar_convex(corners):
+    """True when four corners, in order, bound a planar convex polygon of
+    nonzero area; one quad, in Python floats."""
+    sub, dot, cross = simulate._sub, simulate._dot, simulate._cross
+    d1, d2 = sub(corners[2], corners[0]), sub(corners[3], corners[1])
+    e = sub(corners[1], corners[0])
+    s = cross(d1, d2)
+    ss, twist = dot(s, s), dot(e, s)
+    return (0 < dot(cross(e, d2), s) < ss and 0 < dot(cross(e, d1), s) < ss
+            and twist * twist <= 1e-18 * dot(e, e) * ss)
+
+
+def ref_check_fruit(fruit):
+    s = np.asarray(fruit.semi_axes, dtype=float).reshape(-1)
+    if s.shape != (3,) or not (0 < s.min() and s.max() < math.inf
+                               and all(map(math.isfinite, fruit.center_world))):
+        raise InvalidSpec(f"fruit {fruit.fruit_id!r}: needs a finite center and "
+                          "3 positive finite semi-axes")
+    if not max(2000.0 * float(s[1]), 2000.0 * float(s[0])) < math.inf:
+        raise InvalidSpec(f"fruit {fruit.fruit_id!r}: height and width in mm must be finite")
+    (lo, hi), reach = simulate.SEMI_AXIS_RANGE_M, simulate.CENTER_REACH_M
+    if not (lo <= s.min() and s.max() <= hi and max(map(abs, fruit.center_world)) <= reach):
+        raise InvalidSpec(f"fruit {fruit.fruit_id!r}: semi-axes must lie in [1e-06, 1000] m "
+                          "and center coordinates in [-1000, 1000] m")
+
+
+def ref_check_occluder(index, occluder):
+    c = np.asarray(occluder.corners, dtype=float)
+    if c.shape != (4, 3) or not np.isfinite(c).all():
+        raise InvalidSpec(f"occluder {index} needs 4 finite 3D corners")
+    if not ref_is_planar_convex(c.tolist()):
+        raise InvalidSpec(f"occluder {index} corners must bound a planar convex quad "
+                          "of nonzero area")
+
+
+def scene_of(fruits=(), occluders=()) -> SceneSpec:
+    """A one-camera scene of hand-built fruits and leaves, which it checks."""
+    return SceneSpec(fruits=list(fruits), occluders=list(occluders), rig=[single_camera()])
+
+
 class TestSceneValidation:
     def test_zero_semi_axis_rejected(self):
         with pytest.raises(InvalidSpec):
-            FruitSpec("f", Point3(0, 0, 0.6), np.array([0.0, 0.01, 0.01]))
+            scene_of([FruitSpec("f", Point3(0, 0, 0.6), np.array([0.0, 0.01, 0.01]))])
 
     @pytest.mark.parametrize("center,semi", [
         (Point3(math.nan, 0, 0.6), [0.02, 0.02, 0.02]),
@@ -795,14 +841,14 @@ class TestSceneValidation:
     ])
     def test_non_finite_fruit_rejected(self, center, semi):
         with pytest.raises(InvalidSpec):
-            FruitSpec("f", center, np.array(semi))
+            scene_of([FruitSpec("f", center, np.array(semi))])
 
     @pytest.mark.parametrize("semi", [[0.02, 1e305, 0.02], [1e305, 0.02, 0.02]],
                              ids=["height", "width"])
     def test_size_past_the_float_range_in_mm_rejected(self, semi):
         # the fruit is its own truth row, whose sizes are 2000 x a semi-axis in mm
         with pytest.raises(InvalidSpec, match="fruit 'f': height and width in mm must be finite"):
-            FruitSpec("f", Point3(0, 0, 0.6), np.array(semi))
+            scene_of([FruitSpec("f", Point3(0, 0, 0.6), np.array(semi))])
 
     @pytest.mark.parametrize("field,value", [("seed", -1), ("depth_scale", math.nan),
                                              ("depth_scale", math.inf)])
@@ -817,7 +863,7 @@ class TestSceneValidation:
     @pytest.mark.parametrize("field,repeated", [("fruits", "fruit01"), ("rig", "middle")])
     def test_repeated_id_rejected(self, field, repeated):
         spec = lab_scene(0)
-        items = getattr(spec, field)
+        items = list(getattr(spec, field))
         with pytest.raises(InvalidSpec, match=f"'{repeated}'"):
             dataclasses.replace(spec, **{field: items + [items[1]]})
 
@@ -852,7 +898,7 @@ class TestSceneValidation:
     ], ids=["three_corners", "non_planar", "bow_tie", "zero_area"])
     def test_bad_occluder_shape_rejected(self, corners):
         with pytest.raises(InvalidSpec):
-            QuadOccluder(np.array(corners, dtype=float))
+            scene_of(occluders=[QuadOccluder(np.array(corners, dtype=float))])
 
     def test_scene_dict_roundtrip(self):
         spec = lab_scene(seed=3)
@@ -862,3 +908,111 @@ class TestSceneValidation:
         a, b = render_scene(spec), render_scene(back)
         for ca, cb in zip(a.captures, b.captures):
             assert np.array_equal(ca.depth.data, cb.depth.data)
+
+
+SEMI_AXIS_VALUES = st.one_of(
+    st.floats(0.001, 0.2),
+    st.sampled_from([0.0, -0.02, math.inf, -math.inf, math.nan, 1e-200, 5e-7, 1e-6, 1e3,
+                     1000.0000000001, 1e100, 1e305]))
+CENTER_VALUES = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e3, -1e3, 1000.0000000001, -1e200]))
+# a 4 cm by 3 cm rectangle, its corners in order, then what is done to it
+LEAF = np.array([[0, 0, 0], [0.04, 0, 0], [0.04, 0.03, 0], [0, 0.03, 0]], dtype=float)
+LEAF_DAMAGE = {
+    "none": lambda c, x: c,
+    "reversed": lambda c, x: c[::-1],
+    "non_planar": lambda c, x: c + np.outer(np.arange(4) == 3, [0, 0, x * 1e-3]),
+    "barely_non_planar": lambda c, x: c + np.outer(np.arange(4) == 3, [0, 0, x * 1e-12]),
+    # corner 2 from corner 0 (x = -1) through the far diagonal (0) to where it was (1)
+    "non_convex": lambda c, x: np.where(np.arange(4)[:, None] == 2,
+                                        [0.02 * (1 + x), 0.015 * (1 + x), 0], c),
+    "bow_tie": lambda c, x: c[[0, 1, 3, 2]],
+    "zero_area": lambda c, x: c * [1, 0, 1],
+    "point": lambda c, x: c * 0,
+    "non_finite": lambda c, x: np.where(np.arange(12).reshape(4, 3) == 7, x * math.inf, c),
+    "three_corners": lambda c, x: c[:3],
+    "huge": lambda c, x: c * 10.0 ** (75 + 40 * x),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fruits=st.lists(st.tuples(st.tuples(*[CENTER_VALUES] * 3),
+                                 st.one_of(st.tuples(*[SEMI_AXIS_VALUES] * 3),
+                                           st.lists(SEMI_AXIS_VALUES, min_size=2, max_size=4))),
+                       max_size=4),
+       leaves=st.lists(st.tuples(st.sampled_from(sorted(LEAF_DAMAGE)), st.floats(-1.0, 1.0),
+                                 st.tuples(*[st.floats(-1.0, 1.0)] * 3), st.floats(-3.0, 3.0),
+                                 st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+                       max_size=4))
+def test_column_checks_match_the_per_object_reference(fruits, leaves):
+    # the first bad fruit, then the first bad leaf, with the same text, and
+    # no overflow warning on the way
+    fruit_rows = [FruitSpec(f"f{i}", Point3(*center), np.array(semi))
+                  for i, (center, semi) in enumerate(fruits)]
+    leaf_rows = []
+    for damage, x, axis, angle, shift in leaves:
+        corners = LEAF_DAMAGE[damage](LEAF, x)
+        if np.linalg.norm(axis) > 1e-3 and np.isfinite(corners).all() and len(corners) == 4:
+            corners = apply_points(rotation_about(axis, angle, shift), corners)
+        leaf_rows.append(QuadOccluder(corners))
+
+    def outcome(check):
+        try:
+            check()
+        except InvalidSpec as e:
+            return str(e)
+        return None
+
+    def reference():
+        for fruit in fruit_rows:
+            ref_check_fruit(fruit)
+        for i, leaf in enumerate(leaf_rows):
+            ref_check_occluder(i, leaf)
+
+    assert outcome(lambda: scene_of(fruit_rows, leaf_rows)) == outcome(reference)
+
+
+@pytest.mark.parametrize("semi", [[0.02, 1e100, 0.02], [1e100, 1e100, 1e100],
+                                  [1e-200, 1e-200, 1e-200]], ids=["tall", "huge", "tiny"])
+def test_semi_axes_that_would_overflow_the_render_rejected(semi):
+    # each rendered after an overflow or invalid-value warning before the range rule
+    with pytest.raises(InvalidSpec, match=r"^fruit 'f': semi-axes must lie in \[1e-06, 1000\] m"):
+        scene_of([FruitSpec("f", RIG_TARGET, np.array(semi))])
+
+
+@pytest.mark.parametrize("seed,orchard", [(0, False), (5, False), (2, True)],
+                         ids=["lab0", "lab5", "orchard2"])
+def test_lab_scene_columns_equal_the_reference_objects_bit_for_bit(monkeypatch, seed, orchard):
+    # with the reference's cut solved by the Newton iteration lab_scene takes,
+    # not by its bisection; the reference's objects become columns exactly
+    monkeypatch.setitem(globals(), "ref_chord_coordinate",
+                        lambda fraction: float(_chord_coordinates(np.array([fraction]))[0]))
+    kwargs = dict(rig=paper_rig(ORCHARD_K), **ORCHARD_GRID) if orchard else {}
+    spec, ref = lab_scene(seed, **kwargs), ref_lab_scene(seed, **kwargs)
+    assert spec.fruits.fruit_id == [f.fruit_id for f in ref.fruits]
+    for got, want in [(spec.fruits.center_world_m, [f.center_world for f in ref.fruits]),
+                      (spec.fruits.semi_axes, [f.semi_axes for f in ref.fruits]),
+                      (spec.occluders.corners, ref.occluders.corners)]:
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("change", ["no_leaves", "new_rig"])
+def test_replaced_scene_renders_as_the_reference(monkeypatch, change):
+    spec = small_orchard(False)
+    if change == "no_leaves":
+        scene = dataclasses.replace(spec, occluders=[])
+        assert len(scene.occluders.corners) == 0 and scene.fruits is spec.fruits
+    else:
+        # a scene's columns were checked when it was built, and are not again
+        monkeypatch.setattr(simulate, "_planar_convex", None)
+        offset = translation_transform(-0.015, 0.0, 0.0)
+        scene = dataclasses.replace(spec, rig=[
+            RigCamera(c.camera_id, c.intrinsics, compose(c.cam_to_world, offset))
+            for c in spec.rig])
+        assert scene.fruits is spec.fruits and scene.occluders is spec.occluders
+        monkeypatch.undo()
+    expected = ref_render_scene(scene)
+    for cap, (samples, masks) in zip(render_scene(scene).captures, expected, strict=True):
+        assert np.array_equal(cap.depth.data, samples)
+        assert cap.masks == masks
