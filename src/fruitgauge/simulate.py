@@ -10,16 +10,16 @@ A scene holds its fruits and leaves as columns, ``SceneFruits`` and
 ``SceneLeaves``, checked once when it is built; the renderer and the truth
 CSV read the columns. Rays are cast only inside each object's window: the
 pixel bbox, plus 2 px, of a fruit's exact silhouette (from the ellipsoid's
-dual conic) or of a leaf's corners. The z-buffer covers the box that bounds
-the windows. The renderer models no lens distortion, so the ray through
-pixel (x, y) has the world direction R (x, y, 1), with x depending on the
-column only and y on the row only. Every term of a hit test is then a
-linear or quadratic form in (x, y, 1): a window's tests are broadcasts of
-its row of xs and column of ys, and no per-pixel direction is built. The
-hit samples are quantized, noised and written into the frame one block of
-the box's rows at a time (``geometry.BLOCK_PIXELS``), top to bottom. Depth
-noise draws one normal per nonzero depth sample from the camera's one
-generator: the k-th nonzero sample in row-major order takes the k-th normal.
+dual conic) or of a leaf's corners. The renderer models no lens
+distortion, so the ray through pixel (x, y) has the world direction
+R (x, y, 1), with x depending on the column only and y on the row only.
+Every term of a hit test is then a linear or quadratic form in (x, y, 1):
+a window's tests are broadcasts of its row of xs and column of ys, and no
+per-pixel direction is built. The hit samples are quantized, noised and
+written into the frame one block of rows at a time
+(``geometry.BLOCK_PIXELS``), top to bottom. Depth noise draws one normal
+per nonzero depth sample from the camera's one generator: the k-th nonzero
+sample in row-major order takes the k-th normal.
 
 ``lab_scene`` builds the paper's lab: a fruit grid whose leaves hide part of
 each fruit from the bottom camera, built as the scene's columns in array
@@ -387,24 +387,13 @@ def _render_camera(cam: RigCamera, spec: SceneSpec, shapes: Sequence[list],
     # SceneSpec refuses distortion, so a pixel's normalized ray is separable:
     # its x depends on the column only and its y on the row only.
     xs, ys = pixel_to_ray(k, np.arange(k.width), np.arange(k.height)[:, None])
-    data = np.zeros((k.height, k.width), dtype=np.uint16)
     windows = _windows(spec.fruits, spec.occluders, world_to_cam, k)
     shown = [(idx, window) for idx, window in enumerate(windows) if window is not None]
-    if not shown:
-        return data, {}
-    u_lo, u_hi, v_lo, v_hi = zip(*(window for _, window in shown))
-    bu, bv = min(u_lo), min(v_lo)
-    box = data[bv:max(v_hi) + 1, bu:max(u_hi) + 1]
 
     # ray parameter t equals camera-frame z because the rays (x, y, 1) have z 1;
-    # the winning object's index, or -1, takes the narrowest signed type.
-    # best_t takes a frame's size but only the box is touched, so it holds no
-    # more memory, and freeing it raises glibc's mmap threshold past a frame of
-    # floats: later frame-sized buffers then reuse heap pages (without it, a
-    # lab_stream op took 420 more page faults)
-    best_t = np.empty(k.height * k.width)[:box.size].reshape(box.shape)
-    best_t.fill(np.inf)
-    winner = np.full(box.shape, -1, dtype=np.min_scalar_type(-len(shapes) - 1))
+    # the winning object's index, or -1, takes the narrowest signed type
+    best_t = np.full((k.height, k.width), np.inf)
+    winner = np.full((k.height, k.width), -1, dtype=np.min_scalar_type(-len(shapes) - 1))
     n_fruits = len(spec.fruits)
     for idx, (u0, u1, v0, v1) in shown:
         x, y = xs[u0:u1 + 1], ys[v0:v1 + 1]
@@ -412,28 +401,26 @@ def _render_camera(cam: RigCamera, spec: SceneSpec, shapes: Sequence[list],
             t, better = _ellipsoid_ts(origin, axes, x, y, *shapes[idx])
         else:
             t, better = _quad_ts(origin, axes, x, y, shapes[idx])
-        region = np.s_[v0 - bv:v1 - bv + 1, u0 - bu:u1 - bu + 1]
-        region_t = best_t[region]
+        region_t = best_t[v0:v1 + 1, u0:u1 + 1]
         better &= t < region_t
         np.copyto(region_t, t, where=better)
-        np.copyto(winner[region], idx, where=better)
+        np.copyto(winner[v0:v1 + 1, u0:u1 + 1], idx, where=better)
 
-    # row-major blocks of the box, which holds every hit, so the k-th
-    # nonzero sample of the frame still takes the k-th normal
-    for rows in row_blocks(*box.shape):
+    # row-major blocks, so the k-th nonzero sample still takes the k-th normal
+    data = np.zeros((k.height, k.width), dtype=np.uint16)
+    for rows in row_blocks(k.height, k.width):
         hit = winner[rows] >= 0
         units = depth_units(best_t[rows][hit], spec.depth_scale)
         if noise is not None:
             units = _noisy_units(units, spec.depth_scale, spec.sigma_at_1m, noise)
-        box[rows][hit] = units
+        data[rows][hit] = units
 
     # a fruit can only win pixels inside its own window
     masks: Dict[str, BinaryMask] = {}
     for idx, (u0, u1, v0, v1) in shown:
         if idx >= n_fruits:
             break
-        m = BinaryMask(winner[v0 - bv:v1 - bv + 1, u0 - bu:u1 - bu + 1] == idx, u0, v0,
-                       data.shape)
+        m = BinaryMask(winner[v0:v1 + 1, u0:u1 + 1] == idx, u0, v0, winner.shape)
         if not m.is_empty():
             masks[spec.fruits.fruit_id[idx]] = m
     return data, masks
