@@ -115,7 +115,7 @@ from .errors import BundleIOError, FruitGaugeError, InvalidSpec, LengthMismatch
 from .evaluation import GroundTruthRecord, TruthTable, check_truth
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
-from .simulate import FruitSpec, QuadOccluder, SceneFruits, SceneSpec
+from .simulate import FruitSpec, QuadOccluder, SceneSpec
 
 if TYPE_CHECKING:
     from .fusion import FruitTable
@@ -732,83 +732,55 @@ def write_fused(path: Path, fruits: FruitTable, records: RecordTable) -> None:
 TRUTH_HEADER = ["fruit_id", "height_mm", "width_mm", "x_m", "y_m", "z_m"]
 
 
-def write_ground_truth_csv(path: Path,
-                           records: SceneFruits | Sequence[GroundTruthRecord | FruitSpec]) -> None:
-    """One row per fruit, each number the ``repr`` of a float. ``records`` is
-    a scene's ``SceneFruits``, read a column at a time (height and width are
-    2000 x its y and x semi-axes, in mm), or a sequence of objects with
-    ``fruit_id``, ``height_mm``, ``width_mm`` and ``center_world`` (None for a
-    blank center), such as ``GroundTruthRecord``s and ``FruitSpec``s."""
-    if isinstance(records, SceneFruits):
-        sizes = (2000.0 * records.semi_axes[:, 1::-1]).tolist()   # height, width
-        rows = zip(records.fruit_id, sizes, records.center_world_m.tolist())
-    else:
-        rows = ((r.fruit_id, (r.height_mm, r.width_mm), r.center_world) for r in records)
+def write_ground_truth_csv(path: Path, records: Sequence[GroundTruthRecord | FruitSpec]) -> None:
+    """One row per fruit, each number the ``repr`` of a float. ``records`` are
+    ``GroundTruthRecord``s (a blank center for None), ``FruitSpec``s, or a
+    scene's ``SceneFruits``, whose iteration gives its ``FruitSpec`` rows."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
-        writer.writerows([fruit_id, *(repr(float(v)) for v in size),
-                          *(("", "", "") if c is None else (repr(float(v)) for v in c))]
-                         for fruit_id, size, c in rows)
-
-
-def _truth_columns(header: List[str], rows: List[List[str]]) -> Optional[TruthTable]:
-    """The rows' table, read a column at a time; None when a value fails
-    ``check_truth`` or a fruit_id repeats. Raises where a row would not read."""
-    at = {name: i for i, name in enumerate(header)}
-    columns = list(itertools.zip_longest(header, *rows))   # a short row's fields None
-
-    def column(name: str, where: Optional[list] = None) -> list:
-        values = columns[at[name]][1:]
-        return list(values if where is None else itertools.compress(values, where))
-
-    has = [x not in (None, "") for x in column("x_m")] if "x_m" in at else [False] * len(rows)
-    centers = np.full((len(rows), 3), math.nan)
-    if any(has):
-        centers[has] = np.array([list(map(float, column(name, has)))
-                                 for name in ("x_m", "y_m", "z_m")]).T
-    sizes = np.array([list(map(float, column(name))) for name in ("height_mm", "width_mm")])
-    ids = column("fruit_id")
-    if ((0 < sizes) & (sizes < math.inf)).all() and np.isfinite(centers[has]).all() \
-            and len(set(ids)) == len(ids):
-        return TruthTable(ids, *sizes, centers)
-    return None
+        for r in records:
+            c = r.center_world
+            writer.writerow([
+                r.fruit_id, repr(float(r.height_mm)), repr(float(r.width_mm)),
+                *(("", "", "") if c is None else (repr(float(v)) for v in c)),
+            ])
 
 
 def read_ground_truth_csv(path: Path) -> TruthTable:
     """The rows as ``csv.DictReader`` reads them (no blank row, a short row's
-    missing fields None, a repeated name's last column), a column at a time;
-    only when a column fails are they read row by row, to name the first bad row."""
+    missing fields None, a repeated name's last column), columns looked up once."""
     path = Path(path)
     with parsing(f"ground truth {path}"):
         reader = csv.reader(io.StringIO(_read_bytes(path).decode(), newline=""))
         header = next(reader, [])
         rows = [row for row in reader if row]
-    if not rows:
-        return TruthTable([], np.zeros(0), np.zeros(0), np.zeros((0, 3)))
-    table = None
-    with contextlib.suppress(KeyError, *_MALFORMED):
-        table = _truth_columns(header, rows)
-    if table is None:   # name the first bad row
-        at = {name: i for i, name in enumerate(header)}
-        # a getter per column; of an absent one, no x_m or a dict row's KeyError
-        fruit_id, height_mm, width_mm, x_m, y_m, z_m = (
-            operator.itemgetter(at[name]) if name in at else (lambda row: None) if name == "x_m"
-            else lambda row, name=name: {}[name] for name in TRUTH_HEADER)
-        row_of: Dict[Optional[str], int] = {}   # each fruit_id's first row
+    at = {name: i for i, name in enumerate(header)}
+    # a getter per column; of an absent one, no x_m or a dict row's KeyError
+    fruit_id, height_mm, width_mm, x_m, y_m, z_m = (
+        operator.itemgetter(at[name]) if name in at else (lambda row: None) if name == "x_m"
+        else lambda row, name=name: {}[name] for name in TRUTH_HEADER)
+    row_of: Dict[Optional[str], int] = {}   # each fruit_id's row, in row order
+    sizes, centers = [], []
+    try:
         for n, row in enumerate(rows, 1):
-            with parsing(f"ground-truth row {n} in {path}"):
-                row += [None] * (len(header) - len(row))
-                x, center = x_m(row), ()
-                if x not in (None, ""):
-                    center = (float(x), float(y_m(row)), float(z_m(row)))
-                fruit = fruit_id(row)
-                check_truth(float(height_mm(row)), float(width_mm(row)), center)
-                if row_of.setdefault(fruit, n) != n:
-                    raise ValueError(f"fruit_id {fruit!r} repeats row {row_of[fruit]}")
-    return table
+            row += [None] * (len(header) - len(row))
+            x, center = x_m(row), ()
+            if x not in (None, ""):
+                center = (float(x), float(y_m(row)), float(z_m(row)))
+            fruit, size = fruit_id(row), (float(height_mm(row)), float(width_mm(row)))
+            check_truth(*size, center)
+            if row_of.setdefault(fruit, n) != n:
+                raise ValueError(f"fruit_id {fruit!r} repeats row {row_of[fruit]}")
+            sizes.append(size)
+            centers.append(center or (math.nan,) * 3)
+    except Exception:
+        with parsing(f"ground-truth row {n} in {path}"):
+            raise
+    return TruthTable(list(row_of), *np.array(sizes, dtype=float).reshape(-1, 2).T,
+                      np.array(centers, dtype=float).reshape(-1, 3))
 
 
 # -- simulator scenes ----------------------------------------------------------

@@ -6,24 +6,22 @@ ray through its center; the nearest hit wins, which makes per-fruit masks a
 partition, exactly like instance segmentation behaves under occlusion. Depth
 is the camera-frame z of the hit, quantized by the depth scale.
 
-A scene holds its fruits and leaves as columns, ``SceneFruits`` and
-``SceneLeaves``, checked once when it is built; the renderer and the truth
-CSV read the columns. Rays are cast only inside each object's window: the
-pixel bbox, plus 2 px, of a fruit's exact silhouette (from the ellipsoid's
-dual conic) or of a leaf's corners. The renderer models no lens
-distortion, so the ray through pixel (x, y) has the world direction
-R (x, y, 1), with x depending on the column only and y on the row only.
-Every term of a hit test is then a linear or quadratic form in (x, y, 1):
-a window's tests are broadcasts of its row of xs and column of ys, and no
-per-pixel direction is built. The hit samples are quantized, noised and
-written into the frame one block of rows at a time
-(``geometry.BLOCK_PIXELS``), top to bottom. Depth noise draws one normal
-per nonzero depth sample from the camera's one generator: the k-th nonzero
-sample in row-major order takes the k-th normal.
+Rays are cast only inside each object's window: the pixel bbox, plus 2 px,
+of a fruit's exact silhouette (from the ellipsoid's dual conic) or of a
+leaf's corners. The renderer models no lens distortion, so the ray through
+pixel (x, y) has the world direction R (x, y, 1), with x depending on the
+column only and y on the row only. Every term of a hit test is then a
+linear or quadratic form in (x, y, 1): a window's tests are broadcasts of
+its row of xs and column of ys, and no per-pixel direction is built. The
+hit samples are quantized, noised and written into the frame one block of
+rows at a time (``geometry.BLOCK_PIXELS``), top to bottom. Depth noise
+draws one normal per nonzero depth sample from the camera's one generator:
+the k-th nonzero sample in row-major order takes the k-th normal.
 
-``lab_scene`` builds the paper's lab: a fruit grid whose leaves hide part of
-each fruit from the bottom camera, built as the scene's columns in array
-passes.
+A scene holds its fruits and leaves as columns, ``SceneFruits`` and
+``SceneLeaves``, checked once when it is built; the renderer reads them.
+``lab_scene`` builds the paper's lab, a fruit grid whose leaves hide part of
+each fruit from the bottom camera, as those columns in array passes.
 
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
@@ -56,6 +54,9 @@ from .maskops import BinaryMask
 
 _EPS_T = 1e-9
 DEFAULT_FRAME_ID = "000"
+# fruit semi-axes and center coordinates (m) that keep window and hit-test terms finite
+SEMI_AXIS_RANGE_M = (1e-6, 1e3)
+CENTER_REACH_M = 1e3
 
 
 # eq=False: == and hash() go by identity; generated ones would compare arrays.
@@ -84,11 +85,6 @@ class QuadOccluder:
     corners: np.ndarray  # (4, 3) world meters
 
 
-# Fruit semi-axes and center coordinates (m) that keep window and hit-test terms finite
-SEMI_AXIS_RANGE_M = (1e-6, 1e3)
-CENTER_REACH_M = 1e3
-
-
 @dataclass(frozen=True, eq=False)
 class SceneFruits:
     """A scene's fruits as columns, row i holding fruit i, checked once when
@@ -100,8 +96,12 @@ class SceneFruits:
     semi_axes: np.ndarray       # (n, 3) meters
 
     def __post_init__(self):
+        n = len(self.fruit_id)
         for name in ("center_world_m", "semi_axes"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float).reshape(-1, 3))
+            a = np.asarray(getattr(self, name), float)
+            if a.shape != (n, 3) and a.size + n:   # an empty list is no rows
+                raise InvalidSpec(f"fruit columns: {n} ids but {name} of shape {a.shape}")
+            object.__setattr__(self, name, a.reshape(n, 3))
         c, s = self.center_world_m, self.semi_axes
         (lo, hi), reach = SEMI_AXIS_RANGE_M, CENTER_REACH_M
         with np.errstate(over="ignore"):   # 2000 x a semi-axis past 9e304 m
@@ -132,20 +132,16 @@ class SceneLeaves:
     corners: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.corners, dtype=float).reshape(-1, 4, 3)
-        object.__setattr__(self, "corners", c)
+        c = np.asarray(self.corners, dtype=float)
+        if c.shape[1:] != (4, 3) and c.size:   # an empty list is no leaves
+            raise InvalidSpec(f"leaf corners must be of shape (m, 4, 3), not {c.shape}")
+        object.__setattr__(self, "corners", c := c.reshape(-1, 4, 3))
         finite = np.isfinite(c).all(axis=(1, 2))
         fails = ~np.column_stack([finite, finite & _planar_convex(c)])
         if fails.any():
             i, rule = divmod(int(fails.argmax()), 2)
             raise InvalidSpec(f"occluder {i} " + ("needs 4 finite 3D corners", "corners must bound "
                                                   "a planar convex quad of nonzero area")[rule])
-
-
-def _floats(values, shape: tuple) -> np.ndarray:
-    """``values`` as floats if they have ``shape``, else NaN, which fails the column checks."""
-    a = np.asarray(values, dtype=float)
-    return a if a.shape == shape else np.full(shape, math.nan)
 
 
 @dataclass(frozen=True)
@@ -161,13 +157,16 @@ class SceneSpec:
     depth_scale: float = 0.001
 
     def __post_init__(self):
+        # a row of another shape becomes NaN, which the column checks reject
         if not isinstance(fruits := self.fruits, SceneFruits):
             object.__setattr__(self, "fruits", SceneFruits(
                 [f.fruit_id for f in fruits], [tuple(f.center_world) for f in fruits],
-                [_floats(np.ravel(f.semi_axes), (3,)) for f in fruits]))
-        if not isinstance(self.occluders, SceneLeaves):
+                [s if (s := np.ravel(f.semi_axes)).shape == (3,) else [math.nan] * 3
+                 for f in fruits]))
+        if not isinstance(leaves := self.occluders, SceneLeaves):
             object.__setattr__(self, "occluders", SceneLeaves(
-                [_floats(o.corners, (4, 3)) for o in self.occluders]))
+                [c if np.shape(c := o.corners) == (4, 3) else np.full((4, 3), math.nan)
+                 for o in leaves]))
         if not 0 <= self.sigma_at_1m < math.inf:
             raise InvalidSpec("noise sigma must be finite and >= 0")
         if not self.rig:

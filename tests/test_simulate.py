@@ -850,6 +850,22 @@ class TestSceneValidation:
         with pytest.raises(InvalidSpec, match="fruit 'f': height and width in mm must be finite"):
             scene_of([FruitSpec("f", Point3(0, 0, 0.6), np.array(semi))])
 
+    @pytest.mark.parametrize("centers,semi", [
+        ([[0, 0, 0.6]], [[0.02] * 3] * 2),
+        ([[0, 0, 0.6]] * 3, [[0.02] * 3] * 2),
+        ([[0, 0, 0.6, 0.6, 0, 0]], [[0.02] * 3] * 2),
+    ], ids=["few_centers", "many_centers", "flat_centers"])
+    def test_columns_of_another_length_rejected(self, centers, semi):
+        with pytest.raises(InvalidSpec, match=r"^fruit columns: 2 ids but center_world_m of shape"):
+            SceneFruits(["a", "b"], centers, semi)
+        with pytest.raises(InvalidSpec, match=r"^fruit columns: 2 ids but semi_axes of shape"):
+            SceneFruits(["a", "b"], semi, centers)
+
+    @pytest.mark.parametrize("shape", [(8, 3), (2, 4, 2), (12,)])
+    def test_leaf_corners_of_another_shape_rejected(self, shape):
+        with pytest.raises(InvalidSpec, match=r"^leaf corners must be of shape \(m, 4, 3\), not"):
+            SceneLeaves(np.zeros(shape))
+
     @pytest.mark.parametrize("field,value", [("seed", -1), ("depth_scale", math.nan),
                                              ("depth_scale", math.inf)])
     def test_bad_seed_or_depth_scale_rejected(self, field, value):
