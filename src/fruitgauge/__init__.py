@@ -37,8 +37,8 @@ from .evaluation import (
 from .fileio import RecordTable
 from .simulate import (
     CaptureBundle,
-    FruitSpec,
-    QuadOccluder,
+    SceneFruits,
+    SceneLeaves,
     SceneSpec,
     lab_scene,
     paper_rig,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,18 +36,15 @@ def check_truth(height_mm: float, width_mm: float, center: Sequence[float] = ())
         raise ValueError("ground-truth sizes must be finite and positive, the center finite")
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
-    """A hand-made truth fruit, as fuse_8k's generator builds them; the
-    simulator's truth rows are its scene's ``FruitSpec``s."""
+class GroundTruthRecord(NamedTuple):
+    """A truth fruit, the row ``write_ground_truth_csv`` takes: a scene's
+    ``SceneFruits`` iterate as these, and fuse_8k's generator builds them.
+    ``check_truth`` checks it where truth crosses the file boundary."""
 
     fruit_id: str
     height_mm: float
     width_mm: float
     center_world: Optional[Point3] = None
-
-    def __post_init__(self):
-        check_truth(self.height_mm, self.width_mm, self.center_world or ())
 
 
 @dataclass(eq=False)

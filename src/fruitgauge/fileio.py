@@ -115,7 +115,7 @@ from .errors import BundleIOError, FruitGaugeError, InvalidSpec, LengthMismatch
 from .evaluation import GroundTruthRecord, TruthTable, check_truth
 from .geometry import CameraIntrinsics, DepthImage, Point3, RigCamera, RigidTransform
 from .maskops import BinaryMask, decode_rle, encode_rle
-from .simulate import FruitSpec, QuadOccluder, SceneSpec
+from .simulate import SceneFruits, SceneLeaves, SceneSpec
 
 if TYPE_CHECKING:
     from .fusion import FruitTable
@@ -732,21 +732,23 @@ def write_fused(path: Path, fruits: FruitTable, records: RecordTable) -> None:
 TRUTH_HEADER = ["fruit_id", "height_mm", "width_mm", "x_m", "y_m", "z_m"]
 
 
-def write_ground_truth_csv(path: Path, records: Sequence[GroundTruthRecord | FruitSpec]) -> None:
-    """One row per fruit, each number the ``repr`` of a float. ``records`` are
-    ``GroundTruthRecord``s (a blank center for None), ``FruitSpec``s, or a
-    scene's ``SceneFruits``, whose iteration gives its ``FruitSpec`` rows."""
+def write_ground_truth_csv(path: Path, records: Sequence[GroundTruthRecord]) -> None:
+    """One row per fruit, each number the ``repr`` of a float, a blank center
+    for None; a scene's ``SceneFruits`` iterate as their rows. Every row
+    passes ``check_truth``, whose ``ValueError`` leaves no file, before the
+    file is opened."""
+    rows = []
+    for r in records:
+        c = r.center_world
+        check_truth(r.height_mm, r.width_mm, c or ())
+        rows.append([r.fruit_id, repr(float(r.height_mm)), repr(float(r.width_mm)),
+                     *(("", "", "") if c is None else (repr(float(v)) for v in c))])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
-        for r in records:
-            c = r.center_world
-            writer.writerow([
-                r.fruit_id, repr(float(r.height_mm)), repr(float(r.width_mm)),
-                *(("", "", "") if c is None else (repr(float(v)) for v in c)),
-            ])
+        writer.writerows(rows)
 
 
 def read_ground_truth_csv(path: Path) -> TruthTable:
@@ -794,25 +796,19 @@ def scene_from_dict(doc: dict, source: str = "<inline>") -> SceneSpec:
             rig.append(RigCamera(cam_id,
                                  intrinsics_from_dict(_value(c, "intrinsics", _OBJECT), where),
                                  transform_from_dict(_value(c, "cam_to_world", _OBJECT), where)))
-        fruits = [
-            FruitSpec(_value(f, "id", _STRING),
-                      Point3.from_array(_values(f, "center_world", (3,))),
-                      _values(f, "semi_axes", (3,)))
-            for f in _objects(doc, "fruits")
-        ]
-        occluders = [QuadOccluder(_values(o, "corners", (4, 3)))
-                     for o in _objects(doc, "occluders", [])]
+        fruits = [(_value(f, "id", _STRING), Point3.from_array(_values(f, "center_world", (3,))),
+                   _values(f, "semi_axes", (3,))) for f in _objects(doc, "fruits")]
+        corners = [_values(o, "corners", (4, 3)) for o in _objects(doc, "occluders", [])]
         noise = _value(doc, "noise", _OBJECT, {})
         if (model := _value(noise, "model", _STRING, "z2")) != "z2":
             raise InvalidSpec(f"unknown noise model {model!r}")
-        return SceneSpec(
-            fruits=fruits,
-            occluders=occluders,
-            rig=rig,
-            sigma_at_1m=float(_value(noise, "sigma_at_1m", _NUMBER, 0.0)),
-            seed=_value(doc, "seed", _INT, 0),
-            depth_scale=float(_value(doc, "depth_scale", _NUMBER, 0.001)),
-        )
+        sigma_at_1m = float(_value(noise, "sigma_at_1m", _NUMBER, 0.0))
+        seed = _value(doc, "seed", _INT, 0)
+        depth_scale = float(_value(doc, "depth_scale", _NUMBER, 0.001))
+        # the columns check themselves only after every field is read
+        ids, centers, semi_axes = map(list, zip(*fruits)) if fruits else ([], [], [])
+        return SceneSpec(SceneFruits(ids, centers, semi_axes), SceneLeaves(corners), rig,
+                         sigma_at_1m, seed, depth_scale)
 
 
 def read_scene(path: Path) -> SceneSpec:

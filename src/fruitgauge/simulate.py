@@ -18,10 +18,11 @@ rows at a time (``geometry.BLOCK_PIXELS``), top to bottom. Depth noise
 draws one normal per nonzero depth sample from the camera's one generator:
 the k-th nonzero sample in row-major order takes the k-th normal.
 
-A scene holds its fruits and leaves as columns, ``SceneFruits`` and
-``SceneLeaves``, checked once when it is built; the renderer reads them.
-``lab_scene`` builds the paper's lab, a fruit grid whose leaves hide part of
-each fruit from the bottom camera, as those columns in array passes.
+A scene's fruits and leaves are described one way: as columns, ``SceneFruits``
+and ``SceneLeaves``, each checked once when built. The renderer reads them,
+and the fruits' ``GroundTruthRecord`` rows are the truth. ``lab_scene`` builds
+the paper's lab, a fruit grid whose leaves hide part of each fruit from the
+bottom camera, as those columns in array passes.
 
 World convention: the frame is anchored to the middle camera of the rig
 (x right, y down, z forward), so a fruit's height spans the world y axis and
@@ -37,6 +38,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidSpec
+from .evaluation import GroundTruthRecord
 from .geometry import (
     CameraIntrinsics,
     DepthImage,
@@ -54,42 +56,17 @@ from .maskops import BinaryMask
 
 _EPS_T = 1e-9
 DEFAULT_FRAME_ID = "000"
-# fruit semi-axes and center coordinates (m) that keep window and hit-test terms finite
+# fruit semi-axes, fruit and camera coordinates (m) that keep window and hit-test terms finite
 SEMI_AXIS_RANGE_M = (1e-6, 1e3)
 CENTER_REACH_M = 1e3
-
-
-# eq=False: == and hash() go by identity; generated ones would compare arrays.
-@dataclass(frozen=True, eq=False)
-class FruitSpec:
-    """A fruit, a row of ``SceneFruits``, which checks it."""
-
-    fruit_id: str
-    center_world: Point3
-    semi_axes: np.ndarray  # (ax, ay, az) meters; y is the vertical axis
-
-    @property
-    def height_mm(self) -> float:
-        return 2000.0 * float(self.semi_axes[1])
-
-    @property
-    def width_mm(self) -> float:
-        return 2000.0 * float(self.semi_axes[0])
-
-
-# eq=False: == and hash() go by identity; generated ones would compare arrays.
-@dataclass(frozen=True, eq=False)
-class QuadOccluder:
-    """A planar convex quad; its corners go round its outline in order."""
-
-    corners: np.ndarray  # (4, 3) world meters
 
 
 @dataclass(frozen=True, eq=False)
 class SceneFruits:
     """A scene's fruits as columns, row i holding fruit i, checked once when
     built; the first bad fruit is named by its id and the first rule it
-    breaks. Iterating gives ``FruitSpec`` rows."""
+    breaks. Iterating gives its ``GroundTruthRecord`` rows: height and width
+    2000 x the y and x semi-axes in mm, the center a ``Point3``."""
 
     fruit_id: List[str]
     center_world_m: np.ndarray  # (n, 3)
@@ -119,9 +96,10 @@ class SceneFruits:
     def __len__(self) -> int:
         return len(self.fruit_id)
 
-    def __iter__(self) -> Iterator[FruitSpec]:
-        return map(FruitSpec, self.fruit_id, map(Point3._make, self.center_world_m.tolist()),
-                   self.semi_axes)
+    def __iter__(self) -> Iterator[GroundTruthRecord]:
+        height, width = (2000.0 * self.semi_axes[:, 1::-1]).T.tolist()
+        return map(GroundTruthRecord, self.fruit_id, height, width,
+                   map(Point3._make, self.center_world_m.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +124,9 @@ class SceneLeaves:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Sequences of ``FruitSpec`` and ``QuadOccluder`` become columns, checked,
-    once: ``dataclasses.replace`` of another field checks them no more."""
+    """A scene: a ``SceneFruits``, a ``SceneLeaves`` (anything else is a
+    ``TypeError``), a rig, depth noise, seed and depth scale. The columns were
+    checked when built, so ``dataclasses.replace`` checks them no more."""
 
     fruits: SceneFruits
     occluders: SceneLeaves
@@ -157,16 +136,9 @@ class SceneSpec:
     depth_scale: float = 0.001
 
     def __post_init__(self):
-        # a row of another shape becomes NaN, which the column checks reject
-        if not isinstance(fruits := self.fruits, SceneFruits):
-            object.__setattr__(self, "fruits", SceneFruits(
-                [f.fruit_id for f in fruits], [tuple(f.center_world) for f in fruits],
-                [s if (s := np.ravel(f.semi_axes)).shape == (3,) else [math.nan] * 3
-                 for f in fruits]))
-        if not isinstance(leaves := self.occluders, SceneLeaves):
-            object.__setattr__(self, "occluders", SceneLeaves(
-                [c if np.shape(c := o.corners) == (4, 3) else np.full((4, 3), math.nan)
-                 for o in leaves]))
+        for name, kind in (("fruits", SceneFruits), ("occluders", SceneLeaves)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
         if not 0 <= self.sigma_at_1m < math.inf:
             raise InvalidSpec("noise sigma must be finite and >= 0")
         if not self.rig:
@@ -176,6 +148,9 @@ class SceneSpec:
                 raise InvalidSpec(f"camera {cam.camera_id!r} has no intrinsics")
             if cam.intrinsics.has_distortion:
                 raise InvalidSpec("the renderer models an ideal pinhole (no distortion)")
+            if not (np.abs(cam.cam_to_world.translation) <= CENTER_REACH_M).all():
+                raise InvalidSpec(f"camera {cam.camera_id!r}: position must lie within "
+                                  f"[-{CENTER_REACH_M:g}, {CENTER_REACH_M:g}] m on each axis")
         if not 0 < self.depth_scale < math.inf:
             raise InvalidSpec("depth_scale must be positive and finite")
         if self.seed < 0:
@@ -197,7 +172,7 @@ class CameraCapture:
 @dataclass
 class CaptureBundle:
     captures: List[CameraCapture]
-    truth: Sequence[FruitSpec]   # write_ground_truth_csv's rows; render_scene's: SceneFruits
+    truth: Sequence[GroundTruthRecord]   # render_scene's: its scene's SceneFruits
 
 
 Vec3 = Sequence[float]
@@ -553,8 +528,9 @@ def lab_scene(
     over the fruits: a side cut is one leaf over that side, a band two leaves
     over the top and bottom that each hide half the fraction. The fraction is
     drawn per fruit, a band's from the deep end of the range. The leaves are
-    drawn after every fruit, so ``dataclasses.replace(spec, occluders=[])``
-    is the same scene without them.
+    drawn after every fruit, so
+    ``dataclasses.replace(spec, occluders=SceneLeaves([]))`` is the same scene
+    without them.
 
     The leaves are rectangles in the bottom camera's image whose edges cut
     the fruit's projected outline at the fraction, placed ``LEAF_DEPTH_M``

@@ -146,12 +146,10 @@ def scene_to_dict(spec: SceneSpec) -> dict:
             for cam in spec.rig
         ],
         "fruits": [
-            {
-                "id": f.fruit_id,
-                "center_world": [f.center_world.x, f.center_world.y, f.center_world.z],
-                "semi_axes": [float(s) for s in f.semi_axes],
-            }
-            for f in spec.fruits
+            {"id": fruit_id, "center_world": center, "semi_axes": semi_axes}
+            for fruit_id, center, semi_axes in zip(spec.fruits.fruit_id,
+                                                   spec.fruits.center_world_m.tolist(),
+                                                   spec.fruits.semi_axes.tolist())
         ],
         "occluders": [
             {"corners": [[float(x) for x in corner] for corner in corners]}

@@ -769,16 +769,45 @@ class TestDamagedDocuments:
         (lambda d: d["rig"].insert(1, "top"), "rig[1] must be an object"),
         (lambda d: d["fruits"].append(None), f"fruits[{len(lab_scene(0).fruits)}] must be"),
         (lambda d: d["occluders"].insert(0, 1.5), "occluders[0] must be an object"),
+        (lambda d: d["fruits"][0].update(semi_axes=[0.02, 0.02]), "semi_axes"),
+        (lambda d: d["occluders"][0].update(corners=d["occluders"][0]["corners"][:3]), "corners"),
     ], ids=["semi-axes-string", "sigma-string", "fruit-id-int", "missing-key", "seed-float",
             "seed-bool", "depth-scale-string", "sigma-bool", "model-int",
             "center-world-strings", "center-world-string", "semi-axes-4", "rotation-string",
             "translation-bool", "corner-string", "rig-object", "fruits-object",
             "occluders-null", "noise-list", "scene-list", "camera-string", "fruit-null",
-            "occluder-float"])
+            "occluder-float", "semi-axes-2", "corners-3"])
     def test_simulate(self, scene_path, tmp_path, capsys, damage, named):
         scene = damage_copy(scene_path, tmp_path / "scene.json", damage)
         code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
         self.assert_io_error(code, capsys, scene, named)
+
+    def test_simulate_names_a_bad_field_before_a_bad_fruit(self, scene_path, tmp_path, capsys):
+        # the fruit columns check a zero semi-axis only after every field is read
+        def damage(doc):
+            doc["fruits"][0]["semi_axes"][1] = 0.0
+            doc["noise"]["sigma_at_1m"] = "abc"
+
+        scene = damage_copy(scene_path, tmp_path / "scene.json", damage)
+        code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
+        self.assert_io_error(code, capsys, scene, "sigma_at_1m")
+        assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("translation", [[1e155, 0, 0], [0, 0, -1e160], [0, 1e200, 0],
+                                             [1e300, 0, 0]], ids=["x", "z", "y", "x-1e300"])
+    def test_simulate_far_camera_exits_1(self, scene_path, tmp_path, capsys, translation):
+        # each rendered after an overflow in the window pass before the reach rule
+        def move_top(doc):
+            (top,) = [c for c in doc["rig"] if c["camera_id"] == "top"]
+            top["cam_to_world"]["translation"] = translation
+
+        scene = damage_copy(scene_path, tmp_path / "scene.json", move_top)
+        code = main(["simulate", "--scene", str(scene), "-o", str(tmp_path / "bundle")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"fruitgauge: scene {scene}: camera 'top': position must lie within [-1000, 1000] m "
+            "on each axis"]
+        assert not (tmp_path / "bundle").exists()
 
     @pytest.mark.parametrize("name,damage,named", [
         ("records.json", lambda d: [d], "document must be an object"),

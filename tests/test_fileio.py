@@ -857,13 +857,29 @@ class TestGroundTruthCsv:
         assert back.center_world == Point3(0.1, -0.2, 0.6)
 
     def test_scene_fruits_written_as_their_truth_records(self, tmp_path):
-        # the simulator's truth rows are its scene's FruitSpecs
+        # a scene's fruits iterate as truth rows: 2000 x the y and x semi-axes
+        # in mm, the center a Point3
         fruits = lab_scene(2).fruits
         write_ground_truth_csv(tmp_path / "fruits.csv", fruits)
         write_ground_truth_csv(tmp_path / "records.csv", [
-            GroundTruthRecord(f.fruit_id, f.height_mm, f.width_mm, f.center_world)
-            for f in fruits])
+            GroundTruthRecord(fruit_id, 2000.0 * float(semi[1]), 2000.0 * float(semi[0]),
+                              Point3(*map(float, center)))
+            for fruit_id, center, semi in zip(fruits.fruit_id, fruits.center_world_m,
+                                              fruits.semi_axes)])
         assert (tmp_path / "fruits.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        GroundTruthRecord("f01", math.nan, 46.7, Point3(0.1, -0.2, 0.6)),
+        GroundTruthRecord("f01", 39.4, 0.0, None),
+        GroundTruthRecord("f01", 39.4, 46.7, Point3(0.1, -math.inf, 0.6)),
+    ], ids=["nan-height", "zero-width", "infinite-center"])
+    def test_bad_row_refused_before_the_file_is_opened(self, tmp_path, bad):
+        good = GroundTruthRecord("f00", 39.4, 46.7, Point3(0.1, -0.2, 0.6))
+        path = tmp_path / "truth" / "gt.csv"
+        with pytest.raises(ValueError, match="^ground-truth sizes must be finite and positive, "
+                                             "the center finite$"):
+            write_ground_truth_csv(path, [good, bad])
+        assert not path.exists()
 
     def test_plain_floats_written_as_repr(self, tmp_path):
         write_ground_truth_csv(tmp_path / "gt.csv",

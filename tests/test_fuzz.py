@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fruitgauge.errors import BundleIOError, FruitGaugeError
-from fruitgauge.evaluation import GroundTruthRecord
+from fruitgauge.evaluation import GroundTruthRecord, check_truth
 from fruitgauge.fileio import (
     Detection,
     DetectionFile,
@@ -53,7 +53,7 @@ from fruitgauge.geometry import (
     translation_transform,
 )
 from fruitgauge.maskops import BinaryMask, decode_rle, encode_rle
-from fruitgauge.simulate import FruitSpec, QuadOccluder, SceneSpec
+from fruitgauge.simulate import SceneFruits, SceneLeaves, SceneSpec
 
 from conftest import record_dicts, scene_to_dict, truth_records
 from test_fileio import RECORD, read_outcome, ref_read
@@ -235,7 +235,7 @@ def test_read_fused_choices_matches_the_row_reference(work, data):
 
 def ref_read_ground_truth_csv(path):
     """``read_ground_truth_csv`` through ``csv.DictReader``, a ``GroundTruthRecord``
-    per row, and no fruit_id in two rows."""
+    per row that passes ``check_truth``, and no fruit_id in two rows."""
     with parsing(f"ground truth {path}"):
         rows = list(csv.DictReader(io.StringIO(path.read_bytes().decode(), newline="")))
     records, first_row = [], {}
@@ -244,8 +244,10 @@ def ref_read_ground_truth_csv(path):
             center = None
             if row.get("x_m") not in (None, ""):
                 center = Point3(float(row["x_m"]), float(row["y_m"]), float(row["z_m"]))
-            records.append(GroundTruthRecord(row["fruit_id"], float(row["height_mm"]),
-                                             float(row["width_mm"]), center))
+            record = GroundTruthRecord(row["fruit_id"], float(row["height_mm"]),
+                                       float(row["width_mm"]), center)
+            check_truth(record.height_mm, record.width_mm, center or ())
+            records.append(record)
             if row["fruit_id"] in first_row:
                 raise ValueError(f"fruit_id {row['fruit_id']!r} repeats row "
                                  f"{first_row[row['fruit_id']]}")
@@ -282,9 +284,8 @@ def test_read_ground_truth_csv_matches_the_dict_reader_reference(work, header, r
 
 
 SCENE = scene_to_dict(SceneSpec(
-    fruits=[FruitSpec("fruit00", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02]))],
-    occluders=[QuadOccluder(np.array([[0, 0, 0.3], [0.01, 0, 0.3], [0.01, 0.01, 0.3],
-                                      [0, 0.01, 0.3]]))],
+    fruits=SceneFruits(["fruit00"], [[0.0, 0.0, 0.6]], [[0.02, 0.02, 0.02]]),
+    occluders=SceneLeaves([[[0, 0, 0.3], [0.01, 0, 0.3], [0.01, 0.01, 0.3], [0, 0.01, 0.3]]]),
     rig=[RigCamera("middle", K, RigidTransform.identity())],
     sigma_at_1m=0.002, seed=4,
 ))

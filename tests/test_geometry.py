@@ -27,7 +27,7 @@ from fruitgauge.geometry import (
     solve_camera_chain,
     translation_transform,
 )
-from fruitgauge.simulate import FruitSpec, QuadOccluder
+from fruitgauge.simulate import SceneFruits, SceneLeaves
 
 from conftest import deproject, random_rigid, rotation_about
 
@@ -415,9 +415,9 @@ class TestAlignDepthToColor:
 @pytest.mark.parametrize("make", [
     RigidTransform.identity,
     lambda: DepthImage(np.zeros((2, 2), dtype=np.uint16)),
-    lambda: FruitSpec("f", Point3(0.0, 0.0, 0.6), np.array([0.02, 0.02, 0.02])),
-    lambda: QuadOccluder(np.array([[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)),
-], ids=["RigidTransform", "DepthImage", "FruitSpec", "QuadOccluder"])
+    lambda: SceneFruits(["f"], [[0.0, 0.0, 0.6]], [[0.02, 0.02, 0.02]]),
+    lambda: SceneLeaves([[[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]]),
+], ids=["RigidTransform", "DepthImage", "SceneFruits", "SceneLeaves"])
 def test_array_dataclasses_compare_by_identity(make):
     # two equal-valued instances with separate arrays
     a, b = make(), make()
